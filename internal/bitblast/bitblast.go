@@ -71,6 +71,11 @@ func (b *Blaster) constLit(v bool) sat.Lit {
 
 func (b *Blaster) freshLit() sat.Lit { return sat.MkLit(b.sat.NewVar(), false) }
 
+// gateLit returns a fresh gate output. Every gate is defined by clauses in
+// both directions, so once all free term bits are assigned unit propagation
+// fixes every gate, and the SAT solver need only branch on term bits.
+func (b *Blaster) gateLit() sat.Lit { return sat.MkLit(b.sat.NewDefinedVar(), false) }
+
 // mkAnd returns a literal equivalent to a AND b.
 func (b *Blaster) mkAnd(a, c sat.Lit) sat.Lit {
 	if a == b.lFalse || c == b.lFalse {
@@ -95,7 +100,7 @@ func (b *Blaster) mkAnd(a, c sat.Lit) sat.Lit {
 	if o, ok := b.gates[k]; ok {
 		return o
 	}
-	o := b.freshLit()
+	o := b.gateLit()
 	b.sat.AddClause(o.Neg(), a)
 	b.sat.AddClause(o.Neg(), c)
 	b.sat.AddClause(o, a.Neg(), c.Neg())
@@ -144,7 +149,7 @@ func (b *Blaster) mkXor(a, c sat.Lit) sat.Lit {
 	k := gateKey{op: gXor, a: a, b: c}
 	o, ok := b.gates[k]
 	if !ok {
-		o = b.freshLit()
+		o = b.gateLit()
 		b.sat.AddClause(o.Neg(), a, c)
 		b.sat.AddClause(o.Neg(), a.Neg(), c.Neg())
 		b.sat.AddClause(o, a.Neg(), c)
@@ -187,7 +192,7 @@ func (b *Blaster) mkMux(s, t, f sat.Lit) sat.Lit {
 	if o, ok := b.gates[k]; ok {
 		return o
 	}
-	o := b.freshLit()
+	o := b.gateLit()
 	b.sat.AddClause(s.Neg(), t.Neg(), o)
 	b.sat.AddClause(s.Neg(), t, o.Neg())
 	b.sat.AddClause(s, f.Neg(), o)

@@ -151,3 +151,99 @@ func TestUltBoundaryProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPropagationComplete pins the property the SAT solver's input-bit
+// branching relies on: once every free term bit is fixed, unit propagation
+// alone determines every gate the blaster emits. For each operator the
+// blaster lowers, the input bits are fixed by assumptions; Solve must then
+// take no branching decision, and the model must agree with smt.Eval.
+func TestPropagationComplete(t *testing.T) {
+	const w = 8
+	cases := []struct {
+		kind  smt.Kind
+		build func(ctx *smt.Context, x, y *smt.Term) *smt.Term
+	}{
+		{smt.KAdd, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Add(x, y) }},
+		{smt.KSub, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Sub(x, y) }},
+		{smt.KNeg, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Neg(x) }},
+		{smt.KMul, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Mul(x, y) }},
+		{smt.KUDiv, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.UDiv(x, y) }},
+		{smt.KURem, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.URem(x, y) }},
+		{smt.KAnd, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.And(x, y) }},
+		{smt.KOr, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Or(x, y) }},
+		{smt.KXor, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Xor(x, y) }},
+		{smt.KNot, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Not(x) }},
+		// Full-width shift amounts, so out-of-range shifts are covered too.
+		{smt.KShl, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Shl(x, y) }},
+		{smt.KLshr, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Lshr(x, y) }},
+		{smt.KAshr, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Ashr(x, y) }},
+		{smt.KEq, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Eq(x, y) }},
+		{smt.KUlt, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Ult(x, y) }},
+		{smt.KUle, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Ule(x, y) }},
+		{smt.KSlt, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Slt(x, y) }},
+		{smt.KSle, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Sle(x, y) }},
+		{smt.KIte, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Ite(ctx.Ult(x, y), ctx.Add(x, y), x) }},
+		{smt.KIte, func(ctx *smt.Context, x, y *smt.Term) *smt.Term {
+			return ctx.Ite(ctx.Slt(x, y), ctx.Ule(y, x), ctx.Eq(x, ctx.Not(y)))
+		}},
+		{smt.KExtract, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Extract(ctx.Mul(x, y), 6, 2) }},
+		{smt.KConcat, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Concat(ctx.Sub(x, y), x) }},
+		{smt.KZExt, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.ZExt(ctx.Add(x, y), 2*w) }},
+		{smt.KSExt, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.SExt(ctx.Add(x, y), 2*w) }},
+		{smt.KBAnd, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.BAnd(ctx.Ult(x, y), ctx.Slt(y, x)) }},
+		{smt.KBOr, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.BOr(ctx.Ult(x, y), ctx.Slt(y, x)) }},
+		{smt.KBXor, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.BXor(ctx.Ult(x, y), ctx.Slt(y, x)) }},
+		{smt.KBNot, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.BNot(ctx.Eq(ctx.Mul(x, y), x)) }},
+	}
+	rng := rand.New(rand.NewSource(13))
+	for _, tc := range cases {
+		ctx := smt.NewContext()
+		s := sat.New()
+		b := New(ctx, s)
+		x, y := ctx.Var("x", w), ctx.Var("y", w)
+		e := tc.build(ctx, x, y)
+		if e.Kind() != tc.kind {
+			t.Fatalf("%v: built a %v term", tc.kind, e.Kind())
+		}
+		inputs := append(append([]sat.Lit(nil), b.Bits(x)...), b.Bits(y)...)
+		if e.IsBool() {
+			b.LitFor(e)
+		} else {
+			b.Bits(e)
+		}
+		for i := 0; i < 24; i++ {
+			xv, yv := rng.Uint64()&0xff, rng.Uint64()&0xff
+			switch i {
+			case 0:
+				yv = 0 // division by zero
+			case 1:
+				xv, yv = 0x80, 0xff // signed extremes
+			}
+			assumps := make([]sat.Lit, len(inputs))
+			for j, l := range inputs {
+				v := xv
+				if j >= w {
+					v = yv
+				}
+				assumps[j] = l
+				if v>>uint(j%w)&1 == 0 {
+					assumps[j] = l.Neg()
+				}
+			}
+			before := s.Stats().Decisions
+			if got := s.Solve(assumps...); got != sat.Sat {
+				t.Fatalf("%v x=%#x y=%#x: Solve = %v", tc.kind, xv, yv, got)
+			}
+			if d := s.Stats().Decisions - before; d != 0 {
+				t.Fatalf("%v x=%#x y=%#x: %d branching decisions with every input bit fixed", tc.kind, xv, yv, d)
+			}
+			want, err := smt.Eval(e, smt.MapEnv{"x": xv, "y": yv})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := b.ModelValue(e); !ok || got != want {
+				t.Fatalf("%v x=%#x y=%#x: model %#x, Eval %#x", tc.kind, xv, yv, got, want)
+			}
+		}
+	}
+}

@@ -530,8 +530,11 @@ func TestSolverBudgetAbortsPathAsPartial(t *testing.T) {
 		ctx := e.Context()
 		a := e.MakeSymbolic("a", 32)
 		b := e.MakeSymbolic("b", 32)
-		// A branch condition hard enough to need more than one conflict.
-		e.Branch(ctx.Eq(ctx.Mul(a, b), ctx.BV(32, 0x12345679)))
+		// A branch condition hard enough to need more than one conflict:
+		// a non-wrapping product equal to a prime, refuted only by search.
+		e.Branch(ctx.BAnd(
+			ctx.Eq(ctx.Mul(ctx.ZExt(a, 64), ctx.ZExt(b, 64)), ctx.BV(64, 0x1234567d)),
+			ctx.BAnd(ctx.Ugt(a, ctx.BV(32, 1)), ctx.Ugt(b, ctx.BV(32, 1)))))
 		return nil
 	})
 	rep := x.Explore(Options{SolverConflictBudget: 1, MaxPaths: 4})

@@ -520,7 +520,8 @@ func (s *Solver) rebuildWatches() {
 
 // restoreVar undoes the elimination of v (and, transitively, of any
 // eliminated variable mentioned in the restored clauses): the saved original
-// clauses are re-added and v becomes a normal decision variable again.
+// clauses are re-added and v becomes a normal variable again (a decision
+// variable if it was one).
 // Called when an eliminated variable reappears in AddClause or as a Solve
 // assumption.
 func (s *Solver) restoreVar(v Var) {
@@ -543,7 +544,9 @@ func (s *Solver) restoreVar(v Var) {
 		s.elimIdx[u] = 0
 		e.restored = true
 		s.assigns[u] = uint8(lUndef)
-		s.order.insert(u, s.activity)
+		if s.decision[u] {
+			s.order.insert(u, s.activity)
+		}
 		s.stats.Restored++
 		entries = append(entries, e)
 		for _, cl := range e.clauses {

@@ -205,6 +205,10 @@ func randomCNF(rng *rand.Rand, n, m int) [][]Lit {
 // workloads with assumption queries — the usage pattern of the bit-blasting
 // layer above. Sat models are validated against the original clauses and
 // Unsat assumption cores are re-verified by enumeration.
+//
+// A random subset of the inprocessed solver's variables is created with
+// NewDefinedVar. Random clauses define nothing, so its models rest on the
+// completeness guard and on promotion, across elimination and restoration.
 func TestRandomSimplifyDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 300; iter++ {
@@ -215,7 +219,14 @@ func TestRandomSimplifyDifferential(t *testing.T) {
 		s := New()
 		off := New()
 		off.SetInprocessing(false)
-		newVars(s, n)
+		defined := rand.New(rand.NewSource(int64(iter)))
+		for v := 0; v < n; v++ {
+			if defined.Intn(2) == 0 {
+				s.NewDefinedVar()
+			} else {
+				s.NewVar()
+			}
+		}
 		newVars(off, n)
 
 		half := len(cnf) / 2
@@ -237,17 +248,11 @@ func TestRandomSimplifyDifferential(t *testing.T) {
 			t.Fatalf("iter %d: inproc=%v off=%v bruteforce=%v cnf=%v", iter, got, gotOff, want, cnf)
 		}
 		if got == Sat {
-			for _, cl := range cnf {
-				ok := false
-				for _, l := range cl {
-					if s.LitValue(l) {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					t.Fatalf("iter %d: model violates original clause %v", iter, cl)
-				}
+			if v := firstUnassigned(s); v >= 0 {
+				t.Fatalf("iter %d: v%d unassigned in a Sat model", iter, v)
+			}
+			if cl := firstViolated(s, cnf); cl != nil {
+				t.Fatalf("iter %d: model violates original clause %v", iter, cl)
 			}
 		}
 
@@ -277,6 +282,14 @@ func TestRandomSimplifyDifferential(t *testing.T) {
 			}
 			if bruteForceWith(n, cnf, core) {
 				t.Fatalf("iter %d: core %v not actually unsat", iter, core)
+			}
+		}
+		if gotA == Sat {
+			if v := firstUnassigned(s); v >= 0 {
+				t.Fatalf("iter %d: assumptions %v: v%d unassigned in a Sat model", iter, assumps, v)
+			}
+			if cl := firstViolated(s, cnf); cl != nil {
+				t.Fatalf("iter %d: assumptions %v: model violates original clause %v", iter, assumps, cl)
 			}
 		}
 	}

@@ -6,6 +6,10 @@
 // inprocessing (subsumption, self-subsuming resolution, bounded variable
 // elimination — see inprocess.go).
 //
+// VSIDS branches on input variables only: a variable created with
+// NewDefinedVar (a Tseitin gate output) joins the decision heap when it first
+// takes part in a conflict, and before that is left to unit propagation.
+//
 // The solver is incremental: variables and clauses may be added between calls
 // to Solve, and Solve accepts assumption literals that hold only for that
 // call. Consecutive Solve calls sharing an assumption prefix reuse the
@@ -142,6 +146,7 @@ type Solver struct {
 	reason   []*clause
 	phase    []uint8 // saved polarity: 0 positive, 1 negative
 	activity []float64
+	decision []bool // per var: kept in the decision heap while unassigned
 
 	targetPhase []uint8 // best-trail polarity of the current Solve call
 	targetStamp []uint64
@@ -215,7 +220,16 @@ func (s *Solver) NumVars() int { return len(s.assigns) }
 func (s *Solver) NumClauses() int { return len(s.clauses) }
 
 // NewVar creates a fresh variable.
-func (s *Solver) NewVar() Var {
+func (s *Solver) NewVar() Var { return s.newVar(true) }
+
+// NewDefinedVar creates a fresh variable that unit propagation determines
+// once the variables it is defined from are assigned, as a Tseitin gate
+// output is by its defining clauses. The solver does not branch on it until
+// it takes part in a conflict. A variable that breaks the contract costs
+// speed, not correctness: Solve never answers Sat with it unassigned.
+func (s *Solver) NewDefinedVar() Var { return s.newVar(false) }
+
+func (s *Solver) newVar(decision bool) Var {
 	v := Var(len(s.assigns))
 	p := uint8(1)
 	if s.opts.PhaseSeed != 0 {
@@ -229,6 +243,7 @@ func (s *Solver) NewVar() Var {
 	s.reason = append(s.reason, nil)
 	s.phase = append(s.phase, p)
 	s.activity = append(s.activity, 0)
+	s.decision = append(s.decision, decision)
 	s.targetPhase = append(s.targetPhase, 0)
 	s.targetStamp = append(s.targetStamp, 0)
 	s.seen = append(s.seen, false)
@@ -237,7 +252,9 @@ func (s *Solver) NewVar() Var {
 	s.elimIdx = append(s.elimIdx, 0)
 	s.frozen = append(s.frozen, false)
 	s.litStamp = append(s.litStamp, 0, 0)
-	s.order.insert(v, s.activity)
+	if decision {
+		s.order.insert(v, s.activity)
+	}
 	return v
 }
 
@@ -505,14 +522,20 @@ func (s *Solver) cancelUntil(lvl int32) {
 		v := s.trail[i].Var()
 		s.assigns[v] = uint8(lUndef)
 		s.reason[v] = nil
-		s.order.insert(v, act)
+		if s.decision[v] {
+			s.order.insert(v, act)
+		}
 	}
 	s.trail = s.trail[:bound]
 	s.trailLim = s.trailLim[:lvl]
 	s.qhead = len(s.trail)
 }
 
+// varBump raises v's activity. It also makes v a decision variable: a
+// defined variable that takes part in a conflict is worth branching on. v is
+// assigned here, so cancelUntil puts it into the heap when it unassigns it.
 func (s *Solver) varBump(v Var) {
+	s.decision[v] = true
 	s.activity[v] += s.varInc
 	if s.activity[v] > 1e100 {
 		for i := range s.activity {
@@ -946,15 +969,40 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			}
 		}
 		if next == -1 {
-			s.stats.Decisions++
 			next = s.pickBranchLit(s.opts.TargetPhase && restarted)
 			if next == -1 {
+				if !s.assignmentTotal() {
+					s.promoteUnassigned()
+					continue
+				}
 				s.extendModel()
 				return Sat // all variables assigned
 			}
+			s.stats.Decisions++
 		}
 		s.trailLim = append(s.trailLim, int32(len(s.trail)))
 		s.uncheckedEnqueue(next, nil)
+	}
+}
+
+// assignmentTotal reports, in O(1), whether every variable is assigned or
+// eliminated. Each assigned variable is on the trail exactly once, and an
+// eliminated one never is.
+func (s *Solver) assignmentTotal() bool {
+	eliminated := int(s.stats.Eliminated - s.stats.Restored)
+	return len(s.trail)+eliminated == len(s.assigns)
+}
+
+// promoteUnassigned makes every open variable a decision variable. The heap
+// runs empty with variables open only when propagation failed to determine
+// a defined variable: variable elimination rewrote its definition, or the
+// caller broke the NewDefinedVar contract.
+func (s *Solver) promoteUnassigned() {
+	for i, a := range s.assigns {
+		if a >= uint8(lUndef) && s.elimIdx[i] == 0 {
+			s.decision[i] = true
+			s.order.insert(Var(i), s.activity)
+		}
 	}
 }
 

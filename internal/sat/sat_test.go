@@ -170,6 +170,120 @@ func TestPigeonhole65(t *testing.T) {
 	}
 }
 
+// firstViolated returns a clause of cnf that s's current model falsifies, or
+// nil when the model satisfies them all.
+func firstViolated(s *Solver, cnf [][]Lit) []Lit {
+	for _, cl := range cnf {
+		ok := false
+		for _, l := range cl {
+			if s.LitValue(l) {
+				ok = true
+				break
+			}
+		}
+		if !ok {
+			return cl
+		}
+	}
+	return nil
+}
+
+// firstUnassigned returns a variable that s's current model leaves
+// unassigned, or -1 when the model is total.
+func firstUnassigned(s *Solver) Var {
+	for v, val := range s.assigns {
+		if val >= uint8(lUndef) {
+			return Var(v)
+		}
+	}
+	return -1
+}
+
+// TestDefinedVarContractMisuse gives NewDefinedVar variables that no clause
+// determines: one defined in a single direction only, one in no clause at
+// all. Solve must still answer Sat with a total model that satisfies every
+// clause, by promoting them to decision variables.
+func TestDefinedVarContractMisuse(t *testing.T) {
+	s := New()
+	a, b := s.NewVar(), s.NewVar()
+	half := s.NewDefinedVar() // half -> a AND b, but not the converse
+	free := s.NewDefinedVar()
+	cnf := [][]Lit{
+		{MkLit(half, true), MkLit(a, false)},
+		{MkLit(half, true), MkLit(b, false)},
+		{MkLit(a, false), MkLit(b, false)},
+	}
+	for _, cl := range cnf {
+		s.AddClause(cl...)
+	}
+	for _, assumps := range [][]Lit{nil, {MkLit(a, false), MkLit(b, false)}, {MkLit(a, true)}} {
+		if got := s.Solve(assumps...); got != Sat {
+			t.Fatalf("assumptions %v: Solve = %v, want Sat", assumps, got)
+		}
+		if v := firstUnassigned(s); v >= 0 {
+			t.Fatalf("assumptions %v: v%d unassigned in a Sat model", assumps, v)
+		}
+		if cl := firstViolated(s, cnf); cl != nil {
+			t.Fatalf("assumptions %v: model violates %v", assumps, cl)
+		}
+	}
+	if !s.decision[half] || !s.decision[free] {
+		t.Fatal("undetermined defined variables were not promoted")
+	}
+}
+
+// TestDefinedVarPromotedOnConflict builds two XOR chains over the same
+// inputs, in opposite orders, with defined intermediate outputs. Asking for
+// different parities is unsat but beyond unit propagation, so the refutation
+// runs through conflicts, and the defined variables they touch must become
+// decision variables. The matching parity must then be Sat with a model of
+// that parity.
+func TestDefinedVarPromotedOnConflict(t *testing.T) {
+	const n = 12
+	s := New()
+	xs := newVars(s, n)
+	chain := func(order []Var) Var {
+		acc := order[0]
+		for _, x := range order[1:] {
+			y := s.NewDefinedVar()
+			xorClauses(s, acc, x, y)
+			acc = y
+		}
+		return acc
+	}
+	rev := make([]Var, n)
+	for i, x := range xs {
+		rev[n-1-i] = x
+	}
+	fwd, bwd := chain(xs), chain(rev)
+	s.AddClause(MkLit(fwd, false)) // parity 1
+	if s.Solve(MkLit(bwd, true)) != Unsat {
+		t.Fatal("parity 1 and parity 0 should be unsat")
+	}
+	if s.Stats().Conflicts == 0 {
+		t.Fatal("setup: expected the refutation to need conflicts")
+	}
+	promoted := 0
+	for v := xs[n-1] + 1; int(v) < s.NumVars(); v++ {
+		if s.decision[v] {
+			promoted++
+		}
+	}
+	if promoted == 0 {
+		t.Fatal("no defined variable was promoted by a conflict")
+	}
+	if s.Solve(MkLit(bwd, false)) != Sat {
+		t.Fatal("matching parities should be sat")
+	}
+	parity := false
+	for _, x := range xs {
+		parity = parity != s.ValueOf(x)
+	}
+	if !parity {
+		t.Fatal("model parity wrong")
+	}
+}
+
 func TestAssumptions(t *testing.T) {
 	s := New()
 	a, b := s.NewVar(), s.NewVar()
