@@ -1,6 +1,8 @@
 // Package bitblast lowers smt terms to CNF over a sat.Solver (Tseitin
 // encoding). Each bit-vector term maps to a little-endian vector of SAT
-// literals; each Boolean term maps to one literal. Encodings are cached per
+// literals; each Boolean term maps to one literal. Every AND, XOR and MUX is
+// created with sat.AddGate, so a solve assigns only the gates its query
+// depends on and the model computes the rest. Encodings are cached per
 // term identity, and gate outputs are cached per input-literal pair, so a
 // Blaster can serve many incremental queries against one growing SAT
 // instance — the mechanism the symbolic execution engine relies on for
@@ -28,17 +30,10 @@ type Blaster struct {
 	lFalse sat.Lit
 }
 
-type gateOp uint8
-
-const (
-	gAnd gateOp = iota
-	gOr
-	gXor
-	gMux // s ? a : b; key fields (s, a, b) in c, a, b order
-)
-
+// gateKey identifies a gate by its op and inputs; a MUX s ? t : f keys its
+// inputs (s, t, f) as (c, a, b).
 type gateKey struct {
-	op      gateOp
+	op      sat.GateOp
 	a, b, c sat.Lit
 }
 
@@ -71,11 +66,6 @@ func (b *Blaster) constLit(v bool) sat.Lit {
 
 func (b *Blaster) freshLit() sat.Lit { return sat.MkLit(b.sat.NewVar(), false) }
 
-// gateLit returns a fresh gate output. Every gate is defined by clauses in
-// both directions, so once all free term bits are assigned unit propagation
-// fixes every gate, and the SAT solver need only branch on term bits.
-func (b *Blaster) gateLit() sat.Lit { return sat.MkLit(b.sat.NewDefinedVar(), false) }
-
 // mkAnd returns a literal equivalent to a AND b.
 func (b *Blaster) mkAnd(a, c sat.Lit) sat.Lit {
 	if a == b.lFalse || c == b.lFalse {
@@ -96,14 +86,11 @@ func (b *Blaster) mkAnd(a, c sat.Lit) sat.Lit {
 	if a > c {
 		a, c = c, a
 	}
-	k := gateKey{op: gAnd, a: a, b: c}
+	k := gateKey{op: sat.GateAnd, a: a, b: c}
 	if o, ok := b.gates[k]; ok {
 		return o
 	}
-	o := b.gateLit()
-	b.sat.AddClause(o.Neg(), a)
-	b.sat.AddClause(o.Neg(), c)
-	b.sat.AddClause(o, a.Neg(), c.Neg())
+	o := b.sat.AddGate(sat.GateAnd, a, c)
 	b.gates[k] = o
 	return o
 }
@@ -146,14 +133,10 @@ func (b *Blaster) mkXor(a, c sat.Lit) sat.Lit {
 	if a > c {
 		a, c = c, a
 	}
-	k := gateKey{op: gXor, a: a, b: c}
+	k := gateKey{op: sat.GateXor, a: a, b: c}
 	o, ok := b.gates[k]
 	if !ok {
-		o = b.gateLit()
-		b.sat.AddClause(o.Neg(), a, c)
-		b.sat.AddClause(o.Neg(), a.Neg(), c.Neg())
-		b.sat.AddClause(o, a.Neg(), c)
-		b.sat.AddClause(o, a, c.Neg())
+		o = b.sat.AddGate(sat.GateXor, a, c)
 		b.gates[k] = o
 	}
 	if neg {
@@ -188,18 +171,11 @@ func (b *Blaster) mkMux(s, t, f sat.Lit) sat.Lit {
 	if f == b.lFalse {
 		return b.mkAnd(s, t)
 	}
-	k := gateKey{op: gMux, c: s, a: t, b: f}
+	k := gateKey{op: sat.GateMux, c: s, a: t, b: f}
 	if o, ok := b.gates[k]; ok {
 		return o
 	}
-	o := b.gateLit()
-	b.sat.AddClause(s.Neg(), t.Neg(), o)
-	b.sat.AddClause(s.Neg(), t, o.Neg())
-	b.sat.AddClause(s, f.Neg(), o)
-	b.sat.AddClause(s, f, o.Neg())
-	// Redundant but propagation-strengthening clauses.
-	b.sat.AddClause(t.Neg(), f.Neg(), o)
-	b.sat.AddClause(t, f, o.Neg())
+	o := b.sat.AddGate(sat.GateMux, s, t, f)
 	b.gates[k] = o
 	return o
 }

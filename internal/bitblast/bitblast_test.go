@@ -156,7 +156,11 @@ func TestUltBoundaryProperty(t *testing.T) {
 // branching relies on: once every free term bit is fixed, unit propagation
 // alone determines every gate the blaster emits. For each operator the
 // blaster lowers, the input bits are fixed by assumptions; Solve must then
-// take no branching decision, and the model must agree with smt.Eval.
+// take no branching decision, and the model must agree with smt.Eval. That
+// query's cone holds the inputs only, so the term is read from its gate
+// definitions; a second query on a fresh solver pins the term to its value,
+// which brings all its gates into the cone, and must take no decision
+// either.
 func TestPropagationComplete(t *testing.T) {
 	const w = 8
 	cases := []struct {
@@ -244,6 +248,118 @@ func TestPropagationComplete(t *testing.T) {
 			if got, ok := b.ModelValue(e); !ok || got != want {
 				t.Fatalf("%v x=%#x y=%#x: model %#x, Eval %#x", tc.kind, xv, yv, got, want)
 			}
+
+			// Pinning the term to its value puts every gate of it into the
+			// cone of a fresh solver; propagation alone must assign them.
+			fs := sat.New()
+			fb := New(ctx, fs)
+			fin := append(append([]sat.Lit(nil), fb.Bits(x)...), fb.Bits(y)...)
+			for j, l := range fin {
+				if assumps[j] != inputs[j] {
+					fin[j] = l.Neg()
+				}
+			}
+			var pin sat.Lit
+			switch {
+			case !e.IsBool():
+				pin = fb.LitFor(ctx.Eq(e, ctx.BV(e.Width(), want)))
+			case want == 1:
+				pin = fb.LitFor(e)
+			default:
+				pin = fb.LitFor(e).Neg()
+			}
+			if got := fs.Solve(append(fin, pin)...); got != sat.Sat {
+				t.Fatalf("%v x=%#x y=%#x: pinned to its value: Solve = %v", tc.kind, xv, yv, got)
+			}
+			if d := fs.Stats().Decisions; d != 0 {
+				t.Fatalf("%v x=%#x y=%#x: %d branching decisions with the term in the cone", tc.kind, xv, yv, d)
+			}
 		}
+	}
+}
+
+// TestModelValueOutsideCone checks ModelValue against smt.Eval over the
+// model's inputs for every encoded term, whether or not the query's cone
+// reaches it. Queries constrain one or two of the terms at a time and share
+// prefixes, so most terms are read from gate definitions rather than from
+// assignments, and the trail kept between queries was made under another
+// cone.
+func TestModelValueOutsideCone(t *testing.T) {
+	const w = 8
+	rng := rand.New(rand.NewSource(5))
+	ctx := smt.NewContext()
+	s := sat.New()
+	b := New(ctx, s)
+	x, y, z := ctx.Var("x", w), ctx.Var("y", w), ctx.Var("z", w)
+	terms := []*smt.Term{
+		ctx.Add(x, y),
+		ctx.Mul(x, z),
+		ctx.UDiv(y, z),
+		ctx.Xor(ctx.Sub(z, x), y),
+		ctx.Ite(ctx.Slt(x, z), ctx.Sub(x, y), ctx.Shl(z, ctx.And(y, ctx.BV(w, 7)))),
+		ctx.Concat(ctx.Extract(ctx.Add(x, z), 3, 0), ctx.Extract(y, 7, 4)),
+		ctx.Ult(ctx.Add(x, z), y),
+		ctx.Eq(ctx.Xor(x, y), z),
+	}
+	for _, e := range terms {
+		if e.IsBool() {
+			b.LitFor(e)
+		} else {
+			b.Bits(e)
+		}
+	}
+	cond := func() *smt.Term {
+		e := terms[rng.Intn(len(terms))]
+		if e.IsBool() {
+			if rng.Intn(2) == 0 {
+				return ctx.BNot(e)
+			}
+			return e
+		}
+		k := ctx.BV(e.Width(), rng.Uint64()&(1<<uint(e.Width())-1))
+		if rng.Intn(2) == 0 {
+			return ctx.Ult(e, k)
+		}
+		return ctx.Ult(k, e)
+	}
+	var conds []*smt.Term
+	sats := 0
+	for q := 0; q < 200; q++ {
+		conds = conds[:len(conds)-rng.Intn(min(len(conds), 2)+1)]
+		conds = append(conds, cond())
+		lits := make([]sat.Lit, len(conds))
+		for i, c := range conds {
+			lits[i] = b.LitFor(c)
+		}
+		if s.Solve(lits...) != sat.Sat {
+			conds = conds[:0]
+			continue
+		}
+		sats++
+		env := smt.MapEnv{}
+		for _, v := range []*smt.Term{x, y, z} {
+			val, ok := b.ModelValue(v)
+			if !ok {
+				t.Fatalf("query %d: input %v not encoded", q, v)
+			}
+			env[v.Name()] = val
+		}
+		for _, e := range append(append([]*smt.Term(nil), terms...), conds...) {
+			want, err := smt.Eval(e, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := b.ModelValue(e); !ok || got != want {
+				t.Fatalf("query %d: ModelValue(%v) = %#x, Eval over %v = %#x", q, e, got, env, want)
+			}
+		}
+		for _, c := range conds {
+			if v, _ := b.ModelValue(c); v != 1 {
+				t.Fatalf("query %d: model violates assumption %v", q, c)
+			}
+		}
+	}
+	if sats < 100 {
+		t.Fatalf("only %d of 200 queries were sat", sats)
 	}
 }

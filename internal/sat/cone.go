@@ -1,0 +1,272 @@
+package sat
+
+import "fmt"
+
+// Cone-restricted solving. A Solve call decides only the cone of influence
+// of its query: the fan-in closure of its assumptions and of the rooted
+// variables, plus the fan-in of any assignment the call inherits whose
+// inputs are open. Sat is declared once the cone is assigned; variables
+// outside it are read from their gate definitions (ValueOf).
+//
+// The solver knows gate structure because gates are created through
+// AddGate, which records each gate's op and fan-in next to its Tseitin
+// clauses. Every variable of an AddClause clause is rooted and belongs to
+// every cone, so a pure-CNF instance is solved as a whole.
+//
+// Why the model as read satisfies every clause: at Sat, (1) every cone
+// variable is assigned, (2) every assigned gate has its fan-in assigned, and
+// (3) every fully assigned clause is satisfied (propagation has reached a
+// fixpoint and no conflict is pending). A gate left unassigned reads its own
+// definition, so its Tseitin clauses hold by construction; an assigned one
+// has its Tseitin clauses fully assigned by (2), so they hold by (3).
+// AddClause clauses contain rooted variables only, which (1) assigns. Clauses
+// rewritten by inprocessing are implied by these, and eliminated variables
+// are neither gates nor fan-in (inprocess.go), so extendModel only reads
+// rooted variables.
+
+// GateOp is the Boolean function of a gate created with AddGate.
+type GateOp uint8
+
+// Gate functions. The fan-in of GateMux is (s, t, f) for s ? t : f.
+const (
+	GateAnd GateOp = 1 + iota
+	GateXor
+	GateMux
+)
+
+func (op GateOp) arity() int {
+	if op == GateMux {
+		return 3
+	}
+	return 2
+}
+
+// Per-variable bits in Solver.vflags.
+const (
+	opMask  = 3      // the variable's GateOp; 0 for an input variable
+	fRooted = 1 << 2 // occurs in an AddClause clause: in every cone
+	fFanin  = 1 << 3 // input of some gate: never eliminated
+)
+
+// AddGate creates a variable defined as op over ins, adds the defining
+// Tseitin clauses and returns the gate's positive literal. The gate is not
+// rooted: a Solve call assigns it only if its cone reaches it, and otherwise
+// ValueOf computes it from ins.
+func (s *Solver) AddGate(op GateOp, ins ...Lit) Lit {
+	if op < GateAnd || op > GateMux || len(ins) != op.arity() {
+		panic(fmt.Sprintf("sat: AddGate(%d) with %d inputs", op, len(ins)))
+	}
+	for _, l := range ins {
+		if int(l.Var()) >= len(s.assigns) {
+			panic(fmt.Sprintf("sat: gate input %v references unknown variable", l))
+		}
+		if s.elimIdx[l.Var()] != 0 {
+			s.restoreVar(l.Var())
+		}
+		s.vflags[l.Var()] |= fFanin
+	}
+	v := s.newVar(false)
+	s.vflags[v] = uint8(op)
+	copy(s.fanin[3*int(v):], ins)
+	o := MkLit(v, false)
+	if !s.ok {
+		return o
+	}
+	a, b := ins[0], ins[1]
+	switch op {
+	case GateAnd:
+		s.addClauseInternal([]Lit{o.Neg(), a})
+		s.addClauseInternal([]Lit{o.Neg(), b})
+		s.addClauseInternal([]Lit{o, a.Neg(), b.Neg()})
+	case GateXor:
+		s.addClauseInternal([]Lit{o.Neg(), a, b})
+		s.addClauseInternal([]Lit{o.Neg(), a.Neg(), b.Neg()})
+		s.addClauseInternal([]Lit{o, a.Neg(), b})
+		s.addClauseInternal([]Lit{o, a, b.Neg()})
+	case GateMux:
+		sel, t, f := ins[0], ins[1], ins[2]
+		s.addClauseInternal([]Lit{sel.Neg(), t.Neg(), o})
+		s.addClauseInternal([]Lit{sel.Neg(), t, o.Neg()})
+		s.addClauseInternal([]Lit{sel, f.Neg(), o})
+		s.addClauseInternal([]Lit{sel, f, o.Neg()})
+		// Redundant but propagation-strengthening clauses.
+		s.addClauseInternal([]Lit{t.Neg(), f.Neg(), o})
+		s.addClauseInternal([]Lit{t, f, o.Neg()})
+	}
+	return o
+}
+
+// faninOf returns v's gate inputs (empty for an input variable).
+func (s *Solver) faninOf(v Var) []Lit {
+	op := GateOp(s.vflags[v] & opMask)
+	if op == 0 {
+		return nil
+	}
+	i := 3 * int(v)
+	return s.fanin[i : i+op.arity()]
+}
+
+// root puts v into every later cone.
+func (s *Solver) root(v Var) {
+	if s.vflags[v]&fRooted == 0 {
+		s.vflags[v] |= fRooted
+		s.roots = append(s.roots, v)
+	}
+}
+
+// openCone starts a Solve call's cone: the fan-in closure of the
+// assumptions, the roots and every inherited assignment whose fan-in is
+// open. The decision heap is rebuilt from the cone alone. Runs after trail
+// reuse has cut the trail back to the kept prefix.
+func (s *Solver) openCone(assumptions []Lit) {
+	s.coneTick++
+	if s.coneTick == 0 {
+		clear(s.coneStamp)
+		s.coneTick = 1
+	}
+	s.cone = s.cone[:0]
+	s.order.clear()
+	for _, p := range assumptions {
+		s.markCone(p.Var())
+	}
+	for _, v := range s.roots {
+		s.markCone(v)
+	}
+	s.markOpenFanin()
+	for _, v := range s.cone {
+		if s.decision[v] && s.assigns[v] >= uint8(lUndef) && s.elimIdx[v] == 0 {
+			s.order.insert(v, s.activity)
+		}
+	}
+}
+
+// markCone adds v and its fan-in closure to the cone.
+func (s *Solver) markCone(v Var) {
+	tick := s.coneTick
+	if s.coneStamp[v] == tick {
+		return
+	}
+	s.coneStamp[v] = tick
+	work := append(s.work[:0], v)
+	for len(work) > 0 {
+		u := work[len(work)-1]
+		work = work[:len(work)-1]
+		s.cone = append(s.cone, u)
+		for _, l := range s.faninOf(u) {
+			if w := l.Var(); s.coneStamp[w] != tick {
+				s.coneStamp[w] = tick
+				work = append(work, w)
+			}
+		}
+	}
+	s.work = work
+}
+
+// markOpenFanin adds to the cone every assigned gate outside it with an
+// unassigned input, so the input is decided and the gate's definition holds
+// in the model.
+func (s *Solver) markOpenFanin() {
+	for _, l := range s.trail {
+		v := l.Var()
+		if s.coneStamp[v] == s.coneTick {
+			continue
+		}
+		for _, in := range s.faninOf(v) {
+			if s.assigns[in.Var()] >= uint8(lUndef) {
+				s.markCone(v)
+				break
+			}
+		}
+	}
+}
+
+// coneComplete reports whether the assignment is a complete answer: every
+// cone variable assigned (eliminated ones aside) and, when the trail below
+// the kept prefix changed (trailCut), every assigned gate's fan-in assigned.
+// Otherwise it makes the open variables decision variables and puts them in
+// the heap. A cone variable is open when its implication was skipped while
+// it was outside an earlier cone and the trigger lies in the kept trail, or
+// when backtracking unassigned an inherited gate's fan-in.
+func (s *Solver) coneComplete(trailCut bool) bool {
+	if trailCut {
+		s.markOpenFanin()
+	}
+	done := true
+	for _, v := range s.cone {
+		if s.assigns[v] >= uint8(lUndef) && s.elimIdx[v] == 0 {
+			s.decision[v] = true
+			s.order.insert(v, s.activity)
+			done = false
+		}
+	}
+	return done
+}
+
+// dropModel starts a fresh gate-value memo for ValueOf; called when a new
+// answer is produced or the clause set changes.
+func (s *Solver) dropModel() {
+	s.stampTick++
+	s.modelTick = s.stampTick
+}
+
+// evalGate computes the model value of the unassigned gate v from its
+// fan-in, memoising every gate it evaluates in litStamp: the positive
+// literal's stamp marks true, the negative one's false.
+func (s *Solver) evalGate(v Var) bool {
+	t := s.modelTick
+	// read returns the value of l if it is known without evaluation.
+	read := func(l Lit) (val, ok bool) {
+		u := l.Var()
+		switch {
+		case s.assigns[u] < uint8(lUndef):
+			val = s.assigns[u] == uint8(lTrue)
+		case s.vflags[u]&opMask == 0:
+			val = false
+		case s.litStamp[2*u] == t:
+			val = true
+		case s.litStamp[2*u+1] == t:
+			val = false
+		default:
+			return false, false
+		}
+		return val != l.Sign(), true
+	}
+	work := append(s.work[:0], v)
+	for len(work) > 0 {
+		u := work[len(work)-1]
+		if _, ok := read(MkLit(u, false)); ok {
+			work = work[:len(work)-1]
+			continue
+		}
+		ins := s.faninOf(u)
+		var in [3]bool
+		ready := true
+		for i, l := range ins {
+			val, ok := read(l)
+			if !ok {
+				work = append(work, l.Var())
+				ready = false
+			}
+			in[i] = val
+		}
+		if !ready {
+			continue
+		}
+		work = work[:len(work)-1]
+		var val bool
+		switch GateOp(s.vflags[u] & opMask) {
+		case GateAnd:
+			val = in[0] && in[1]
+		case GateXor:
+			val = in[0] != in[1]
+		case GateMux:
+			val = in[2]
+			if in[0] {
+				val = in[1]
+			}
+		}
+		s.litStamp[MkLit(u, !val)] = t
+	}
+	s.work = work
+	return s.litStamp[2*v] == t
+}

@@ -21,7 +21,10 @@ import "sort"
 //     the instance the caller built.
 //  3. Models are extended over eliminated variables (extendModel) before Sat
 //     is returned, so ValueOf stays total and model re-checking in
-//     internal/solver keeps working unchanged.
+//     internal/solver keeps working unchanged. Only variables that are
+//     neither gate outputs nor gate inputs are eliminated, so the clauses
+//     extendModel reads mention rooted variables only, which every Sat
+//     answer assigns (cone.go).
 //
 // Learnt clauses mentioning an eliminated variable are deleted rather than
 // resolved: they are consequences of the original clause set, so dropping
@@ -100,12 +103,16 @@ func (s *Solver) simplify(assumptions []Lit) {
 			s.eliminatePass(occ)
 		}
 	}
-	s.dropDeadLearnts()
-	s.compact()
-	s.rebuildWatches()
-	s.qhead = 0
-	if s.ok && s.propagate() != nil {
-		s.ok = false
+	if s.ok {
+		// An unsat instance stays as it is: it may hold an emptied clause,
+		// which cannot be watched.
+		s.dropDeadLearnts()
+		s.compact()
+		s.rebuildWatches()
+		s.qhead = 0
+		if s.propagate() != nil {
+			s.ok = false
+		}
 	}
 
 	for _, p := range assumptions {
@@ -310,7 +317,10 @@ func (s *Solver) backwardSubsume(c *clause, cands []*clause, budget *int) {
 // eliminatePass performs bounded variable elimination: a variable with few
 // occurrences is removed by replacing its clauses with all non-tautological
 // resolvents, when that does not grow the database. Frozen (assumption) and
-// level-0-assigned variables are skipped; the removed original clauses go
+// level-0-assigned variables are skipped, and so are gate outputs and gate
+// inputs: a model leaves gates outside the cone unassigned, and extendModel
+// must find the other literals of an eliminated variable's clauses assigned
+// (they are rooted, hence in every cone); the removed original clauses go
 // onto elimStack for restoration and model extension.
 func (s *Solver) eliminatePass(occ [][]*clause) {
 	for vi := range s.assigns {
@@ -318,7 +328,8 @@ func (s *Solver) eliminatePass(occ [][]*clause) {
 		if !s.ok {
 			return
 		}
-		if s.frozen[v] || s.elimIdx[v] != 0 || s.assigns[v] < uint8(lUndef) {
+		if s.frozen[v] || s.elimIdx[v] != 0 || s.assigns[v] < uint8(lUndef) ||
+			s.vflags[v]&(opMask|fFanin) != 0 {
 			continue
 		}
 		pl, nl := MkLit(v, false), MkLit(v, true)
@@ -520,8 +531,8 @@ func (s *Solver) rebuildWatches() {
 
 // restoreVar undoes the elimination of v (and, transitively, of any
 // eliminated variable mentioned in the restored clauses): the saved original
-// clauses are re-added and v becomes a normal variable again (a decision
-// variable if it was one).
+// clauses are re-added and v becomes a normal variable again (the next
+// Solve call's cone puts it back into the decision heap).
 // Called when an eliminated variable reappears in AddClause or as a Solve
 // assumption.
 func (s *Solver) restoreVar(v Var) {
@@ -544,9 +555,6 @@ func (s *Solver) restoreVar(v Var) {
 		s.elimIdx[u] = 0
 		e.restored = true
 		s.assigns[u] = uint8(lUndef)
-		if s.decision[u] {
-			s.order.insert(u, s.activity)
-		}
 		s.stats.Restored++
 		entries = append(entries, e)
 		for _, cl := range e.clauses {

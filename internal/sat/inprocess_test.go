@@ -206,41 +206,56 @@ func randomCNF(rng *rand.Rand, n, m int) [][]Lit {
 // layer above. Sat models are validated against the original clauses and
 // Unsat assumption cores are re-verified by enumeration.
 //
-// A random subset of the inprocessed solver's variables is created with
-// NewDefinedVar. Random clauses define nothing, so its models rest on the
-// completeness guard and on promotion, across elimination and restoration.
+// Part of the variables are AND/XOR/MUX gates over earlier ones, half of
+// them created after a simplification round (so an eliminated input must
+// come back as a gate's fan-in). Gates stay out of elimination and outside
+// the cone of queries that do not reach them; every Sat model read through
+// ValueOf must still satisfy every clause, gate definitions included.
 func TestRandomSimplifyDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 300; iter++ {
-		n := 5 + rng.Intn(8) // 5..12 vars
-		m := 3 + rng.Intn(5*n)
-		cnf := randomCNF(rng, n, m)
+		nIn := 3 + rng.Intn(5)   // 3..7 inputs
+		nGate := 2 + rng.Intn(6) // 2..7 gates
+		n := nIn + nGate
+		early := nIn + nGate/2 // variables that exist before the first round
 
 		s := New()
 		off := New()
 		off.SetInprocessing(false)
-		defined := rand.New(rand.NewSource(int64(iter)))
-		for v := 0; v < n; v++ {
-			if defined.Intn(2) == 0 {
-				s.NewDefinedVar()
-			} else {
-				s.NewVar()
+		newVars(s, nIn)
+		newVars(off, nIn)
+		var defs [][]Lit
+		addGates := func(from, to int) {
+			for v := from; v < to; v++ {
+				op := GateOp(1 + rng.Intn(3))
+				ins := make([]Lit, op.arity())
+				for k := range ins {
+					ins[k] = MkLit(Var(rng.Intn(v)), rng.Intn(2) == 1)
+				}
+				o := s.AddGate(op, ins...)
+				if off.AddGate(op, ins...) != o || o.Var() != Var(v) {
+					t.Fatalf("iter %d: gate numbering diverged", iter)
+				}
+				defs = append(defs, tseitin(op, o, ins)...)
 			}
 		}
-		newVars(off, n)
-
-		half := len(cnf) / 2
-		for _, cl := range cnf[:half] {
+		addGates(nIn, early)
+		m := 3 + rng.Intn(4*n)
+		cnf := randomCNF(rng, early, m/2)
+		for _, cl := range cnf {
 			s.AddClause(cl...)
 			off.AddClause(cl...)
 		}
 		s.Solve() // seed learnt clauses so simplify sees a mixed database
 		forceSimplify(s)
-		for _, cl := range cnf[half:] {
+		addGates(early, n)
+		late := randomCNF(rng, n, m-m/2)
+		for _, cl := range late {
 			s.AddClause(cl...)
 			off.AddClause(cl...)
 		}
 		forceSimplify(s)
+		cnf = append(append(cnf, late...), defs...)
 
 		want := bruteForce(n, cnf)
 		got, gotOff := s.Solve(), off.Solve()
@@ -248,11 +263,16 @@ func TestRandomSimplifyDifferential(t *testing.T) {
 			t.Fatalf("iter %d: inproc=%v off=%v bruteforce=%v cnf=%v", iter, got, gotOff, want, cnf)
 		}
 		if got == Sat {
-			if v := firstUnassigned(s); v >= 0 {
-				t.Fatalf("iter %d: v%d unassigned in a Sat model", iter, v)
+			if v := firstOpen(s); v >= 0 {
+				t.Fatalf("iter %d: v%d open in a Sat answer", iter, v)
 			}
 			if cl := firstViolated(s, cnf); cl != nil {
 				t.Fatalf("iter %d: model violates original clause %v", iter, cl)
+			}
+		}
+		if gotOff == Sat {
+			if cl := firstViolated(off, cnf); cl != nil {
+				t.Fatalf("iter %d: inprocessing-off model violates original clause %v", iter, cl)
 			}
 		}
 
@@ -285,8 +305,8 @@ func TestRandomSimplifyDifferential(t *testing.T) {
 			}
 		}
 		if gotA == Sat {
-			if v := firstUnassigned(s); v >= 0 {
-				t.Fatalf("iter %d: assumptions %v: v%d unassigned in a Sat model", iter, assumps, v)
+			if v := firstOpen(s); v >= 0 {
+				t.Fatalf("iter %d: assumptions %v: v%d open in a Sat answer", iter, assumps, v)
 			}
 			if cl := firstViolated(s, cnf); cl != nil {
 				t.Fatalf("iter %d: assumptions %v: model violates original clause %v", iter, assumps, cl)

@@ -6,9 +6,12 @@
 // inprocessing (subsumption, self-subsuming resolution, bounded variable
 // elimination — see inprocess.go).
 //
-// VSIDS branches on input variables only: a variable created with
-// NewDefinedVar (a Tseitin gate output) joins the decision heap when it first
-// takes part in a conflict, and before that is left to unit propagation.
+// Solve decides only the cone of influence of its query (see cone.go):
+// variables created with AddGate carry their gate definition, and a call
+// assigns the fan-in closure of its assumptions and of every variable that
+// occurs in an AddClause clause. Within the cone VSIDS branches on input
+// variables: a gate output joins the decision heap when it first takes part
+// in a conflict, and before that is left to unit propagation.
 //
 // The solver is incremental: variables and clauses may be added between calls
 // to Solve, and Solve accepts assumption literals that hold only for that
@@ -146,7 +149,7 @@ type Solver struct {
 	reason   []*clause
 	phase    []uint8 // saved polarity: 0 positive, 1 negative
 	activity []float64
-	decision []bool // per var: kept in the decision heap while unassigned
+	decision []bool // per var: kept in the decision heap while unassigned and in the cone
 
 	targetPhase []uint8 // best-trail polarity of the current Solve call
 	targetStamp []uint64
@@ -175,12 +178,22 @@ type Solver struct {
 
 	conflictAssumps []Lit // failed assumptions after an Unsat answer
 
+	// Gate structure and the current call's cone (see cone.go).
+	vflags    []uint8  // per var: gate op, rooted and fan-in bits
+	fanin     []Lit    // per var: gate inputs at [3v, 3v+arity)
+	coneStamp []uint32 // per var: coneTick while in the current cone
+	coneTick  uint32
+	cone      []Var // current cone members, in marking order
+	roots     []Var // rooted variables
+	work      []Var // markCone / evalGate scratch stack
+
 	// Inprocessing state (see inprocess.go).
 	elimIdx         []int32 // per var: 1+index into elimStack when eliminated
 	elimStack       []elimEntry
 	frozen          []bool   // per var: protected from elimination this round
-	litStamp        []uint64 // per Lit: subset-check scratch
+	litStamp        []uint64 // per Lit: subset-check scratch; gate-value memo after Sat (ValueOf)
 	stampTick       uint64
+	modelTick       uint64 // litStamp value marking this answer's memoised gate values
 	clausesAtSimp   int
 	conflictsAtSimp uint64
 
@@ -219,15 +232,9 @@ func (s *Solver) NumVars() int { return len(s.assigns) }
 // NumClauses returns the number of problem clauses currently stored.
 func (s *Solver) NumClauses() int { return len(s.clauses) }
 
-// NewVar creates a fresh variable.
+// NewVar creates a fresh input variable. It joins a Solve call's cone only
+// through an assumption, an AddClause clause or a gate that reads it.
 func (s *Solver) NewVar() Var { return s.newVar(true) }
-
-// NewDefinedVar creates a fresh variable that unit propagation determines
-// once the variables it is defined from are assigned, as a Tseitin gate
-// output is by its defining clauses. The solver does not branch on it until
-// it takes part in a conflict. A variable that breaks the contract costs
-// speed, not correctness: Solve never answers Sat with it unassigned.
-func (s *Solver) NewDefinedVar() Var { return s.newVar(false) }
 
 func (s *Solver) newVar(decision bool) Var {
 	v := Var(len(s.assigns))
@@ -244,6 +251,9 @@ func (s *Solver) newVar(decision bool) Var {
 	s.phase = append(s.phase, p)
 	s.activity = append(s.activity, 0)
 	s.decision = append(s.decision, decision)
+	s.vflags = append(s.vflags, 0)
+	s.fanin = append(s.fanin, 0, 0, 0)
+	s.coneStamp = append(s.coneStamp, 0)
 	s.targetPhase = append(s.targetPhase, 0)
 	s.targetStamp = append(s.targetStamp, 0)
 	s.seen = append(s.seen, false)
@@ -252,9 +262,6 @@ func (s *Solver) newVar(decision bool) Var {
 	s.elimIdx = append(s.elimIdx, 0)
 	s.frozen = append(s.frozen, false)
 	s.litStamp = append(s.litStamp, 0, 0)
-	if decision {
-		s.order.insert(v, s.activity)
-	}
 	return v
 }
 
@@ -266,7 +273,8 @@ func (s *Solver) decisionLevel() int32 { return int32(len(s.trailLim)) }
 
 // AddClause adds a problem clause. It returns false if the clause set became
 // trivially unsatisfiable. Adding clauses is only legal between Solve calls
-// (the solver backtracks to level 0 automatically).
+// (the solver backtracks to level 0 automatically). Every variable of the
+// clause is rooted: it belongs to the cone of every later Solve call.
 func (s *Solver) AddClause(lits ...Lit) bool {
 	if !s.ok {
 		return false
@@ -275,6 +283,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		if int(l.Var()) >= len(s.assigns) {
 			panic(fmt.Sprintf("sat: literal %v references unknown variable", l))
 		}
+		s.root(l.Var())
 		// An eliminated variable reappearing in a new clause gets its
 		// original clauses restored first, so the instance keeps meaning
 		// exactly what the caller asserted.
@@ -290,6 +299,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 
 // addClauseInternal is AddClause after eliminated-variable restoration.
 func (s *Solver) addClauseInternal(lits []Lit) bool {
+	s.dropModel()
 	// Fast path: attach the clause without disturbing the current trail.
 	// Incremental callers interleave encoding and solving, and backtracking
 	// to level 0 on every added clause would throw away (and then redo) the
@@ -351,6 +361,8 @@ func (s *Solver) addClauseInternal(lits []Lit) bool {
 // clause unit without a pending trigger, which delays (never loses) the
 // implication: the solver cannot answer Sat with an unassigned variable,
 // and assigning the watched literal false processes the clause.
+// Out-of-cone implications skipped by propagate leave clauses in the same
+// state, with the same argument.
 func (s *Solver) attachLive(lits []Lit) bool {
 	out := make([]Lit, 0, len(lits))
 	for _, l := range lits {
@@ -435,8 +447,13 @@ func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
 }
 
 // propagate performs unit propagation; it returns a conflicting clause or nil.
+// An implied literal whose variable lies outside the current cone is not
+// enqueued: the clause keeps watching it, so the implication is only delayed
+// until a call whose cone holds the variable assigns it (a wrong decision
+// there shows up as a conflict on this clause).
 func (s *Solver) propagate() *clause {
 	assigns := s.assigns
+	cone, tick := s.coneStamp, s.coneTick
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
@@ -465,6 +482,9 @@ func (s *Solver) propagate() *clause {
 				if bv == lFalse {
 					confl = c
 					s.qhead = len(s.trail)
+					continue
+				}
+				if cone[w.blocker>>1] != tick {
 					continue
 				}
 				// Reason clauses keep the implied literal at position 0.
@@ -502,6 +522,9 @@ func (s *Solver) propagate() *clause {
 				s.qhead = len(s.trail)
 				continue
 			}
+			if cone[first>>1] != tick {
+				continue
+			}
 			s.uncheckedEnqueue(first, c)
 		}
 		s.watches[p] = kept
@@ -522,7 +545,7 @@ func (s *Solver) cancelUntil(lvl int32) {
 		v := s.trail[i].Var()
 		s.assigns[v] = uint8(lUndef)
 		s.reason[v] = nil
-		if s.decision[v] {
+		if s.decision[v] && s.coneStamp[v] == s.coneTick {
 			s.order.insert(v, act)
 		}
 	}
@@ -531,9 +554,10 @@ func (s *Solver) cancelUntil(lvl int32) {
 	s.qhead = len(s.trail)
 }
 
-// varBump raises v's activity. It also makes v a decision variable: a
-// defined variable that takes part in a conflict is worth branching on. v is
-// assigned here, so cancelUntil puts it into the heap when it unassigns it.
+// varBump raises v's activity. It also makes v a decision variable: a gate
+// output that takes part in a conflict is worth branching on. v is assigned
+// here, so cancelUntil puts it into the heap when it unassigns it (if it is
+// in the cone).
 func (s *Solver) varBump(v Var) {
 	s.decision[v] = true
 	s.activity[v] += s.varInc
@@ -666,6 +690,11 @@ func (s *Solver) computeLBD(lits []Lit) uint32 {
 	var n uint32
 	for _, l := range lits {
 		lv := s.level[l>>1]
+		// Assumptions that already hold open empty levels, so levels can
+		// outnumber the variables the stamp array grows with.
+		for int(lv) >= len(s.levelStamp) {
+			s.levelStamp = append(s.levelStamp, 0)
+		}
 		if s.levelStamp[lv] != t {
 			s.levelStamp[lv] = t
 			n++
@@ -811,9 +840,11 @@ func (s *Solver) detach(c *clause) {
 }
 
 // Solve determines satisfiability of the clause set conjoined with the given
-// assumption literals. On Sat, Model/ValueOf are valid; on Unsat,
-// FailedAssumptions reports an inconsistent assumption subset. Unknown is
-// returned only when ConflictBudget is exhausted.
+// assumption literals. It assigns only the call's cone (cone.go); on Sat,
+// ValueOf/LitValue read a model of every clause, with variables outside the
+// cone computed from their gate definitions. On Unsat, FailedAssumptions
+// reports an inconsistent assumption subset. Unknown is returned only when
+// ConflictBudget is exhausted.
 func (s *Solver) Solve(assumptions ...Lit) Status {
 	s.conflictAssumps = s.conflictAssumps[:0]
 	if !s.ok {
@@ -859,6 +890,10 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	}
 	s.cancelUntil(int32(keep))
 	s.lastAssumps = append(s.lastAssumps[:0], assumptions...)
+	s.openCone(assumptions)
+	// trailCut records that the trail below the kept prefix changed during
+	// this call, so kept assignments may have lost their fan-in.
+	trailCut := false
 
 	conflictsAtStart := s.stats.Conflicts
 	var restartSeq uint64
@@ -879,6 +914,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			}
 			learnt, btLevel := s.analyze(confl)
 			s.cancelUntil(btLevel)
+			trailCut = trailCut || btLevel < int32(keep)
 			var lbd uint32
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], nil)
@@ -932,6 +968,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				if !s.ok {
 					return Unsat
 				}
+				trailCut = true
 			} else {
 				// Restart the search but keep the assumption prefix: levels
 				// 1..len(assumptions) are assumption levels by construction.
@@ -971,12 +1008,13 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		if next == -1 {
 			next = s.pickBranchLit(s.opts.TargetPhase && restarted)
 			if next == -1 {
-				if !s.assignmentTotal() {
-					s.promoteUnassigned()
+				if !s.coneComplete(trailCut) {
+					trailCut = false
 					continue
 				}
 				s.extendModel()
-				return Sat // all variables assigned
+				s.dropModel()
+				return Sat
 			}
 			s.stats.Decisions++
 		}
@@ -985,40 +1023,23 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	}
 }
 
-// assignmentTotal reports, in O(1), whether every variable is assigned or
-// eliminated. Each assigned variable is on the trail exactly once, and an
-// eliminated one never is.
-func (s *Solver) assignmentTotal() bool {
-	eliminated := int(s.stats.Eliminated - s.stats.Restored)
-	return len(s.trail)+eliminated == len(s.assigns)
-}
-
-// promoteUnassigned makes every open variable a decision variable. The heap
-// runs empty with variables open only when propagation failed to determine
-// a defined variable: variable elimination rewrote its definition, or the
-// caller broke the NewDefinedVar contract.
-func (s *Solver) promoteUnassigned() {
-	for i, a := range s.assigns {
-		if a >= uint8(lUndef) && s.elimIdx[i] == 0 {
-			s.decision[i] = true
-			s.order.insert(Var(i), s.activity)
-		}
-	}
-}
-
-// ValueOf returns the model value of v after a Sat answer. Unassigned
-// variables (possible after simplification) read as false; eliminated
+// ValueOf returns the model value of v after a Sat answer. A variable the
+// answer left unassigned reads its gate definition over the values of its
+// fan-in (memoised per answer), or false if it is an input; eliminated
 // variables read their model-extension value (see extendModel).
 func (s *Solver) ValueOf(v Var) bool {
-	return s.assigns[v] == uint8(lTrue)
+	if a := s.assigns[v]; a < uint8(lUndef) {
+		return a == uint8(lTrue)
+	}
+	if s.vflags[v]&opMask == 0 {
+		return false
+	}
+	return s.evalGate(v)
 }
 
 // LitValue returns the model value of literal l after a Sat answer.
 func (s *Solver) LitValue(l Lit) bool {
-	if l.Sign() {
-		return !s.ValueOf(l.Var())
-	}
-	return s.ValueOf(l.Var())
+	return s.ValueOf(l.Var()) != l.Sign()
 }
 
 // FailedAssumptions returns the negations of (a subset of) the assumptions
@@ -1048,6 +1069,14 @@ func (h *varHeap) insert(v Var, act []float64) {
 	h.heap = append(h.heap, v)
 	h.indices[v] = int32(len(h.heap))
 	h.up(len(h.heap)-1, act)
+}
+
+// clear empties the heap.
+func (h *varHeap) clear() {
+	for _, v := range h.heap {
+		h.indices[v] = 0
+	}
+	h.heap = h.heap[:0]
 }
 
 func (h *varHeap) update(v Var, act []float64) {

@@ -188,66 +188,98 @@ func firstViolated(s *Solver, cnf [][]Lit) []Lit {
 	return nil
 }
 
-// firstUnassigned returns a variable that s's current model leaves
-// unassigned, or -1 when the model is total.
-func firstUnassigned(s *Solver) Var {
-	for v, val := range s.assigns {
-		if val >= uint8(lUndef) {
-			return Var(v)
+// tseitin returns the Tseitin clauses of out = op(ins), written out
+// independently of AddGate so model checks do not trust the solver's own
+// encoding.
+func tseitin(op GateOp, out Lit, ins []Lit) [][]Lit {
+	o, a, b := out, ins[0], ins[1]
+	switch op {
+	case GateAnd:
+		return [][]Lit{{o.Neg(), a}, {o.Neg(), b}, {o, a.Neg(), b.Neg()}}
+	case GateXor:
+		return [][]Lit{{o.Neg(), a, b}, {o.Neg(), a.Neg(), b.Neg()}, {o, a.Neg(), b}, {o, a, b.Neg()}}
+	}
+	sel, t, f := ins[0], ins[1], ins[2]
+	return [][]Lit{{sel.Neg(), t.Neg(), o}, {sel.Neg(), t, o.Neg()}, {sel, f.Neg(), o}, {sel, f, o.Neg()}}
+}
+
+// firstOpen returns a variable that makes s's current answer incomplete —
+// a cone variable left unassigned, or an assigned gate with an unassigned
+// input — or -1. Together with firstViolated over every clause, gate
+// definitions included, it is the contract of a Sat answer.
+func firstOpen(s *Solver) Var {
+	for _, v := range s.cone {
+		if s.assigns[v] >= uint8(lUndef) && s.elimIdx[v] == 0 {
+			return v
+		}
+	}
+	for v := range s.assigns {
+		if s.assigns[v] >= uint8(lUndef) {
+			continue
+		}
+		for _, in := range s.faninOf(Var(v)) {
+			if s.assigns[in.Var()] >= uint8(lUndef) {
+				return Var(v)
+			}
 		}
 	}
 	return -1
 }
 
-// TestDefinedVarContractMisuse gives NewDefinedVar variables that no clause
-// determines: one defined in a single direction only, one in no clause at
-// all. Solve must still answer Sat with a total model that satisfies every
-// clause, by promoting them to decision variables.
-func TestDefinedVarContractMisuse(t *testing.T) {
+// TestGateOutsideConeReadsDefinition mixes gates the query reaches with
+// gates it does not: one constrained by an AddClause clause in a single
+// direction (so it is rooted), one read by an assumption, and one nothing
+// mentions. Every Sat answer must leave the unmentioned gate unassigned,
+// read it from its definition, and satisfy every clause, gate definitions
+// included.
+func TestGateOutsideConeReadsDefinition(t *testing.T) {
 	s := New()
-	a, b := s.NewVar(), s.NewVar()
-	half := s.NewDefinedVar() // half -> a AND b, but not the converse
-	free := s.NewDefinedVar()
-	cnf := [][]Lit{
-		{MkLit(half, true), MkLit(a, false)},
-		{MkLit(half, true), MkLit(b, false)},
-		{MkLit(a, false), MkLit(b, false)},
-	}
-	for _, cl := range cnf {
-		s.AddClause(cl...)
-	}
-	for _, assumps := range [][]Lit{nil, {MkLit(a, false), MkLit(b, false)}, {MkLit(a, true)}} {
+	a, b, c := MkLit(s.NewVar(), false), MkLit(s.NewVar(), false), MkLit(s.NewVar(), false)
+	half := s.AddGate(GateAnd, a, b)
+	mux := s.AddGate(GateMux, c, half, a)
+	free := s.AddGate(GateXor, b, c)
+	cnf := [][]Lit{{half.Neg(), c}} // half -> c, but not the converse
+	s.AddClause(cnf[0]...)
+	cnf = append(cnf, tseitin(GateAnd, half, []Lit{a, b})...)
+	cnf = append(cnf, tseitin(GateMux, mux, []Lit{c, half, a})...)
+	cnf = append(cnf, tseitin(GateXor, free, []Lit{b, c})...)
+	for _, assumps := range [][]Lit{nil, {a, b}, {a.Neg()}, {mux}, {mux.Neg(), c}} {
 		if got := s.Solve(assumps...); got != Sat {
 			t.Fatalf("assumptions %v: Solve = %v, want Sat", assumps, got)
 		}
-		if v := firstUnassigned(s); v >= 0 {
-			t.Fatalf("assumptions %v: v%d unassigned in a Sat model", assumps, v)
+		if v := firstOpen(s); v >= 0 {
+			t.Fatalf("assumptions %v: v%d open in a Sat answer", assumps, v)
+		}
+		if s.assigns[free.Var()] < uint8(lUndef) {
+			t.Fatalf("assumptions %v: gate outside the cone was assigned", assumps)
 		}
 		if cl := firstViolated(s, cnf); cl != nil {
 			t.Fatalf("assumptions %v: model violates %v", assumps, cl)
 		}
-	}
-	if !s.decision[half] || !s.decision[free] {
-		t.Fatal("undetermined defined variables were not promoted")
+		for _, p := range assumps {
+			if !s.LitValue(p) {
+				t.Fatalf("assumptions %v: model violates assumption %v", assumps, p)
+			}
+		}
 	}
 }
 
-// TestDefinedVarPromotedOnConflict builds two XOR chains over the same
-// inputs, in opposite orders, with defined intermediate outputs. Asking for
-// different parities is unsat but beyond unit propagation, so the refutation
-// runs through conflicts, and the defined variables they touch must become
-// decision variables. The matching parity must then be Sat with a model of
-// that parity.
-func TestDefinedVarPromotedOnConflict(t *testing.T) {
+// TestGatePromotedOnConflict builds two XOR chains over the same inputs, in
+// opposite orders, with AddGate. Asking for different parities is unsat but
+// beyond unit propagation, so the refutation runs through conflicts, and the
+// gates they touch must become decision variables. The matching parity must
+// then be Sat with a model of that parity that satisfies every gate.
+func TestGatePromotedOnConflict(t *testing.T) {
 	const n = 12
 	s := New()
 	xs := newVars(s, n)
-	chain := func(order []Var) Var {
-		acc := order[0]
+	var cnf [][]Lit
+	chain := func(order []Var) Lit {
+		acc := MkLit(order[0], false)
 		for _, x := range order[1:] {
-			y := s.NewDefinedVar()
-			xorClauses(s, acc, x, y)
-			acc = y
+			ins := []Lit{acc, MkLit(x, false)}
+			acc = s.AddGate(GateXor, ins...)
+			cnf = append(cnf, tseitin(GateXor, acc, ins)...)
 		}
 		return acc
 	}
@@ -256,8 +288,8 @@ func TestDefinedVarPromotedOnConflict(t *testing.T) {
 		rev[n-1-i] = x
 	}
 	fwd, bwd := chain(xs), chain(rev)
-	s.AddClause(MkLit(fwd, false)) // parity 1
-	if s.Solve(MkLit(bwd, true)) != Unsat {
+	s.AddClause(fwd) // parity 1
+	if s.Solve(bwd.Neg()) != Unsat {
 		t.Fatal("parity 1 and parity 0 should be unsat")
 	}
 	if s.Stats().Conflicts == 0 {
@@ -270,10 +302,16 @@ func TestDefinedVarPromotedOnConflict(t *testing.T) {
 		}
 	}
 	if promoted == 0 {
-		t.Fatal("no defined variable was promoted by a conflict")
+		t.Fatal("no gate was promoted by a conflict")
 	}
-	if s.Solve(MkLit(bwd, false)) != Sat {
+	if s.Solve(bwd) != Sat {
 		t.Fatal("matching parities should be sat")
+	}
+	if v := firstOpen(s); v >= 0 {
+		t.Fatalf("v%d open in a Sat answer", v)
+	}
+	if cl := firstViolated(s, cnf); cl != nil {
+		t.Fatalf("model violates gate clause %v", cl)
 	}
 	parity := false
 	for _, x := range xs {
@@ -466,6 +504,25 @@ func TestLuby(t *testing.T) {
 		if got := luby(uint64(i)); got != w {
 			t.Errorf("luby(%d) = %d, want %d", i, got, w)
 		}
+	}
+}
+
+// TestAssumptionLevelsOutnumberVars repeats an assumption, so the
+// assumption levels (one per assumption, empty when it already holds)
+// outnumber the variables, and then needs conflicts above them: conflict
+// analysis must handle decision levels beyond the variable count.
+func TestAssumptionLevelsOutnumberVars(t *testing.T) {
+	s := New()
+	x := newVars(s, 4)
+	for m := 0; m < 8; m++ { // every clause over x1..x3: unsat
+		s.AddClause(MkLit(x[1], m&1 == 1), MkLit(x[2], m&2 == 2), MkLit(x[3], m&4 == 4))
+	}
+	a := MkLit(x[0], false)
+	if got := s.Solve(a, a, a, a, a, a); got != Unsat {
+		t.Fatalf("Solve = %v, want Unsat", got)
+	}
+	if s.Stats().Conflicts == 0 {
+		t.Fatal("setup: expected the refutation to need conflicts")
 	}
 }
 
