@@ -17,6 +17,9 @@
 //	symv lint-dut  [-allowlist LINTDUT.allow]
 //	               [-sat-probe] [-regs 2] [-v] [shared flags]
 //
+// lint-dut explores sequentially: it rejects -fork, -store and -workers
+// above 1.
+//
 // Every subcommand accepts the shared flag group:
 //
 //	-core NAME     device under test: microrv32 (default) | pipecore; the
@@ -178,24 +181,19 @@ shared flags (every exploration command):
 // worker count, the two ablation toggles, machine-readable output, and the
 // observability sinks. It maps one-to-one onto harness.Common.
 type sharedFlags struct {
-	workers   *int
-	core      *string
-	cache     *string
-	rewrite   *string
-	inprocess *string
-	portfolio *string
-	fork      *string
-	store     *string
-	jsonOut   *bool
-	trace     *string
-	metrics   *bool
+	workers *int
+	core    *string
+	cache   *string
+	rewrite *string
+	fork    *string
+	store   *string
+	jsonOut *bool
+	trace   *string
+	metrics *bool
 
 	// allowBothCores lets -core take "both"/"all" (the lint commands fan out
 	// over every core themselves; campaigns verify exactly one).
 	allowBothCores bool
-	// deprecated collects deprecation notes recorded by legacy flag aliases
-	// (e.g. table2's -dut); build surfaces them via harness.Common.Warnings.
-	deprecated []string
 }
 
 // sharedGroup registers the shared flag group on a subcommand's flag set.
@@ -205,11 +203,9 @@ func sharedGroup(fs *flag.FlagSet) *sharedFlags {
 			"parallel exploration workers per exploration (1 = sequential; results are worker-count independent)"),
 		core: fs.String("core", "",
 			"device under test: microrv32 | pipecore (default microrv32; the lint commands also accept both)"),
-		cache:     fs.String("cache", "on", "query-elimination layer (stack models, slicing, feasibility cache): on | off"),
-		rewrite:   fs.String("rewrite", "on", "extended term rewrites ahead of bit-blasting: on | off"),
-		inprocess: fs.String("inprocess", "on", "SAT-core inprocessing (subsumption, strengthening, variable elimination): on | off"),
-		portfolio: fs.String("portfolio", "off", "diverse deterministic SAT heuristics per worker at -workers >= 2: on | off"),
-		fork:      fs.String("fork", "on", "fork-point state checkpointing (siblings resume from snapshots instead of replaying the prefix): on | off"),
+		cache:   fs.String("cache", "on", "query-elimination layer (stack models, slicing, feasibility cache): on | off"),
+		rewrite: fs.String("rewrite", "on", "extended term rewrites ahead of bit-blasting: on | off"),
+		fork:    fs.String("fork", "on", "fork-point state checkpointing (siblings resume from snapshots instead of replaying the prefix): on | off"),
 		store: fs.String("store", "",
 			"persistent witness store directory: load compatible cache entries at startup, persist new ones at exploration boundaries (inspect with symv cache)"),
 		jsonOut: fs.Bool("json", false, "emit machine-readable JSON instead of the table"),
@@ -237,12 +233,6 @@ func (g *sharedFlags) build(cmd string, stderr io.Writer, keyParts ...string) (h
 	if c.Rewrite, ok = harness.ParseToggle(*g.rewrite); !ok {
 		return c, nil, badUsage(stderr, "bad -rewrite=%q (want on or off)", *g.rewrite)
 	}
-	if c.Inprocess, ok = harness.ParseToggle(*g.inprocess); !ok {
-		return c, nil, badUsage(stderr, "bad -inprocess=%q (want on or off)", *g.inprocess)
-	}
-	if c.Portfolio, ok = harness.ParseToggle(*g.portfolio); !ok {
-		return c, nil, badUsage(stderr, "bad -portfolio=%q (want on or off)", *g.portfolio)
-	}
 	if c.Fork, ok = harness.ParseToggle(*g.fork); !ok {
 		return c, nil, badUsage(stderr, "bad -fork=%q (want on or off)", *g.fork)
 	}
@@ -255,10 +245,6 @@ func (g *sharedFlags) build(cmd string, stderr io.Writer, keyParts ...string) (h
 		return c, nil, badUsage(stderr, "bad -core=%q (want microrv32, pipecore or both)", *g.core)
 	} else {
 		return c, nil, badUsage(stderr, "bad -core=%q (want microrv32 or pipecore)", *g.core)
-	}
-	c.DeprecatedFlags = g.deprecated
-	for _, w := range c.Warnings() {
-		fmt.Fprintln(stderr, "symv: warning:", w)
 	}
 	var traceFile *os.File
 	if *g.trace != "" || *g.metrics {
@@ -332,10 +318,6 @@ func (g *sharedFlags) coreName() string {
 	return strings.ToLower(*g.core)
 }
 
-// deprecate records a deprecation note for build to surface through
-// harness.Common.Warnings. Call before build.
-func (g *sharedFlags) deprecate(note string) { g.deprecated = append(g.deprecated, note) }
-
 // lintCores resolves -core for the lint commands, where the empty value and
 // "both"/"all" fan out over every core.
 func (g *sharedFlags) lintCores() []string { return harness.LintDUTCores(*g.core) }
@@ -386,22 +368,9 @@ func cmdTable2(args []string, stderr io.Writer) error {
 	limitsArg := fs.String("limits", "1,2", "comma-separated instruction limits")
 	faultsArg := fs.String("faults", "", "comma-separated fault subset (default all)")
 	parallel := fs.Int("parallel", 1, "concurrent cells (each with its own solver)")
-	dutArg := fs.String("dut", "", "deprecated alias of -core (microrv32 | pipecore)")
 	shared := sharedGroup(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
-	}
-
-	if *dutArg != "" {
-		kind, ok := cosim.ParseCoreKind(*dutArg)
-		if !ok {
-			return badUsage(stderr, "bad -dut=%q (want microrv32 or pipecore)", *dutArg)
-		}
-		if cur, curOK := cosim.ParseCoreKind(*shared.core); *shared.core != "" && (!curOK || cur != kind) {
-			return badUsage(stderr, "-dut=%q conflicts with -core=%q; drop -dut", *dutArg, *shared.core)
-		}
-		*shared.core = kind.String()
-		shared.deprecate("-dut is deprecated; use the shared -core flag (microrv32 | pipecore)")
 	}
 
 	limits, err := parseInts(*limitsArg)
@@ -1181,6 +1150,18 @@ func cmdLintDUT(args []string, stderr io.Writer) error {
 	shared.allowBothCores = true
 	if err := parseFlags(fs, args); err != nil {
 		return err
+	}
+	// The lint explores sequentially with neither fork-point checkpointing
+	// nor a witness store (harness.LintDUTOptions), so these shared flags
+	// would be silently ignored.
+	var unsupported string
+	fs.Visit(func(f *flag.Flag) {
+		if unsupported == "" && (f.Name == "fork" || f.Name == "store" || f.Name == "workers" && *shared.workers > 1) {
+			unsupported = f.Name
+		}
+	})
+	if unsupported != "" {
+		return badUsage(stderr, "lint-dut does not support -%s (the lint explores sequentially, without fork checkpoints or a store)", unsupported)
 	}
 
 	common, finish, err := shared.build("lint-dut", stderr,

@@ -40,13 +40,13 @@ func TestRunUsageErrors(t *testing.T) {
 
 		{"bad -cache toggle", []string{"hunt", "-cache", "maybe"}, "bad -cache"},
 		{"bad -rewrite toggle", []string{"hunt", "-rewrite", "maybe"}, "bad -rewrite"},
-		{"bad -inprocess toggle", []string{"hunt", "-inprocess", "maybe"}, "bad -inprocess"},
-		{"bad -portfolio toggle", []string{"hunt", "-portfolio", "maybe"}, "bad -portfolio"},
+		{"bad -inprocess toggle", []string{"hunt", "-inprocess", "maybe"}, "flag provided but not defined: -inprocess"},
+		{"bad -portfolio toggle", []string{"hunt", "-portfolio", "maybe"}, "flag provided but not defined: -portfolio"},
 		{"bad -workers value", []string{"hunt", "-workers", "three"}, "invalid value"},
 
 		{"bad -core value", []string{"hunt", "-core", "bogus"}, "bad -core"},
-		{"table2 unknown dut", []string{"table2", "-dut", "bogus"}, "bad -dut"},
-		{"table2 dut/core conflict", []string{"table2", "-dut", "pipeline", "-core", "microrv32"}, "conflicts"},
+		{"table2 unknown dut", []string{"table2", "-dut", "bogus"}, "flag provided but not defined: -dut"},
+		{"table2 dut/core conflict", []string{"table2", "-dut", "pipeline", "-core", "microrv32"}, "flag provided but not defined: -dut"},
 		{"ablation is microrv32-only", []string{"ablation", "-core", "pipecore"}, "supports only -core microrv32"},
 		{"hunt -shipped pipecore", []string{"hunt", "-core", "pipecore", "-shipped"}, "microrv32-only"},
 		{"hunt -mie-bug pipecore", []string{"hunt", "-core", "pipecore", "-mie-bug"}, "microrv32-only"},
@@ -68,6 +68,9 @@ func TestRunUsageErrors(t *testing.T) {
 		{"cache missing store", []string{"cache", "stats"}, "-store DIR is required"},
 
 		{"lint-table unknown core", []string{"lint-table", "-core", "bogus"}, "bad -core"},
+		{"lint-dut -fork", []string{"lint-dut", "-fork", "off"}, "lint-dut does not support -fork"},
+		{"lint-dut -store", []string{"lint-dut", "-store", filepath.Join(os.TempDir(), "symv-lint-dut-store")}, "lint-dut does not support -store"},
+		{"lint-dut -workers", []string{"lint-dut", "-workers", "2"}, "lint-dut does not support -workers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -92,28 +95,6 @@ func TestHelpExitsZero(t *testing.T) {
 		if !strings.Contains(buf.String(), "commands:") {
 			t.Fatalf("run(%q) printed no usage:\n%s", arg, buf.String())
 		}
-	}
-}
-
-// TestPortfolioWorkerWarning pins the satellite fix: -portfolio=on with a
-// single worker used to be silently ignored; now the harness flags it and
-// the CLI surfaces it on stderr. The bogus -kind makes the command fail
-// validation right after the warning, so no exploration runs.
-func TestPortfolioWorkerWarning(t *testing.T) {
-	var buf bytes.Buffer
-	if code := run([]string{"ablation", "-portfolio", "on", "-workers", "1", "-kind", "bogus"}, &buf); code != 2 {
-		t.Fatalf("exit %d, want 2; stderr:\n%s", code, buf.String())
-	}
-	if !strings.Contains(buf.String(), "-portfolio=on has no effect with a single worker") {
-		t.Fatalf("portfolio warning missing from stderr:\n%s", buf.String())
-	}
-
-	buf.Reset()
-	if code := run([]string{"ablation", "-portfolio", "on", "-workers", "2", "-kind", "bogus"}, &buf); code != 2 {
-		t.Fatalf("exit %d, want 2; stderr:\n%s", code, buf.String())
-	}
-	if strings.Contains(buf.String(), "-portfolio=on has no effect") {
-		t.Fatalf("spurious portfolio warning at workers=2:\n%s", buf.String())
 	}
 }
 

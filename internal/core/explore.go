@@ -109,14 +109,6 @@ type Options struct {
 	// NoTermRewrites disables the extended term rewrite rules, leaving only
 	// the basic constant folds. Ablation mode (symv -rewrite=off).
 	NoTermRewrites bool
-	// NoInprocessing disables SAT-core inprocessing (subsumption,
-	// strengthening, variable elimination). Ablation mode (symv
-	// -inprocess=off).
-	NoInprocessing bool
-	// Portfolio seeds each parallel worker's SAT core with diverse but
-	// deterministic heuristic parameters (sat.PortfolioOptions). Only
-	// meaningful at workers >= 2; ignored by the sequential explorer.
-	Portfolio bool
 	// NoFork disables fork-point state checkpointing: every scheduled path
 	// replays from the start instead of resuming from its divergence-point
 	// snapshot. Ablation mode (symv -fork=off); reports are byte-identical
@@ -163,7 +155,7 @@ type Stats struct {
 	// Cache breaks eliminated queries down by hit kind.
 	Cache querycache.Stats
 	// SAT holds the CDCL core's own counters (propagations, conflicts,
-	// restarts, learnt/deleted clauses, inprocessing tallies), summed over
+	// restarts, learnt/deleted clauses), summed over
 	// all workers' solvers.
 	SAT sat.Stats
 	// ForkSnapshots counts quiescent-point state captures (fork-point
@@ -230,7 +222,6 @@ func (x *Explorer) Context() *smt.Context { return x.ctx }
 func (x *Explorer) Explore(opts Options) *Report {
 	start := wallNow()
 	x.sol.SetConflictBudget(opts.SolverConflictBudget)
-	x.sol.SetInprocessing(!opts.NoInprocessing)
 	x.ctx.SetExtendedRewrites(!opts.NoTermRewrites)
 	if opts.NoQueryCache {
 		x.qc = nil

@@ -5,7 +5,6 @@ import (
 
 	"symriscv/internal/obs"
 	"symriscv/internal/querycache"
-	"symriscv/internal/sat"
 	"symriscv/internal/smt"
 	"symriscv/internal/solver"
 )
@@ -55,14 +54,9 @@ type ShardOptions struct {
 	GenerateTests         bool
 	NoQueryCache          bool
 	NoTermRewrites        bool
-	NoInprocessing        bool
 	// NoFork disables fork-point checkpointing (Options.NoFork). Hand-offs
 	// drop checkpoints regardless — exported prefixes always replay.
 	NoFork bool
-	// SATOptions, when non-nil, sets this shard's SAT-core heuristic
-	// parameters (deterministic portfolio diversification; see
-	// sat.PortfolioOptions). Nil means the tuned defaults.
-	SATOptions *sat.Options
 	// Obs, when non-nil, attaches this shard to the observability layer;
 	// ObsWorker is the worker index its spans and counters report under.
 	Obs       *obs.Recorder
@@ -97,13 +91,8 @@ type Shard struct {
 func NewShard(run RunFunc, opts ShardOptions) *Shard {
 	ctx := smt.NewContext()
 	ctx.SetExtendedRewrites(!opts.NoTermRewrites)
-	so := sat.DefaultOptions()
-	if opts.SATOptions != nil {
-		so = *opts.SATOptions
-	}
-	sol := solver.NewWithOptions(ctx, so)
+	sol := solver.New(ctx)
 	sol.SetConflictBudget(opts.SolverConflictBudget)
-	sol.SetInprocessing(!opts.NoInprocessing)
 	s := &Shard{
 		ctx:  ctx,
 		sol:  sol,

@@ -117,7 +117,7 @@ type BenchThroughput struct {
 	StoreHits uint64
 
 	// SAT-core internals (summed over all workers' solvers): how much work
-	// the CDCL search itself did, and what inprocessing removed.
+	// the CDCL search itself did.
 	SAT sat.Stats
 }
 
@@ -178,13 +178,12 @@ type BenchAblation struct {
 }
 
 // BenchSolverConfig is one row of the solver-equivalence matrix: the same
-// bounded workload explored under one SAT-core configuration.
+// bounded workload explored at one worker count, with or without fork-point
+// checkpointing.
 type BenchSolverConfig struct {
-	Name      string
-	Workers   int
-	Inprocess bool
-	Portfolio bool
-	Fork      bool
+	Name    string
+	Workers int
+	Fork    bool
 
 	Paths         int
 	Completed     int
@@ -195,11 +194,11 @@ type BenchSolverConfig struct {
 	SAT           sat.Stats
 }
 
-// BenchSolverAblation is the solver-configuration equivalence check: the
-// bounded workload must report identical deterministic fields (paths, engine
-// queries, findings) whether inprocessing is on or off, with or without the
-// portfolio, at workers 1, 2 and 4 — the SAT core only ever changes how fast
-// answers arrive, never which answers.
+// BenchSolverAblation is the worker and fork equivalence check: the bounded
+// workload must report identical deterministic fields (paths, engine
+// queries, findings) at workers 1, 2 and 4, with fork-point checkpointing on
+// and off — each worker's solver only ever changes how fast answers arrive,
+// never which answers.
 type BenchSolverAblation struct {
 	MaxPaths int
 	Match    bool
@@ -338,10 +337,11 @@ func RunBench(opt BenchOptions) *BenchReport {
 	return rep
 }
 
-// runSolverAblation explores the bounded equivalence workload under every
-// interesting SAT-core configuration and cross-checks the deterministic
-// report contract against the defaults (same comparison set as the cache
-// ablation: path counts, engine query counts, findings by path and class).
+// runSolverAblation explores the bounded equivalence workload at every
+// worker count of the matrix, fork on and off, and cross-checks the
+// deterministic report contract against the workers=1 defaults (same
+// comparison set as the cache ablation: path counts, engine query counts,
+// findings by path and class).
 func runSolverAblation(opt BenchOptions) *BenchSolverAblation {
 	cfg := cosim.Config{
 		ISS:             iss.VPConfig(),
@@ -355,24 +355,21 @@ func runSolverAblation(opt BenchOptions) *BenchSolverAblation {
 	}
 
 	type variant struct {
-		name      string
-		workers   int
-		inprocess bool
-		portfolio bool
-		noFork    bool
+		name    string
+		workers int
+		noFork  bool
 	}
 	// The fork-off rows double as the in-process fork-checkpointing
 	// equivalence check: the same bounded workload must report identical
 	// deterministic fields whether siblings resume from snapshots or replay
 	// their full decision prefix, sequentially and sharded.
 	variants := []variant{
-		{"defaults w1", 1, true, false, false},
-		{"inprocess-off w1", 1, false, false, false},
-		{"portfolio w2", 2, true, true, false},
-		{"portfolio w4", 4, true, true, false},
-		{"fork-off w1", 1, true, false, true},
-		{"fork-off w2", 2, true, false, true},
-		{"fork-off w4", 4, true, false, true},
+		{"defaults w1", 1, false},
+		{"defaults w2", 2, false},
+		{"defaults w4", 4, false},
+		{"fork-off w1", 1, true},
+		{"fork-off w2", 2, true},
+		{"fork-off w4", 4, true},
 	}
 
 	mat := &BenchSolverAblation{MaxPaths: opt.AblationMaxPaths, Match: true}
@@ -386,8 +383,6 @@ func runSolverAblation(opt BenchOptions) *BenchSolverAblation {
 	var baseFindings []string
 	for _, v := range variants {
 		o := bounded
-		o.NoInprocessing = !v.inprocess
-		o.Portfolio = v.portfolio
 		// A global -fork off pins every row to replay (the fork-off rows then
 		// check plain worker-count equivalence instead of resume-vs-replay).
 		o.NoFork = v.noFork || opt.Fork.Disabled()
@@ -395,8 +390,6 @@ func runSolverAblation(opt BenchOptions) *BenchSolverAblation {
 		mat.Configs = append(mat.Configs, BenchSolverConfig{
 			Name:          v.name,
 			Workers:       v.workers,
-			Inprocess:     v.inprocess,
-			Portfolio:     v.portfolio,
 			Fork:          !o.NoFork,
 			Paths:         r.Stats.Paths,
 			Completed:     r.Stats.Completed,
@@ -524,7 +517,7 @@ func runCacheAblation(opt BenchOptions) *BenchAblation {
 func findingClass(err error) string {
 	var m *rvfi.Mismatch
 	if errors.As(err, &m) {
-		return Classify(m).Key()
+		return ClassifyFor(cosim.CoreMicroRV32, m).Key()
 	}
 	return err.Error()
 }
@@ -568,9 +561,9 @@ func (r *BenchReport) Format() string {
 	}
 	for _, t := range r.Throughput {
 		s := t.SAT
-		fmt.Fprintf(&b, "  sat   l=%d w=%d fork=%s: props=%d conflicts=%d decisions=%d restarts=%d learnt=%d(-%d) subsumed=%d strengthened=%d elim=%d(+%d back)\n",
+		fmt.Fprintf(&b, "  sat   l=%d w=%d fork=%s: props=%d conflicts=%d decisions=%d restarts=%d learnt=%d(-%d)\n",
 			t.InstrLimit, t.Workers, onOff(t.Fork), s.Propagations, s.Conflicts, s.Decisions, s.Restarts,
-			s.Learnt, s.Removed, s.Subsumed, s.Strengthened, s.Eliminated, s.Restored)
+			s.Learnt, s.Removed)
 	}
 	for _, t := range r.Throughput {
 		if t.ForkSnapshots == 0 && t.ForkResumes == 0 {
@@ -614,8 +607,8 @@ func (r *BenchReport) Format() string {
 		}
 		fmt.Fprintf(&b, "\nSolver equivalence matrix (MaxPaths=%d): %s\n", m.MaxPaths, verdict)
 		for _, c := range m.Configs {
-			fmt.Fprintf(&b, "  %-18s w=%d inprocess=%s portfolio=%s fork=%s: paths=%d completed=%d findings=%d queries=%d cdcl=%d conflicts=%d\n",
-				c.Name, c.Workers, onOff(c.Inprocess), onOff(c.Portfolio), onOff(c.Fork),
+			fmt.Fprintf(&b, "  %-12s w=%d fork=%s: paths=%d completed=%d findings=%d queries=%d cdcl=%d conflicts=%d\n",
+				c.Name, c.Workers, onOff(c.Fork),
 				c.Paths, c.Completed, c.Findings, c.SolverQueries, c.CDCLQueries, c.SAT.Conflicts)
 		}
 	}

@@ -36,13 +36,9 @@ type RowClass struct {
 // Key returns a dedupe key for the row.
 func (rc RowClass) Key() string { return rc.Subject + "|" + rc.Desc }
 
-// Classify maps a checker mismatch onto its Table I row identity for the
-// default microrv32 core, using the witness instruction and both models'
-// trap behaviour.
-func Classify(m *rvfi.Mismatch) RowClass { return ClassifyFor(cosim.CoreMicroRV32, m) }
-
 // ClassifyFor maps a checker mismatch onto its Table I row identity for the
-// given core. The row vocabulary is core-aware where the cores' feature sets
+// given core, using the witness instruction and both models' trap
+// behaviour. The row vocabulary is core-aware where the cores' feature sets
 // differ: the pipelined core implements no Zicsr or MRET, so its CSR and
 // MRET mismatches classify as missing-feature rows rather than per-CSR
 // behaviour bugs.

@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"symriscv/internal/cosim"
 	"symriscv/internal/riscv"
 	"symriscv/internal/rvfi"
 )
@@ -90,7 +91,7 @@ func TestClassifyRows(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		got := Classify(&tc.m)
+		got := ClassifyFor(cosim.CoreMicroRV32, &tc.m)
 		if got != tc.want {
 			t.Errorf("%s: got %+v, want %+v", tc.name, got, tc.want)
 		}

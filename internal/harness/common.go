@@ -50,20 +50,10 @@ type Common struct {
 	// than one ("" = the campaign's default, microrv32). It is the single
 	// core selector shared by every command (-core on the CLI).
 	Core cosim.CoreKind
-	// DeprecatedFlags lists deprecated command-line spellings used on this
-	// invocation (e.g. table2's -dut); Warnings surfaces one note per entry.
-	DeprecatedFlags []string
 	// Cache toggles the query-elimination layer (stack models, independence
-	// slicing, feasibility caching); Rewrite the extended term rewrites;
-	// Inprocess the SAT-core clause-database simplification.
-	Cache     Toggle
-	Rewrite   Toggle
-	Inprocess Toggle
-	// Portfolio is opt-in (enabled only when explicitly "on"): at
-	// workers >= 2 each worker's SAT core runs deterministic diversified
-	// heuristics (sat.PortfolioOptions). Reports stay byte-identical — the
-	// portfolio changes how fast each solve answers, never the answer.
-	Portfolio Toggle
+	// slicing, feasibility caching); Rewrite the extended term rewrites.
+	Cache   Toggle
+	Rewrite Toggle
 	// Fork toggles fork-point state checkpointing (internal/core/snapshot.go):
 	// sibling paths resume from a copy-on-write snapshot instead of replaying
 	// the whole decision prefix from cycle 0. Reports are identical on and
@@ -99,8 +89,6 @@ func (c Common) apply(o core.Options) core.Options {
 	o.NoQueryCache = o.NoQueryCache || c.Cache.Disabled()
 	o.NoFork = o.NoFork || c.Fork.Disabled()
 	o.NoTermRewrites = o.NoTermRewrites || c.Rewrite.Disabled()
-	o.NoInprocessing = o.NoInprocessing || c.Inprocess.Disabled()
-	o.Portfolio = o.Portfolio || c.Portfolio == On
 	if o.Obs == nil {
 		o.Obs = c.Obs
 	}
@@ -122,20 +110,6 @@ func (c Common) explore(run core.RunFunc, o core.Options) *core.Report {
 	rep := exploreWorkers(run, c.apply(o), c.Workers)
 	c.Store.Checkpoint()
 	return rep
-}
-
-// Warnings returns non-fatal notes about option combinations that silently
-// do nothing, for the CLI to surface on stderr. Kept advisory on purpose:
-// none of these change any report.
-func (c Common) Warnings() []string {
-	var ws []string
-	for _, f := range c.DeprecatedFlags {
-		ws = append(ws, f)
-	}
-	if c.Portfolio == On && c.Workers <= 1 {
-		ws = append(ws, "-portfolio=on has no effect with a single worker; set -workers=2 or more to diversify SAT heuristics")
-	}
-	return ws
 }
 
 // exploreWorkers routes one exploration to the sequential explorer

@@ -263,20 +263,3 @@ func TestLongRunUnboundedBudget(t *testing.T) {
 		t.Fatalf("Format does not render the unbounded budget:\n%s", out)
 	}
 }
-
-// TestCommonWarnings pins the portfolio/workers interaction note.
-func TestCommonWarnings(t *testing.T) {
-	if ws := (Common{Workers: 1, Portfolio: On}).Warnings(); len(ws) != 1 ||
-		!strings.Contains(ws[0], "-portfolio") {
-		t.Fatalf("want one portfolio warning, got %q", ws)
-	}
-	for _, c := range []Common{
-		{Workers: 2, Portfolio: On},
-		{Workers: 1},
-		{Workers: 1, Portfolio: Off},
-	} {
-		if ws := c.Warnings(); len(ws) != 0 {
-			t.Fatalf("unexpected warnings for %+v: %q", c, ws)
-		}
-	}
-}

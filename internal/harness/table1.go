@@ -49,11 +49,6 @@ func DefaultProbesFor(kind cosim.CoreKind) []Probe {
 			{Name: "system", Filter: cosim.OnlyOpcode(riscv.OpSystem), Limit: 1},
 		}
 	}
-	return DefaultProbes()
-}
-
-// DefaultProbes is the scenario list of the microrv32 Table I campaign.
-func DefaultProbes() []Probe {
 	return []Probe{
 		{Name: "loads", Filter: cosim.OnlyOpcode(riscv.OpLoad), Limit: 1},
 		{Name: "stores", Filter: cosim.OnlyOpcode(riscv.OpStore), Limit: 1},

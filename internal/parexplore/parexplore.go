@@ -43,7 +43,6 @@ import (
 	"symriscv/internal/core"
 	"symriscv/internal/obs"
 	"symriscv/internal/querycache"
-	"symriscv/internal/sat"
 )
 
 // unit is one subtree hand-off: a portable decision prefix plus its
@@ -391,7 +390,6 @@ func Explore(run core.RunFunc, opts core.Options, workers int) *core.Report {
 		GenerateTests:         opts.GenerateTests,
 		NoQueryCache:          opts.NoQueryCache,
 		NoTermRewrites:        opts.NoTermRewrites,
-		NoInprocessing:        opts.NoInprocessing,
 		NoFork:                opts.NoFork,
 		Obs:                   opts.Obs,
 	}
@@ -412,14 +410,6 @@ func Explore(run core.RunFunc, opts core.Options, workers int) *core.Report {
 		so := shardOpts
 		so.Seed = opts.Seed + int64(i)
 		so.ObsWorker = i + 1
-		if opts.Portfolio && workers >= 2 {
-			// Deterministic per-worker solver diversification: worker 0
-			// keeps the tuned defaults, the rest cycle through presets.
-			// Answers (and therefore reports) are unaffected — only the
-			// search order inside each SAT solve changes.
-			po := sat.PortfolioOptions(i)
-			so.SATOptions = &po
-		}
 		shards[i] = core.NewShard(run, so)
 		if store != nil {
 			shards[i].AttachSharedCache(store)

@@ -372,7 +372,7 @@ func classifyKey(t *testing.T, err error) string {
 	if !errors.As(err, &m) {
 		t.Fatalf("finding is not a mismatch: %v", err)
 	}
-	return harness.Classify(m).Key()
+	return harness.ClassifyFor(cosim.CoreMicroRV32, m).Key()
 }
 
 // TestCacheAblationEquivalence checks the query-elimination layer's
@@ -554,52 +554,6 @@ func TestObsEquivalence(t *testing.T) {
 		}
 		if buf.Len() == 0 {
 			t.Errorf("%d workers: trace sink stayed empty", workers)
-		}
-	}
-}
-
-// TestPortfolioEquivalence checks that the deterministic per-worker SAT
-// portfolio never changes the report: at every worker count, the portfolio
-// run matches the defaults run on statistics, finding set and path indices.
-// (At workers = 1 the portfolio is a no-op by construction.)
-func TestPortfolioEquivalence(t *testing.T) {
-	opts := core.Options{Search: core.SearchDFS, GenerateTests: true}
-	ref := parexplore.Explore(findingTree(6), opts, 1)
-	pOpts := opts
-	pOpts.Portfolio = true
-	for _, workers := range []int{1, 2, 4} {
-		rep := parexplore.Explore(findingTree(6), pOpts, workers)
-		if !sameStats(ref.Stats, rep.Stats) {
-			t.Fatalf("portfolio %d workers: stats diverge: %+v vs %+v", workers, ref.Stats, rep.Stats)
-		}
-		if len(rep.Findings) != len(ref.Findings) {
-			t.Fatalf("portfolio %d workers: %d findings, want %d", workers, len(rep.Findings), len(ref.Findings))
-		}
-		for i := range ref.Findings {
-			if rep.Findings[i].Err.Error() != ref.Findings[i].Err.Error() ||
-				rep.Findings[i].Path != ref.Findings[i].Path {
-				t.Errorf("portfolio %d workers: finding %d = (%v, path %d), want (%v, path %d)",
-					workers, i, rep.Findings[i].Err, rep.Findings[i].Path,
-					ref.Findings[i].Err, ref.Findings[i].Path)
-			}
-		}
-	}
-}
-
-// TestInprocessingEquivalence checks the inprocessing toggle against the same
-// contract: identical reports on and off, sequentially and sharded.
-func TestInprocessingEquivalence(t *testing.T) {
-	opts := core.Options{Search: core.SearchDFS}
-	ref := parexplore.Explore(findingTree(6), opts, 1)
-	nOpts := opts
-	nOpts.NoInprocessing = true
-	for _, workers := range []int{1, 4} {
-		rep := parexplore.Explore(findingTree(6), nOpts, workers)
-		if !sameStats(ref.Stats, rep.Stats) {
-			t.Fatalf("inprocess-off %d workers: stats diverge: %+v vs %+v", workers, ref.Stats, rep.Stats)
-		}
-		if len(rep.Findings) != len(ref.Findings) {
-			t.Fatalf("inprocess-off %d workers: %d findings, want %d", workers, len(rep.Findings), len(ref.Findings))
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package sat
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // propagationChain builds n implication chains of length depth fanning out
 // from one root variable: asserting the root floods the trail with unit
@@ -69,48 +66,6 @@ func BenchmarkConflictHeavy(b *testing.B) {
 		addPigeonhole(s, 8, 7)
 		if s.Solve() != Unsat {
 			b.Fatal("pigeonhole should be unsat")
-		}
-	}
-}
-
-// BenchmarkEliminationFriendly measures one inprocessing round over a CNF
-// built from AND-gate definitions (every gate output is eliminable) plus
-// random ternary clauses over the inputs (subsumption/strengthening fodder).
-func BenchmarkEliminationFriendly(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	const inputs, gates, extra = 60, 300, 400
-	type inst struct {
-		s *Solver
-	}
-	build := func() *Solver {
-		s := New()
-		ins := newVars(s, inputs)
-		for g := 0; g < gates; g++ {
-			a := ins[rng.Intn(inputs)]
-			c := ins[rng.Intn(inputs)]
-			o := s.NewVar()
-			s.AddClause(MkLit(o, true), MkLit(a, false))
-			s.AddClause(MkLit(o, true), MkLit(c, false))
-			s.AddClause(MkLit(o, false), MkLit(a, true), MkLit(c, true))
-		}
-		for e := 0; e < extra; e++ {
-			s.AddClause(
-				MkLit(ins[rng.Intn(inputs)], rng.Intn(2) == 1),
-				MkLit(ins[rng.Intn(inputs)], rng.Intn(2) == 1),
-				MkLit(ins[rng.Intn(inputs)], rng.Intn(2) == 1))
-		}
-		return s
-	}
-	instances := make([]inst, b.N)
-	for i := range instances {
-		instances[i] = inst{s: build()}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := instances[i].s
-		s.simplify(nil)
-		if !s.ok {
-			b.Fatal("instance became unsat during simplification")
 		}
 	}
 }

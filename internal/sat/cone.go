@@ -19,10 +19,7 @@ import "fmt"
 // fixpoint and no conflict is pending). A gate left unassigned reads its own
 // definition, so its Tseitin clauses hold by construction; an assigned one
 // has its Tseitin clauses fully assigned by (2), so they hold by (3).
-// AddClause clauses contain rooted variables only, which (1) assigns. Clauses
-// rewritten by inprocessing are implied by these, and eliminated variables
-// are neither gates nor fan-in (inprocess.go), so extendModel only reads
-// rooted variables.
+// AddClause clauses contain rooted variables only, which (1) assigns.
 
 // GateOp is the Boolean function of a gate created with AddGate.
 type GateOp uint8
@@ -45,7 +42,6 @@ func (op GateOp) arity() int {
 const (
 	opMask  = 3      // the variable's GateOp; 0 for an input variable
 	fRooted = 1 << 2 // occurs in an AddClause clause: in every cone
-	fFanin  = 1 << 3 // input of some gate: never eliminated
 )
 
 // AddGate creates a variable defined as op over ins, adds the defining
@@ -60,10 +56,6 @@ func (s *Solver) AddGate(op GateOp, ins ...Lit) Lit {
 		if int(l.Var()) >= len(s.assigns) {
 			panic(fmt.Sprintf("sat: gate input %v references unknown variable", l))
 		}
-		if s.elimIdx[l.Var()] != 0 {
-			s.restoreVar(l.Var())
-		}
-		s.vflags[l.Var()] |= fFanin
 	}
 	v := s.newVar(false)
 	s.vflags[v] = uint8(op)
@@ -134,7 +126,7 @@ func (s *Solver) openCone(assumptions []Lit) {
 	}
 	s.markOpenFanin()
 	for _, v := range s.cone {
-		if s.decision[v] && s.assigns[v] >= uint8(lUndef) && s.elimIdx[v] == 0 {
+		if s.decision[v] && s.assigns[v] >= uint8(lUndef) {
 			s.order.insert(v, s.activity)
 		}
 	}
@@ -181,9 +173,8 @@ func (s *Solver) markOpenFanin() {
 }
 
 // coneComplete reports whether the assignment is a complete answer: every
-// cone variable assigned (eliminated ones aside) and, when the trail below
-// the kept prefix changed (trailCut), every assigned gate's fan-in assigned.
-// Otherwise it makes the open variables decision variables and puts them in
+// cone variable assigned and, when a backjump cut the trail below the kept
+// prefix (trailCut), every assigned gate's fan-in assigned. Otherwise it makes the open variables decision variables and puts them in
 // the heap. A cone variable is open when its implication was skipped while
 // it was outside an earlier cone and the trigger lies in the kept trail, or
 // when backtracking unassigned an inherited gate's fan-in.
@@ -193,7 +184,7 @@ func (s *Solver) coneComplete(trailCut bool) bool {
 	}
 	done := true
 	for _, v := range s.cone {
-		if s.assigns[v] >= uint8(lUndef) && s.elimIdx[v] == 0 {
+		if s.assigns[v] >= uint8(lUndef) {
 			s.decision[v] = true
 			s.order.insert(v, s.activity)
 			done = false
@@ -204,16 +195,13 @@ func (s *Solver) coneComplete(trailCut bool) bool {
 
 // dropModel starts a fresh gate-value memo for ValueOf; called when a new
 // answer is produced or the clause set changes.
-func (s *Solver) dropModel() {
-	s.stampTick++
-	s.modelTick = s.stampTick
-}
+func (s *Solver) dropModel() { s.stampTick++ }
 
 // evalGate computes the model value of the unassigned gate v from its
 // fan-in, memoising every gate it evaluates in litStamp: the positive
 // literal's stamp marks true, the negative one's false.
 func (s *Solver) evalGate(v Var) bool {
-	t := s.modelTick
+	t := s.stampTick
 	// read returns the value of l if it is known without evaluation.
 	read := func(l Lit) (val, ok bool) {
 		u := l.Var()

@@ -1,10 +1,8 @@
 // Package sat implements a CDCL (conflict-driven clause learning) SAT solver
 // in the MiniSat lineage: two-literal watching with blocker literals and a
 // dedicated binary-clause fast path, first-UIP conflict analysis, VSIDS
-// variable activity with phase saving and target phasing, switchable
-// Luby/LBD-EMA restarts, LBD-tiered learnt-clause retention, and clause
-// inprocessing (subsumption, self-subsuming resolution, bounded variable
-// elimination — see inprocess.go).
+// variable activity with phase saving, Luby restarts and LBD-tiered
+// learnt-clause retention. The heuristic parameters are fixed constants.
 //
 // Solve decides only the cone of influence of its query (see cone.go):
 // variables created with AddGate carry their gate definition, and a call
@@ -71,14 +69,23 @@ const (
 	lUndef lbool = 2
 )
 
+// Search parameters.
+const (
+	lubyUnit    = 100   // conflicts per unit of the Luby restart sequence
+	varDecay    = 0.99  // VSIDS activity decay
+	clauseDecay = 0.999 // learnt-clause activity decay
+	// Learnt clauses with lbd <= coreLBD are kept forever; those with lbd <=
+	// tier2LBD survive while recently used; reduceDB halves the rest.
+	coreLBD  = 3
+	tier2LBD = 6
+)
+
 type clause struct {
 	lits   []Lit
 	act    float32
 	lbd    uint32
-	sig    uint64 // occurrence abstraction, maintained during inprocessing only
-	used   uint8  // tier2 retention window: refreshed on use, decayed by reduceDB
+	used   uint8 // tier2 retention window: refreshed on use, decayed by reduceDB
 	learnt bool
-	dead   bool // removed by inprocessing; compacted out before search resumes
 }
 
 type watcher struct {
@@ -114,11 +121,7 @@ type Stats struct {
 	Propagations uint64
 	Restarts     uint64
 	Learnt       uint64 // learnt clauses created
-	Removed      uint64 // learnt clauses deleted (reduceDB + inprocessing)
-	Subsumed     uint64 // problem clauses removed by subsumption
-	Strengthened uint64 // literals removed by self-subsuming resolution
-	Eliminated   uint64 // variables removed by bounded variable elimination
-	Restored     uint64 // eliminated variables brought back by reuse
+	Removed      uint64 // learnt clauses deleted by reduceDB
 }
 
 // Add accumulates o into s field by field (for merging per-worker solvers).
@@ -129,16 +132,10 @@ func (s *Stats) Add(o Stats) {
 	s.Restarts += o.Restarts
 	s.Learnt += o.Learnt
 	s.Removed += o.Removed
-	s.Subsumed += o.Subsumed
-	s.Strengthened += o.Strengthened
-	s.Eliminated += o.Eliminated
-	s.Restored += o.Restored
 }
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	opts Options
-
 	clauses []*clause
 	learnts []*clause
 
@@ -150,10 +147,6 @@ type Solver struct {
 	phase    []uint8 // saved polarity: 0 positive, 1 negative
 	activity []float64
 	decision []bool // per var: kept in the decision heap while unassigned and in the cone
-
-	targetPhase []uint8 // best-trail polarity of the current Solve call
-	targetStamp []uint64
-	solveTick   uint64
 
 	trail    []Lit
 	trailLim []int32
@@ -169,9 +162,6 @@ type Solver struct {
 	levelStamp []uint64 // computeLBD scratch, indexed by decision level
 	lbdTick    uint64
 
-	lbdFast float64 // short-term LBD EMA (RestartEMA)
-	lbdSlow float64 // long-term LBD EMA
-
 	lastAssumps []Lit // assumption prefix of the previous Solve (trail reuse)
 
 	ok bool // false once the clause set is unsat at level 0
@@ -183,19 +173,11 @@ type Solver struct {
 	fanin     []Lit    // per var: gate inputs at [3v, 3v+arity)
 	coneStamp []uint32 // per var: coneTick while in the current cone
 	coneTick  uint32
-	cone      []Var // current cone members, in marking order
-	roots     []Var // rooted variables
-	work      []Var // markCone / evalGate scratch stack
-
-	// Inprocessing state (see inprocess.go).
-	elimIdx         []int32 // per var: 1+index into elimStack when eliminated
-	elimStack       []elimEntry
-	frozen          []bool   // per var: protected from elimination this round
-	litStamp        []uint64 // per Lit: subset-check scratch; gate-value memo after Sat (ValueOf)
-	stampTick       uint64
-	modelTick       uint64 // litStamp value marking this answer's memoised gate values
-	clausesAtSimp   int
-	conflictsAtSimp uint64
+	cone      []Var    // current cone members, in marking order
+	roots     []Var    // rooted variables
+	work      []Var    // markCone / evalGate scratch stack
+	litStamp  []uint64 // per Lit: gate-value memo of the current answer (ValueOf)
+	stampTick uint64   // litStamp value marking the current answer's memo
 
 	stats Stats
 
@@ -203,25 +185,15 @@ type Solver struct {
 	ConflictBudget uint64
 }
 
-// New returns an empty solver with the tuned default options.
+// New returns an empty solver.
 func New() *Solver {
-	return NewWith(DefaultOptions())
-}
-
-// NewWith returns an empty solver with the given heuristic parameters.
-func NewWith(o Options) *Solver {
 	return &Solver{
-		opts:       o,
 		varInc:     1,
 		claInc:     1,
 		ok:         true,
 		levelStamp: make([]uint64, 1),
 	}
 }
-
-// SetInprocessing toggles clause-database inprocessing. Turning it off never
-// undoes past simplification; it only stops future rounds.
-func (s *Solver) SetInprocessing(on bool) { s.opts.Inprocess = on }
 
 // Stats returns cumulative counters.
 func (s *Solver) Stats() Stats { return s.stats }
@@ -238,29 +210,18 @@ func (s *Solver) NewVar() Var { return s.newVar(true) }
 
 func (s *Solver) newVar(decision bool) Var {
 	v := Var(len(s.assigns))
-	p := uint8(1)
-	if s.opts.PhaseSeed != 0 {
-		st := s.opts.PhaseSeed + uint64(v)
-		p = uint8(splitmix64(&st) & 1)
-	} else if s.opts.InitPhase {
-		p = 0
-	}
 	s.assigns = append(s.assigns, uint8(lUndef))
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, nil)
-	s.phase = append(s.phase, p)
+	s.phase = append(s.phase, 1) // decide negative first
 	s.activity = append(s.activity, 0)
 	s.decision = append(s.decision, decision)
 	s.vflags = append(s.vflags, 0)
 	s.fanin = append(s.fanin, 0, 0, 0)
 	s.coneStamp = append(s.coneStamp, 0)
-	s.targetPhase = append(s.targetPhase, 0)
-	s.targetStamp = append(s.targetStamp, 0)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
 	s.levelStamp = append(s.levelStamp, 0)
-	s.elimIdx = append(s.elimIdx, 0)
-	s.frozen = append(s.frozen, false)
 	s.litStamp = append(s.litStamp, 0, 0)
 	return v
 }
@@ -284,20 +245,12 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 			panic(fmt.Sprintf("sat: literal %v references unknown variable", l))
 		}
 		s.root(l.Var())
-		// An eliminated variable reappearing in a new clause gets its
-		// original clauses restored first, so the instance keeps meaning
-		// exactly what the caller asserted.
-		if s.elimIdx[l.Var()] != 0 {
-			s.restoreVar(l.Var())
-		}
-	}
-	if !s.ok {
-		return false
 	}
 	return s.addClauseInternal(lits)
 }
 
-// addClauseInternal is AddClause after eliminated-variable restoration.
+// addClauseInternal adds a clause without rooting its variables (AddGate's
+// Tseitin clauses go through here).
 func (s *Solver) addClauseInternal(lits []Lit) bool {
 	s.dropModel()
 	// Fast path: attach the clause without disturbing the current trail.
@@ -570,7 +523,7 @@ func (s *Solver) varBump(v Var) {
 	s.order.update(v, s.activity)
 }
 
-func (s *Solver) varDecay() { s.varInc /= s.opts.VarDecay }
+func (s *Solver) varDecay() { s.varInc /= varDecay }
 
 func (s *Solver) claBump(c *clause) {
 	c.act += float32(s.claInc)
@@ -582,7 +535,7 @@ func (s *Solver) claBump(c *clause) {
 	}
 }
 
-func (s *Solver) claDecay() { s.claInc /= s.opts.ClauseDecay }
+func (s *Solver) claDecay() { s.claInc /= clauseDecay }
 
 // analyze performs first-UIP conflict analysis, returning the learnt clause
 // (asserting literal first) and the backtrack level.
@@ -733,7 +686,9 @@ func (s *Solver) analyzeFinal(p Lit) {
 	s.seen[p.Var()] = false
 }
 
-func (s *Solver) pickBranchLit(useTarget bool) Lit {
+// pickBranchLit pops the most active unassigned heap variable and returns it
+// in its saved phase, or -1 when the heap is empty.
+func (s *Solver) pickBranchLit() Lit {
 	act := s.activity
 	for {
 		v, ok := s.order.removeMax(act)
@@ -741,11 +696,7 @@ func (s *Solver) pickBranchLit(useTarget bool) Lit {
 			return -1
 		}
 		if s.assigns[v] >= uint8(lUndef) {
-			pol := s.phase[v]
-			if useTarget && s.targetStamp[v] == s.solveTick {
-				pol = s.targetPhase[v]
-			}
-			return Lit(v)<<1 | Lit(pol)
+			return Lit(v)<<1 | Lit(s.phase[v])
 		}
 	}
 }
@@ -768,17 +719,8 @@ func luby(i uint64) uint64 {
 	return uint64(1) << seq
 }
 
-// restartDue applies the configured restart policy.
-func (s *Solver) restartDue(sinceRestart, lubyBudget uint64) bool {
-	if s.opts.Restart == RestartEMA {
-		return sinceRestart >= s.opts.EMAMinInterval &&
-			s.lbdFast > s.opts.EMAFactor*s.lbdSlow
-	}
-	return sinceRestart >= lubyBudget
-}
-
 // reduceDB trims the learnt-clause database by tier: core clauses (binary or
-// lbd <= CoreLBD) are kept forever, tier2 clauses (lbd <= Tier2LBD) survive
+// lbd <= coreLBD) are kept forever, tier2 clauses (lbd <= tier2LBD) survive
 // while their recent-use window is open, and the local tier is halved by
 // activity. Reason ("locked") clauses are never removed.
 func (s *Solver) reduceDB() {
@@ -790,9 +732,9 @@ func (s *Solver) reduceDB() {
 	var local []*clause
 	for _, c := range ls {
 		switch {
-		case len(c.lits) <= 2 || c.lbd <= s.opts.CoreLBD:
+		case len(c.lits) <= 2 || c.lbd <= coreLBD:
 			keep = append(keep, c)
-		case c.lbd <= s.opts.Tier2LBD && c.used > 0:
+		case c.lbd <= tier2LBD && c.used > 0:
 			c.used--
 			keep = append(keep, c)
 		default:
@@ -850,26 +792,9 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	if !s.ok {
 		return Unsat
 	}
-	// Assumptions over eliminated variables bring the original clauses back
-	// before search, so failed-assumption analysis sees the real instance.
 	for _, p := range assumptions {
 		if int(p.Var()) >= len(s.assigns) {
 			panic(fmt.Sprintf("sat: assumption %v references unknown variable", p))
-		}
-		if s.elimIdx[p.Var()] != 0 {
-			s.restoreVar(p.Var())
-		}
-	}
-	if !s.ok {
-		return Unsat
-	}
-	s.solveTick++
-
-	if s.opts.Inprocess && s.inprocessDue() {
-		s.cancelUntil(0)
-		s.simplify(assumptions)
-		if !s.ok {
-			return Unsat
 		}
 	}
 
@@ -897,10 +822,8 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 
 	conflictsAtStart := s.stats.Conflicts
 	var restartSeq uint64
-	restartBudget := luby(restartSeq) * s.opts.LubyUnit
+	restartBudget := luby(restartSeq) * lubyUnit
 	var conflictsSinceRestart uint64
-	restarted := false
-	bestTrail := 0
 	maxLearnts := 4000 + len(s.clauses)/2
 
 	for {
@@ -915,22 +838,17 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			learnt, btLevel := s.analyze(confl)
 			s.cancelUntil(btLevel)
 			trailCut = trailCut || btLevel < int32(keep)
-			var lbd uint32
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], nil)
-				lbd = 1
 			} else {
 				c := &clause{lits: append([]Lit(nil), learnt...), learnt: true, used: 2}
 				c.lbd = s.computeLBD(c.lits)
-				lbd = c.lbd
 				s.learnts = append(s.learnts, c)
 				s.stats.Learnt++
 				s.attach(c)
 				s.claBump(c)
 				s.uncheckedEnqueue(learnt[0], c)
 			}
-			s.lbdFast += (float64(lbd) - s.lbdFast) / 32
-			s.lbdSlow += (float64(lbd) - s.lbdSlow) / 4096
 			s.varDecay()
 			s.claDecay()
 			if s.ConflictBudget > 0 && s.stats.Conflicts-conflictsAtStart > s.ConflictBudget {
@@ -941,43 +859,18 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			continue
 		}
 
-		// Target phasing: after the first restart of this call, remember the
-		// polarities of the deepest conflict-free trail seen, and steer
-		// decisions back toward it.
-		if s.opts.TargetPhase && restarted && len(s.trail) > bestTrail {
-			bestTrail = len(s.trail)
-			for _, l := range s.trail {
-				v := l.Var()
-				s.targetPhase[v] = uint8(l) & 1
-				s.targetStamp[v] = s.solveTick
-			}
-		}
-
-		if s.restartDue(conflictsSinceRestart, restartBudget) {
+		if conflictsSinceRestart >= restartBudget {
 			conflictsSinceRestart = 0
 			restartSeq++
-			restartBudget = luby(restartSeq) * s.opts.LubyUnit
-			restarted = true
+			restartBudget = luby(restartSeq) * lubyUnit
 			s.stats.Restarts++
-			s.lbdFast = s.lbdSlow
-			if s.opts.Inprocess && s.inprocessDue() {
-				// Inprocessing needs level 0; assumption levels are
-				// re-established by the loop below afterwards.
-				s.cancelUntil(0)
-				s.simplify(assumptions)
-				if !s.ok {
-					return Unsat
-				}
-				trailCut = true
-			} else {
-				// Restart the search but keep the assumption prefix: levels
-				// 1..len(assumptions) are assumption levels by construction.
-				al := int32(len(assumptions))
-				if dl := s.decisionLevel(); dl < al {
-					al = dl
-				}
-				s.cancelUntil(al)
+			// Restart the search but keep the assumption prefix: levels
+			// 1..len(assumptions) are assumption levels by construction.
+			al := int32(len(assumptions))
+			if dl := s.decisionLevel(); dl < al {
+				al = dl
 			}
+			s.cancelUntil(al)
 			continue
 		}
 		if len(s.learnts) > maxLearnts {
@@ -1006,13 +899,12 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			}
 		}
 		if next == -1 {
-			next = s.pickBranchLit(s.opts.TargetPhase && restarted)
+			next = s.pickBranchLit()
 			if next == -1 {
 				if !s.coneComplete(trailCut) {
 					trailCut = false
 					continue
 				}
-				s.extendModel()
 				s.dropModel()
 				return Sat
 			}
@@ -1025,8 +917,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 
 // ValueOf returns the model value of v after a Sat answer. A variable the
 // answer left unassigned reads its gate definition over the values of its
-// fan-in (memoised per answer), or false if it is an input; eliminated
-// variables read their model-extension value (see extendModel).
+// fan-in (memoised per answer), or false if it is an input.
 func (s *Solver) ValueOf(v Var) bool {
 	if a := s.assigns[v]; a < uint8(lUndef) {
 		return a == uint8(lTrue)
@@ -1101,26 +992,6 @@ func (h *varHeap) removeMax(act []float64) (Var, bool) {
 	return v, true
 }
 
-// remove deletes v from the heap (used when a variable is eliminated).
-func (h *varHeap) remove(v Var, act []float64) {
-	if int(v) >= len(h.indices) || h.indices[v] == 0 {
-		return
-	}
-	i := int(h.indices[v]) - 1
-	h.indices[v] = 0
-	last := len(h.heap) - 1
-	if i == last {
-		h.heap = h.heap[:last]
-		return
-	}
-	w := h.heap[last]
-	h.heap = h.heap[:last]
-	h.heap[i] = w
-	h.indices[w] = int32(i + 1)
-	h.down(i, act)
-	h.up(int(h.indices[w])-1, act)
-}
-
 func (h *varHeap) up(i int, act []float64) {
 	v := h.heap[i]
 	av := act[v]
@@ -1162,11 +1033,8 @@ func (h *varHeap) down(i int, act []float64) {
 
 // WriteDIMACS dumps the problem clauses (not learnt clauses) plus the
 // current level-0 unit assignments in DIMACS CNF format, for interoperating
-// with external SAT tooling. Eliminated variables are restored first so the
-// dump is equivalent to the instance as asserted.
+// with external SAT tooling.
 func (s *Solver) WriteDIMACS(w io.Writer) error {
-	s.cancelUntil(0)
-	s.restoreAll()
 	s.cancelUntil(0)
 	units := len(s.trail)
 	if !s.ok {

@@ -209,7 +209,7 @@ func tseitin(op GateOp, out Lit, ins []Lit) [][]Lit {
 // definitions included, it is the contract of a Sat answer.
 func firstOpen(s *Solver) Var {
 	for _, v := range s.cone {
-		if s.assigns[v] >= uint8(lUndef) && s.elimIdx[v] == 0 {
+		if s.assigns[v] >= uint8(lUndef) {
 			return v
 		}
 	}

@@ -74,26 +74,15 @@ type Solver struct {
 	h *obs.Handle
 }
 
-// New returns a solver for terms of ctx, with the tuned default SAT-core
-// parameters.
+// New returns a solver for terms of ctx.
 func New(ctx *smt.Context) *Solver {
-	return NewWithOptions(ctx, sat.DefaultOptions())
-}
-
-// NewWithOptions returns a solver for terms of ctx whose SAT core runs with
-// the given heuristic parameters (portfolio diversification; see
-// sat.PortfolioOptions).
-func NewWithOptions(ctx *smt.Context, o sat.Options) *Solver {
-	s := sat.NewWith(o)
+	s := sat.New()
 	return &Solver{
 		ctx: ctx,
 		sat: s,
 		bb:  bitblast.New(ctx, s),
 	}
 }
-
-// SetInprocessing toggles SAT-core inprocessing (ablation; default on).
-func (s *Solver) SetInprocessing(on bool) { s.sat.SetInprocessing(on) }
 
 // Context returns the term context this solver works over.
 func (s *Solver) Context() *smt.Context { return s.ctx }
