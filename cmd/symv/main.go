@@ -17,8 +17,7 @@
 //	symv lint-dut  [-allowlist LINTDUT.allow]
 //	               [-sat-probe] [-regs 2] [-v] [shared flags]
 //
-// lint-dut explores sequentially: it rejects -fork, -store and -workers
-// above 1.
+// lint-dut explores sequentially: it rejects -store and -workers above 1.
 //
 // Every subcommand accepts the shared flag group:
 //
@@ -30,17 +29,17 @@
 //	-cache on|off  query-elimination layer (stack models, independence
 //	               slicing, feasibility caching)
 //	-rewrite on|off extended term rewrites ahead of bit-blasting
-//	-fork on|off   fork-point state checkpointing (siblings resume from a
-//	               snapshot instead of replaying the decision prefix)
+//	-store DIR     persistent witness store (inspect with symv cache)
 //	-json          emit machine-readable JSON instead of the table
 //	-trace FILE    write a JSONL span/counter trace (inspect with symv trace)
 //	-metrics       print the aggregated per-phase table to stderr afterwards
 //
-// -cache=off, -rewrite=off and -fork=off are ablation switches — reports are
-// identical on and off by construction, only the solver and replay work
-// changes (see internal/querycache, internal/core/snapshot.go). -trace and
+// Every path replays its decision prefix from the start (replay-based
+// forking, see internal/core). -cache=off and -rewrite=off are ablation
+// switches — reports are identical on and off by construction, only the
+// solver work changes (see internal/querycache). -store, -trace and
 // -metrics are side channels: they never change a report either (see
-// internal/obs).
+// internal/qstore, internal/obs).
 package main
 
 import (
@@ -174,7 +173,7 @@ commands:
 
 shared flags (every exploration command):
   -core microrv32|pipecore  -workers N  -cache on|off  -rewrite on|off
-  -fork on|off  -store DIR  -json  -trace FILE  -metrics`)
+  -store DIR  -json  -trace FILE  -metrics`)
 }
 
 // sharedFlags is the flag group every exploration subcommand registers: the
@@ -185,7 +184,6 @@ type sharedFlags struct {
 	core    *string
 	cache   *string
 	rewrite *string
-	fork    *string
 	store   *string
 	jsonOut *bool
 	trace   *string
@@ -205,7 +203,6 @@ func sharedGroup(fs *flag.FlagSet) *sharedFlags {
 			"device under test: microrv32 | pipecore (default microrv32; the lint commands also accept both)"),
 		cache:   fs.String("cache", "on", "query-elimination layer (stack models, slicing, feasibility cache): on | off"),
 		rewrite: fs.String("rewrite", "on", "extended term rewrites ahead of bit-blasting: on | off"),
-		fork:    fs.String("fork", "on", "fork-point state checkpointing (siblings resume from snapshots instead of replaying the prefix): on | off"),
 		store: fs.String("store", "",
 			"persistent witness store directory: load compatible cache entries at startup, persist new ones at exploration boundaries (inspect with symv cache)"),
 		jsonOut: fs.Bool("json", false, "emit machine-readable JSON instead of the table"),
@@ -232,9 +229,6 @@ func (g *sharedFlags) build(cmd string, stderr io.Writer, keyParts ...string) (h
 	}
 	if c.Rewrite, ok = harness.ParseToggle(*g.rewrite); !ok {
 		return c, nil, badUsage(stderr, "bad -rewrite=%q (want on or off)", *g.rewrite)
-	}
-	if c.Fork, ok = harness.ParseToggle(*g.fork); !ok {
-		return c, nil, badUsage(stderr, "bad -fork=%q (want on or off)", *g.fork)
 	}
 	if g.allowBothCores && (*g.core == "" || isAllCores(*g.core)) {
 		// The command fans out over every core itself (harness.LintDUTCores);
@@ -726,13 +720,16 @@ func cmdReplay(args []string, stderr io.Writer) error {
 		coreCfg.Faults = faults.Of(fv...)
 		cfg.Core = coreCfg
 	}
+	if err := cosim.CheckVector(cfg, vector); err != nil {
+		_ = finish() // the bad vector is the error to report
+		return badUsage(stderr, "replay: %v", err)
+	}
 	if *cycleTrace {
 		cfg.Trace = os.Stdout
 	}
-	// A fully pinned vector collapses to one path; 16 bounds partial vectors.
 	rep := harness.ExploreWith(cosim.RunFunc(cfg), harness.ExploreOptions{
 		Common: common,
-		Opts:   core.Options{StopOnFirstFinding: true, MaxPaths: 16},
+		Opts:   cosim.ReplayOptions,
 	})
 	var m *rvfi.Mismatch
 	if len(rep.Findings) > 0 {
@@ -1151,17 +1148,17 @@ func cmdLintDUT(args []string, stderr io.Writer) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	// The lint explores sequentially with neither fork-point checkpointing
-	// nor a witness store (harness.LintDUTOptions), so these shared flags
-	// would be silently ignored.
+	// The lint explores sequentially without a witness store
+	// (harness.LintDUTOptions), so these shared flags would be silently
+	// ignored.
 	var unsupported string
 	fs.Visit(func(f *flag.Flag) {
-		if unsupported == "" && (f.Name == "fork" || f.Name == "store" || f.Name == "workers" && *shared.workers > 1) {
+		if unsupported == "" && (f.Name == "store" || f.Name == "workers" && *shared.workers > 1) {
 			unsupported = f.Name
 		}
 	})
 	if unsupported != "" {
-		return badUsage(stderr, "lint-dut does not support -%s (the lint explores sequentially, without fork checkpoints or a store)", unsupported)
+		return badUsage(stderr, "lint-dut does not support -%s (the lint explores sequentially, without a store)", unsupported)
 	}
 
 	common, finish, err := shared.build("lint-dut", stderr,

@@ -2,11 +2,20 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"symriscv/internal/core"
+	"symriscv/internal/cosim"
+	"symriscv/internal/faults"
+	"symriscv/internal/iss"
+	"symriscv/internal/microrv32"
 	"symriscv/internal/qstore"
 	"symriscv/internal/querycache"
 )
@@ -15,7 +24,8 @@ import (
 // subcommand: exit code 2 with an explanation on stderr, whether the problem
 // is an unknown command, an unknown flag, a malformed flag value, or a
 // missing operand. Every case here must fail during validation — none may
-// reach an actual exploration.
+// reach an actual campaign (the replay vector rows run only the pinned
+// replay that checks the vector).
 func TestRunUsageErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -29,6 +39,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{"table2 bad flag", []string{"table2", "-definitely-not-a-flag"}, "flag provided but not defined"},
 		{"hunt bad flag", []string{"hunt", "-definitely-not-a-flag"}, "flag provided but not defined"},
 		{"longrun bad flag", []string{"longrun", "-definitely-not-a-flag"}, "flag provided but not defined"},
+		{"longrun -fork off", []string{"longrun", "-fork", "off"}, "flag provided but not defined: -fork"},
 		{"ablation bad flag", []string{"ablation", "-definitely-not-a-flag"}, "flag provided but not defined"},
 		{"bench bad flag", []string{"bench", "-definitely-not-a-flag"}, "flag provided but not defined"},
 		{"baseline bad flag", []string{"baseline", "-definitely-not-a-flag"}, "flag provided but not defined"},
@@ -61,6 +72,10 @@ func TestRunUsageErrors(t *testing.T) {
 		{"replay no vector", []string{"replay"}, "no test-vector assignments"},
 		{"replay malformed pair", []string{"replay", "justaname"}, "want name=hexvalue"},
 		{"replay bad hex", []string{"replay", "x1=zz"}, "bad value"},
+		{"replay unknown input", []string{"replay", "-fault", "E6", "-workers", "1", "bogus_name=5"},
+			"bogus_name=5: bogus_name matches no symbolic input"},
+		{"replay value wider than input", []string{"replay", "-fault", "E6", "-workers", "1", "imem_00000000=1ffffffff3"},
+			"imem_00000000=1ffffffff3: value is wider than the 32-bit input imem_00000000"},
 		{"trace missing operand", []string{"trace"}, "usage: symv trace"},
 
 		{"cache no op", []string{"cache"}, "usage: symv cache"},
@@ -68,7 +83,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{"cache missing store", []string{"cache", "stats"}, "-store DIR is required"},
 
 		{"lint-table unknown core", []string{"lint-table", "-core", "bogus"}, "bad -core"},
-		{"lint-dut -fork", []string{"lint-dut", "-fork", "off"}, "lint-dut does not support -fork"},
+		{"lint-dut -fork", []string{"lint-dut", "-fork", "off"}, "flag provided but not defined: -fork"},
 		{"lint-dut -store", []string{"lint-dut", "-store", filepath.Join(os.TempDir(), "symv-lint-dut-store")}, "lint-dut does not support -store"},
 		{"lint-dut -workers", []string{"lint-dut", "-workers", "2"}, "lint-dut does not support -workers"},
 	}
@@ -95,6 +110,48 @@ func TestHelpExitsZero(t *testing.T) {
 		if !strings.Contains(buf.String(), "commands:") {
 			t.Fatalf("run(%q) printed no usage:\n%s", arg, buf.String())
 		}
+	}
+}
+
+// TestReplayReproducesHuntWitness is the CLI half of the ktest-replay round
+// trip: the witness of a real finding, passed to symv replay as name=hexvalue
+// pairs, passes the vector check and reproduces the mismatch (exit 0).
+func TestReplayReproducesHuntWitness(t *testing.T) {
+	coreCfg := microrv32.FixedConfig()
+	coreCfg.Faults = faults.Only(faults.E6)
+	cfg := cosim.Config{ISS: iss.FixedConfig(), Core: coreCfg, InstrLimit: 1}
+	rep := core.NewExplorer(cosim.RunFunc(cfg)).Explore(core.Options{StopOnFirstFinding: true, MaxTime: 60 * time.Second})
+	if len(rep.Findings) != 1 {
+		t.Fatalf("hunt for E6 found %d findings, want 1", len(rep.Findings))
+	}
+	args := []string{"replay", "-fault", "E6", "-workers", "1", "-json"}
+	for name, val := range rep.Findings[0].Inputs {
+		args = append(args, fmt.Sprintf("%s=%x", name, val))
+	}
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	var stderr bytes.Buffer
+	code := run(args, &stderr)
+	os.Stdout = stdout
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != 0 {
+		t.Fatalf("replay = exit %d; stderr:\n%s", code, stderr.String())
+	}
+	var doc struct{ Reproduced bool }
+	if err := json.Unmarshal(out, &doc); err != nil {
+		t.Fatalf("replay -json output %q: %v", out, err)
+	}
+	if !doc.Reproduced {
+		t.Fatalf("witness %v did not reproduce the finding %v", rep.Findings[0].Inputs, rep.Findings[0].Err)
 	}
 }
 

@@ -545,3 +545,24 @@ func TestSolverBudgetAbortsPathAsPartial(t *testing.T) {
 		t.Fatalf("expected partial paths under a starved budget: %v", rep.Stats)
 	}
 }
+
+// TestAddPCDeduplicates pins the assumption-dedup satellite: assuming the
+// same term twice adds one path constraint and one cache observation, leaving
+// the conjunction unchanged.
+func TestAddPCDeduplicates(t *testing.T) {
+	x := NewExplorer(nil)
+	var st Stats
+	eng := newEngine(x.ctx, x.sol, nil, &st, nil)
+	ctx := eng.Context()
+	v := eng.MakeSymbolic("v", 8)
+	c := ctx.Eq(v, ctx.BV(8, 3))
+	eng.Assume(c)
+	eng.Assume(c)
+	if got := len(eng.pcs); got != 1 {
+		t.Fatalf("pcs length = %d after duplicate Assume, want 1", got)
+	}
+	eng.Assume(ctx.Ne(v, ctx.BV(8, 9)))
+	if got := len(eng.pcs); got != 2 {
+		t.Fatalf("pcs length = %d, want 2", got)
+	}
+}

@@ -91,11 +91,6 @@ type event struct {
 	// every branch condition it satisfies during that path resolves without
 	// a solver query. Maps are immutable once recorded.
 	sibModel querycache.Model
-	// fork, when non-nil, lets the sibling resume from the latest program
-	// checkpoint instead of replaying from the start (see snapshot.go). It
-	// is an in-memory acceleration only: the portable Step form drops it and
-	// falls back to replay.
-	fork *forkPoint
 }
 
 // Engine is the per-path symbolic execution interface handed to the program
@@ -129,17 +124,6 @@ type Engine struct {
 	// It is exposed to the program under exploration via Obs so the
 	// co-simulation can open rtl-step/iss-step/voter-compare spans.
 	h *obs.Handle
-
-	// forks enables fork-point checkpointing: Checkpoint captures state and
-	// fresh branch events carry fork points (Options.NoFork disables it).
-	forks bool
-	// cp is the latest quiescent-point checkpoint taken on this run.
-	cp *checkpoint
-	// snaps counts checkpoints captured on this run (Stats.ForkSnapshots).
-	snaps uint64
-	// replayQ counts the solver queries a full replay of this run's events
-	// so far would issue (see checkpoint.replayQ).
-	replayQ uint64
 
 	stats *Stats
 }
@@ -205,7 +189,6 @@ func (e *Engine) Assume(cond *smt.Term) {
 		}
 		return
 	}
-	e.replayQ++ // assumptions re-check feasibility on every replay
 	switch e.checkFeasible(cond) {
 	case solver.Sat:
 		// Assumptions replayed from the prefix were part of the scheduling
@@ -283,9 +266,6 @@ func (e *Engine) Branch(cond *smt.Term) bool {
 				ev.sibModel = sib
 			}
 		}
-		if e.forks && !ev.noSibling {
-			ev.fork = e.forkFor(ev)
-		}
 		e.fresh = append(e.fresh, ev)
 		e.n++
 		e.addPC(cond, false)
@@ -352,15 +332,11 @@ func (e *Engine) FindWitness(cond *smt.Term) (smt.MapEnv, bool) {
 			return nil, false
 		}
 		// Trivially true: any model of the path constraints witnesses it.
-		e.replayQ++
 		if e.checkModel(nil) != solver.Sat {
 			return nil, false
 		}
 		return e.sol.ModelFor(e.symbolic), true
 	}
-	// Witness queries re-execute on every replay (the voter runs on replayed
-	// cycles too), so they count toward the replay query budget.
-	e.replayQ++
 	if e.qc != nil {
 		e.stats.SolverQueries++
 		res, env := e.qc.CheckWitness(e.pcs, cond)

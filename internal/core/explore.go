@@ -109,11 +109,6 @@ type Options struct {
 	// NoTermRewrites disables the extended term rewrite rules, leaving only
 	// the basic constant folds. Ablation mode (symv -rewrite=off).
 	NoTermRewrites bool
-	// NoFork disables fork-point state checkpointing: every scheduled path
-	// replays from the start instead of resuming from its divergence-point
-	// snapshot. Ablation mode (symv -fork=off); reports are byte-identical
-	// either way (fork-resume ≡ replay, see snapshot.go).
-	NoFork bool
 	// Obs, when non-nil, receives spans and counters for this exploration.
 	// Observability is side-channel only: it never influences exploration
 	// decisions, so reports are byte-identical with and without it.
@@ -158,11 +153,12 @@ type Stats struct {
 	// restarts, learnt/deleted clauses), summed over
 	// all workers' solvers.
 	SAT sat.Stats
-	// ForkSnapshots counts quiescent-point state captures (fork-point
-	// checkpointing); ForkResumes counts scheduled paths that resumed from a
-	// checkpoint instead of replaying; ReplayEventsSaved counts the prefix
-	// events those resumes did not re-execute. Scheduling-dependent (worker
-	// hand-offs drop checkpoints), hence telemetry.
+	// ForkSnapshots, ForkResumes and ReplayEventsSaved are always zero:
+	// fork-point checkpointing was removed and every path replays its
+	// decision prefix from the start. They remain only because the
+	// benchmark module (perfbench/metrics.go, perfbench/gate.go) still reads
+	// them; drop them together with perfbench's fork.* metrics in a
+	// declared benchmark change.
 	ForkSnapshots     uint64
 	ForkResumes       uint64
 	ReplayEventsSaved uint64
@@ -270,21 +266,10 @@ func (x *Explorer) Explore(opts Options) *Report {
 
 		sp := h.Start(obs.PhasePath)
 		sp.SetPath(pathID)
-		run := x.run
-		var eng *Engine
-		if resumable(n, opts.NoFork, x.qc, opts.SolverConflictBudget) {
-			eng = newResumedEngine(x.ctx, x.sol, n.fork, &rep.Stats, x.qc)
-			run = n.fork.cp.resume
-			rep.Stats.ForkResumes++
-			rep.Stats.ReplayEventsSaved += uint64(n.depth - len(n.fork.tail))
-		} else {
-			eng = newEngine(x.ctx, x.sol, wk.materialize(n), &rep.Stats, x.qc)
-		}
-		eng.forks = !opts.NoFork
+		eng := newEngine(x.ctx, x.sol, wk.materialize(n), &rep.Stats, x.qc)
 		eng.noOpt = opts.NoBranchOptimizations
 		eng.h = h
-		err, abort := runOne(run, eng)
-		rep.Stats.ForkSnapshots += eng.snaps
+		err, abort := runOne(x.run, eng)
 
 		rep.Stats.Instructions += eng.instrRetired
 		rep.Stats.Cycles += eng.cycles

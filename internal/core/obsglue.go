@@ -41,10 +41,6 @@ const (
 
 	CtrRewriteHits = "rewrite.hits"
 
-	CtrForkSnapshots     = "fork.snapshots"
-	CtrForkResumes       = "fork.resumes"
-	CtrReplayEventsSaved = "replay.events-saved"
-
 	GaugeTerms   = "smt.terms"
 	GaugeSATVars = "sat.vars"
 )
@@ -55,19 +51,6 @@ const (
 func publishObs(h *obs.Handle, st Stats, ss solver.Stats) {
 	PublishExploreObs(h, st)
 	publishBackendObs(h, ss, st.Cache, st.RewriteHits, st.TermCount, st.SATVars)
-	publishForkObs(h, st.ForkSnapshots, st.ForkResumes, st.ReplayEventsSaved)
-}
-
-// publishForkObs absorbs the fork-point checkpointing telemetry, published
-// once per worker (the sequential explorer's merged stats, or each shard's
-// own counters via Shard.PublishObsCounters).
-func publishForkObs(h *obs.Handle, snapshots, resumes, eventsSaved uint64) {
-	if h == nil {
-		return
-	}
-	h.Add(CtrForkSnapshots, snapshots)
-	h.Add(CtrForkResumes, resumes)
-	h.Add(CtrReplayEventsSaved, eventsSaved)
 }
 
 // PublishExploreObs absorbs the deterministic Stats fields of a finished

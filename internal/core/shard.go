@@ -54,9 +54,6 @@ type ShardOptions struct {
 	GenerateTests         bool
 	NoQueryCache          bool
 	NoTermRewrites        bool
-	// NoFork disables fork-point checkpointing (Options.NoFork). Hand-offs
-	// drop checkpoints regardless — exported prefixes always replay.
-	NoFork bool
 	// Obs, when non-nil, attaches this shard to the observability layer;
 	// ObsWorker is the worker index its spans and counters report under.
 	Obs       *obs.Recorder
@@ -78,13 +75,6 @@ type Shard struct {
 	opts ShardOptions
 	qc   *querycache.Local
 	h    *obs.Handle
-
-	// Fork-point checkpointing telemetry (summed into the merged report's
-	// Stats by the orchestrator, like SolverStats — per-path attribution
-	// would make the canonical-cut totals scheduling-dependent).
-	forkSnapshots     uint64
-	forkResumes       uint64
-	replayEventsSaved uint64
 }
 
 // NewShard returns a shard with a fresh context and solver.
@@ -133,7 +123,6 @@ func (s *Shard) PublishObsCounters() {
 	}
 	terms, satVars := s.Sizes()
 	publishBackendObs(s.h, s.SolverStats(), s.CacheStats(), s.RewriteHits(), terms, satVars)
-	publishForkObs(s.h, s.forkSnapshots, s.forkResumes, s.replayEventsSaved)
 	s.h.Flush()
 }
 
@@ -166,13 +155,6 @@ func (s *Shard) SolverStats() solver.Stats { return s.sol.Stats() }
 
 // RewriteHits returns the shard context's extended-rewrite application count.
 func (s *Shard) RewriteHits() uint64 { return s.ctx.RewriteHits() }
-
-// ForkStats returns the shard's fork-point checkpointing telemetry:
-// snapshots captured, paths resumed from checkpoints, and prefix events
-// those resumes skipped re-executing.
-func (s *Shard) ForkStats() (snapshots, resumes, eventsSaved uint64) {
-	return s.forkSnapshots, s.forkResumes, s.replayEventsSaved
-}
 
 // SeedRoot schedules the empty prefix — the whole path tree.
 func (s *Shard) SeedRoot() { s.w.addRoot() }
@@ -211,21 +193,10 @@ func (s *Shard) Step(order SearchStrategy) (PathRecord, bool) {
 
 	sp := s.h.Start(obs.PhasePath)
 	var st Stats
-	run := s.run
-	var eng *Engine
-	if resumable(n, s.opts.NoFork, s.qc, s.opts.SolverConflictBudget) {
-		eng = newResumedEngine(s.ctx, s.sol, n.fork, &st, s.qc)
-		run = n.fork.cp.resume
-		s.forkResumes++
-		s.replayEventsSaved += uint64(n.depth - len(n.fork.tail))
-	} else {
-		eng = newEngine(s.ctx, s.sol, s.w.materialize(n), &st, s.qc)
-	}
-	eng.forks = !s.opts.NoFork
+	eng := newEngine(s.ctx, s.sol, s.w.materialize(n), &st, s.qc)
 	eng.noOpt = s.opts.NoBranchOptimizations
 	eng.h = s.h
-	err, abort := runOne(run, eng)
-	s.forkSnapshots += eng.snaps
+	err, abort := runOne(s.run, eng)
 
 	rec := PathRecord{
 		Sig:          s.w.pathSig(n, eng.fresh),

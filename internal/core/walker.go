@@ -62,10 +62,6 @@ type node struct {
 	flip   bool    // events[take-1] replays with its direction inverted
 	depth  int     // total prefix length (parent.depth + take)
 	sig    Sig     // canonical signature of the prefix ("" unless tracking)
-	// fork, when non-nil, is the flipped decision's resumable checkpoint
-	// (snapshot.go). Local acceleration only: exported/imported prefixes
-	// carry no fork and replay from the start.
-	fork *forkPoint
 }
 
 // walker owns the frontier of scheduled paths and the scratch buffer
@@ -163,7 +159,7 @@ func (w *walker) schedule(n *node, fresh []event) {
 	}
 	for i, ev := range fresh {
 		if ev.kind == evBranch && !ev.noSibling {
-			child := &node{parent: n, events: fresh, take: i + 1, flip: true, depth: n.depth + i + 1, fork: ev.fork}
+			child := &node{parent: n, events: fresh, take: i + 1, flip: true, depth: n.depth + i + 1}
 			if w.trackSigs {
 				flipped := ev
 				flipped.dir = !ev.dir

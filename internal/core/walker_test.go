@@ -279,3 +279,98 @@ func BenchmarkExploreDeepTree(b *testing.B) {
 		}
 	}
 }
+
+// TestWalkerPopOrderAcrossStrategies drives the walker frontier directly:
+// DFS pops newest-first, BFS oldest-first, and the random strategy is
+// deterministic for a fixed seed.
+func TestWalkerPopOrderAcrossStrategies(t *testing.T) {
+	build := func() (*walker, *Explorer, []*node) {
+		x := NewExplorer(branchProgram(3, nil))
+		wk := &walker{}
+		wk.addRoot()
+		n := wk.pop(SearchDFS, &pathRNG{})
+		var st Stats
+		eng := newEngine(x.ctx, x.sol, wk.materialize(n), &st, nil)
+		if err, abort := runOne(x.run, eng); err != nil || abort != nil {
+			t.Fatalf("run failed: %v / %v", err, abort)
+		}
+		wk.schedule(n, eng.fresh)
+		nodes := append([]*node(nil), wk.frontier...)
+		return wk, x, nodes
+	}
+
+	wk, _, nodes := build()
+	if len(nodes) != 3 {
+		t.Fatalf("frontier size = %d, want 3", len(nodes))
+	}
+	// DFS: deepest (most recently scheduled) sibling first.
+	if got := wk.pop(SearchDFS, &pathRNG{}); got != nodes[len(nodes)-1] {
+		t.Fatal("DFS did not pop the deepest sibling first")
+	}
+
+	wk2, _, nodes2 := build()
+	if got := wk2.pop(SearchBFS, &pathRNG{}); got != nodes2[0] {
+		t.Fatal("BFS did not pop the shallowest sibling first")
+	}
+
+	// Random: identical seeds pop identical orders.
+	order := func(seed uint64) []int {
+		wk, _, _ := build()
+		rng := &pathRNG{state: seed}
+		var got []int
+		for wk.pending() > 0 {
+			got = append(got, wk.pop(SearchRandom, rng).depth)
+		}
+		return got
+	}
+	a, b := order(42), order(42)
+	if len(a) != len(b) {
+		t.Fatalf("random pop counts differ: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("random pop order not deterministic at %d: %v vs %v", i, a, b)
+		}
+	}
+}
+
+// TestWalkerMaterializeMatchesNaive cross-checks the parent-pointer
+// materialization against a naive reconstruction that walks the parent chain.
+func TestWalkerMaterializeMatchesNaive(t *testing.T) {
+	x := NewExplorer(branchProgram(4, nil))
+	wk := &walker{}
+	wk.addRoot()
+	var st Stats
+	for rounds := 0; wk.pending() > 0 && rounds < 6; rounds++ {
+		n := wk.pop(SearchBFS, &pathRNG{})
+		naive := naiveMaterialize(n)
+		got := wk.materialize(n)
+		if len(got) != len(naive) {
+			t.Fatalf("materialize length %d, naive %d", len(got), len(naive))
+		}
+		for i := range got {
+			if got[i].dir != naive[i].dir || got[i].kind != naive[i].kind {
+				t.Fatalf("event %d differs from naive reconstruction", i)
+			}
+		}
+		eng := newEngine(x.ctx, x.sol, got, &st, nil)
+		if err, abort := runOne(x.run, eng); err != nil || abort != nil {
+			t.Fatalf("run failed: %v / %v", err, abort)
+		}
+		wk.schedule(n, eng.fresh)
+	}
+}
+
+// naiveMaterialize reconstructs a node's decision prefix by walking parent
+// pointers — the specification the scratch-buffer materialize must match.
+func naiveMaterialize(n *node) []event {
+	if n == nil {
+		return nil
+	}
+	prefix := append([]event(nil), naiveMaterialize(n.parent)...)
+	prefix = append(prefix, n.events[:n.take]...)
+	if n.flip {
+		prefix[len(prefix)-1].dir = !prefix[len(prefix)-1].dir
+	}
+	return prefix
+}

@@ -9,6 +9,7 @@ package cosim
 import (
 	"fmt"
 	"io"
+	"sort"
 
 	"symriscv/internal/core"
 	"symriscv/internal/iss"
@@ -142,11 +143,7 @@ func Run(eng *core.Engine, cfg Config) error {
 	return newRunState(eng, cfg.WithDefaults()).loop()
 }
 
-// runState owns one co-simulation path's mutable testbench state. Bundling
-// it in a struct (instead of Run's locals) is what makes the path
-// checkpointable: a fork-point capture freezes every field and a resumed
-// sibling rebuilds an equivalent runState bound to a fresh engine (see
-// snapshot.go in this package).
+// runState owns one co-simulation path's mutable testbench state.
 type runState struct {
 	eng      *core.Engine
 	cfg      Config
@@ -163,12 +160,6 @@ type runState struct {
 	db      rtl.DBusResponse
 	retired int
 	cycles  int
-
-	// captureFn, when non-nil, is handed to Engine.Checkpoint at the top of
-	// every cycle (precomputed once: a method value allocates). Nil when the
-	// DUT cannot snapshot or a per-cycle trace is being written (a resumed
-	// trace would silently omit the pre-checkpoint cycles).
-	captureFn func() core.ResumeFunc
 }
 
 func newRunState(eng *core.Engine, cfg Config) *runState {
@@ -236,16 +227,11 @@ func newRunState(eng *core.Engine, cfg Config) *runState {
 	}
 
 	rs.checker = rvfi.NewChecker(eng)
-	if _, ok := rs.dut.(DUTSnapshotter); ok && cfg.Trace == nil {
-		rs.captureFn = rs.capture
-	}
 	return rs
 }
 
 // loop clocks the core until the retired-instruction limit, servicing buses
-// and stepping the ISS at every retirement. It is entered both by fresh runs
-// (from cycle 0) and by resumed checkpoints (mid-path), so every iteration
-// must depend only on runState fields.
+// and stepping the ISS at every retirement.
 func (rs *runState) loop() error {
 	eng, cfg := rs.eng, rs.cfg
 	h := eng.Obs()
@@ -253,11 +239,6 @@ func (rs *runState) loop() error {
 	for ; rs.retired < cfg.InstrLimit; rs.cycles++ {
 		if rs.cycles >= cfg.CycleLimit {
 			eng.AbortLimitReached(fmt.Sprintf("cycle limit %d reached", cfg.CycleLimit))
-		}
-		if rs.captureFn != nil {
-			// Quiescent point: no bus transaction or retirement is mid-flight
-			// at the top of a cycle, so the whole testbench state is capturable.
-			eng.Checkpoint(rs.captureFn)
 		}
 		cycles := rs.cycles
 		sp := h.Start(obs.PhaseRTLStep)
@@ -380,16 +361,23 @@ func pinFilter(pin smt.MapEnv) InstrFilter {
 	}
 }
 
+// ReplayOptions bound a replay exploration: a fully pinned vector collapses
+// to one path; 16 paths bound partial vectors.
+var ReplayOptions = core.Options{StopOnFirstFinding: true, MaxPaths: 16}
+
 // Replay re-executes the co-simulation with every symbolic input pinned to
 // the given test vector (a Finding's Inputs or a TestVector's Inputs). It
 // returns the checker's mismatch, or nil if the vector reproduces no
-// difference. Inputs absent from the vector default to zero via Pin
-// semantics only when they were recorded; unrecorded inputs stay free, so a
-// complete vector yields exactly one path.
+// difference. Inputs absent from the vector stay free, so a complete vector
+// yields exactly one path. A vector that cannot apply (see CheckVector) is
+// an error, never a silent "no mismatch".
 func Replay(cfg Config, vector smt.MapEnv) (*rvfi.Mismatch, error) {
 	cfg.Pin = vector
 	x := core.NewExplorer(RunFunc(cfg))
-	rep := x.Explore(core.Options{StopOnFirstFinding: true, MaxPaths: 16})
+	rep := x.Explore(ReplayOptions)
+	if err := vectorError(x.Context(), vector); err != nil {
+		return nil, err
+	}
 	if len(rep.Findings) == 0 {
 		return nil, nil
 	}
@@ -397,4 +385,43 @@ func Replay(cfg Config, vector smt.MapEnv) (*rvfi.Mismatch, error) {
 		return m, nil
 	}
 	return nil, rep.Findings[0].Err
+}
+
+// CheckVector reports the first assignment of a test vector, in name order,
+// that cannot apply to the co-simulation cfg describes: a name that matches
+// no symbolic input of the replayed paths, or a value wider than its input.
+// Pin would silently ignore the first and truncate the second, so a mistyped
+// vector would read as "no mismatch reproduced". It explores the pinned
+// co-simulation once, bounded like Replay and without a trace.
+func CheckVector(cfg Config, vector smt.MapEnv) error {
+	cfg.Pin = vector
+	cfg.Trace = nil
+	x := core.NewExplorer(RunFunc(cfg))
+	x.Explore(ReplayOptions)
+	return vectorError(x.Context(), vector)
+}
+
+// vectorError checks a pinned vector against the symbolic inputs a replay
+// created in ctx (every variable of a co-simulation context is one).
+func vectorError(ctx *smt.Context, vector smt.MapEnv) error {
+	widths := make(map[string]int, len(ctx.Vars()))
+	for _, v := range ctx.Vars() {
+		widths[v.Name()] = v.Width()
+	}
+	names := make([]string, 0, len(vector))
+	for name := range vector { //symlint:allow determinism -- names are sorted before use
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		val := vector[name]
+		w, ok := widths[name]
+		if !ok {
+			return fmt.Errorf("%s=%x: %s matches no symbolic input of the run", name, val, name)
+		}
+		if w < 64 && val>>uint(w) != 0 {
+			return fmt.Errorf("%s=%x: value is wider than the %d-bit input %s", name, val, w, name)
+		}
+	}
+	return nil
 }

@@ -416,3 +416,103 @@ func TestInterruptEntryDirected(t *testing.T) {
 		t.Fatalf("interrupt did not vector:\n%s", buf.String())
 	}
 }
+
+// deterministic is the slice of a Stats that the report contract pins
+// independent of caching and scheduling.
+type deterministic struct {
+	Paths, Completed, Partial, Infeasible    int
+	Instructions, Cycles                     uint64
+	Branches, Concretizations, SolverQueries uint64
+}
+
+func detOf(s core.Stats) deterministic {
+	return deterministic{
+		Paths: s.Paths, Completed: s.Completed, Partial: s.Partial,
+		Infeasible: s.Infeasible, Instructions: s.Instructions,
+		Cycles: s.Cycles, Branches: s.Branches,
+		Concretizations: s.Concretizations, SolverQueries: s.SolverQueries,
+	}
+}
+
+// findingClass maps a finding error to its model-independent identity: the
+// mismatch kind for voter findings, the full text otherwise.
+func findingClass(t *testing.T, err error) string {
+	t.Helper()
+	var m *rvfi.Mismatch
+	if errors.As(err, &m) {
+		return m.Kind.String()
+	}
+	return err.Error()
+}
+
+// requireSameReport compares the deterministic report surface of two runs of
+// the same scenario under different toggles: stats, findings (path index and
+// mismatch class) and test-vector path indices must be byte-equivalent.
+func requireSameReport(t *testing.T, on, off *core.Report) {
+	t.Helper()
+	if d1, d2 := detOf(on.Stats), detOf(off.Stats); d1 != d2 {
+		t.Fatalf("deterministic stats differ:\n on:  %+v\n off: %+v", d1, d2)
+	}
+	if on.Exhausted != off.Exhausted {
+		t.Fatalf("exhausted differs: on %v, off %v", on.Exhausted, off.Exhausted)
+	}
+	if len(on.Findings) != len(off.Findings) {
+		t.Fatalf("finding counts differ: on %d, off %d", len(on.Findings), len(off.Findings))
+	}
+	// Witness values are any-model and excluded from the contract: a toggle
+	// changes which queries reach the SAT core, so the model-derived mismatch
+	// detail may differ. Path index and mismatch class are deterministic.
+	for i := range on.Findings {
+		f1, f2 := on.Findings[i], off.Findings[i]
+		if f1.Path != f2.Path || findingClass(t, f1.Err) != findingClass(t, f2.Err) {
+			t.Fatalf("finding %d differs:\n on:  path=%d %v\n off: path=%d %v",
+				i, f1.Path, f1.Err, f2.Path, f2.Err)
+		}
+	}
+	if len(on.TestVectors) != len(off.TestVectors) {
+		t.Fatalf("test-vector counts differ: on %d, off %d",
+			len(on.TestVectors), len(off.TestVectors))
+	}
+	for i := range on.TestVectors {
+		if on.TestVectors[i].Path != off.TestVectors[i].Path {
+			t.Fatalf("test vector %d path differs: on %d, off %d",
+				i, on.TestVectors[i].Path, off.TestVectors[i].Path)
+		}
+	}
+}
+
+// TestInterruptCacheEquivalence pins the other toggle of the determinism
+// contract for interrupt delivery: on both cores, the deterministic report
+// surface of an interrupt-enabled run must be identical with the query cache
+// on and off.
+func TestInterruptCacheEquivalence(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  func() Config
+	}{
+		{name: "microrv32", cfg: matchedConfig},
+		{name: "pipecore", cfg: func() Config {
+			return Config{
+				ISS:     iss.FixedConfig(),
+				Filter:  BlockSystemInstructions,
+				DUTCore: CorePipecore,
+			}
+		}},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg()
+			cfg.SymbolicInterrupts = true
+			cfg.StartPC = 0x100
+			cfg.InstrLimit = 1
+			run := RunFunc(cfg)
+			leg := func(noCache bool) *core.Report {
+				return core.NewExplorer(run).Explore(core.Options{
+					MaxPaths: 60, MaxTime: 120 * time.Second, NoQueryCache: noCache,
+				})
+			}
+			requireSameReport(t, leg(false), leg(true))
+		})
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"symriscv/internal/core"
-	"symriscv/internal/cow"
 	"symriscv/internal/rtl"
 	"symriscv/internal/smt"
 )
@@ -12,35 +11,26 @@ import (
 // SharedInit is the common pool of initial symbolic data-memory bytes. The
 // RTL-side and ISS-side memories are separate (stores do not cross), but
 // they draw their initial contents from this pool so both sides start
-// identical — preventing false mismatches (§IV-C.2). The pool is a
-// copy-on-write map so fork-point checkpoints snapshot it in O(1).
+// identical — preventing false mismatches (§IV-C.2).
 type SharedInit struct {
 	eng      *core.Engine
-	bytes    *cow.Map[uint32, *smt.Term]
+	bytes    map[uint32]*smt.Term
 	pin      smt.MapEnv              // optional replay pins, keyed by variable name
 	concrete func(addr uint32) uint8 // fuzzing mode: concrete initial bytes
 }
 
 // NewSharedInit returns an empty initial-byte pool.
 func NewSharedInit(eng *core.Engine) *SharedInit {
-	return &SharedInit{eng: eng, bytes: cow.New[uint32, *smt.Term]()}
-}
-
-// snapshot freezes the byte pool; resumeSharedInit rebuilds the pool over
-// the frozen layer for a resumed sibling path.
-func (s *SharedInit) snapshot() *cow.Layer[uint32, *smt.Term] { return s.bytes.Snapshot() }
-
-func resumeSharedInit(eng *core.Engine, frozen *cow.Layer[uint32, *smt.Term], pin smt.MapEnv, concrete func(uint32) uint8) *SharedInit {
-	return &SharedInit{eng: eng, bytes: cow.Resume(frozen), pin: pin, concrete: concrete}
+	return &SharedInit{eng: eng, bytes: make(map[uint32]*smt.Term)}
 }
 
 func (s *SharedInit) byteAt(addr uint32) *smt.Term {
-	if b, ok := s.bytes.Get(addr); ok {
+	if b, ok := s.bytes[addr]; ok {
 		return b
 	}
 	if s.concrete != nil {
 		b := s.eng.Context().BV(8, uint64(s.concrete(addr)))
-		s.bytes.Set(addr, b)
+		s.bytes[addr] = b
 		return b
 	}
 	name := fmt.Sprintf("dmem_%08x", addr)
@@ -49,17 +39,16 @@ func (s *SharedInit) byteAt(addr uint32) *smt.Term {
 		ctx := s.eng.Context()
 		s.eng.Assume(ctx.Eq(b, ctx.BV(8, val)))
 	}
-	s.bytes.Set(addr, b)
+	s.bytes[addr] = b
 	return b
 }
 
 // SymbolicDMem is one side's symbolic data memory: byte-granular, lazily
-// initialised from the shared pool, with a private copy-on-write overlay
-// (snapshotted in O(1) at fork-point checkpoints).
+// initialised from the shared pool, with a private overlay of stored bytes.
 type SymbolicDMem struct {
 	ctx     *smt.Context
 	init    *SharedInit
-	overlay *cow.Map[uint32, *smt.Term]
+	overlay map[uint32]*smt.Term
 
 	// Write log for diagnostics/tests: addresses stored to, in order.
 	writes []uint32
@@ -67,29 +56,18 @@ type SymbolicDMem struct {
 
 // NewSymbolicDMem returns a memory view over the shared initial bytes.
 func NewSymbolicDMem(ctx *smt.Context, init *SharedInit) *SymbolicDMem {
-	return &SymbolicDMem{ctx: ctx, init: init, overlay: cow.New[uint32, *smt.Term]()}
-}
-
-// snapshot freezes the write overlay and caps the write log (appends by
-// resumed siblings reallocate); resumeDMem rebuilds the view over a restored
-// shared pool.
-func (m *SymbolicDMem) snapshot() (*cow.Layer[uint32, *smt.Term], []uint32) {
-	return m.overlay.Snapshot(), m.writes[:len(m.writes):len(m.writes)]
-}
-
-func resumeDMem(ctx *smt.Context, init *SharedInit, overlay *cow.Layer[uint32, *smt.Term], writes []uint32) *SymbolicDMem {
-	return &SymbolicDMem{ctx: ctx, init: init, overlay: cow.Resume(overlay), writes: writes}
+	return &SymbolicDMem{ctx: ctx, init: init, overlay: make(map[uint32]*smt.Term)}
 }
 
 func (m *SymbolicDMem) byteAt(addr uint32) *smt.Term {
-	if b, ok := m.overlay.Get(addr); ok {
+	if b, ok := m.overlay[addr]; ok {
 		return b
 	}
 	return m.init.byteAt(addr)
 }
 
 func (m *SymbolicDMem) setByte(addr uint32, b *smt.Term) {
-	m.overlay.Set(addr, b)
+	m.overlay[addr] = b
 	m.writes = append(m.writes, addr)
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"symriscv/internal/core"
-	"symriscv/internal/cow"
 	"symriscv/internal/smt"
 )
 
@@ -16,14 +15,10 @@ type InstrFilter func(eng *core.Engine, word *smt.Term)
 // SymbolicIMem is the symbolic instruction memory: read-only, shared between
 // the RTL core and the ISS. The word for a fetch address is generated
 // symbolically on first access and cached, guaranteeing both models always
-// see identical instructions (preventing false mismatches, §IV-C.1). The
-// cache is a copy-on-write map so fork-point checkpoints snapshot it in
-// O(1); a restored memory re-serves the already-generated words without
-// re-running their filter assumptions (the checkpoint's pre-credited replay
-// accounting covers them, see core/snapshot.go).
+// see identical instructions (preventing false mismatches, §IV-C.1).
 type SymbolicIMem struct {
 	eng      *core.Engine
-	words    *cow.Map[uint32, *smt.Term]
+	words    map[uint32]*smt.Term
 	filter   InstrFilter
 	concrete func(addr uint32) uint32 // fuzzing mode: concrete generation
 }
@@ -32,42 +27,34 @@ type SymbolicIMem struct {
 func NewSymbolicIMem(eng *core.Engine, filter InstrFilter) *SymbolicIMem {
 	return &SymbolicIMem{
 		eng:    eng,
-		words:  cow.New[uint32, *smt.Term](),
+		words:  make(map[uint32]*smt.Term),
 		filter: filter,
 	}
-}
-
-// snapshot freezes the word cache (O(1)); resumeIMem rebuilds a memory over
-// the frozen cache for a resumed sibling path.
-func (m *SymbolicIMem) snapshot() *cow.Layer[uint32, *smt.Term] { return m.words.Snapshot() }
-
-func resumeIMem(eng *core.Engine, frozen *cow.Layer[uint32, *smt.Term], filter InstrFilter, concrete func(uint32) uint32) *SymbolicIMem {
-	return &SymbolicIMem{eng: eng, words: cow.Resume(frozen), filter: filter, concrete: concrete}
 }
 
 // Fetch returns the (cached) instruction word at addr, generating a fresh
 // constrained symbolic word on first access.
 func (m *SymbolicIMem) Fetch(addr uint32) *smt.Term {
-	if w, ok := m.words.Get(addr); ok {
+	if w, ok := m.words[addr]; ok {
 		return w
 	}
 	if m.concrete != nil {
 		w := m.eng.Context().BV(32, uint64(m.concrete(addr)))
-		m.words.Set(addr, w)
+		m.words[addr] = w
 		return w
 	}
 	w := m.eng.MakeSymbolic(fmt.Sprintf("imem_%08x", addr), 32)
 	if m.filter != nil {
 		m.filter(m.eng, w)
 	}
-	m.words.Set(addr, w)
+	m.words[addr] = w
 	return w
 }
 
 // Preload pins a concrete instruction at addr (for directed co-simulation
 // runs and tests).
 func (m *SymbolicIMem) Preload(addr uint32, word uint32) {
-	m.words.Set(addr, m.eng.Context().BV(32, uint64(word)))
+	m.words[addr] = m.eng.Context().BV(32, uint64(word))
 }
 
 // BlockSystemInstructions is the Table II filter: it excludes the SYSTEM

@@ -75,10 +75,8 @@ func (o BenchOptions) withDefaults() BenchOptions {
 // BenchThroughput is one budgeted comprehensive-exploration measurement.
 type BenchThroughput struct {
 	Workers int
-	// InstrLimit is this row's workload depth; Fork records whether fork-point
-	// checkpointing was active for the row.
+	// InstrLimit is this row's workload depth.
 	InstrLimit     int
-	Fork           bool
 	Paths          int
 	Completed      int
 	Instructions   uint64
@@ -87,18 +85,8 @@ type BenchThroughput struct {
 	PathsPerSec    float64
 	QueriesPerSec  float64
 	// Speedup is this row's paths/sec relative to the same-limit workers=1
-	// row with the same fork setting (the parallel-scaling column).
+	// row (the parallel-scaling column).
 	Speedup float64
-	// ForkSpeedup is this row's paths/sec relative to the same-limit
-	// same-workers fork-off row (what checkpointing buys); 0 when no such
-	// row was measured.
-	ForkSpeedup float64
-
-	// Fork-point checkpointing telemetry: snapshots captured, sibling paths
-	// resumed from one, and prefix events those resumes did not replay.
-	ForkSnapshots     uint64
-	ForkResumes       uint64
-	ReplayEventsSaved uint64
 
 	// Query-elimination telemetry: how many engine queries reached the SAT
 	// core and how the rest were answered (see internal/querycache).
@@ -135,9 +123,6 @@ func (t *BenchThroughput) fillTelemetry(s core.Stats) {
 	t.SolverUnknowns = s.SolverUnknowns
 	t.StoreHits = s.Cache.StoreHits
 	t.SAT = s.SAT
-	t.ForkSnapshots = s.ForkSnapshots
-	t.ForkResumes = s.ForkResumes
-	t.ReplayEventsSaved = s.ReplayEventsSaved
 }
 
 // BenchHunt is one per-fault time-to-bug measurement.
@@ -178,12 +163,10 @@ type BenchAblation struct {
 }
 
 // BenchSolverConfig is one row of the solver-equivalence matrix: the same
-// bounded workload explored at one worker count, with or without fork-point
-// checkpointing.
+// bounded workload explored at one worker count.
 type BenchSolverConfig struct {
 	Name    string
 	Workers int
-	Fork    bool
 
 	Paths         int
 	Completed     int
@@ -194,11 +177,10 @@ type BenchSolverConfig struct {
 	SAT           sat.Stats
 }
 
-// BenchSolverAblation is the worker and fork equivalence check: the bounded
-// workload must report identical deterministic fields (paths, engine
-// queries, findings) at workers 1, 2 and 4, with fork-point checkpointing on
-// and off — each worker's solver only ever changes how fast answers arrive,
-// never which answers.
+// BenchSolverAblation is the worker equivalence check: the bounded workload
+// must report identical deterministic fields (paths, engine queries,
+// findings) at workers 1, 2 and 4 — each worker's solver only ever changes
+// how fast answers arrive, never which answers.
 type BenchSolverAblation struct {
 	MaxPaths int
 	Match    bool
@@ -243,21 +225,16 @@ func RunBench(opt BenchOptions) *BenchReport {
 		RewriteOff: opt.Rewrite.Disabled(),
 	}
 
-	// Throughput matrix: per instruction limit, a workers=1 fork-off row, a
-	// workers=1 fork-on row (ForkSpeedup = what checkpointing buys at equal
-	// parallelism) and a workers=N fork-on row (Speedup = parallel scaling on
-	// top). Limit 2 always rides along when the base limit is shallower: the
-	// replayed prefixes are longest there, so it is where checkpointing shows.
+	// Throughput matrix: per instruction limit, a workers=1 row and a
+	// workers=N row (Speedup = parallel scaling). Limit 2 always rides along
+	// when the base limit is shallower: its decision prefixes are the
+	// longest, so replay costs the most there.
 	limits := []int{opt.InstrLimit}
 	if opt.InstrLimit != 2 {
 		limits = append(limits, 2)
 	}
 	for _, limit := range limits {
-		type leg struct {
-			workers int
-			forkOff bool
-		}
-		for _, l := range []leg{{1, true}, {1, false}, {opt.Workers, false}} {
+		for _, workers := range []int{1, opt.Workers} {
 			cfg := cosim.Config{
 				ISS:             iss.VPConfig(),
 				Core:            microrv32.ShippedConfig(),
@@ -265,15 +242,11 @@ func RunBench(opt BenchOptions) *BenchReport {
 				NumSymbolicRegs: opt.NumRegs,
 			}
 			c := opt.Common
-			c.Workers = l.workers
-			if l.forkOff {
-				c.Fork = Off
-			}
+			c.Workers = workers
 			r := c.explore(cosim.RunFunc(cfg), core.Options{MaxTime: opt.Budget})
 			row := BenchThroughput{
-				Workers:        l.workers,
+				Workers:        workers,
 				InstrLimit:     limit,
-				Fork:           !(l.forkOff || c.Fork.Disabled()),
 				Paths:          r.Stats.Paths,
 				Completed:      r.Stats.Completed,
 				Instructions:   r.Stats.Instructions,
@@ -286,11 +259,8 @@ func RunBench(opt BenchOptions) *BenchReport {
 				row.QueriesPerSec = float64(row.SolverQueries) / row.ElapsedSeconds
 			}
 			row.Speedup = 1
-			if base := findThroughput(rep.Throughput, limit, 1, row.Fork); base != nil && base.PathsPerSec > 0 {
+			if base := findThroughput(rep.Throughput, limit, 1); base != nil && base.PathsPerSec > 0 {
 				row.Speedup = row.PathsPerSec / base.PathsPerSec
-			}
-			if base := findThroughput(rep.Throughput, limit, row.Workers, false); base != nil && base.PathsPerSec > 0 && row.Fork {
-				row.ForkSpeedup = row.PathsPerSec / base.PathsPerSec
 			}
 			rep.Throughput = append(rep.Throughput, row)
 		}
@@ -338,7 +308,7 @@ func RunBench(opt BenchOptions) *BenchReport {
 }
 
 // runSolverAblation explores the bounded equivalence workload at every
-// worker count of the matrix, fork on and off, and cross-checks the
+// worker count of the matrix and cross-checks the
 // deterministic report contract against the workers=1 defaults (same
 // comparison set as the cache ablation: path counts, engine query counts,
 // findings by path and class).
@@ -357,19 +327,11 @@ func runSolverAblation(opt BenchOptions) *BenchSolverAblation {
 	type variant struct {
 		name    string
 		workers int
-		noFork  bool
 	}
-	// The fork-off rows double as the in-process fork-checkpointing
-	// equivalence check: the same bounded workload must report identical
-	// deterministic fields whether siblings resume from snapshots or replay
-	// their full decision prefix, sequentially and sharded.
 	variants := []variant{
-		{"defaults w1", 1, false},
-		{"defaults w2", 2, false},
-		{"defaults w4", 4, false},
-		{"fork-off w1", 1, true},
-		{"fork-off w2", 2, true},
-		{"fork-off w4", 4, true},
+		{"defaults w1", 1},
+		{"defaults w2", 2},
+		{"defaults w4", 4},
 	}
 
 	mat := &BenchSolverAblation{MaxPaths: opt.AblationMaxPaths, Match: true}
@@ -382,15 +344,10 @@ func runSolverAblation(opt BenchOptions) *BenchSolverAblation {
 	var base *core.Report
 	var baseFindings []string
 	for _, v := range variants {
-		o := bounded
-		// A global -fork off pins every row to replay (the fork-off rows then
-		// check plain worker-count equivalence instead of resume-vs-replay).
-		o.NoFork = v.noFork || opt.Fork.Disabled()
-		r := exploreWorkers(cosim.RunFunc(cfg), o, v.workers)
+		r := exploreWorkers(cosim.RunFunc(cfg), bounded, v.workers)
 		mat.Configs = append(mat.Configs, BenchSolverConfig{
 			Name:          v.name,
 			Workers:       v.workers,
-			Fork:          !o.NoFork,
 			Paths:         r.Stats.Paths,
 			Completed:     r.Stats.Completed,
 			Infeasible:    r.Stats.Infeasible,
@@ -522,12 +479,12 @@ func findingClass(err error) string {
 	return err.Error()
 }
 
-// findThroughput returns the already-measured row for (limit, workers, fork)
-// — the speedup baselines of the throughput matrix — or nil.
-func findThroughput(rows []BenchThroughput, limit, workers int, fork bool) *BenchThroughput {
+// findThroughput returns the already-measured row for (limit, workers) —
+// the speedup baseline of the throughput matrix — or nil.
+func findThroughput(rows []BenchThroughput, limit, workers int) *BenchThroughput {
 	for i := range rows {
 		r := &rows[i]
-		if r.InstrLimit == limit && r.Workers == workers && r.Fork == fork {
+		if r.InstrLimit == limit && r.Workers == workers {
 			return r
 		}
 	}
@@ -542,35 +499,24 @@ func (r *BenchReport) Format() string {
 	if r.CacheOff || r.RewriteOff {
 		fmt.Fprintf(&b, "ablation: cache=%s rewrite=%s\n", onOff(!r.CacheOff), onOff(!r.RewriteOff))
 	}
-	fmt.Fprintf(&b, "%-6s %-5s %-5s %8s %10s %12s %10s %10s %12s %8s %8s\n",
-		"Limit", "Work", "Fork", "Paths", "Complete", "Queries", "CDCL", "Elim", "Paths/s", "Speedup", "ForkSpd")
-	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 104))
+	fmt.Fprintf(&b, "%-6s %-5s %8s %10s %12s %10s %10s %12s %8s\n",
+		"Limit", "Work", "Paths", "Complete", "Queries", "CDCL", "Elim", "Paths/s", "Speedup")
+	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 86))
 	for _, t := range r.Throughput {
-		forkSpd := "      -"
-		if t.ForkSpeedup > 0 {
-			forkSpd = fmt.Sprintf("%7.2fx", t.ForkSpeedup)
-		}
-		fmt.Fprintf(&b, "%-6d %-5d %-5s %8d %10d %12d %10d %10d %12.1f %7.2fx %s\n",
-			t.InstrLimit, t.Workers, onOff(t.Fork), t.Paths, t.Completed, t.SolverQueries,
-			t.CDCLQueries, t.Eliminated, t.PathsPerSec, t.Speedup, forkSpd)
+		fmt.Fprintf(&b, "%-6d %-5d %8d %10d %12d %10d %10d %12.1f %7.2fx\n",
+			t.InstrLimit, t.Workers, t.Paths, t.Completed, t.SolverQueries,
+			t.CDCLQueries, t.Eliminated, t.PathsPerSec, t.Speedup)
 	}
 	for _, t := range r.Throughput {
-		fmt.Fprintf(&b, "  cache l=%d w=%d fork=%s: stack=%d exact=%d subset=%d superset=%d sliced=%d(-%d) rewrites=%d unknowns=%d store=%d\n",
-			t.InstrLimit, t.Workers, onOff(t.Fork), t.StackHits, t.ExactHits, t.SubsetSat, t.SupersetUnsat,
+		fmt.Fprintf(&b, "  cache l=%d w=%d: stack=%d exact=%d subset=%d superset=%d sliced=%d(-%d) rewrites=%d unknowns=%d store=%d\n",
+			t.InstrLimit, t.Workers, t.StackHits, t.ExactHits, t.SubsetSat, t.SupersetUnsat,
 			t.SlicedQueries, t.SlicedDropped, t.RewriteHits, t.SolverUnknowns, t.StoreHits)
 	}
 	for _, t := range r.Throughput {
 		s := t.SAT
-		fmt.Fprintf(&b, "  sat   l=%d w=%d fork=%s: props=%d conflicts=%d decisions=%d restarts=%d learnt=%d(-%d)\n",
-			t.InstrLimit, t.Workers, onOff(t.Fork), s.Propagations, s.Conflicts, s.Decisions, s.Restarts,
+		fmt.Fprintf(&b, "  sat   l=%d w=%d: props=%d conflicts=%d decisions=%d restarts=%d learnt=%d(-%d)\n",
+			t.InstrLimit, t.Workers, s.Propagations, s.Conflicts, s.Decisions, s.Restarts,
 			s.Learnt, s.Removed)
-	}
-	for _, t := range r.Throughput {
-		if t.ForkSnapshots == 0 && t.ForkResumes == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "  fork  l=%d w=%d: snapshots=%d resumes=%d replay-events-saved=%d\n",
-			t.InstrLimit, t.Workers, t.ForkSnapshots, t.ForkResumes, t.ReplayEventsSaved)
 	}
 	if len(r.Hunts) > 0 {
 		b.WriteString("\nTime-to-bug (matched baseline + injected fault, stop on first finding)\n")
@@ -607,9 +553,8 @@ func (r *BenchReport) Format() string {
 		}
 		fmt.Fprintf(&b, "\nSolver equivalence matrix (MaxPaths=%d): %s\n", m.MaxPaths, verdict)
 		for _, c := range m.Configs {
-			fmt.Fprintf(&b, "  %-12s w=%d fork=%s: paths=%d completed=%d findings=%d queries=%d cdcl=%d conflicts=%d\n",
-				c.Name, c.Workers, onOff(c.Fork),
-				c.Paths, c.Completed, c.Findings, c.SolverQueries, c.CDCLQueries, c.SAT.Conflicts)
+			fmt.Fprintf(&b, "  %-12s w=%d: paths=%d completed=%d findings=%d queries=%d cdcl=%d conflicts=%d\n",
+				c.Name, c.Workers, c.Paths, c.Completed, c.Findings, c.SolverQueries, c.CDCLQueries, c.SAT.Conflicts)
 		}
 	}
 	if r.Store != nil {

@@ -54,11 +54,6 @@ type Common struct {
 	// slicing, feasibility caching); Rewrite the extended term rewrites.
 	Cache   Toggle
 	Rewrite Toggle
-	// Fork toggles fork-point state checkpointing (internal/core/snapshot.go):
-	// sibling paths resume from a copy-on-write snapshot instead of replaying
-	// the whole decision prefix from cycle 0. Reports are identical on and
-	// off by construction; off measures what checkpointing buys.
-	Fork Toggle
 	// Obs, when non-nil, attaches every exploration to the observability
 	// layer (spans, counters, JSONL traces). Strictly a side channel:
 	// reports are byte-identical with and without it.
@@ -87,7 +82,6 @@ type Common struct {
 // explicit option turned off).
 func (c Common) apply(o core.Options) core.Options {
 	o.NoQueryCache = o.NoQueryCache || c.Cache.Disabled()
-	o.NoFork = o.NoFork || c.Fork.Disabled()
 	o.NoTermRewrites = o.NoTermRewrites || c.Rewrite.Disabled()
 	if o.Obs == nil {
 		o.Obs = c.Obs

@@ -339,10 +339,6 @@ func (c *coord) merge(shards []*core.Shard) *core.Report {
 		rep.Stats.SAT.Add(ss.SAT)
 		rep.Stats.RewriteHits += sh.RewriteHits()
 		rep.Stats.Cache.Add(sh.CacheStats())
-		snaps, resumes, saved := sh.ForkStats()
-		rep.Stats.ForkSnapshots += snaps
-		rep.Stats.ForkResumes += resumes
-		rep.Stats.ReplayEventsSaved += saved
 	}
 
 	// Exhausted mirrors the sequential explorer: false whenever a budget,
@@ -390,7 +386,6 @@ func Explore(run core.RunFunc, opts core.Options, workers int) *core.Report {
 		GenerateTests:         opts.GenerateTests,
 		NoQueryCache:          opts.NoQueryCache,
 		NoTermRewrites:        opts.NoTermRewrites,
-		NoFork:                opts.NoFork,
 		Obs:                   opts.Obs,
 	}
 	// One read-mostly cache store spans all workers; each shard buffers its

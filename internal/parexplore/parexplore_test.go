@@ -557,3 +557,75 @@ func TestObsEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestLimit2CosimWorkerEquivalence pins the sharded orchestrator against the
+// sequential explorer on a limit-2 co-simulation, where decision prefixes
+// span two instructions and hand-offs replay them in a fresh context: every
+// worker count reports the deterministic statistics and finding set of the
+// sequential reference. The other worker-equivalence tests run at limit 1.
+func TestLimit2CosimWorkerEquivalence(t *testing.T) {
+	cfg := cosim.Config{
+		ISS:        iss.FixedConfig(),
+		Core:       microrv32.FixedConfig(),
+		Filter:     cosim.BlockSystemInstructions,
+		InstrLimit: 2,
+	}
+	opts := core.Options{
+		Search:   core.SearchDFS,
+		MaxPaths: 60,
+		MaxTime:  120 * time.Second,
+	}
+	ref := core.NewExplorer(cosim.RunFunc(cfg)).Explore(opts)
+	if ref.Stats.Paths == 0 {
+		t.Fatal("reference exploration ran no paths")
+	}
+	wantFindings := findingSet(t, ref)
+	for _, workers := range []int{1, 2, 4} {
+		rep := parexplore.Explore(cosim.RunFunc(cfg), opts, workers)
+		if !sameStats(ref.Stats, rep.Stats) {
+			t.Errorf("workers=%d: stats diverge\nref: %+v\ngot: %+v", workers, ref.Stats, rep.Stats)
+		}
+		got := findingSet(t, rep)
+		if len(got) != len(wantFindings) {
+			t.Errorf("workers=%d: findings %v, want %v", workers, got, wantFindings)
+		}
+		for k := range wantFindings {
+			if got[k] != wantFindings[k] {
+				t.Errorf("workers=%d: finding %q count %d, want %d", workers, k, got[k], wantFindings[k])
+			}
+		}
+	}
+}
+
+// TestHandoffStressMatchesSequential keeps hand-off batches tiny: on a
+// 64-path tree the seed phase already splits the frontier into subtrees of
+// at most two paths, so prefixes cross workers constantly and every worker
+// rebuilds its share of each subtree by replay in its own context. Stats and
+// findings must still equal the sequential exploration's, on every
+// repetition. CI runs this under -race.
+func TestHandoffStressMatchesSequential(t *testing.T) {
+	run := findingTree(6)
+	seq := core.NewExplorer(run).Explore(core.Options{Search: core.SearchDFS})
+	if seq.Stats.Paths != 1<<6 {
+		t.Fatalf("sequential paths = %d, want %d", seq.Stats.Paths, 1<<6)
+	}
+	want := findingSet(t, seq)
+	for _, workers := range []int{2, 4, 8} {
+		for rep := 0; rep < 3; rep++ {
+			par := parexplore.Explore(run, core.Options{Search: core.SearchDFS}, workers)
+			if !sameStats(seq.Stats, par.Stats) {
+				t.Errorf("workers=%d run %d: stats diverge\nseq: %+v\npar: %+v",
+					workers, rep, seq.Stats, par.Stats)
+			}
+			got := findingSet(t, par)
+			for k, n := range want {
+				if got[k] != n {
+					t.Errorf("workers=%d run %d: finding %q count %d, want %d", workers, rep, k, got[k], n)
+				}
+			}
+			if len(got) != len(want) {
+				t.Errorf("workers=%d run %d: findings %v, want %v", workers, rep, got, want)
+			}
+		}
+	}
+}
