@@ -28,18 +28,16 @@
 //	               -workers 1 by construction (see internal/parexplore)
 //	-cache on|off  query-elimination layer (stack models, independence
 //	               slicing, feasibility caching)
-//	-rewrite on|off extended term rewrites ahead of bit-blasting
 //	-store DIR     persistent witness store (inspect with symv cache)
 //	-json          emit machine-readable JSON instead of the table
 //	-trace FILE    write a JSONL span/counter trace (inspect with symv trace)
 //	-metrics       print the aggregated per-phase table to stderr afterwards
 //
 // Every path replays its decision prefix from the start (replay-based
-// forking, see internal/core). -cache=off and -rewrite=off are ablation
-// switches — reports are identical on and off by construction, only the
-// solver work changes (see internal/querycache). -store, -trace and
-// -metrics are side channels: they never change a report either (see
-// internal/qstore, internal/obs).
+// forking, see internal/core). -cache=off is an ablation switch — reports
+// are identical on and off by construction, only the solver work changes
+// (see internal/querycache). -store, -trace and -metrics are side channels:
+// they never change a report either (see internal/qstore, internal/obs).
 package main
 
 import (
@@ -172,18 +170,17 @@ commands:
   lint-dut    static semantic lint of a core's symbolic transition relation
 
 shared flags (every exploration command):
-  -core microrv32|pipecore  -workers N  -cache on|off  -rewrite on|off
+  -core microrv32|pipecore  -workers N  -cache on|off
   -store DIR  -json  -trace FILE  -metrics`)
 }
 
 // sharedFlags is the flag group every exploration subcommand registers: the
-// worker count, the two ablation toggles, machine-readable output, and the
+// worker count, the cache ablation toggle, machine-readable output, and the
 // observability sinks. It maps one-to-one onto harness.Common.
 type sharedFlags struct {
 	workers *int
 	core    *string
 	cache   *string
-	rewrite *string
 	store   *string
 	jsonOut *bool
 	trace   *string
@@ -201,8 +198,7 @@ func sharedGroup(fs *flag.FlagSet) *sharedFlags {
 			"parallel exploration workers per exploration (1 = sequential; results are worker-count independent)"),
 		core: fs.String("core", "",
 			"device under test: microrv32 | pipecore (default microrv32; the lint commands also accept both)"),
-		cache:   fs.String("cache", "on", "query-elimination layer (stack models, slicing, feasibility cache): on | off"),
-		rewrite: fs.String("rewrite", "on", "extended term rewrites ahead of bit-blasting: on | off"),
+		cache: fs.String("cache", "on", "query-elimination layer (stack models, slicing, feasibility cache): on | off"),
 		store: fs.String("store", "",
 			"persistent witness store directory: load compatible cache entries at startup, persist new ones at exploration boundaries (inspect with symv cache)"),
 		jsonOut: fs.Bool("json", false, "emit machine-readable JSON instead of the table"),
@@ -226,9 +222,6 @@ func (g *sharedFlags) build(cmd string, stderr io.Writer, keyParts ...string) (h
 	var ok bool
 	if c.Cache, ok = harness.ParseToggle(*g.cache); !ok {
 		return c, nil, badUsage(stderr, "bad -cache=%q (want on or off)", *g.cache)
-	}
-	if c.Rewrite, ok = harness.ParseToggle(*g.rewrite); !ok {
-		return c, nil, badUsage(stderr, "bad -rewrite=%q (want on or off)", *g.rewrite)
 	}
 	if g.allowBothCores && (*g.core == "" || isAllCores(*g.core)) {
 		// The command fans out over every core itself (harness.LintDUTCores);

@@ -40,6 +40,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{"hunt bad flag", []string{"hunt", "-definitely-not-a-flag"}, "flag provided but not defined"},
 		{"longrun bad flag", []string{"longrun", "-definitely-not-a-flag"}, "flag provided but not defined"},
 		{"longrun -fork off", []string{"longrun", "-fork", "off"}, "flag provided but not defined: -fork"},
+		{"longrun -rewrite off", []string{"longrun", "-rewrite", "off"}, "flag provided but not defined: -rewrite"},
 		{"ablation bad flag", []string{"ablation", "-definitely-not-a-flag"}, "flag provided but not defined"},
 		{"bench bad flag", []string{"bench", "-definitely-not-a-flag"}, "flag provided but not defined"},
 		{"baseline bad flag", []string{"baseline", "-definitely-not-a-flag"}, "flag provided but not defined"},
@@ -50,7 +51,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{"lint-dut bad flag", []string{"lint-dut", "-definitely-not-a-flag"}, "flag provided but not defined"},
 
 		{"bad -cache toggle", []string{"hunt", "-cache", "maybe"}, "bad -cache"},
-		{"bad -rewrite toggle", []string{"hunt", "-rewrite", "maybe"}, "bad -rewrite"},
+		{"bad -rewrite toggle", []string{"hunt", "-rewrite", "maybe"}, "flag provided but not defined: -rewrite"},
 		{"bad -inprocess toggle", []string{"hunt", "-inprocess", "maybe"}, "flag provided but not defined: -inprocess"},
 		{"bad -portfolio toggle", []string{"hunt", "-portfolio", "maybe"}, "flag provided but not defined: -portfolio"},
 		{"bad -workers value", []string{"hunt", "-workers", "three"}, "invalid value"},
@@ -84,6 +85,7 @@ func TestRunUsageErrors(t *testing.T) {
 
 		{"lint-table unknown core", []string{"lint-table", "-core", "bogus"}, "bad -core"},
 		{"lint-dut -fork", []string{"lint-dut", "-fork", "off"}, "flag provided but not defined: -fork"},
+		{"lint-dut -rewrite off", []string{"lint-dut", "-rewrite", "off"}, "flag provided but not defined: -rewrite"},
 		{"lint-dut -store", []string{"lint-dut", "-store", filepath.Join(os.TempDir(), "symv-lint-dut-store")}, "lint-dut does not support -store"},
 		{"lint-dut -workers", []string{"lint-dut", "-workers", "2"}, "lint-dut does not support -workers"},
 	}

@@ -106,9 +106,6 @@ type Options struct {
 	// Ignored when NoQueryCache is set. Like every cache layer it is
 	// answer-preserving: reports are byte-identical with and without it.
 	SharedCache *querycache.Shared
-	// NoTermRewrites disables the extended term rewrite rules, leaving only
-	// the basic constant folds. Ablation mode (symv -rewrite=off).
-	NoTermRewrites bool
 	// Obs, when non-nil, receives spans and counters for this exploration.
 	// Observability is side-channel only: it never influences exploration
 	// decisions, so reports are byte-identical with and without it.
@@ -145,7 +142,11 @@ type Stats struct {
 	CDCLQueries uint64
 	// SolverUnknowns counts conflict-budget-exhausted answers.
 	SolverUnknowns uint64
-	// RewriteHits counts extended term-rewrite applications.
+	// RewriteHits is always zero: the extended term rewriter was removed,
+	// and only the basic constructor folds in smt/build.go are left. The
+	// field stays because the benchmark module (perfbench/metrics.go,
+	// perfbench/gate.go) still reads it; drop it together with perfbench's
+	// smt.rewrite_hits metric in a declared benchmark change.
 	RewriteHits uint64
 	// Cache breaks eliminated queries down by hit kind.
 	Cache querycache.Stats
@@ -218,7 +219,6 @@ func (x *Explorer) Context() *smt.Context { return x.ctx }
 func (x *Explorer) Explore(opts Options) *Report {
 	start := wallNow()
 	x.sol.SetConflictBudget(opts.SolverConflictBudget)
-	x.ctx.SetExtendedRewrites(!opts.NoTermRewrites)
 	if opts.NoQueryCache {
 		x.qc = nil
 	} else if x.qc == nil {
@@ -343,7 +343,6 @@ func (x *Explorer) fillSizes(rep *Report) {
 	rep.Stats.CDCLQueries = ss.Checks
 	rep.Stats.SolverUnknowns = ss.UnknownAns
 	rep.Stats.SAT = ss.SAT
-	rep.Stats.RewriteHits = x.ctx.RewriteHits()
 	if x.qc != nil {
 		rep.Stats.Cache = x.qc.Stats()
 	}

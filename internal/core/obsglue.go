@@ -8,9 +8,8 @@ import (
 
 // Registry names for the absorbed exploration counters. The explore.*
 // family mirrors the deterministic Stats fields, solver.* the SAT facade,
-// cache.* the query-elimination hit kinds, rewrite.* the term rewriter.
-// smt.terms and sat.vars are gauges (per-context sizes, merged by max
-// across workers).
+// cache.* the query-elimination hit kinds. smt.terms and sat.vars are
+// gauges (per-context sizes, merged by max across workers).
 const (
 	CtrPaths           = "explore.paths"
 	CtrCompleted       = "explore.completed"
@@ -30,7 +29,6 @@ const (
 	CtrCacheQueries       = "cache.queries"
 	CtrCacheStackHits     = "cache.stack_hits"
 	CtrCacheExactHits     = "cache.exact_hits"
-	CtrCacheSubsetSat     = "cache.subset_sat"
 	CtrCacheSupersetUnsat = "cache.superset_unsat"
 	CtrCacheCDCL          = "cache.cdcl"
 	CtrCacheModelQueries  = "cache.model_queries"
@@ -38,8 +36,6 @@ const (
 	CtrCacheSlicedDropped = "cache.sliced_dropped"
 	CtrCacheEliminated    = "cache.eliminated"
 	CtrCacheStoreHits     = "cache.store_hits"
-
-	CtrRewriteHits = "rewrite.hits"
 
 	GaugeTerms   = "smt.terms"
 	GaugeSATVars = "sat.vars"
@@ -50,7 +46,7 @@ const (
 // handle's registry shard. The caller flushes. Nil-safe via the handle.
 func publishObs(h *obs.Handle, st Stats, ss solver.Stats) {
 	PublishExploreObs(h, st)
-	publishBackendObs(h, ss, st.Cache, st.RewriteHits, st.TermCount, st.SATVars)
+	publishBackendObs(h, ss, st.Cache, st.TermCount, st.SATVars)
 }
 
 // PublishExploreObs absorbs the deterministic Stats fields of a finished
@@ -73,11 +69,11 @@ func PublishExploreObs(h *obs.Handle, st Stats) {
 	h.Add(CtrQueries, st.SolverQueries)
 }
 
-// publishBackendObs absorbs the solver-facade, query-cache and rewriter
-// counters plus the context-size gauges — the per-backend share of the
-// registry, published once per solver context (the sequential explorer's,
-// or each parallel shard's).
-func publishBackendObs(h *obs.Handle, ss solver.Stats, cs querycache.Stats, rewrites uint64, terms, satVars int) {
+// publishBackendObs absorbs the solver-facade and query-cache counters plus
+// the context-size gauges — the per-backend share of the registry, published
+// once per solver context (the sequential explorer's, or each parallel
+// shard's).
+func publishBackendObs(h *obs.Handle, ss solver.Stats, cs querycache.Stats, terms, satVars int) {
 	if h == nil {
 		return
 	}
@@ -89,7 +85,6 @@ func publishBackendObs(h *obs.Handle, ss solver.Stats, cs querycache.Stats, rewr
 	h.Add(CtrCacheQueries, cs.Queries)
 	h.Add(CtrCacheStackHits, cs.StackHits)
 	h.Add(CtrCacheExactHits, cs.ExactHits)
-	h.Add(CtrCacheSubsetSat, cs.SubsetSat)
 	h.Add(CtrCacheSupersetUnsat, cs.SupersetUnsat)
 	h.Add(CtrCacheCDCL, cs.CDCL)
 	h.Add(CtrCacheModelQueries, cs.ModelQueries)
@@ -97,8 +92,6 @@ func publishBackendObs(h *obs.Handle, ss solver.Stats, cs querycache.Stats, rewr
 	h.Add(CtrCacheSlicedDropped, cs.SlicedDropped)
 	h.Add(CtrCacheEliminated, cs.Eliminated())
 	h.Add(CtrCacheStoreHits, cs.StoreHits)
-
-	h.Add(CtrRewriteHits, rewrites)
 
 	h.Gauge(GaugeTerms, uint64(terms))
 	h.Gauge(GaugeSATVars, uint64(satVars))

@@ -53,7 +53,6 @@ type ShardOptions struct {
 	NoBranchOptimizations bool
 	GenerateTests         bool
 	NoQueryCache          bool
-	NoTermRewrites        bool
 	// Obs, when non-nil, attaches this shard to the observability layer;
 	// ObsWorker is the worker index its spans and counters report under.
 	Obs       *obs.Recorder
@@ -80,7 +79,6 @@ type Shard struct {
 // NewShard returns a shard with a fresh context and solver.
 func NewShard(run RunFunc, opts ShardOptions) *Shard {
 	ctx := smt.NewContext()
-	ctx.SetExtendedRewrites(!opts.NoTermRewrites)
 	sol := solver.New(ctx)
 	sol.SetConflictBudget(opts.SolverConflictBudget)
 	s := &Shard{
@@ -112,9 +110,9 @@ func (s *Shard) ObsHandle() *obs.Handle { return s.h }
 // same hand-off points.
 func (s *Shard) FlushObs() { s.h.Flush() }
 
-// PublishObsCounters absorbs the shard's solver, query-cache and rewriter
-// counters into its registry shard and flushes. Called once per shard when
-// the orchestrator merges results. The explore.* family comes from the
+// PublishObsCounters absorbs the shard's solver and query-cache counters
+// into its registry shard and flushes. Called once per shard when the
+// orchestrator merges results. The explore.* family comes from the
 // orchestrator's merged report instead: summing per-shard path deltas
 // would double-count replay work moved across hand-offs.
 func (s *Shard) PublishObsCounters() {
@@ -122,7 +120,7 @@ func (s *Shard) PublishObsCounters() {
 		return
 	}
 	terms, satVars := s.Sizes()
-	publishBackendObs(s.h, s.SolverStats(), s.CacheStats(), s.RewriteHits(), terms, satVars)
+	publishBackendObs(s.h, s.SolverStats(), s.CacheStats(), terms, satVars)
 	s.h.Flush()
 }
 
@@ -152,9 +150,6 @@ func (s *Shard) CacheStats() querycache.Stats {
 
 // SolverStats returns the shard solver's cumulative counters.
 func (s *Shard) SolverStats() solver.Stats { return s.sol.Stats() }
-
-// RewriteHits returns the shard context's extended-rewrite application count.
-func (s *Shard) RewriteHits() uint64 { return s.ctx.RewriteHits() }
 
 // SeedRoot schedules the empty prefix — the whole path tree.
 func (s *Shard) SeedRoot() { s.w.addRoot() }

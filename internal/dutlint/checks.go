@@ -197,7 +197,7 @@ func auditDAG(col *collector) int {
 }
 
 // isWiring reports whether a term kind is pure bit rearrangement — no gate
-// content. Dead wiring is canonicalisation residue: the term rewriter's
+// content. Dead wiring is canonicalisation residue: the term constructors'
 // extract/extend/concat fusions build intermediates and then supersede
 // them in the same expression, leaving interned-but-unreachable slices.
 // Reporting those would make every lane-splitting DUT noisy, so the
@@ -344,7 +344,7 @@ func (e sampleEnv) Lookup(name string, width int) (uint64, bool) {
 // checkConstCandidates samples every live non-constant term the cycle
 // function built under several deterministic environments; a term whose
 // value never moves is (with overwhelming probability) a constant the
-// rewriter failed to fold — a candidate for a new rule in smt/rewrite.go.
+// term constructors failed to fold — a fold candidate for smt/build.go.
 // This is a sampling heuristic, documented as such: it can in principle
 // flag a term that is non-constant only on an unsampled input, which is
 // what the allowlist is for.
@@ -391,7 +391,7 @@ func checkConstCandidates(rep *Report, col *collector, live map[*smt.Term]bool, 
 		}
 		rep.Findings = append(rep.Findings, Finding{
 			Class: FindConstCand, Name: termKey(col.ctx, t),
-			Detail: fmt.Sprintf("%d-bit %s term evaluates to %#x under all %d sample environments; rewrite-rule candidate: %s",
+			Detail: fmt.Sprintf("%d-bit %s term evaluates to %#x under all %d sample environments; fold candidate for smt/build.go: %s",
 				t.Width(), t.Kind(), first, samples, clip(t.String(), 120)),
 		})
 	}

@@ -143,11 +143,10 @@ func drive(dut DUT, opts Options, col *collector) *core.Report {
 
 	x := core.NewExplorer(run)
 	return x.Explore(core.Options{
-		MaxPaths:       opts.MaxPaths,
-		MaxTime:        opts.MaxTime,
-		NoQueryCache:   opts.NoQueryCache,
-		NoTermRewrites: opts.NoTermRewrites,
-		Obs:            opts.Obs,
+		MaxPaths:     opts.MaxPaths,
+		MaxTime:      opts.MaxTime,
+		NoQueryCache: opts.NoQueryCache,
+		Obs:          opts.Obs,
 	})
 }
 

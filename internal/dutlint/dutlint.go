@@ -16,8 +16,9 @@
 //   - dead logic: bit-vector terms the cycle function built that are in no
 //     cone of any architectural state, RVFI port, bus output, or path
 //     constraint;
-//   - constant-valued signals the term rewriter did not fold (sampled
-//     under multiple deterministic environments; rewrite-rule candidates);
+//   - constant-valued signals the term constructors did not fold (sampled
+//     under multiple deterministic environments; fold candidates for
+//     smt/build.go);
 //   - unconstrained/floating inputs: free variables that never reach a
 //     state update, output, or path constraint;
 //   - width/extract/ITE discipline on the DAG plus interface-contract
@@ -112,10 +113,9 @@ type Options struct {
 	MaxPaths int
 	// MaxTime bounds the exploration wall clock; 0 means unlimited.
 	MaxTime time.Duration
-	// NoQueryCache and NoTermRewrites are the usual ablation toggles,
-	// passed through to the explorer.
-	NoQueryCache   bool
-	NoTermRewrites bool
+	// NoQueryCache is the usual ablation toggle, passed through to the
+	// explorer.
+	NoQueryCache bool
 	// Obs, when non-nil, records exploration spans and counters.
 	Obs *obs.Recorder
 	// SATProbe enables the bounded decode-arm reachability mode.
@@ -136,7 +136,7 @@ const (
 	FindBusAlign      = "bus-align"     // non-word-aligned or non-constant request address
 	FindDeadLogic     = "dead-logic"    // term in no observable cone
 	FindUnconstrained = "unconstrained" // free input in no cone and no path constraint
-	FindConstCand     = "const-cand"    // unfolded constant-valued signal (rewrite candidate)
+	FindConstCand     = "const-cand"    // unfolded constant-valued signal (fold candidate for smt/build.go)
 	FindUnreachArm    = "unreach-arm"   // decode arm never selectable (SAT probe)
 	FindProbeXCheck   = "probe-xcheck"  // SAT probe and decodecheck overlap answer disagree
 	FindPartial       = "partial"       // exploration truncated; coverage analyses skipped

@@ -144,7 +144,7 @@ func TestBuildPanicRecovered(t *testing.T) {
 
 // constDUT returns a & ~a as an observable: constant zero under every
 // environment, but not folded by the builders — the const-cand analysis
-// must flag it as a rewrite candidate.
+// must flag it as a fold candidate.
 type constDUT struct{}
 
 func (constDUT) Name() string            { return "const-fixture" }

@@ -23,8 +23,7 @@ type BenchOptions struct {
 	// compared against workers=1 (defaults to GOMAXPROCS, floored at 2 so
 	// the sharded orchestrator is always exercised even on a single-core
 	// host); Budget bounds each throughput measurement (default 10s); the
-	// Cache / Rewrite toggles apply to every measurement (symv bench
-	// -cache=off -rewrite=off).
+	// Cache toggle applies to every measurement (symv bench -cache=off).
 	Common
 	// HuntTime bounds each per-fault time-to-bug measurement (default 30s).
 	HuntTime time.Duration
@@ -94,11 +93,9 @@ type BenchThroughput struct {
 	Eliminated     uint64
 	StackHits      uint64
 	ExactHits      uint64
-	SubsetSat      uint64
 	SupersetUnsat  uint64
 	SlicedQueries  uint64
 	SlicedDropped  uint64
-	RewriteHits    uint64
 	SolverUnknowns uint64
 	// StoreHits counts eliminations answered by entries that came from the
 	// persistent store (symv -store); zero without one or on a cold store.
@@ -115,11 +112,9 @@ func (t *BenchThroughput) fillTelemetry(s core.Stats) {
 	t.Eliminated = s.Cache.Eliminated()
 	t.StackHits = s.Cache.StackHits
 	t.ExactHits = s.Cache.ExactHits
-	t.SubsetSat = s.Cache.SubsetSat
 	t.SupersetUnsat = s.Cache.SupersetUnsat
 	t.SlicedQueries = s.Cache.SlicedQueries
 	t.SlicedDropped = s.Cache.SlicedDropped
-	t.RewriteHits = s.RewriteHits
 	t.SolverUnknowns = s.SolverUnknowns
 	t.StoreHits = s.Cache.StoreHits
 	t.SAT = s.SAT
@@ -195,10 +190,9 @@ type BenchReport struct {
 	BudgetSecs float64
 	InstrLimit int
 	NumRegs    int
-	// CacheOff / RewriteOff record the ablation state the measurements ran
-	// under (symv bench -cache=off -rewrite=off).
+	// CacheOff records the ablation state the measurements ran under (symv
+	// bench -cache=off).
 	CacheOff   bool `json:",omitempty"`
-	RewriteOff bool `json:",omitempty"`
 	Throughput []BenchThroughput
 	Hunts      []BenchHunt
 	Ablation   *BenchAblation       `json:",omitempty"`
@@ -222,7 +216,6 @@ func RunBench(opt BenchOptions) *BenchReport {
 		InstrLimit: opt.InstrLimit,
 		NumRegs:    opt.NumRegs,
 		CacheOff:   opt.Cache.Disabled(),
-		RewriteOff: opt.Rewrite.Disabled(),
 	}
 
 	// Throughput matrix: per instruction limit, a workers=1 row and a
@@ -496,8 +489,8 @@ func (r *BenchReport) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Exploration benchmark (GOMAXPROCS=%d, %d CPU, longrun workload: limit %d, %d symbolic regs, %.0fs/point)\n",
 		r.GOMAXPROCS, r.NumCPU, r.InstrLimit, r.NumRegs, r.BudgetSecs)
-	if r.CacheOff || r.RewriteOff {
-		fmt.Fprintf(&b, "ablation: cache=%s rewrite=%s\n", onOff(!r.CacheOff), onOff(!r.RewriteOff))
+	if r.CacheOff {
+		b.WriteString("ablation: cache=off\n")
 	}
 	fmt.Fprintf(&b, "%-6s %-5s %8s %10s %12s %10s %10s %12s %8s\n",
 		"Limit", "Work", "Paths", "Complete", "Queries", "CDCL", "Elim", "Paths/s", "Speedup")
@@ -508,9 +501,9 @@ func (r *BenchReport) Format() string {
 			t.CDCLQueries, t.Eliminated, t.PathsPerSec, t.Speedup)
 	}
 	for _, t := range r.Throughput {
-		fmt.Fprintf(&b, "  cache l=%d w=%d: stack=%d exact=%d subset=%d superset=%d sliced=%d(-%d) rewrites=%d unknowns=%d store=%d\n",
-			t.InstrLimit, t.Workers, t.StackHits, t.ExactHits, t.SubsetSat, t.SupersetUnsat,
-			t.SlicedQueries, t.SlicedDropped, t.RewriteHits, t.SolverUnknowns, t.StoreHits)
+		fmt.Fprintf(&b, "  cache l=%d w=%d: stack=%d exact=%d superset=%d sliced=%d(-%d) unknowns=%d store=%d\n",
+			t.InstrLimit, t.Workers, t.StackHits, t.ExactHits, t.SupersetUnsat,
+			t.SlicedQueries, t.SlicedDropped, t.SolverUnknowns, t.StoreHits)
 	}
 	for _, t := range r.Throughput {
 		s := t.SAT
@@ -561,11 +554,4 @@ func (r *BenchReport) Format() string {
 		fmt.Fprintf(&b, "\n%s\n", r.Store.Summary())
 	}
 	return b.String()
-}
-
-func onOff(on bool) string {
-	if on {
-		return "on"
-	}
-	return "off"
 }

@@ -40,7 +40,7 @@ func ParseToggle(v string) (Toggle, bool) {
 
 // Common is the option set shared by every harness campaign. Per-command
 // option structs embed it, so the symv flag group (-workers, -cache,
-// -rewrite, -trace, -metrics) maps onto one place regardless of command.
+// -trace, -metrics) maps onto one place regardless of command.
 type Common struct {
 	// Workers shards each exploration's path tree across this many solver
 	// contexts (see internal/parexplore); <= 1 explores sequentially.
@@ -51,9 +51,8 @@ type Common struct {
 	// core selector shared by every command (-core on the CLI).
 	Core cosim.CoreKind
 	// Cache toggles the query-elimination layer (stack models, independence
-	// slicing, feasibility caching); Rewrite the extended term rewrites.
-	Cache   Toggle
-	Rewrite Toggle
+	// slicing, feasibility caching).
+	Cache Toggle
 	// Obs, when non-nil, attaches every exploration to the observability
 	// layer (spans, counters, JSONL traces). Strictly a side channel:
 	// reports are byte-identical with and without it.
@@ -82,7 +81,6 @@ type Common struct {
 // explicit option turned off).
 func (c Common) apply(o core.Options) core.Options {
 	o.NoQueryCache = o.NoQueryCache || c.Cache.Disabled()
-	o.NoTermRewrites = o.NoTermRewrites || c.Rewrite.Disabled()
 	if o.Obs == nil {
 		o.Obs = c.Obs
 	}

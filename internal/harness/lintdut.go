@@ -30,7 +30,6 @@ func (o LintDUTOptions) dutlintOptions() dutlint.Options {
 		MaxPaths:          o.MaxPaths,
 		MaxTime:           o.Budget,
 		NoQueryCache:      o.Cache.Disabled(),
-		NoTermRewrites:    o.Rewrite.Disabled(),
 		Obs:               o.Obs,
 		SATProbe:          o.SATProbe,
 		SATConflictBudget: o.SATConflictBudget,

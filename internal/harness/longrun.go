@@ -82,10 +82,9 @@ func (r *LongRunResult) Format() string {
 	fmt.Fprintf(&b, "  findings           %d\n", len(r.Report.Findings))
 	fmt.Fprintf(&b, "  solver queries     %d\n", s.SolverQueries)
 	fmt.Fprintf(&b, "  SAT-core queries   %d\n", s.CDCLQueries)
-	fmt.Fprintf(&b, "  cache eliminated   %d (stack %d, exact %d, subset %d, superset %d)\n",
-		s.Cache.Eliminated(), s.Cache.StackHits, s.Cache.ExactHits, s.Cache.SubsetSat, s.Cache.SupersetUnsat)
+	fmt.Fprintf(&b, "  cache eliminated   %d (stack %d, exact %d, superset %d)\n",
+		s.Cache.Eliminated(), s.Cache.StackHits, s.Cache.ExactHits, s.Cache.SupersetUnsat)
 	fmt.Fprintf(&b, "  sliced queries     %d (%d constraints dropped)\n", s.Cache.SlicedQueries, s.Cache.SlicedDropped)
-	fmt.Fprintf(&b, "  rewrite hits       %d\n", s.RewriteHits)
 	fmt.Fprintf(&b, "  solver unknowns    %d\n", s.SolverUnknowns)
 	fmt.Fprintf(&b, "  exhausted          %v\n", r.Report.Exhausted)
 	return b.String()

@@ -337,7 +337,6 @@ func (c *coord) merge(shards []*core.Shard) *core.Report {
 		rep.Stats.CDCLQueries += ss.Checks
 		rep.Stats.SolverUnknowns += ss.UnknownAns
 		rep.Stats.SAT.Add(ss.SAT)
-		rep.Stats.RewriteHits += sh.RewriteHits()
 		rep.Stats.Cache.Add(sh.CacheStats())
 	}
 
@@ -385,7 +384,6 @@ func Explore(run core.RunFunc, opts core.Options, workers int) *core.Report {
 		NoBranchOptimizations: opts.NoBranchOptimizations,
 		GenerateTests:         opts.GenerateTests,
 		NoQueryCache:          opts.NoQueryCache,
-		NoTermRewrites:        opts.NoTermRewrites,
 		Obs:                   opts.Obs,
 	}
 	// One read-mostly cache store spans all workers; each shard buffers its

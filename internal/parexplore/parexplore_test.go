@@ -386,7 +386,6 @@ func TestCacheAblationEquivalence(t *testing.T) {
 	base := core.Options{Search: core.SearchDFS, GenerateTests: true}
 	offOpts := base
 	offOpts.NoQueryCache = true
-	offOpts.NoTermRewrites = true
 	ref := core.NewExplorer(run).Explore(offOpts)
 
 	check := func(name string, rep *core.Report) {

@@ -1,8 +1,8 @@
 // Package querycache is the query-elimination layer between the symbolic
 // execution engine (internal/core) and the QF_BV solver (internal/solver).
 // It answers as many path-feasibility queries as possible without touching
-// the SAT core, using the three classic KLEE techniques plus per-path model
-// stacking:
+// the SAT core, using per-path model stacking plus two classic KLEE
+// techniques, constraint independence and counterexample caching:
 //
 //  1. Stack caching: every satisfying assignment discovered on the current
 //     path is kept (and eagerly revalidated as constraints are added, via
@@ -21,18 +21,19 @@
 //  3. Counterexample caching: answers are cached under a canonical
 //     fingerprint of the sliced constraint set (sorted context-independent
 //     structural hashes, so entries are valid across solver contexts and
-//     parexplore workers), with subset/superset reasoning — a superset of a
-//     known-unsat set is unsat, and a set whose constraints all evaluate to
-//     true under a previously cached model is sat.
+//     parexplore workers). An exact fingerprint match returns the cached
+//     answer; a superset of a known-unsat set is unsat. Unsat answers are
+//     recorded as the solver's unsat core when it is smaller than the slice,
+//     so the superset rule covers every later query containing the core.
 //
 // Determinism: the layer never changes a Sat/Unsat answer — hits are either
 // witnessed by a concrete model (checked with smt.Eval, the ground truth) or
-// follow from the two sound set arguments above. Model-bearing queries
-// (concretization, witness extraction, test vectors) always pass through to
-// the solver unsliced so the values the engine reads never depend on cache
-// state. The one observable difference is under a finite solver conflict
-// budget: a cache hit can answer a query whose fresh CDCL run would have
-// been abandoned as Unknown. Unknown answers are never cached.
+// follow from the sound slicing and superset arguments above. Model-bearing
+// queries (concretization, witness extraction, test vectors) always pass
+// through to the solver unsliced so the values the engine reads never depend
+// on cache state. The one observable difference is under a finite solver
+// conflict budget: a cache hit can answer a query whose fresh CDCL run would
+// have been abandoned as Unknown. Unknown answers are never cached.
 //
 // A Local is single-goroutine (one per core.Shard); a Shared is the
 // read-mostly cross-worker store, written in batches at handoff points.
@@ -77,10 +78,15 @@ func (m Model) Lookup(name string, _ int) (uint64, bool) { return m[name], true 
 // answer) and once in ModelQueries (the pass-through that recovers the full
 // witness) — the total solver work is CDCL + ModelQueries.
 type Stats struct {
-	Queries       uint64 // feasibility queries entering the pipeline
-	StackHits     uint64 // answered sat by a stacked path model
-	ExactHits     uint64 // answered by an exact fingerprint match
-	SubsetSat     uint64 // answered sat by revalidating another entry's model
+	Queries   uint64 // feasibility queries entering the pipeline
+	StackHits uint64 // answered sat by a stacked path model
+	ExactHits uint64 // answered by an exact fingerprint match
+	// SubsetSat is always zero: subset-sat model revalidation was removed,
+	// and sat entries answer exact fingerprint matches only. The field
+	// stays because the benchmark module (perfbench/metrics.go,
+	// perfbench/gate.go) still reads it; drop it together with perfbench's
+	// qc.subset_sat metric in a declared benchmark change.
+	SubsetSat     uint64
 	SupersetUnsat uint64 // answered unsat as superset of a known-unsat set
 	CDCL          uint64 // feasibility queries that reached the SAT core
 	CDCLSat       uint64 // ... of which answered Sat
@@ -98,7 +104,7 @@ type Stats struct {
 // Eliminated returns the number of feasibility queries answered without the
 // SAT core.
 func (s Stats) Eliminated() uint64 {
-	return s.StackHits + s.ExactHits + s.SubsetSat + s.SupersetUnsat
+	return s.StackHits + s.ExactHits + s.SupersetUnsat
 }
 
 // Add accumulates o into s.
@@ -106,7 +112,6 @@ func (s *Stats) Add(o Stats) {
 	s.Queries += o.Queries
 	s.StackHits += o.StackHits
 	s.ExactHits += o.ExactHits
-	s.SubsetSat += o.SubsetSat
 	s.SupersetUnsat += o.SupersetUnsat
 	s.CDCL += o.CDCL
 	s.CDCLSat += o.CDCLSat
@@ -293,10 +298,6 @@ type stackModel struct {
 // maxStack bounds the per-path model stack.
 const maxStack = 4
 
-// maxRecent bounds the ring of recent sat entries probed for model
-// revalidation (the subset-of-known-sat rule).
-const maxRecent = 8
-
 // Local is one worker's view of the query-elimination layer. It owns the
 // per-path model stack, the per-term support memo, and a private entry map;
 // misses fall back to the Shared store when attached. Not safe for
@@ -308,10 +309,7 @@ type Local struct {
 
 	entries    map[string]*entry
 	unsatByMin map[uint64][]*entry // local unsat entries indexed by smallest hash
-	recent     [maxRecent]*entry   // ring of recent sat entries
-	recentEv   [maxRecent]*smt.Evaluator
-	recentPos  int
-	pending    []*entry // locally created entries not yet flushed
+	pending    []*entry            // locally created entries not yet flushed
 
 	support map[uint32][]uint32 // term ID -> sorted support variable IDs
 
@@ -521,34 +519,7 @@ func (l *Local) check(pcs []*smt.Term, query *smt.Term, push bool) (solver.Resul
 		return solver.Unsat, nil, false
 	}
 
-	// Stage 5: model revalidation against recent sat entries (the
-	// subset-of-known-sat rule, generalised: any cached model that satisfies
-	// every sliced constraint is a witness).
-	for i := 0; i < maxRecent; i++ {
-		e := l.recent[i]
-		if e == nil {
-			continue
-		}
-		if l.recentEv[i] == nil {
-			l.recentEv[i] = smt.NewEvaluator(e.model)
-		}
-		if modelSatisfies(l.recentEv[i], slice) {
-			l.stats.SubsetSat++
-			if e.store {
-				l.stats.StoreHits++
-			}
-			// The validation read zero for every slice variable absent from
-			// e.model; restrict the model to the slice's support with those
-			// zeros made explicit, so the recorded witness is exactly the
-			// validated assignment and a later mergeWithStack can neither
-			// clobber it with stack-base values nor leak e.model's bindings
-			// for unrelated variables over the base.
-			ne := l.record(key, hs, true, l.restrictToSupport(slice, e.model))
-			return l.hitResult(ne, dropped, push)
-		}
-	}
-
-	// Stage 6: the SAT core, on the slice only.
+	// Stage 5: the SAT core, on the slice only.
 	l.stats.CDCL++
 	if dropped > 0 {
 		l.stats.SlicedQueries++
@@ -662,48 +633,21 @@ func (l *Local) captureModel(ts []*smt.Term) Model {
 	return env
 }
 
-// restrictToSupport returns a copy of env restricted to — and made total
-// over — the support of ts: every support variable gets an explicit value,
-// env's when present and zero otherwise, matching the zero default the
-// stage-5 validation evaluated absent variables under.
-func (l *Local) restrictToSupport(ts []*smt.Term, env Model) Model {
-	seen := l.seenVar
-	clear(seen)
-	out := make(Model, len(env))
-	for _, t := range ts {
-		for _, id := range l.supportOf(t) {
-			if _, ok := seen[id]; ok {
-				continue
-			}
-			seen[id] = struct{}{}
-			name := l.ctx.TermByID(id).Name()
-			out[name] = env[name]
-		}
-	}
-	return out
-}
-
 // record creates, indexes and schedules for publication a new cache entry.
 // hs is copied: fingerprint returns a reused buffer, entries are immutable.
-func (l *Local) record(key string, hs []uint64, sat bool, model Model) *entry {
+func (l *Local) record(key string, hs []uint64, sat bool, model Model) {
 	owned := make([]uint64, len(hs))
 	copy(owned, hs)
 	e := &entry{key: key, hs: owned, bloom: bloomOf(owned), sat: sat, model: model}
 	l.entries[key] = e
 	l.pending = append(l.pending, e)
 	l.index(e)
-	return e
 }
 
-// index adds an entry to the local derived indexes.
+// index adds an unsat entry to the superset-rule index; sat entries are
+// reached by exact key only.
 func (l *Local) index(e *entry) {
-	if e.sat {
-		l.recent[l.recentPos] = e
-		l.recentEv[l.recentPos] = nil // evaluator is built lazily on first probe
-		l.recentPos = (l.recentPos + 1) % maxRecent
-		return
-	}
-	if len(e.hs) > 0 {
+	if !e.sat && len(e.hs) > 0 {
 		min := e.hs[0]
 		l.unsatByMin[min] = append(l.unsatByMin[min], e)
 	}
@@ -912,19 +856,4 @@ func mergeSorted(a, b []uint32) []uint32 {
 	out = append(out, a[i:]...)
 	out = append(out, b[j:]...)
 	return out
-}
-
-// modelSatisfies reports whether every constraint evaluates to true under
-// the evaluator's model. Model's zero default makes evaluation total; the
-// only error Eval can then return is an unsupported kind, which would be a
-// construction bug — treat it as unsatisfied so the pipeline falls through
-// to the solver.
-func modelSatisfies(ev *smt.Evaluator, ts []*smt.Term) bool {
-	for _, t := range ts {
-		v, err := ev.EvalBool(t)
-		if err != nil || !v {
-			return false
-		}
-	}
-	return true
 }

@@ -172,33 +172,6 @@ func TestSupersetUnsat(t *testing.T) {
 	}
 }
 
-// TestModelRevalidation: a cached sat model answers a weaker query over the
-// same variables (the subset-of-known-sat rule).
-func TestModelRevalidation(t *testing.T) {
-	l, ctx, sol := newLocal(t, nil)
-	a := ctx.Var("a", 8)
-	l.BeginPath(nil)
-
-	strict := ctx.Ult(a, ctx.BV(8, 5))
-	if res := l.CheckFeasible(nil, strict); res != solver.Sat {
-		t.Fatalf("first = %v, want Sat", res)
-	}
-	// New path: the stack is reset, so the weaker query cannot stack-hit;
-	// the recorded model must answer it.
-	l.BeginPath(nil)
-	checks := sol.Stats().Checks
-	weak := ctx.Ult(a, ctx.BV(8, 50))
-	if res := l.CheckFeasible(nil, weak); res != solver.Sat {
-		t.Fatalf("weaker = %v, want Sat", res)
-	}
-	if sol.Stats().Checks != checks {
-		t.Fatal("weaker query reached the solver")
-	}
-	if l.Stats().SubsetSat != 1 {
-		t.Fatalf("stats = %+v, want one model-revalidation hit", l.Stats())
-	}
-}
-
 // TestSharedFlushAndAdopt: entries published by one worker answer another
 // worker's queries across distinct term contexts.
 func TestSharedFlushAndAdopt(t *testing.T) {
@@ -271,37 +244,35 @@ func TestCheckWitnessCompleteModel(t *testing.T) {
 	}
 }
 
-// TestSubsetSatMergeKeepsValidatedZeros: a stage-5 hit validates the cached
-// model with zero defaults for slice variables the model lacks; merging over
-// the stack base must preserve those validated zeros rather than inherit the
-// base's values (base {x:2}, cached model {y:1}, query x==0 must not yield
-// the non-witness {x:2, y:1}).
-func TestSubsetSatMergeKeepsValidatedZeros(t *testing.T) {
+// TestExactHitMergeIsWitness: an exact hit on a sliced query overlays the
+// cached slice model onto the stack base. The entry's model is total over
+// its support, so the base cannot leak its value for a slice variable into
+// the result (base {x:2, y:5}, cached model {x:0}, query x==0 must not
+// yield the non-witness {x:2, y:5}).
+func TestExactHitMergeIsWitness(t *testing.T) {
 	l, ctx, _ := newLocal(t, nil)
 	x := ctx.Var("x", 8)
 	y := ctx.Var("y", 8)
+	q := ctx.Eq(x, ctx.BV(8, 0))
 
-	// Seed the recent-entry ring with a sat entry whose model binds only y.
+	// Path A caches the answer for {x == 0}.
 	l.BeginPath(nil)
-	if res := l.CheckFeasible(nil, ctx.Ult(ctx.BV(8, 0), y)); res != solver.Sat {
-		t.Fatalf("seed query = %v, want Sat", res)
+	if res := l.CheckFeasible(nil, q); res != solver.Sat {
+		t.Fatalf("path A query = %v, want Sat", res)
 	}
 
-	// New path: constraint x < 10, stacked model {x:2}.
-	pcs := []*smt.Term{ctx.Ult(x, ctx.BV(8, 10))}
-	l.BeginPath(Model{"x": 2})
+	// Path B: stacked model {x:2, y:5}, constraint y < 10 (independent of x,
+	// so slicing leaves exactly path A's set).
+	pcs := []*smt.Term{ctx.Ult(y, ctx.BV(8, 10))}
+	l.BeginPath(Model{"x": 2, "y": 5})
 	l.Observe(pcs[0], false)
 
-	// Sibling query x == 0: the stack model fails it; the cached y-model
-	// satisfies the slice only under its zero default for x. The returned
-	// seed must still be a genuine witness of pcs ∧ query.
-	q := ctx.Eq(x, ctx.BV(8, 0))
 	res, m := l.CheckSibling(pcs, q)
 	if res != solver.Sat {
 		t.Fatalf("CheckSibling = %v, want Sat", res)
 	}
-	if st := l.Stats(); st.SubsetSat != 1 {
-		t.Fatalf("stats = %+v, want the sibling answered by model revalidation", st)
+	if st := l.Stats(); st.ExactHits != 1 {
+		t.Fatalf("stats = %+v, want the sibling answered by one exact hit", st)
 	}
 	if m == nil {
 		t.Fatal("CheckSibling returned no seed model")
@@ -310,9 +281,6 @@ func TestSubsetSatMergeKeepsValidatedZeros(t *testing.T) {
 		if v, err := smt.EvalBool(tm, m); err != nil || !v {
 			t.Fatalf("seed model %v fails constraint %v", m, tm)
 		}
-	}
-	if _, ok := m["y"]; ok {
-		t.Fatalf("seed model %v leaks the cached entry's binding for y, outside the slice support", m)
 	}
 }
 

@@ -304,11 +304,6 @@ func (c *Context) Shl(a, b *Term) *Term {
 	if a.IsConst() && a.val == 0 {
 		return a
 	}
-	// Constant shift chains fuse; the recursive call folds sums >= width.
-	if !c.noExtRewrites && b.IsConst() && a.kind == KShl && a.args[1].IsConst() {
-		c.rewriteHits++
-		return c.Shl(a.args[0], c.BV(w, a.args[1].val+b.val))
-	}
 	return c.mk2(KShl, w, a, b)
 }
 
@@ -329,11 +324,6 @@ func (c *Context) Lshr(a, b *Term) *Term {
 	}
 	if a.IsConst() && a.val == 0 {
 		return a
-	}
-	// Constant shift chains fuse; the recursive call folds sums >= width.
-	if !c.noExtRewrites && b.IsConst() && a.kind == KLshr && a.args[1].IsConst() {
-		c.rewriteHits++
-		return c.Lshr(a.args[0], c.BV(w, a.args[1].val+b.val))
 	}
 	return c.mk2(KLshr, w, a, b)
 }
@@ -383,23 +373,6 @@ func (c *Context) Concat(hi, lo *Term) *Term {
 	if hi.IsConst() && lo.IsConst() {
 		return c.BV(w, hi.val<<uint(lo.Width())|lo.val)
 	}
-	if !c.noExtRewrites {
-		// A zero high part is a zero extension; canonicalising to zext
-		// feeds the comparison-narrowing rules.
-		if hi.IsConst() && hi.val == 0 {
-			c.rewriteHits++
-			return c.ZExt(lo, w)
-		}
-		// Adjacent extracts of the same term fuse back into one extract.
-		if hi.kind == KExtract && lo.kind == KExtract && hi.args[0] == lo.args[0] {
-			h1, l1 := hi.ExtractBounds()
-			h2, l2 := lo.ExtractBounds()
-			if l1 == h2+1 {
-				c.rewriteHits++
-				return c.Extract(hi.args[0], h1, l2)
-			}
-		}
-	}
 	return c.mk2(KConcat, w, hi, lo)
 }
 
@@ -441,52 +414,6 @@ func (c *Context) Extract(a *Term, hi, lo int) *Term {
 		}
 		if lo >= ow {
 			return c.BV(w, 0)
-		}
-	}
-	if !c.noExtRewrites {
-		switch a.kind {
-		case KLshr:
-			// Constant logical right shift: shift the window instead.
-			if sh := a.args[1]; sh.IsConst() {
-				s := int(sh.val) // 0 < s < width by the Lshr folds
-				aw := a.Width()
-				c.rewriteHits++
-				switch {
-				case lo+s >= aw: // window entirely in the zero padding
-					return c.BV(w, 0)
-				case hi+s < aw: // window entirely within the shifted bits
-					return c.Extract(a.args[0], hi+s, lo+s)
-				default: // window straddles the padding boundary
-					return c.ZExt(c.Extract(a.args[0], aw-1, lo+s), w)
-				}
-			}
-		case KShl:
-			// Constant left shift: shift the window the other way.
-			if sh := a.args[1]; sh.IsConst() {
-				s := int(sh.val) // 0 < s < width by the Shl folds
-				c.rewriteHits++
-				switch {
-				case hi < s: // window entirely in the inserted zeros
-					return c.BV(w, 0)
-				case lo >= s: // window entirely within the shifted bits
-					return c.Extract(a.args[0], hi-s, lo-s)
-				default: // low part zeros, high part from the operand
-					return c.Concat(c.Extract(a.args[0], hi-s, 0), c.BV(s-lo, 0))
-				}
-			}
-		case KSExt:
-			// extract of sext below the original width reads original bits.
-			if ow := a.args[0].Width(); hi < ow {
-				c.rewriteHits++
-				return c.Extract(a.args[0], hi, lo)
-			}
-		case KIte:
-			// extract distributes over constant arms, keeping the ite
-			// exposed to the comparison-vs-constant-arms rules.
-			if p, q, ok := constArms(a); ok {
-				c.rewriteHits++
-				return c.Ite(a.args[0], c.BV(w, p>>uint(lo)), c.BV(w, q>>uint(lo)))
-			}
 		}
 	}
 	return c.mk1(KExtract, w, uint64(hi)<<8|uint64(lo), a)
@@ -591,16 +518,6 @@ func (c *Context) Eq(a, b *Term) *Term {
 		if base, off, ok := addConst(other); ok {
 			return c.Eq(base, c.BV(other.Width(), cst.val-off))
 		}
-		if !c.noExtRewrites {
-			if t, ok := c.rewriteEqConst(other, cst); ok {
-				return t
-			}
-		}
-	}
-	if !c.noExtRewrites {
-		if t, ok := c.rewriteEq(a, b); ok {
-			return t
-		}
 	}
 	a, b = orderComm(a, b)
 	return c.mk2(KEq, 0, a, b)
@@ -624,11 +541,6 @@ func (c *Context) Ult(a, b *Term) *Term {
 	if a.IsConst() && a.val == mask(a.Width()) {
 		return c.tFalse
 	}
-	if !c.noExtRewrites {
-		if t, ok := c.rewriteUlt(a, b); ok {
-			return t
-		}
-	}
 	return c.mk2(KUlt, 0, a, b)
 }
 
@@ -646,11 +558,6 @@ func (c *Context) Ule(a, b *Term) *Term {
 	}
 	if b.IsConst() && b.val == mask(b.Width()) {
 		return c.tTrue
-	}
-	if !c.noExtRewrites {
-		if t, ok := c.rewriteUle(a, b); ok {
-			return t
-		}
 	}
 	return c.mk2(KUle, 0, a, b)
 }
@@ -671,11 +578,6 @@ func (c *Context) Slt(a, b *Term) *Term {
 		w := a.Width()
 		return c.Bool(int64(SignExt(a.val, w)) < int64(SignExt(b.val, w)))
 	}
-	if !c.noExtRewrites {
-		if t, ok := c.rewriteSCmp(a, b, true); ok {
-			return t
-		}
-	}
 	return c.mk2(KSlt, 0, a, b)
 }
 
@@ -688,11 +590,6 @@ func (c *Context) Sle(a, b *Term) *Term {
 	if a.IsConst() && b.IsConst() {
 		w := a.Width()
 		return c.Bool(int64(SignExt(a.val, w)) <= int64(SignExt(b.val, w)))
-	}
-	if !c.noExtRewrites {
-		if t, ok := c.rewriteSCmp(a, b, false); ok {
-			return t
-		}
 	}
 	return c.mk2(KSle, 0, a, b)
 }

@@ -173,9 +173,7 @@ type Context struct {
 	vars       []*Term
 	varsByName map[string]*Term
 
-	noExtRewrites bool     // disables the extended rules in rewrite.go
-	rewriteHits   uint64   // extended rewrite rule applications
-	hashMemo      []uint64 // StructuralHash memo, indexed by term ID-1
+	hashMemo []uint64 // StructuralHash memo, indexed by term ID-1
 }
 
 // NewContext returns an empty term context.

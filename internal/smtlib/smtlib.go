@@ -125,8 +125,20 @@ func NewInterp(out io.Writer) *Interp {
 }
 
 // Run parses and executes a script. Execution stops at the first error or at
-// (exit).
-func (in *Interp) Run(src string) error {
+// (exit). A term that breaks the builders' sort discipline (a width out of
+// range, mismatched operand widths) is reported as the *smt.BuildError the
+// builder panicked with; any other panic is a bug and propagates.
+func (in *Interp) Run(src string) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			be, ok := r.(*smt.BuildError)
+			if !ok {
+				panic(r)
+			}
+			in.lets = nil // a panic inside a let body skips its pop
+			err = be
+		}
+	}()
 	cmds, err := parseAll(src)
 	if err != nil {
 		return err
@@ -391,26 +403,28 @@ func (in *Interp) term(e *sexp) (*smt.Term, error) {
 		if err != nil {
 			return nil, err
 		}
+		if len(idx) < 2 {
+			return nil, fmt.Errorf("smtlib: indexed operator without a name")
+		}
 		switch idx[1].Atom {
 		case "extract":
-			hi, err1 := strconv.Atoi(idx[2].Atom)
-			lo, err2 := strconv.Atoi(idx[3].Atom)
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("smtlib: bad extract indices")
+			n, err := indices(idx, 2)
+			if err != nil {
+				return nil, err
 			}
-			return ctx.Extract(x, hi, lo), nil
+			return ctx.Extract(x, n[0], n[1]), nil
 		case "zero_extend":
-			n, err := strconv.Atoi(idx[2].Atom)
+			n, err := indices(idx, 1)
 			if err != nil {
 				return nil, err
 			}
-			return ctx.ZExt(x, x.Width()+n), nil
+			return ctx.ZExt(x, x.Width()+n[0]), nil
 		case "sign_extend":
-			n, err := strconv.Atoi(idx[2].Atom)
+			n, err := indices(idx, 1)
 			if err != nil {
 				return nil, err
 			}
-			return ctx.SExt(x, x.Width()+n), nil
+			return ctx.SExt(x, x.Width()+n[0]), nil
 		}
 		return nil, fmt.Errorf("smtlib: unsupported indexed operator %q", idx[1].Atom)
 	}
@@ -517,6 +531,23 @@ func (in *Interp) term(e *sexp) (*smt.Term, error) {
 		return ctx.Ite(args[0], args[1], args[2]), nil
 	}
 	return nil, fmt.Errorf("smtlib: unsupported operator %q", op)
+}
+
+// indices parses the want numeric indices of an indexed operator
+// (_ name i1 ... iwant).
+func indices(idx []*sexp, want int) ([]int, error) {
+	if len(idx) != want+2 {
+		return nil, fmt.Errorf("smtlib: %s wants %d indices", idx[1].Atom, want)
+	}
+	n := make([]int, want)
+	for i, e := range idx[2:] {
+		v, err := strconv.Atoi(e.Atom)
+		if err != nil {
+			return nil, fmt.Errorf("smtlib: bad %s index %q", idx[1].Atom, render(e))
+		}
+		n[i] = v
+	}
+	return n, nil
 }
 
 func bin2(args []*smt.Term, op string, f func(a, b *smt.Term) *smt.Term) (*smt.Term, error) {

@@ -96,7 +96,7 @@ func (s *Solver) SetObs(h *obs.Handle) { s.h = h }
 func (s *Solver) SetConflictBudget(n uint64) { s.sat.ConflictBudget = n }
 
 // Assert permanently adds the Boolean term t to the solver. Constant terms
-// (the usual result of the rewriter folding a path condition) are handled
+// (the usual result of the term constructors folding a path condition) are handled
 // without touching the bit-blaster or allocating a clause: true is a no-op,
 // false marks the instance trivially unsatisfiable. After asserting false,
 // every Check answers Unsat with an empty failed-assumption set (nil core
