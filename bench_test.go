@@ -4,10 +4,17 @@
 //   - BenchmarkTable1Campaign — Table I (errors & mismatches catalogue)
 //   - BenchmarkTable2         — Table II (one sub-benchmark per injected
 //     fault and instruction limit; the reported metric is time-to-bug)
+//   - BenchmarkTable2Pipeline — the Table II analogue on the pipelined core
 //   - BenchmarkLongRun        — the §V-A exemplary exploration statistics
 //   - BenchmarkAblationSlicedRegs — sliced vs wide symbolic register files
 //   - BenchmarkAblationInstrLimit — instruction limit 1 vs 2 growth
-//   - BenchmarkSolverDecodeQuery / BenchmarkEngineForkStep — substrate costs
+//   - BenchmarkEngineAblation — branch optimizations on vs off
+//   - BenchmarkInterruptHunt / BenchmarkBaselineFuzzing — the symbolic
+//     interrupt extension and the random-fuzzing baseline
+//   - BenchmarkSolverDecodeQuery / BenchmarkEnginePathStep — substrate costs
+//
+// The query-cache probe path has its own micro-benchmark,
+// BenchmarkCacheProbe in internal/querycache.
 package symriscv_test
 
 import (
@@ -152,9 +159,9 @@ func BenchmarkSolverDecodeQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineForkStep measures a full co-simulation path execution
-// (replay + one fresh symbolic instruction) including all solver traffic.
-func BenchmarkEngineForkStep(b *testing.B) {
+// BenchmarkEnginePathStep measures the first 25 paths of the limit-1 tree,
+// each replayed from cycle 0, including all solver and query-cache traffic.
+func BenchmarkEnginePathStep(b *testing.B) {
 	cfg := cosim.Config{
 		ISS:        iss.FixedConfig(),
 		Core:       microrv32.FixedConfig(),

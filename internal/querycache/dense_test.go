@@ -1,0 +1,302 @@
+package querycache
+
+import (
+	"encoding/hex"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"symriscv/internal/smt"
+	"symriscv/internal/solver"
+)
+
+// goldenKey is the hex fingerprint of goldenSet. It pins the key byte
+// format that persistent stores are written in: a change here silently
+// invalidates every SchemaVersion 2 store, so it must come with a schema
+// bump.
+const goldenKey = "241913a672336b886010d7408ff8377a6a2f9ef63636b60d"
+
+// goldenSet builds the fixed constraint set of TestFingerprintGolden.
+func goldenSet(ctx *smt.Context) []*smt.Term {
+	v := ctx.Var("v", 32)
+	w := ctx.Var("w", 32)
+	return []*smt.Term{
+		ctx.Eq(ctx.Extract(v, 6, 0), ctx.BV(7, 0x13)),
+		ctx.Ult(w, v),
+		ctx.Ne(ctx.Add(v, w), ctx.BV(32, 0x80000000)),
+	}
+}
+
+// TestFingerprintGolden: the fingerprint of a fixed set, built in two
+// contexts with different term IDs and listed in two orders, is KeyOf of its
+// sorted structural hashes and equals a committed constant.
+func TestFingerprintGolden(t *testing.T) {
+	l1, ctx1, _ := newLocal(t, nil)
+	l2, ctx2, _ := newLocal(t, nil)
+	ctx2.Var("unrelated", 16) // shift ctx2's term IDs
+	set1 := goldenSet(ctx1)
+	set2 := goldenSet(ctx2)
+	slices.Reverse(set2)
+
+	var hs []uint64
+	for _, term := range set1 {
+		hs = append(hs, ctx1.StructuralHash(term))
+	}
+	slices.Sort(hs)
+	want := KeyOf(hs)
+	for i, got := range []string{fp(l1, set1...), fp(l2, set2...)} {
+		if got != want {
+			t.Errorf("context %d: fingerprint %x, want KeyOf %x", i+1, got, want)
+		}
+		if h := hex.EncodeToString([]byte(got)); h != goldenKey {
+			t.Errorf("context %d: fingerprint %s, want golden %s", i+1, h, goldenKey)
+		}
+	}
+}
+
+// refSupport is the test's own support computation: a map-memoized walk of
+// the term DAG, returning sorted variable IDs.
+func refSupport(t *smt.Term, memo map[*smt.Term][]uint32) []uint32 {
+	if s, ok := memo[t]; ok {
+		return s
+	}
+	set := map[uint32]bool{}
+	if t.Kind() == smt.KVar {
+		set[t.ID()] = true
+	}
+	for i := 0; i < t.NumArgs(); i++ {
+		for _, id := range refSupport(t.Arg(i), memo) {
+			set[id] = true
+		}
+	}
+	s := []uint32{}
+	for id := range set {
+		s = append(s, id)
+	}
+	slices.Sort(s)
+	memo[t] = s
+	return s
+}
+
+// refSlice is the reference independence slice: the members of all whose
+// support is connected to pivot's through shared variables, plus pivot.
+func refSlice(all []*smt.Term, pivot *smt.Term, memo map[*smt.Term][]uint32) ([]*smt.Term, int) {
+	comp := map[uint32]bool{}
+	for _, id := range refSupport(pivot, memo) {
+		comp[id] = true
+	}
+	in := make([]bool, len(all))
+	for changed := true; changed; {
+		changed = false
+		for i, term := range all {
+			if in[i] {
+				continue
+			}
+			touch := term == pivot
+			for _, id := range refSupport(term, memo) {
+				touch = touch || comp[id]
+			}
+			if touch {
+				in[i], changed = true, true
+				for _, id := range refSupport(term, memo) {
+					comp[id] = true
+				}
+			}
+		}
+	}
+	var out []*smt.Term
+	for i, term := range all {
+		if in[i] {
+			out = append(out, term)
+		}
+	}
+	return out, len(all) - len(out)
+}
+
+// TestTablesGrowWithContext: terms interned between probes have IDs beyond
+// the support memo and the mark table; supportOf and slice must grow both
+// and agree with the map-based reference.
+func TestTablesGrowWithContext(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	l, ctx, _ := newLocal(t, nil)
+	memo := map[*smt.Term][]uint32{}
+	var vars, conds []*smt.Term
+	for round := 0; round < 40; round++ {
+		// New variables and constraints, some over old variables.
+		for i := 0; i < 2; i++ {
+			vars = append(vars, ctx.FreshVar("g", 8))
+		}
+		for i := 0; i < 3; i++ {
+			a := vars[rng.Intn(len(vars))]
+			b := vars[rng.Intn(len(vars))]
+			k := ctx.BV(8, uint64(rng.Intn(256)))
+			switch rng.Intn(3) {
+			case 0:
+				conds = append(conds, ctx.Ult(ctx.Add(a, k), b))
+			case 1:
+				conds = append(conds, ctx.Eq(ctx.Xor(a, b), k))
+			default:
+				conds = append(conds, ctx.Ule(a, k))
+			}
+		}
+		// The pivot is over this round's newest variable, so it is a new term.
+		newest := ctx.Ult(ctx.Add(vars[len(vars)-1], ctx.BV(8, 1)), vars[rng.Intn(len(vars))])
+		conds = append(conds, newest)
+		if round > 0 && (int(newest.ID()) <= len(l.support) || int(newest.ID()) <= len(l.mark)) {
+			t.Fatalf("round %d: pivot ID %d is inside the tables (%d, %d)", round, newest.ID(), len(l.support), len(l.mark))
+		}
+		all := make([]*smt.Term, 0, 8)
+		for i := 0; i < 7; i++ {
+			all = append(all, conds[rng.Intn(len(conds))])
+		}
+		all = append(all, newest)
+
+		for _, c := range all {
+			if got, want := l.supportOf(c), refSupport(c, memo); !slices.Equal(got, want) {
+				t.Fatalf("round %d: supportOf(%v) = %v, want %v", round, c, got, want)
+			}
+		}
+		got, dropped := l.slice(all, newest)
+		want, wantDropped := refSlice(all, newest, memo)
+		if !slices.Equal(got, want) || dropped != wantDropped {
+			t.Fatalf("round %d: slice = %v (dropped %d), want %v (dropped %d)", round, got, dropped, want, wantDropped)
+		}
+	}
+}
+
+// TestStackModelsNeverLeak drives random paths through the stack tier, with
+// BeginPath recycling, maxStack evictions and Observe drops, so evaluators
+// are recycled across models all the time. Every model a stack hit returns,
+// and every model left on the stack, must satisfy the whole constraint set
+// under a fresh smt.Eval: a recycled evaluator that kept its old memo would
+// vouch for a model that fails it.
+func TestStackModelsNeverLeak(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	holds := func(env Model, cs ...*smt.Term) bool {
+		for _, c := range cs {
+			if v, err := smt.EvalBool(c, env); err != nil || !v {
+				return false
+			}
+		}
+		return true
+	}
+	var evictions, drops int
+	for trial := 0; trial < 20; trial++ {
+		l, ctx, _ := newLocal(t, nil)
+		vs := []*smt.Term{ctx.Var("a", 4), ctx.Var("b", 4), ctx.Var("c", 4)}
+		var pool []*smt.Term
+		for i := 0; i < 16; i++ {
+			x, y := vs[rng.Intn(3)], vs[rng.Intn(3)]
+			k := ctx.BV(4, uint64(rng.Intn(16)))
+			switch rng.Intn(3) {
+			case 0:
+				pool = append(pool, ctx.Ult(x, k))
+			case 1:
+				pool = append(pool, ctx.Ule(ctx.Add(x, y), k))
+			default:
+				pool = append(pool, ctx.Eq(ctx.And(x, k), ctx.And(y, k)))
+			}
+		}
+		var seed Model
+		var seedPrefix []*smt.Term
+		for path := 0; path < 30; path++ {
+			var pcs []*smt.Term
+			if seed != nil && rng.Intn(2) == 0 {
+				l.BeginPath(seed)
+				for _, c := range seedPrefix {
+					l.Observe(c, true)
+					pcs = append(pcs, c)
+				}
+			} else {
+				l.BeginPath(nil)
+			}
+			for step := 0; step < 10; step++ {
+				if rng.Intn(3) == 0 {
+					// A concretization-style model query pushes the solver's
+					// model, evicting the oldest one when the stack is full.
+					full := len(l.stack) == maxStack
+					if l.CheckModel(pcs, nil) == solver.Sat && full {
+						evictions++
+					}
+				}
+				c := pool[rng.Intn(len(pool))]
+				if rng.Intn(2) == 0 {
+					c = ctx.BNot(c)
+				}
+				hits := l.Stats().StackHits
+				res, env := l.CheckWitness(pcs, c)
+				if l.Stats().StackHits > hits && env == nil {
+					t.Fatalf("trial %d path %d: stack hit returned no model", trial, path)
+				}
+				if env != nil && !holds(env, append(pcs, c)...) {
+					t.Fatalf("trial %d path %d: returned model %v fails the constraints", trial, path, env)
+				}
+				if env != nil {
+					seed, seedPrefix = env, append(slices.Clone(pcs), c)
+				}
+				if res != solver.Sat {
+					c = ctx.BNot(c) // pcs is satisfiable and pcs ∧ c is not
+				}
+				pcs = append(pcs, c)
+				n := len(l.stack)
+				l.Observe(c, false)
+				if len(l.stack) < n {
+					drops++
+				}
+				for _, m := range l.stack {
+					if !holds(m.env, pcs...) {
+						t.Fatalf("trial %d path %d: stacked model %v fails the path constraints", trial, path, m.env)
+					}
+				}
+			}
+		}
+	}
+	if evictions < 100 || drops < 100 {
+		t.Fatalf("%d evictions, %d Observe drops: the sequence no longer exercises recycling", evictions, drops)
+	}
+}
+
+// BenchmarkCacheProbe replays a fixed probe sequence through one Local: a
+// decode-style chain of feasibility queries over one instruction word, path
+// after path, the way replayed exploration re-probes the same prefixes.
+// After the first path every probe is answered by the stack, an exact hit
+// or the superset rule, so ns/op and allocs/op measure the layer itself.
+func BenchmarkCacheProbe(b *testing.B) {
+	ctx := smt.NewContext()
+	l := NewLocal(ctx, solver.New(ctx), nil)
+	insn := ctx.Var("insn", 32)
+	rs1 := ctx.Var("rs1", 32)
+	op := ctx.And(insn, ctx.BV(32, 0x7f))
+	f3 := ctx.Extract(insn, 14, 12)
+	var conds []*smt.Term
+	for _, m := range []uint64{0x33, 0x13, 0x63, 0x03, 0x23, 0x37, 0x17, 0x6f} {
+		conds = append(conds, ctx.Eq(op, ctx.BV(32, m)))
+	}
+	for f := uint64(0); f < 8; f++ {
+		conds = append(conds, ctx.Eq(f3, ctx.BV(3, f)))
+	}
+	conds = append(conds, ctx.Ult(rs1, ctx.BV(32, 0x1000)), ctx.Eq(ctx.Extract(rs1, 1, 0), ctx.BV(2, 0)))
+	pcs := make([]*smt.Term, 0, len(conds))
+	path := func(mask int) {
+		l.BeginPath(nil)
+		pcs = pcs[:0]
+		for i, c := range conds {
+			if mask>>(i%8)&1 == 0 {
+				c = ctx.BNot(c)
+			}
+			if l.CheckFeasible(pcs, c) != solver.Sat {
+				c = ctx.BNot(c)
+			}
+			pcs = append(pcs, c)
+			l.Observe(c, false)
+		}
+	}
+	for mask := 0; mask < 16; mask++ {
+		path(mask)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		path(i % 16)
+	}
+}

@@ -41,6 +41,7 @@ package querycache
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 	"sync"
 
@@ -159,10 +160,11 @@ func NewShared() *Shared {
 	return &Shared{m: make(map[string]*entry, 1024)}
 }
 
-// get returns the entry for key, or nil.
-func (s *Shared) get(key string) *entry {
+// get returns the entry for key, or nil. Indexing with string(key) does not
+// allocate.
+func (s *Shared) get(key []byte) *entry {
 	s.mu.RLock()
-	e := s.m[key]
+	e := s.m[string(key)]
 	s.mu.RUnlock()
 	return e
 }
@@ -300,8 +302,9 @@ const maxStack = 4
 
 // Local is one worker's view of the query-elimination layer. It owns the
 // per-path model stack, the per-term support memo, and a private entry map;
-// misses fall back to the Shared store when attached. Not safe for
-// concurrent use.
+// misses fall back to the Shared store when attached. Per-term state lives in
+// dense tables indexed by term ID-1, grown as the context interns new terms.
+// Not safe for concurrent use.
 type Local struct {
 	ctx    *smt.Context
 	sol    *solver.Solver
@@ -311,18 +314,19 @@ type Local struct {
 	unsatByMin map[uint64][]*entry // local unsat entries indexed by smallest hash
 	pending    []*entry            // locally created entries not yet flushed
 
-	support map[uint32][]uint32 // term ID -> sorted support variable IDs
+	support [][]uint32 // term ID-1 -> sorted support variable IDs; nil = not yet computed
 
-	stack []stackModel // models of the current path's constraint set
+	stack []stackModel     // models of the current path's constraint set
+	free  []*smt.Evaluator // evaluators of dropped stack models, for reuse
 
 	// Reusable per-query buffers (valid only within one pipeline call).
 	scratch  []*smt.Term // query assembly buffer
-	inComp   map[uint32]struct{}
+	mark     []uint32    // term ID-1 -> epoch that marked it (slice, captureModel)
+	epoch    uint32
 	usedBuf  []bool
 	sliceBuf []*smt.Term
 	hsBuf    []uint64
 	keyBuf   []byte
-	seenVar  map[uint32]struct{}
 	stats    Stats
 
 	h *obs.Handle
@@ -337,9 +341,6 @@ func NewLocal(ctx *smt.Context, sol *solver.Solver, shared *Shared) *Local {
 		shared:     shared,
 		entries:    make(map[string]*entry, 256),
 		unsatByMin: make(map[uint64][]*entry, 64),
-		support:    make(map[uint32][]uint32, 256),
-		inComp:     make(map[uint32]struct{}, 64),
-		seenVar:    make(map[uint32]struct{}, 64),
 	}
 }
 
@@ -359,10 +360,26 @@ func (l *Local) Stats() Stats { return l.stats }
 // non-nil, is a model known to satisfy the path's replayed constraint prefix
 // (captured when the sibling was proven feasible).
 func (l *Local) BeginPath(seed Model) {
+	for _, m := range l.stack {
+		l.free = append(l.free, m.ev)
+	}
 	l.stack = l.stack[:0]
 	if seed != nil {
-		l.stack = append(l.stack, stackModel{env: seed, ev: smt.NewEvaluator(seed), seed: true})
+		l.stack = append(l.stack, stackModel{env: seed, ev: l.evaluator(seed), seed: true})
 	}
+}
+
+// evaluator returns an evaluator over env, recycled from a dropped stack
+// model when one is free.
+func (l *Local) evaluator(env Model) *smt.Evaluator {
+	n := len(l.free)
+	if n == 0 {
+		return smt.NewEvaluator(env)
+	}
+	ev := l.free[n-1]
+	l.free = l.free[:n-1]
+	ev.Reset(env)
+	return ev
 }
 
 // Observe tells the layer a constraint was appended to the path. trusted
@@ -378,6 +395,8 @@ func (l *Local) Observe(t *smt.Term, trusted bool) {
 		}
 		if v, err := m.ev.EvalBool(t); err == nil && v {
 			keep = append(keep, m)
+		} else {
+			l.free = append(l.free, m.ev)
 		}
 	}
 	l.stack = keep
@@ -500,7 +519,7 @@ func (l *Local) check(pcs []*smt.Term, query *smt.Term, push bool) (solver.Resul
 	slice, dropped := l.slice(all, pivot)
 
 	// Stage 3: exact fingerprint lookup (local map, then shared store).
-	key, hs := l.fingerprint(slice)
+	key, hs := l.fingerprint(slice) // key and hs alias reused buffers
 	if e := l.lookup(key); e != nil {
 		l.stats.ExactHits++
 		if e.store {
@@ -592,7 +611,7 @@ func (l *Local) mergeWithStack(env Model, sliceIsAll bool) (Model, bool) {
 // push adds a full-set model to the path stack, evicting the oldest
 // non-seed model when full.
 func (l *Local) push(env Model) {
-	m := stackModel{env: env, ev: smt.NewEvaluator(env)}
+	m := stackModel{env: env, ev: l.evaluator(env)}
 	if len(l.stack) < maxStack {
 		l.stack = append(l.stack, m)
 		return
@@ -601,6 +620,7 @@ func (l *Local) push(env Model) {
 	if l.stack[0].seed {
 		i = 1
 	}
+	l.free = append(l.free, l.stack[i].ev)
 	copy(l.stack[i:], l.stack[i+1:])
 	l.stack[len(l.stack)-1] = m
 }
@@ -616,15 +636,14 @@ func (l *Local) pushSolverModel(full []*smt.Term) {
 // encoded read zero and are recorded explicitly, so the model stays a valid
 // witness after mergeWithStack overlays it onto a stack base.
 func (l *Local) captureModel(ts []*smt.Term) Model {
-	seen := l.seenVar
-	clear(seen)
+	l.newEpoch()
 	env := make(Model, 32)
 	for _, t := range ts {
 		for _, id := range l.supportOf(t) {
-			if _, ok := seen[id]; ok {
+			if l.mark[id-1] == l.epoch {
 				continue
 			}
-			seen[id] = struct{}{}
+			l.mark[id-1] = l.epoch
 			v := l.ctx.TermByID(id)
 			mv, _ := l.sol.VarValue(v)
 			env[v.Name()] = mv
@@ -634,12 +653,12 @@ func (l *Local) captureModel(ts []*smt.Term) Model {
 }
 
 // record creates, indexes and schedules for publication a new cache entry.
-// hs is copied: fingerprint returns a reused buffer, entries are immutable.
-func (l *Local) record(key string, hs []uint64, sat bool, model Model) {
-	owned := make([]uint64, len(hs))
-	copy(owned, hs)
-	e := &entry{key: key, hs: owned, bloom: bloomOf(owned), sat: sat, model: model}
-	l.entries[key] = e
+// key and hs are copied: fingerprint returns reused buffers, entries are
+// immutable.
+func (l *Local) record(key []byte, hs []uint64, sat bool, model Model) {
+	owned := slices.Clone(hs)
+	e := &entry{key: string(key), hs: owned, bloom: bloomOf(owned), sat: sat, model: model}
+	l.entries[e.key] = e
 	l.pending = append(l.pending, e)
 	l.index(e)
 }
@@ -655,9 +674,9 @@ func (l *Local) index(e *entry) {
 
 // lookup finds an entry by key in the local map, falling back to the shared
 // store; shared finds are adopted locally (and indexed, so shared unsat
-// entries join the local superset reasoning).
-func (l *Local) lookup(key string) *entry {
-	if e, ok := l.entries[key]; ok {
+// entries join the local superset reasoning). Neither map probe allocates.
+func (l *Local) lookup(key []byte) *entry {
+	if e, ok := l.entries[string(key)]; ok {
 		return e
 	}
 	if l.shared == nil {
@@ -665,7 +684,7 @@ func (l *Local) lookup(key string) *entry {
 	}
 	e := l.shared.get(key)
 	if e != nil {
-		l.entries[key] = e
+		l.entries[e.key] = e
 		l.index(e)
 	}
 	return e
@@ -717,10 +736,10 @@ func isSubset(sub, sup []uint64) bool {
 // number of constraints left out. The returned slice aliases a reusable
 // buffer valid until the next call.
 func (l *Local) slice(all []*smt.Term, pivot *smt.Term) ([]*smt.Term, int) {
-	inComp := l.inComp
-	clear(inComp)
+	l.newEpoch()
+	mark, inComp := l.mark, l.epoch
 	for _, id := range l.supportOf(pivot) {
-		inComp[id] = struct{}{}
+		mark[id-1] = inComp
 	}
 	if cap(l.usedBuf) < len(all) {
 		l.usedBuf = make([]bool, len(all))
@@ -743,7 +762,7 @@ func (l *Local) slice(all []*smt.Term, pivot *smt.Term) ([]*smt.Term, int) {
 			sup := l.supportOf(t)
 			touch := false
 			for _, id := range sup {
-				if _, ok := inComp[id]; ok {
+				if mark[id-1] == inComp {
 					touch = true
 					break
 				}
@@ -754,7 +773,7 @@ func (l *Local) slice(all []*smt.Term, pivot *smt.Term) ([]*smt.Term, int) {
 			used[i] = true
 			changed = true
 			for _, id := range sup {
-				inComp[id] = struct{}{}
+				mark[id-1] = inComp
 			}
 		}
 	}
@@ -773,16 +792,17 @@ func (l *Local) slice(all []*smt.Term, pivot *smt.Term) ([]*smt.Term, int) {
 	return slice, dropped
 }
 
-// fingerprint returns the canonical key of a constraint set: the sorted,
-// deduplicated context-independent structural hashes of its members,
-// serialised big-endian. Identical sets built in different contexts (or
-// discovered in different orders) produce identical keys.
-func (l *Local) fingerprint(ts []*smt.Term) (string, []uint64) {
+// fingerprint returns the canonical key of a constraint set, KeyOf of the
+// sorted, deduplicated context-independent structural hashes of its members,
+// together with those hashes. Identical sets built in different contexts (or
+// discovered in different orders) produce identical keys. Both results alias
+// reused buffers, valid until the next call.
+func (l *Local) fingerprint(ts []*smt.Term) ([]byte, []uint64) {
 	hs := l.hsBuf[:0]
 	for _, t := range ts {
 		hs = append(hs, l.ctx.StructuralHash(t))
 	}
-	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
+	slices.Sort(hs)
 	// Deduplicate equal hashes so a twice-asserted condition keys the same
 	// set as a once-asserted one (collisions between distinct terms are
 	// astronomically unlikely and harmless to keep once).
@@ -804,13 +824,30 @@ func (l *Local) fingerprint(ts []*smt.Term) (string, []uint64) {
 	for i, h := range hs {
 		binary.BigEndian.PutUint64(buf[i*8:], h)
 	}
-	return string(buf), hs
+	return buf, hs
+}
+
+// newEpoch starts a fresh marking of the mark table, first growing it over
+// every term interned so far.
+func (l *Local) newEpoch() {
+	if n := l.ctx.NumTerms(); n > len(l.mark) {
+		l.mark = append(l.mark, make([]uint32, n-len(l.mark))...)
+	}
+	l.epoch++
+	if l.epoch == 0 {
+		clear(l.mark)
+		l.epoch = 1
+	}
 }
 
 // supportOf returns the sorted variable IDs occurring in t, memoized per
 // term.
 func (l *Local) supportOf(t *smt.Term) []uint32 {
-	if s, ok := l.support[t.ID()]; ok {
+	id := t.ID()
+	if int(id) > len(l.support) {
+		l.support = append(l.support, make([][]uint32, l.ctx.NumTerms()-len(l.support))...)
+	}
+	if s := l.support[id-1]; s != nil {
 		return s
 	}
 	var s []uint32
@@ -825,7 +862,7 @@ func (l *Local) supportOf(t *smt.Term) []uint32 {
 			s = mergeSorted(s, l.supportOf(t.Arg(i)))
 		}
 	}
-	l.support[t.ID()] = s
+	l.support[id-1] = s
 	return s
 }
 

@@ -103,20 +103,27 @@ func TestFingerprintStableAcrossContexts(t *testing.T) {
 	x1, y1 := mk(ctx1)
 	x2, y2 := mk(ctx2)
 
-	k1, _ := l1.fingerprint([]*smt.Term{x1, y1})
-	k2, _ := l2.fingerprint([]*smt.Term{y2, x2})
+	k1 := fp(l1, x1, y1)
+	k2 := fp(l2, y2, x2)
 	if k1 != k2 {
 		t.Fatal("fingerprints differ across contexts / orders")
 	}
-	k3, _ := l2.fingerprint([]*smt.Term{x2})
+	k3 := fp(l2, x2)
 	if k1 == k3 {
 		t.Fatal("distinct sets share a fingerprint")
 	}
 	// A twice-asserted constraint keys like a once-asserted one.
-	k4, _ := l1.fingerprint([]*smt.Term{x1, y1, x1})
+	k4 := fp(l1, x1, y1, x1)
 	if k4 != k1 {
 		t.Fatal("duplicate constraint changed the fingerprint")
 	}
+}
+
+// fp returns a copy of l's fingerprint key for ts (fingerprint itself
+// returns a buffer the next call overwrites).
+func fp(l *Local, ts ...*smt.Term) string {
+	k, _ := l.fingerprint(ts)
+	return string(k)
 }
 
 // TestExactHit: repeating a query answers from the entry map without a
@@ -451,7 +458,7 @@ func TestSharedConcurrentAccess(t *testing.T) {
 				key := KeyOf([]uint64{h})
 				batch := []*entry{{key: key, hs: []uint64{h}, bloom: bloomOf([]uint64{h}), sat: false}}
 				s.put(batch)
-				if e := s.get(key); e == nil {
+				if e := s.get([]byte(key)); e == nil {
 					t.Errorf("worker %d: just-put entry %d missing", w, i)
 					return
 				}

@@ -19,7 +19,11 @@ func (c *Context) Var(name string, width int) *Term {
 		}
 		return prev
 	}
-	return c.mk(key{kind: KVar, width: uint8(width), name: name}, nil)
+	t := c.newTerm(KVar, uint8(width), 0, nil)
+	t.name = name
+	c.vars = append(c.vars, t)
+	c.varsByName[name] = t
+	return t
 }
 
 // FreshVar returns a variable with a unique generated name carrying the

@@ -163,6 +163,13 @@ func NewEvaluator(env Env) *Evaluator {
 	return &Evaluator{env: env, cache: make(map[*Term]uint64, 64)}
 }
 
+// Reset rebinds the evaluator to env and forgets every memoized value. The
+// memo keeps its storage, so a recycled evaluator does not allocate again.
+func (e *Evaluator) Reset(env Env) {
+	e.env = env
+	clear(e.cache)
+}
+
 // Eval computes the concrete value of t, memoized across calls.
 func (e *Evaluator) Eval(t *Term) (uint64, error) {
 	return eval(t, e.env, e.cache)

@@ -155,12 +155,13 @@ func (t *Term) ExtractBounds() (hi, lo int) {
 	return int(t.val >> 8), int(t.val & 0xff)
 }
 
+// key is the hash-cons key of a non-variable term. Every field is an integer,
+// so a table probe hashes 24 bytes and never a string. Variables are interned
+// by name in varsByName and never enter the table.
 type key struct {
-	kind       Kind
-	width      uint8
 	val        uint64
-	name       string
 	a0, a1, a2 uint32
+	kw         uint32 // kind<<8 | width
 }
 
 // Context owns and interns terms.
@@ -182,8 +183,8 @@ func NewContext() *Context {
 		table:      make(map[key]*Term, 1024),
 		varsByName: make(map[string]*Term),
 	}
-	c.tTrue = c.mk(key{kind: KTrue}, nil)
-	c.tFalse = c.mk(key{kind: KFalse}, nil)
+	c.tTrue = c.mk0(KTrue, 0, 0)
+	c.tFalse = c.mk0(KFalse, 0, 0)
 	return c
 }
 
@@ -205,38 +206,41 @@ func (c *Context) mk(k key, args []*Term) *Term {
 	if t, ok := c.table[k]; ok {
 		return t
 	}
-	t := &Term{
-		id:    uint32(len(c.terms) + 1),
-		kind:  k.kind,
-		width: k.width,
-		val:   k.val,
-		name:  k.name,
-		nargs: uint8(len(args)),
-	}
-	copy(t.args[:], args)
+	t := c.newTerm(Kind(k.kw>>8), uint8(k.kw), k.val, args)
 	c.table[k] = t
-	c.terms = append(c.terms, t)
-	if k.kind == KVar {
-		c.vars = append(c.vars, t)
-		c.varsByName[k.name] = t
-	}
 	return t
 }
 
+// newTerm appends a term under the next dense ID.
+func (c *Context) newTerm(kind Kind, width uint8, val uint64, args []*Term) *Term {
+	t := &Term{
+		id:    uint32(len(c.terms) + 1),
+		kind:  kind,
+		width: width,
+		val:   val,
+		nargs: uint8(len(args)),
+	}
+	copy(t.args[:], args)
+	c.terms = append(c.terms, t)
+	return t
+}
+
+func kw(kind Kind, width int) uint32 { return uint32(kind)<<8 | uint32(uint8(width)) }
+
 func (c *Context) mk0(kind Kind, width int, val uint64) *Term {
-	return c.mk(key{kind: kind, width: uint8(width), val: val}, nil)
+	return c.mk(key{kw: kw(kind, width), val: val}, nil)
 }
 
 func (c *Context) mk1(kind Kind, width int, val uint64, a *Term) *Term {
-	return c.mk(key{kind: kind, width: uint8(width), val: val, a0: a.id}, []*Term{a})
+	return c.mk(key{kw: kw(kind, width), val: val, a0: a.id}, []*Term{a})
 }
 
 func (c *Context) mk2(kind Kind, width int, a, b *Term) *Term {
-	return c.mk(key{kind: kind, width: uint8(width), a0: a.id, a1: b.id}, []*Term{a, b})
+	return c.mk(key{kw: kw(kind, width), a0: a.id, a1: b.id}, []*Term{a, b})
 }
 
 func (c *Context) mk3(kind Kind, width int, a, b, d *Term) *Term {
-	return c.mk(key{kind: kind, width: uint8(width), a0: a.id, a1: b.id, a2: d.id}, []*Term{a, b, d})
+	return c.mk(key{kw: kw(kind, width), a0: a.id, a1: b.id, a2: d.id}, []*Term{a, b, d})
 }
 
 // mask returns a bitmask with the low w bits set.

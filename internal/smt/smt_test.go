@@ -30,11 +30,44 @@ func TestVarRedeclarePanics(t *testing.T) {
 	c := NewContext()
 	c.Var("v", 8)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on width-changing redeclaration")
+		if _, ok := recover().(*BuildError); !ok {
+			t.Fatal("expected a *BuildError panic on width-changing redeclaration")
 		}
 	}()
 	c.Var("v", 16)
+}
+
+// TestVarsInternedByName: variables never enter the hash-cons table, whose
+// key carries no name, so they are interned by name alone. Same-width
+// variables with different names must stay distinct terms, and so must the
+// terms built over them.
+func TestVarsInternedByName(t *testing.T) {
+	c := NewContext()
+	a := c.Var("a", 8)
+	b := c.Var("b", 8)
+	if a == b || a.ID() == b.ID() {
+		t.Fatal("same-width variables with different names merged")
+	}
+	if c.StructuralHash(a) == c.StructuralHash(b) {
+		t.Fatal("distinct variables share a structural hash")
+	}
+	one := c.BV(8, 1)
+	if c.Add(a, one) == c.Add(b, one) || c.Ult(a, one) == c.Ult(b, one) {
+		t.Fatal("terms over distinct variables merged")
+	}
+	n := c.NumTerms()
+	if c.Var("a", 8) != a || c.Var("b", 8) != b {
+		t.Fatal("redeclaration returned a new term")
+	}
+	if c.NumTerms() != n {
+		t.Fatalf("redeclaration interned a term: %d -> %d", n, c.NumTerms())
+	}
+	if c.TermByID(a.ID()) != a || a.Name() != "a" || a.Width() != 8 {
+		t.Fatal("variable not registered under its ID")
+	}
+	if vs := c.Vars(); len(vs) != 2 || vs[0] != a || vs[1] != b {
+		t.Fatalf("Vars = %v, want [a b]", vs)
+	}
 }
 
 func TestWidthMismatchPanics(t *testing.T) {
@@ -396,5 +429,32 @@ func TestChainFoldingSoundness(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEvaluatorResetForgetsMemo: a recycled evaluator must re-evaluate every
+// term under its new environment, never answer from the old memo.
+func TestEvaluatorResetForgetsMemo(t *testing.T) {
+	c := NewContext()
+	x := c.Var("x", 8)
+	isOne := c.Eq(x, c.BV(8, 1))
+	sum := c.Add(x, c.BV(8, 2))
+	ev := NewEvaluator(MapEnv{"x": 1})
+	if v, err := ev.EvalBool(isOne); err != nil || !v {
+		t.Fatalf("x=1: EvalBool = %v, %v; want true", v, err)
+	}
+	if v, err := ev.Eval(sum); err != nil || v != 3 {
+		t.Fatalf("x=1: Eval(x+2) = %d, %v; want 3", v, err)
+	}
+	ev.Reset(MapEnv{"x": 7})
+	if v, err := ev.EvalBool(isOne); err != nil || v {
+		t.Fatalf("after Reset to x=7: EvalBool = %v, %v; want false", v, err)
+	}
+	if v, err := ev.Eval(sum); err != nil || v != 9 {
+		t.Fatalf("after Reset to x=7: Eval(x+2) = %d, %v; want 9", v, err)
+	}
+	ev.Reset(MapEnv{})
+	if _, err := ev.Eval(sum); err == nil {
+		t.Fatal("after Reset to an empty env: want an unbound-variable error")
 	}
 }
