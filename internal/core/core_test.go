@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -552,7 +553,7 @@ func TestSolverBudgetAbortsPathAsPartial(t *testing.T) {
 func TestAddPCDeduplicates(t *testing.T) {
 	x := NewExplorer(nil)
 	var st Stats
-	eng := newEngine(x.ctx, x.sol, nil, &st, nil)
+	eng := newEngine(x.ctx, x.sol, nil, &st, nil, &pathMarks{})
 	ctx := eng.Context()
 	v := eng.MakeSymbolic("v", 8)
 	c := ctx.Eq(v, ctx.BV(8, 3))
@@ -564,5 +565,62 @@ func TestAddPCDeduplicates(t *testing.T) {
 	eng.Assume(ctx.Ne(v, ctx.BV(8, 9)))
 	if got := len(eng.pcs); got != 2 {
 		t.Fatalf("pcs length = %d, want 2", got)
+	}
+}
+
+// TestPathMarksResetPerPath: the dense path-membership table an Explorer
+// reuses across paths starts every path empty — also after the epoch wraps
+// around — and covers terms interned after it last grew.
+func TestPathMarksResetPerPath(t *testing.T) {
+	x := NewExplorer(nil)
+	var st Stats
+	marks := &pathMarks{}
+	eng := newEngine(x.ctx, x.sol, nil, &st, nil, marks)
+	ctx := eng.Context()
+	v := eng.MakeSymbolic("v", 8)
+	c := ctx.Ult(v, ctx.BV(8, 100))
+	e := ctx.Ne(v, ctx.BV(8, 7)) // assumed on path 1 only
+	eng.Assume(c)
+	eng.Assume(e)
+	if !marks.has(c) || !marks.has(e) {
+		t.Fatal("assumed term not on path 1")
+	}
+
+	// Path 2 shares the table: c is not on it until assumed again.
+	eng = newEngine(x.ctx, x.sol, nil, &st, nil, marks)
+	if marks.has(c) {
+		t.Fatal("term from path 1 is on path 2")
+	}
+	eng.Assume(c)
+	if len(eng.pcs) != 1 {
+		t.Fatalf("pcs length = %d after assuming c on path 2, want 1", len(eng.pcs))
+	}
+
+	// A term interned mid-path lies beyond the table until added.
+	d := ctx.Ult(ctx.BV(8, 3), v)
+	if int(d.ID()) <= len(marks.mark) {
+		t.Fatalf("new term ID %d inside the table (%d)", d.ID(), len(marks.mark))
+	}
+	if marks.has(d) {
+		t.Fatal("fresh term beyond the table is on path")
+	}
+	eng.Assume(d)
+	if !marks.has(d) || len(eng.pcs) != 2 {
+		t.Fatalf("fresh term not added: has=%v, pcs=%d", marks.has(d), len(eng.pcs))
+	}
+
+	// Epoch wrap-around: e carries path 1's stamp, epoch 1, and the epoch
+	// after the wrap is 1 again, so the table must have been cleared.
+	marks.epoch = math.MaxUint32
+	eng = newEngine(x.ctx, x.sol, nil, &st, nil, marks)
+	if marks.epoch != 1 {
+		t.Fatalf("epoch after wrap = %d, want 1", marks.epoch)
+	}
+	if marks.has(c) || marks.has(d) || marks.has(e) {
+		t.Fatal("a term stamped before the wrap is on path after it")
+	}
+	eng.Assume(e)
+	if len(eng.pcs) != 1 {
+		t.Fatalf("pcs length = %d after the wrap, want 1", len(eng.pcs))
 	}
 }

@@ -105,7 +105,7 @@ type Engine struct {
 	n      int     // events seen so far on this run (replayed + fresh)
 	fresh  []event // events recorded beyond the prefix (fresh decisions only)
 	pcs    []*smt.Term
-	pcsSet map[*smt.Term]struct{} // interned members of pcs, for implication shortcuts
+	onPath *pathMarks // interned members of pcs, for implication shortcuts
 
 	symbolic []*smt.Term // variables created via MakeSymbolic, in order
 
@@ -128,12 +128,42 @@ type Engine struct {
 	stats *Stats
 }
 
-func newEngine(ctx *smt.Context, sol *solver.Solver, prefix []event, stats *Stats, qc *querycache.Local) *Engine {
+// pathMarks is the set of terms on one path, an epoch stamp per term ID-1.
+// An Explorer or Shard reuses one for every path; begin empties it.
+type pathMarks struct {
+	mark  []uint32
+	epoch uint32
+}
+
+// begin empties the set, clearing the table when the epoch wraps around.
+func (m *pathMarks) begin() {
+	m.epoch++
+	if m.epoch == 0 {
+		clear(m.mark)
+		m.epoch = 1
+	}
+}
+
+// has reports whether t is in the set (never for IDs beyond the table).
+func (m *pathMarks) has(t *smt.Term) bool {
+	return int(t.ID()) <= len(m.mark) && m.mark[t.ID()-1] == m.epoch
+}
+
+// add puts t in the set, growing the table geometrically.
+func (m *pathMarks) add(t *smt.Term) {
+	if n := int(t.ID()); n > len(m.mark) {
+		m.mark = append(m.mark, make([]uint32, n-len(m.mark))...)
+	}
+	m.mark[t.ID()-1] = m.epoch
+}
+
+func newEngine(ctx *smt.Context, sol *solver.Solver, prefix []event, stats *Stats, qc *querycache.Local, onPath *pathMarks) *Engine {
+	onPath.begin()
 	e := &Engine{
 		ctx:    ctx,
 		sol:    sol,
 		prefix: prefix,
-		pcsSet: make(map[*smt.Term]struct{}, 64),
+		onPath: onPath,
 		qc:     qc,
 		stats:  stats,
 	}
@@ -215,10 +245,10 @@ func (e *Engine) Branch(cond *smt.Term) bool {
 	// path constraint (typically the other model's identical decode
 	// condition) resolve without a decision, a solver query, or a fork.
 	if !e.noOpt {
-		if _, ok := e.pcsSet[cond]; ok {
+		if e.onPath.has(cond) {
 			return true
 		}
-		if _, ok := e.pcsSet[e.ctx.BNot(cond)]; ok {
+		if e.onPath.has(e.ctx.BNot(cond)) {
 			return false
 		}
 	}
@@ -339,7 +369,7 @@ func (e *Engine) FindWitness(cond *smt.Term) (smt.MapEnv, bool) {
 	}
 	if e.qc != nil {
 		e.stats.SolverQueries++
-		res, env := e.qc.CheckWitness(e.pcs, cond)
+		res, env := e.qc.CheckWitness(cond)
 		switch res {
 		case solver.Sat:
 			if env != nil {
@@ -401,15 +431,15 @@ func (e *Engine) AbortLimitReached(msg string) {
 // addPC appends a constraint to the path. trusted marks replayed
 // constraints: the query-cache seed model is known to satisfy them by
 // program determinism, so its revalidation is skipped. Terms already on the
-// path (hash-consing makes this a pointer lookup) are skipped: the
+// path (hash-consing makes this a mark-table lookup) are skipped: the
 // constraint conjunction is unchanged and every later solver call gets a
 // shorter assumption vector.
 func (e *Engine) addPC(t *smt.Term, trusted bool) {
-	if _, ok := e.pcsSet[t]; ok {
+	if e.onPath.has(t) {
 		return
 	}
 	e.pcs = append(e.pcs, t)
-	e.pcsSet[t] = struct{}{}
+	e.onPath.add(t)
 	if e.qc != nil {
 		e.qc.Observe(t, trusted)
 	}
@@ -427,7 +457,7 @@ func (e *Engine) check(assumptions ...*smt.Term) solver.Result {
 func (e *Engine) checkFeasible(query *smt.Term) solver.Result {
 	e.stats.SolverQueries++
 	if e.qc != nil {
-		return e.qc.CheckFeasible(e.pcs, query)
+		return e.qc.CheckFeasible(query)
 	}
 	if query != nil {
 		return e.sol.Check(append(e.pcs, query)...)
@@ -441,7 +471,7 @@ func (e *Engine) checkFeasible(query *smt.Term) solver.Result {
 func (e *Engine) checkSibling(neg *smt.Term) (solver.Result, querycache.Model) {
 	e.stats.SolverQueries++
 	if e.qc != nil {
-		return e.qc.CheckSibling(e.pcs, neg)
+		return e.qc.CheckSibling(neg)
 	}
 	return e.sol.Check(append(e.pcs, neg)...), nil
 }
@@ -453,7 +483,7 @@ func (e *Engine) checkSibling(neg *smt.Term) (solver.Result, querycache.Model) {
 func (e *Engine) checkModel(query *smt.Term) solver.Result {
 	e.stats.SolverQueries++
 	if e.qc != nil {
-		return e.qc.CheckModel(e.pcs, query)
+		return e.qc.CheckModel(query)
 	}
 	if query != nil {
 		return e.sol.Check(append(e.pcs, query)...)

@@ -199,10 +199,11 @@ type Witnesser interface {
 // Explorer drives repeated executions of a program over one shared term
 // context and solver.
 type Explorer struct {
-	ctx *smt.Context
-	sol *solver.Solver
-	run RunFunc
-	qc  *querycache.Local
+	ctx    *smt.Context
+	sol    *solver.Solver
+	run    RunFunc
+	qc     *querycache.Local
+	onPath pathMarks // reused by every path's Engine
 }
 
 // NewExplorer returns an explorer for the program run.
@@ -266,7 +267,7 @@ func (x *Explorer) Explore(opts Options) *Report {
 
 		sp := h.Start(obs.PhasePath)
 		sp.SetPath(pathID)
-		eng := newEngine(x.ctx, x.sol, wk.materialize(n), &rep.Stats, x.qc)
+		eng := newEngine(x.ctx, x.sol, wk.materialize(n), &rep.Stats, x.qc, &x.onPath)
 		eng.noOpt = opts.NoBranchOptimizations
 		eng.h = h
 		err, abort := runOne(x.run, eng)

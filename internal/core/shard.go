@@ -66,14 +66,15 @@ type ShardOptions struct {
 // AddPrefix. A Shard is not safe for concurrent use; run each on one
 // goroutine.
 type Shard struct {
-	ctx  *smt.Context
-	sol  *solver.Solver
-	run  RunFunc
-	w    walker
-	rng  pathRNG
-	opts ShardOptions
-	qc   *querycache.Local
-	h    *obs.Handle
+	ctx    *smt.Context
+	sol    *solver.Solver
+	run    RunFunc
+	w      walker
+	rng    pathRNG
+	opts   ShardOptions
+	qc     *querycache.Local
+	h      *obs.Handle
+	onPath pathMarks // reused by every path's Engine
 }
 
 // NewShard returns a shard with a fresh context and solver.
@@ -188,7 +189,7 @@ func (s *Shard) Step(order SearchStrategy) (PathRecord, bool) {
 
 	sp := s.h.Start(obs.PhasePath)
 	var st Stats
-	eng := newEngine(s.ctx, s.sol, s.w.materialize(n), &st, s.qc)
+	eng := newEngine(s.ctx, s.sol, s.w.materialize(n), &st, s.qc, &s.onPath)
 	eng.noOpt = s.opts.NoBranchOptimizations
 	eng.h = s.h
 	err, abort := runOne(s.run, eng)

@@ -227,7 +227,7 @@ func TestWalkerMaterializeSharesPrefixes(t *testing.T) {
 	wk.addRoot()
 	n := wk.pop(SearchDFS, &pathRNG{})
 	var st Stats
-	eng := newEngine(x.ctx, x.sol, wk.materialize(n), &st, nil)
+	eng := newEngine(x.ctx, x.sol, wk.materialize(n), &st, nil, &pathMarks{})
 	if err, abort := runOne(x.run, eng); err != nil || abort != nil {
 		t.Fatalf("run failed: %v / %v", err, abort)
 	}
@@ -290,7 +290,7 @@ func TestWalkerPopOrderAcrossStrategies(t *testing.T) {
 		wk.addRoot()
 		n := wk.pop(SearchDFS, &pathRNG{})
 		var st Stats
-		eng := newEngine(x.ctx, x.sol, wk.materialize(n), &st, nil)
+		eng := newEngine(x.ctx, x.sol, wk.materialize(n), &st, nil, &pathMarks{})
 		if err, abort := runOne(x.run, eng); err != nil || abort != nil {
 			t.Fatalf("run failed: %v / %v", err, abort)
 		}
@@ -353,7 +353,7 @@ func TestWalkerMaterializeMatchesNaive(t *testing.T) {
 				t.Fatalf("event %d differs from naive reconstruction", i)
 			}
 		}
-		eng := newEngine(x.ctx, x.sol, got, &st, nil)
+		eng := newEngine(x.ctx, x.sol, got, &st, nil, &pathMarks{})
 		if err, abort := runOne(x.run, eng); err != nil || abort != nil {
 			t.Fatalf("run failed: %v / %v", err, abort)
 		}

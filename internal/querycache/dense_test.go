@@ -114,8 +114,8 @@ func refSlice(all []*smt.Term, pivot *smt.Term, memo map[*smt.Term][]uint32) ([]
 }
 
 // TestTablesGrowWithContext: terms interned between probes have IDs beyond
-// the support memo and the mark table; supportOf and slice must grow both
-// and agree with the map-based reference.
+// the support memo, the union-find and the mark table; supportOf, Observe and
+// markSlice must grow them and agree with the map-based reference.
 func TestTablesGrowWithContext(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	l, ctx, _ := newLocal(t, nil)
@@ -146,8 +146,11 @@ func TestTablesGrowWithContext(t *testing.T) {
 			t.Fatalf("round %d: pivot ID %d is inside the tables (%d, %d)", round, newest.ID(), len(l.support), len(l.mark))
 		}
 		all := make([]*smt.Term, 0, 8)
+		l.BeginPath(nil)
 		for i := 0; i < 7; i++ {
-			all = append(all, conds[rng.Intn(len(conds))])
+			c := conds[rng.Intn(len(conds))]
+			all = append(all, c)
+			l.Observe(c, false)
 		}
 		all = append(all, newest)
 
@@ -156,7 +159,8 @@ func TestTablesGrowWithContext(t *testing.T) {
 				t.Fatalf("round %d: supportOf(%v) = %v, want %v", round, c, got, want)
 			}
 		}
-		got, dropped := l.slice(all, newest)
+		dropped := l.markSlice(newest)
+		got := l.sliceTerms(newest, dropped)
 		want, wantDropped := refSlice(all, newest, memo)
 		if !slices.Equal(got, want) || dropped != wantDropped {
 			t.Fatalf("round %d: slice = %v (dropped %d), want %v (dropped %d)", round, got, dropped, want, wantDropped)
@@ -215,7 +219,7 @@ func TestStackModelsNeverLeak(t *testing.T) {
 					// A concretization-style model query pushes the solver's
 					// model, evicting the oldest one when the stack is full.
 					full := len(l.stack) == maxStack
-					if l.CheckModel(pcs, nil) == solver.Sat && full {
+					if l.CheckModel(nil) == solver.Sat && full {
 						evictions++
 					}
 				}
@@ -224,7 +228,7 @@ func TestStackModelsNeverLeak(t *testing.T) {
 					c = ctx.BNot(c)
 				}
 				hits := l.Stats().StackHits
-				res, env := l.CheckWitness(pcs, c)
+				res, env := l.CheckWitness(c)
 				if l.Stats().StackHits > hits && env == nil {
 					t.Fatalf("trial %d path %d: stack hit returned no model", trial, path)
 				}
@@ -257,37 +261,80 @@ func TestStackModelsNeverLeak(t *testing.T) {
 }
 
 // BenchmarkCacheProbe replays a fixed probe sequence through one Local: a
-// decode-style chain of feasibility queries over one instruction word, path
+// decode-style chain of feasibility queries over instruction words, path
 // after path, the way replayed exploration re-probes the same prefixes.
-// After the first path every probe is answered by the stack, an exact hit
+// After the first paths every probe is answered by the stack, an exact hit
 // or the superset rule, so ns/op and allocs/op measure the layer itself.
+// Sub-benchmarks: n18 is the original 18-constraint path (one word plus an
+// independent rs1 pair); n54 is one 54-constraint component, the mean slice
+// size of the exhaustive limit-1 tree; comp2 interleaves two independent
+// 27-constraint words, so slicing drops half the path on every probe.
 func BenchmarkCacheProbe(b *testing.B) {
-	ctx := smt.NewContext()
-	l := NewLocal(ctx, solver.New(ctx), nil)
-	insn := ctx.Var("insn", 32)
-	rs1 := ctx.Var("rs1", 32)
+	b.Run("n18", func(b *testing.B) {
+		benchProbe(b, func(ctx *smt.Context) []*smt.Term {
+			rs1 := ctx.Var("rs1", 32)
+			return append(decodeConds(ctx, ctx.Var("insn", 32), 16),
+				ctx.Ult(rs1, ctx.BV(32, 0x1000)), ctx.Eq(ctx.Extract(rs1, 1, 0), ctx.BV(2, 0)))
+		})
+	})
+	b.Run("n54", func(b *testing.B) {
+		benchProbe(b, func(ctx *smt.Context) []*smt.Term {
+			return decodeConds(ctx, ctx.Var("insn", 32), 54)
+		})
+	})
+	b.Run("comp2", func(b *testing.B) {
+		benchProbe(b, func(ctx *smt.Context) []*smt.Term {
+			x := decodeConds(ctx, ctx.Var("insn", 32), 27)
+			y := decodeConds(ctx, ctx.Var("next", 32), 27)
+			var cs []*smt.Term
+			for i := range x {
+				cs = append(cs, x[i], y[i])
+			}
+			return cs
+		})
+	})
+}
+
+// decodeConds returns n decode conditions over one instruction word: eight
+// opcode matches, eight funct3 matches, then single-bit and two-bit field
+// tests.
+func decodeConds(ctx *smt.Context, insn *smt.Term, n int) []*smt.Term {
 	op := ctx.And(insn, ctx.BV(32, 0x7f))
 	f3 := ctx.Extract(insn, 14, 12)
-	var conds []*smt.Term
+	var cs []*smt.Term
 	for _, m := range []uint64{0x33, 0x13, 0x63, 0x03, 0x23, 0x37, 0x17, 0x6f} {
-		conds = append(conds, ctx.Eq(op, ctx.BV(32, m)))
+		cs = append(cs, ctx.Eq(op, ctx.BV(32, m)))
 	}
 	for f := uint64(0); f < 8; f++ {
-		conds = append(conds, ctx.Eq(f3, ctx.BV(3, f)))
+		cs = append(cs, ctx.Eq(f3, ctx.BV(3, f)))
 	}
-	conds = append(conds, ctx.Ult(rs1, ctx.BV(32, 0x1000)), ctx.Eq(ctx.Extract(rs1, 1, 0), ctx.BV(2, 0)))
-	pcs := make([]*smt.Term, 0, len(conds))
+	for i := 7; len(cs) < n; i++ {
+		if i < 32 {
+			cs = append(cs, ctx.Eq(ctx.Extract(insn, i, i), ctx.BV(1, 1)))
+		} else {
+			lo := 7 + (i-32)%24
+			cs = append(cs, ctx.Eq(ctx.Extract(insn, lo+1, lo), ctx.BV(2, uint64(i%4))))
+		}
+	}
+	return cs[:n]
+}
+
+// benchProbe times whole paths over the conditions build returns: each
+// condition, polarised by the path's mask, is probed and then observed in
+// its feasible direction.
+func benchProbe(b *testing.B, build func(*smt.Context) []*smt.Term) {
+	ctx := smt.NewContext()
+	l := NewLocal(ctx, solver.New(ctx), nil)
+	conds := build(ctx)
 	path := func(mask int) {
 		l.BeginPath(nil)
-		pcs = pcs[:0]
 		for i, c := range conds {
 			if mask>>(i%8)&1 == 0 {
 				c = ctx.BNot(c)
 			}
-			if l.CheckFeasible(pcs, c) != solver.Sat {
+			if l.CheckFeasible(c) != solver.Sat {
 				c = ctx.BNot(c)
 			}
-			pcs = append(pcs, c)
 			l.Observe(c, false)
 		}
 	}

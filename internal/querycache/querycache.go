@@ -13,18 +13,21 @@
 //
 //  2. Constraint independence: the constraint set is partitioned into
 //     connected components of the "shares a variable" relation, and only the
-//     component connected to the queried condition is sent to the solver.
+//     components connected to the queried condition are sent to the solver.
 //     Because the engine maintains the invariant that the path constraints
 //     are always satisfiable, and distinct components share no variables,
-//     the sliced answer equals the full answer.
+//     the sliced answer equals the full answer. Observe grows a union-find
+//     over the path's variables, so a probe only finds the pivot's roots.
 //
 //  3. Counterexample caching: answers are cached under a canonical
 //     fingerprint of the sliced constraint set (sorted context-independent
 //     structural hashes, so entries are valid across solver contexts and
-//     parexplore workers). An exact fingerprint match returns the cached
-//     answer; a superset of a known-unsat set is unsat. Unsat answers are
-//     recorded as the solver's unsat core when it is smaller than the slice,
-//     so the superset rule covers every later query containing the core.
+//     parexplore workers), kept sorted by Observe. An exact fingerprint
+//     match returns the cached answer; a superset of a known-unsat set is
+//     unsat. Unsat answers are recorded as the solver's unsat core when it
+//     is smaller than the slice, so the superset rule covers every later
+//     query containing the core. Unsat entries are indexed under each of
+//     their hashes; a probe tests only its pivot's bucket.
 //
 // Determinism: the layer never changes a Sat/Unsat answer — hits are either
 // witnessed by a concrete model (checked with smt.Eval, the ground truth) or
@@ -310,24 +313,29 @@ type Local struct {
 	sol    *solver.Solver
 	shared *Shared
 
-	entries    map[string]*entry
-	unsatByMin map[uint64][]*entry // local unsat entries indexed by smallest hash
-	pending    []*entry            // locally created entries not yet flushed
+	entries map[string]*entry
+	unsatBy map[uint64][]*entry // unsat entries under each member hash, in index order
+	pending []*entry            // locally created entries not yet flushed
 
 	support [][]uint32 // term ID-1 -> sorted support variable IDs; nil = not yet computed
 
 	stack []stackModel     // models of the current path's constraint set
 	free  []*smt.Evaluator // evaluators of dropped stack models, for reuse
 
+	// The current path, kept by BeginPath and Observe.
+	path   []*smt.Term  // observed constraints, in order
+	byHash []hashedTerm // path's structural hashes, sorted
+	parent []uint32     // key-1 -> union-find parent key; 0 = not on the path (see keysOf)
+	count  []uint32     // root key-1 -> path constraints in its component
+	onPath []uint32     // keys with a parent, cleared by BeginPath
+
 	// Reusable per-query buffers (valid only within one pipeline call).
-	scratch  []*smt.Term // query assembly buffer
-	mark     []uint32    // term ID-1 -> epoch that marked it (slice, captureModel)
-	epoch    uint32
-	usedBuf  []bool
-	sliceBuf []*smt.Term
-	hsBuf    []uint64
-	keyBuf   []byte
-	stats    Stats
+	scratch []*smt.Term // query assembly buffer (slices, pass-through sets)
+	mark    []uint32    // term ID-1 -> epoch that marked it (slice roots, captureModel)
+	epoch   uint32
+	hsBuf   []uint64
+	keyBuf  []byte
+	stats   Stats
 
 	h *obs.Handle
 }
@@ -336,12 +344,18 @@ type Local struct {
 // solver. shared may be nil (sequential exploration).
 func NewLocal(ctx *smt.Context, sol *solver.Solver, shared *Shared) *Local {
 	return &Local{
-		ctx:        ctx,
-		sol:        sol,
-		shared:     shared,
-		entries:    make(map[string]*entry, 256),
-		unsatByMin: make(map[uint64][]*entry, 64),
+		ctx:     ctx,
+		sol:     sol,
+		shared:  shared,
+		entries: make(map[string]*entry, 256),
+		unsatBy: make(map[uint64][]*entry, 64),
 	}
+}
+
+// hashedTerm is one path constraint's structural hash and union-find key.
+type hashedTerm struct {
+	h   uint64
+	key uint32
 }
 
 // AttachShared connects the cross-worker store. Must be called before any
@@ -356,14 +370,18 @@ func (l *Local) SetObs(h *obs.Handle) { l.h = h }
 // Stats returns the accumulated counters.
 func (l *Local) Stats() Stats { return l.stats }
 
-// BeginPath resets the per-path model stack for a new path. seed, when
-// non-nil, is a model known to satisfy the path's replayed constraint prefix
-// (captured when the sibling was proven feasible).
+// BeginPath starts a new, empty path and resets the per-path model stack.
+// seed, when non-nil, is a model known to satisfy the path's replayed
+// constraint prefix (captured when the sibling was proven feasible).
 func (l *Local) BeginPath(seed Model) {
 	for _, m := range l.stack {
 		l.free = append(l.free, m.ev)
 	}
 	l.stack = l.stack[:0]
+	for _, v := range l.onPath {
+		l.parent[v-1] = 0
+	}
+	l.onPath, l.path, l.byHash = l.onPath[:0], l.path[:0], l.byHash[:0]
 	if seed != nil {
 		l.stack = append(l.stack, stackModel{env: seed, ev: l.evaluator(seed), seed: true})
 	}
@@ -382,11 +400,23 @@ func (l *Local) evaluator(env Model) *smt.Evaluator {
 	return ev
 }
 
-// Observe tells the layer a constraint was appended to the path. trusted
-// marks replayed constraints, which the seed model is known to satisfy
-// (program determinism); all other models are revalidated by evaluation and
-// dropped when they no longer satisfy the constraint set.
+// Observe appends a constraint to the path. trusted marks replayed
+// constraints, which the seed model is known to satisfy (program
+// determinism); all other models are revalidated by evaluation and dropped
+// when they no longer satisfy the constraint set. The constraint's hash joins
+// the sorted path hashes and its variables join one union-find component.
 func (l *Local) Observe(t *smt.Term, trusted bool) {
+	l.path = append(l.path, t)
+	h := l.ctx.StructuralHash(t)
+	l.byHash = append(l.byHash, hashedTerm{})
+	i := len(l.byHash) - 1
+	for ; i > 0 && l.byHash[i-1].h > h; i-- {
+		l.byHash[i] = l.byHash[i-1]
+	}
+	keys := l.keysOf(t)
+	l.byHash[i] = hashedTerm{h, keys[0]}
+	l.count[l.join(keys)-1]++
+
 	keep := l.stack[:0]
 	for _, m := range l.stack {
 		if trusted && m.seed {
@@ -412,34 +442,34 @@ func (l *Local) Flush() {
 	l.pending = l.pending[:0]
 }
 
-// CheckFeasible answers satisfiability of pcs plus the optional query
+// CheckFeasible answers satisfiability of the path plus the optional query
 // condition through the full elimination pipeline. A nil query makes the
-// last element of pcs the pivot (the engine's flip check).
-func (l *Local) CheckFeasible(pcs []*smt.Term, query *smt.Term) solver.Result {
-	res, _, _ := l.check(pcs, query, true)
+// last observed constraint the pivot (the engine's flip check).
+func (l *Local) CheckFeasible(query *smt.Term) solver.Result {
+	res, _, _ := l.check(query, true)
 	return res
 }
 
 // CheckSibling is CheckFeasible for the engine's eager sibling-feasibility
-// query. On Sat it additionally returns a model of pcs ∧ query when one is
-// available in full (nil otherwise), for seeding the sibling path's stack.
+// query. On Sat it additionally returns a model of the path ∧ query when one
+// is available in full (nil otherwise), for seeding the sibling path's stack.
 // Sibling models are not pushed onto this path's stack: the path is about to
 // assert the negation of the query, which the model fails by construction.
-func (l *Local) CheckSibling(pcs []*smt.Term, query *smt.Term) (solver.Result, Model) {
-	res, env, complete := l.check(pcs, query, false)
+func (l *Local) CheckSibling(query *smt.Term) (solver.Result, Model) {
+	res, env, complete := l.check(query, false)
 	if res != solver.Sat || !complete {
 		return res, nil
 	}
 	return res, env
 }
 
-// CheckWitness answers the engine's witness query (pcs ∧ cond) and, when the
-// answer is Sat, returns the witnessing model. A nil model with a Sat result
-// means the query passed through to the solver, whose model state holds the
-// witness. Cache hits only short-circuit when their model covers the whole
-// constraint set, so a returned model is always a genuine witness.
-func (l *Local) CheckWitness(pcs []*smt.Term, query *smt.Term) (solver.Result, Model) {
-	res, env, complete := l.check(pcs, query, true)
+// CheckWitness answers the engine's witness query (path ∧ cond) and, when
+// the answer is Sat, returns the witnessing model. A nil model with a Sat
+// result means the query passed through to the solver, whose model state
+// holds the witness. Cache hits only short-circuit when their model covers
+// the whole constraint set, so a returned model is always a genuine witness.
+func (l *Local) CheckWitness(query *smt.Term) (solver.Result, Model) {
+	res, env, complete := l.check(query, true)
 	if res == solver.Sat && env != nil && complete {
 		return res, env
 	}
@@ -453,11 +483,7 @@ func (l *Local) CheckWitness(pcs []*smt.Term, query *smt.Term) (solver.Result, M
 		// ModelQueries only — the feasibility query itself was already
 		// accounted (Queries plus a hit counter or CDCL) by check().
 		l.stats.ModelQueries++
-		full := append(l.scratch[:0], pcs...)
-		if query != nil {
-			full = append(full, query)
-		}
-		l.scratch = full
+		full := l.withQuery(query)
 		if r := l.sol.Check(full...); r != solver.Sat {
 			return r, nil
 		}
@@ -467,17 +493,13 @@ func (l *Local) CheckWitness(pcs []*smt.Term, query *smt.Term) (solver.Result, M
 	return res, nil
 }
 
-// CheckModel answers satisfiability of pcs plus the optional query with a
-// guaranteed pass-through to the solver, so the engine can read model values
-// afterwards (concretization, test vectors). The model is also pushed onto
-// the path's stack for later stack hits.
-func (l *Local) CheckModel(pcs []*smt.Term, query *smt.Term) solver.Result {
+// CheckModel answers satisfiability of the path plus the optional query with
+// a guaranteed pass-through to the solver, so the engine can read model
+// values afterwards (concretization, test vectors). The model is also pushed
+// onto the path's stack for later stack hits.
+func (l *Local) CheckModel(query *smt.Term) solver.Result {
 	l.stats.ModelQueries++
-	full := append(l.scratch[:0], pcs...)
-	if query != nil {
-		full = append(full, query)
-	}
-	l.scratch = full
+	full := l.withQuery(query)
 	res := l.sol.Check(full...)
 	if res == solver.Sat {
 		l.pushSolverModel(full)
@@ -485,25 +507,33 @@ func (l *Local) CheckModel(pcs []*smt.Term, query *smt.Term) solver.Result {
 	return res
 }
 
+// withQuery returns the path followed by query, if any, in a reused buffer.
+func (l *Local) withQuery(query *smt.Term) []*smt.Term {
+	full := append(l.scratch[:0], l.path...)
+	if query != nil {
+		full = append(full, query)
+	}
+	l.scratch = full
+	return full
+}
+
 // check runs the elimination pipeline. It returns the answer, a model
 // witnessing a Sat answer when one is known (possibly restricted to the
 // sliced component), and whether that model covers the entire constraint
 // set. push allows a freshly derived full-set model onto the path stack;
 // callers about to assert the pivot's negation pass false.
-func (l *Local) check(pcs []*smt.Term, query *smt.Term, push bool) (solver.Result, Model, bool) {
+func (l *Local) check(query *smt.Term, push bool) (solver.Result, Model, bool) {
 	defer l.h.Start(obs.PhaseCacheProbe).End()
 	l.stats.Queries++
 
-	all := append(l.scratch[:0], pcs...)
-	if query != nil {
-		all = append(all, query)
+	pivot := query
+	if pivot == nil {
+		if len(l.path) == 0 {
+			l.stats.CDCL++
+			return l.sol.Check(), nil, false
+		}
+		pivot = l.path[len(l.path)-1]
 	}
-	l.scratch = all
-	if len(all) == 0 {
-		l.stats.CDCL++
-		return l.sol.Check(), nil, false
-	}
-	pivot := all[len(all)-1]
 
 	// Stage 1: stack models. Every stacked model satisfies all observed
 	// constraints — exactly all minus an unobserved pivot — so evaluating
@@ -516,10 +546,11 @@ func (l *Local) check(pcs []*smt.Term, query *smt.Term, push bool) (solver.Resul
 	}
 
 	// Stage 2: independence slicing.
-	slice, dropped := l.slice(all, pivot)
+	dropped := l.markSlice(pivot)
 
 	// Stage 3: exact fingerprint lookup (local map, then shared store).
-	key, hs := l.fingerprint(slice) // key and hs alias reused buffers
+	ph := l.ctx.StructuralHash(pivot)
+	key, hs := l.sliceKey(ph, query != nil, dropped) // alias reused buffers
 	if e := l.lookup(key); e != nil {
 		l.stats.ExactHits++
 		if e.store {
@@ -530,7 +561,7 @@ func (l *Local) check(pcs []*smt.Term, query *smt.Term, push bool) (solver.Resul
 
 	// Stage 4: superset-of-unsat. Any known-unsat subset proves this set
 	// unsat.
-	if e := l.supersetUnsat(hs); e != nil {
+	if e := l.supersetUnsat(ph, hs); e != nil {
 		l.stats.SupersetUnsat++
 		if e.store {
 			l.stats.StoreHits++
@@ -544,6 +575,7 @@ func (l *Local) check(pcs []*smt.Term, query *smt.Term, push bool) (solver.Resul
 		l.stats.SlicedQueries++
 		l.stats.SlicedDropped += uint64(dropped)
 	}
+	slice := l.sliceTerms(query, dropped)
 	res, core := l.sol.CheckCore(slice...)
 	switch res {
 	case solver.Sat:
@@ -663,12 +695,13 @@ func (l *Local) record(key []byte, hs []uint64, sat bool, model Model) {
 	l.index(e)
 }
 
-// index adds an unsat entry to the superset-rule index; sat entries are
-// reached by exact key only.
+// index adds an unsat entry to the superset-rule index, under each of its
+// hashes; sat entries are reached by exact key only.
 func (l *Local) index(e *entry) {
-	if !e.sat && len(e.hs) > 0 {
-		min := e.hs[0]
-		l.unsatByMin[min] = append(l.unsatByMin[min], e)
+	if !e.sat {
+		for _, h := range e.hs {
+			l.unsatBy[h] = append(l.unsatBy[h], e)
+		}
 	}
 }
 
@@ -700,20 +733,21 @@ func bloomOf(hs []uint64) uint64 {
 }
 
 // supersetUnsat returns a known-unsat subset entry of the sorted hash set
-// hs, or nil. Candidates are the local unsat entries whose smallest hash
-// occurs in hs (a necessary condition for subset-hood); the bloom signature
-// and the size comparison reject almost all of them before the element-wise
-// scan.
-func (l *Local) supersetUnsat(hs []uint64) *entry {
+// hs, or nil. Only entries holding the pivot's hash ph are candidates, which
+// is exact: the engine keeps the path satisfiable, so every unsat subset of
+// path ∪ {pivot} contains the pivot (were that broken, a pivot-free subset
+// would cost a hit, never an answer). It returns the subset with the least
+// smallest hash, earliest indexed on ties — the one an ascending scan over
+// smallest-hash buckets finds — so StoreHits does not depend on the index.
+func (l *Local) supersetUnsat(ph uint64, hs []uint64) *entry {
 	q := bloomOf(hs)
-	for _, h := range hs {
-		for _, e := range l.unsatByMin[h] {
-			if e.bloom&^q == 0 && len(e.hs) <= len(hs) && isSubset(e.hs, hs) {
-				return e
-			}
+	var best *entry
+	for _, e := range l.unsatBy[ph] {
+		if (best == nil || e.hs[0] < best.hs[0]) && e.bloom&^q == 0 && len(e.hs) <= len(hs) && isSubset(e.hs, hs) {
+			best = e
 		}
 	}
-	return nil
+	return best
 }
 
 // isSubset reports whether sorted slice sub is a subset of sorted slice sup.
@@ -731,72 +765,127 @@ func isSubset(sub, sup []uint64) bool {
 	return true
 }
 
-// slice returns the members of all connected to pivot under the shares-a-
-// variable relation (always including pivot itself), deduplicated, plus the
-// number of constraints left out. The returned slice aliases a reusable
-// buffer valid until the next call.
-func (l *Local) slice(all []*smt.Term, pivot *smt.Term) ([]*smt.Term, int) {
-	l.newEpoch()
-	mark, inComp := l.mark, l.epoch
-	for _, id := range l.supportOf(pivot) {
-		mark[id-1] = inComp
+// keysOf returns t's union-find keys: its variables or, without any, its own
+// ID, a component of its own that only an identical pivot reaches.
+func (l *Local) keysOf(t *smt.Term) []uint32 {
+	if sup := l.supportOf(t); len(sup) > 0 {
+		return sup
 	}
-	if cap(l.usedBuf) < len(all) {
-		l.usedBuf = make([]bool, len(all))
+	return []uint32{t.ID()}
+}
+
+// join unites one constraint's sorted, non-empty keys, adding those new to
+// the path, and returns the root: of two roots, the one with more constraints.
+func (l *Local) join(keys []uint32) uint32 {
+	if n := l.ctx.NumTerms(); int(keys[len(keys)-1]) > len(l.parent) {
+		l.parent = append(l.parent, make([]uint32, n-len(l.parent))...)
+		l.count = append(l.count, make([]uint32, n-len(l.count))...)
 	}
-	used := l.usedBuf[:len(all)]
-	for i := range used {
-		used[i] = false
-	}
-	for changed := true; changed; {
-		changed = false
-		for i, t := range all {
-			if used[i] {
-				continue
+	var r uint32
+	for _, v := range keys {
+		if l.parent[v-1] == 0 {
+			l.parent[v-1], l.count[v-1] = v, 0
+			l.onPath = append(l.onPath, v)
+		}
+		switch v = l.find(v); {
+		case r == 0:
+			r = v
+		case v != r:
+			if l.count[v-1] > l.count[r-1] {
+				r, v = v, r
 			}
-			if t == pivot {
-				used[i] = true
-				changed = true
-				continue
-			}
-			sup := l.supportOf(t)
-			touch := false
-			for _, id := range sup {
-				if mark[id-1] == inComp {
-					touch = true
-					break
-				}
-			}
-			if !touch {
-				continue
-			}
-			used[i] = true
-			changed = true
-			for _, id := range sup {
-				mark[id-1] = inComp
-			}
+			l.parent[v-1] = r
+			l.count[r-1] += l.count[v-1]
 		}
 	}
-	// Duplicate terms (a condition asserted twice) are kept: the fingerprint
-	// deduplicates their hashes, and the solver tolerates repeated conjuncts.
-	slice := l.sliceBuf[:0]
-	dropped := 0
-	for i, t := range all {
-		if !used[i] {
-			dropped++
+	return r
+}
+
+// find returns the root of path key v, halving the path to it.
+func (l *Local) find(v uint32) uint32 {
+	for l.parent[v-1] != v {
+		l.parent[v-1] = l.parent[l.parent[v-1]-1]
+		v = l.parent[v-1]
+	}
+	return v
+}
+
+// markSlice marks, in a fresh epoch, the roots of the pivot's components and
+// returns how many path constraints lie outside them. The marked components
+// plus the pivot are the slice: the fixed point of "shares a variable with
+// the slice" started from the pivot.
+func (l *Local) markSlice(pivot *smt.Term) int {
+	l.newEpoch()
+	in := 0
+	for _, v := range l.keysOf(pivot) {
+		if int(v) > len(l.parent) || l.parent[v-1] == 0 {
+			continue // in no path constraint
+		}
+		if r := l.find(v); l.mark[r-1] != l.epoch {
+			l.mark[r-1] = l.epoch
+			in += int(l.count[r-1])
+		}
+	}
+	return len(l.path) - in
+}
+
+// inSlice reports whether markSlice marked the component of key.
+func (l *Local) inSlice(key uint32) bool { return l.mark[l.find(key)-1] == l.epoch }
+
+// sliceTerms returns the slice in path order, the query last; a duplicated
+// constraint stays duplicated, as the solver tolerates repeated conjuncts.
+// The result aliases a reused buffer.
+func (l *Local) sliceTerms(query *smt.Term, dropped int) []*smt.Term {
+	s := l.scratch[:0]
+	for _, t := range l.path {
+		if dropped == 0 || l.inSlice(l.keysOf(t)[0]) {
+			s = append(s, t)
+		}
+	}
+	if query != nil {
+		s = append(s, query)
+	}
+	l.scratch = s
+	return s
+}
+
+// sliceKey returns fingerprint(sliceTerms(...)) without sorting: it walks the
+// sorted path hashes, filtered to the slice when constraints were dropped,
+// and merges in the pivot's hash ph when the pivot is a query, not a path
+// constraint. Both results alias reused buffers.
+func (l *Local) sliceKey(ph uint64, query bool, dropped int) ([]byte, []uint64) {
+	hs := l.hsBuf[:0]
+	for _, p := range l.byHash {
+		if dropped > 0 && !l.inSlice(p.key) {
 			continue
 		}
-		slice = append(slice, t)
+		if query && ph <= p.h {
+			hs, query = appendNew(hs, ph), false
+		}
+		hs = appendNew(hs, p.h)
 	}
-	l.sliceBuf = slice
-	return slice, dropped
+	if query {
+		hs = appendNew(hs, ph)
+	}
+	l.hsBuf = hs
+	return l.key(hs), hs
+}
+
+// appendNew appends h to the sorted hs unless it is already hs's last
+// element.
+func appendNew(hs []uint64, h uint64) []uint64 {
+	if n := len(hs); n > 0 && hs[n-1] == h {
+		return hs
+	}
+	return append(hs, h)
 }
 
 // fingerprint returns the canonical key of a constraint set, KeyOf of the
 // sorted, deduplicated context-independent structural hashes of its members,
 // together with those hashes. Identical sets built in different contexts (or
-// discovered in different orders) produce identical keys. Both results alias
-// reused buffers, valid until the next call.
+// discovered in different orders) produce identical keys. It sorts, so the
+// pipeline uses it only to record unsat cores. Both results alias reused
+// buffers, valid until the next call.
 func (l *Local) fingerprint(ts []*smt.Term) ([]byte, []uint64) {
 	hs := l.hsBuf[:0]
 	for _, t := range ts {
@@ -807,16 +896,15 @@ func (l *Local) fingerprint(ts []*smt.Term) ([]byte, []uint64) {
 	// set as a once-asserted one (collisions between distinct terms are
 	// astronomically unlikely and harmless to keep once).
 	out := hs[:0]
-	var prev uint64
-	for i, h := range hs {
-		if i > 0 && h == prev {
-			continue
-		}
-		out = append(out, h)
-		prev = h
+	for _, h := range hs {
+		out = appendNew(out, h)
 	}
-	hs = out
-	l.hsBuf = hs
+	l.hsBuf = out
+	return l.key(out), out
+}
+
+// key writes KeyOf(hs) into the reused key buffer.
+func (l *Local) key(hs []uint64) []byte {
 	if cap(l.keyBuf) < 8*len(hs) {
 		l.keyBuf = make([]byte, 8*len(hs))
 	}
@@ -824,7 +912,7 @@ func (l *Local) fingerprint(ts []*smt.Term) ([]byte, []uint64) {
 	for i, h := range hs {
 		binary.BigEndian.PutUint64(buf[i*8:], h)
 	}
-	return buf, hs
+	return buf
 }
 
 // newEpoch starts a fresh marking of the mark table, first growing it over

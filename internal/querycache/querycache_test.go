@@ -23,7 +23,7 @@ func TestStackSeedAndObserve(t *testing.T) {
 
 	l.BeginPath(Model{"a": 5})
 	c1 := ctx.Ult(a, ctx.BV(8, 10)) // a < 10: model says true
-	if res := l.CheckFeasible([]*smt.Term{}, c1); res != solver.Sat {
+	if res := l.CheckFeasible(c1); res != solver.Sat {
 		t.Fatalf("CheckFeasible = %v, want Sat", res)
 	}
 	if l.Stats().StackHits != 1 || l.Stats().CDCL != 0 {
@@ -35,18 +35,19 @@ func TestStackSeedAndObserve(t *testing.T) {
 	// contract: the caller vouches for it)...
 	bad := ctx.Ult(ctx.BV(8, 200), a)
 	l.Observe(bad, true)
-	if res := l.CheckFeasible([]*smt.Term{c1, bad}, nil); res != solver.Unsat {
+	if res := l.CheckFeasible(nil); res != solver.Unsat {
 		// The flip-check form (nil query, pivot = last pc) must consult the
 		// solver here: the seed fails the pivot.
 		t.Fatalf("flip check = %v, want Unsat", res)
 	}
 	// ...and is dropped by the same constraint when untrusted.
+	l.BeginPath(Model{"a": 5})
 	l.Observe(bad, false)
-	pcs := []*smt.Term{c1}
-	if res := l.CheckFeasible(pcs, c1); res != solver.Sat {
+	checks := sol.Stats().Checks
+	if res := l.CheckFeasible(ctx.Ult(ctx.BV(8, 100), a)); res != solver.Sat {
 		t.Fatalf("after drop: CheckFeasible = %v, want Sat", res)
 	}
-	if got := sol.Stats().Checks; got == 0 {
+	if got := sol.Stats().Checks; got == checks {
 		t.Fatal("expected the post-drop query to reach the solver")
 	}
 }
@@ -59,9 +60,9 @@ func TestIndependenceSlicing(t *testing.T) {
 	b := ctx.Var("b", 8)
 	l.BeginPath(nil)
 
-	pcs := []*smt.Term{ctx.Ult(a, ctx.BV(8, 10)), ctx.Ult(ctx.BV(8, 3), a)}
+	observe(l, ctx.Ult(a, ctx.BV(8, 10)), ctx.Ult(ctx.BV(8, 3), a))
 	pivot := ctx.Eq(b, ctx.BV(8, 7))
-	if res := l.CheckFeasible(pcs, pivot); res != solver.Sat {
+	if res := l.CheckFeasible(pivot); res != solver.Sat {
 		t.Fatalf("CheckFeasible = %v, want Sat", res)
 	}
 	st := l.Stats()
@@ -82,9 +83,19 @@ func TestSliceConnectsTransitively(t *testing.T) {
 		ctx.Ult(d, ctx.BV(8, 5)), // independent
 	}
 	pivot := ctx.Ult(c, ctx.BV(8, 9))
-	slice, dropped := l.slice(append(all, pivot), pivot)
+	l.BeginPath(nil)
+	observe(l, all...)
+	dropped := l.markSlice(pivot)
+	slice := l.sliceTerms(pivot, dropped)
 	if len(slice) != 3 || dropped != 1 {
 		t.Fatalf("slice = %d terms, dropped = %d; want 3 and 1", len(slice), dropped)
+	}
+}
+
+// observe appends constraints to l's path.
+func observe(l *Local, cs ...*smt.Term) {
+	for _, c := range cs {
+		l.Observe(c, false)
 	}
 }
 
@@ -133,11 +144,12 @@ func TestExactHit(t *testing.T) {
 	a := ctx.Var("a", 8)
 	l.BeginPath(nil)
 	q := []*smt.Term{ctx.Ult(a, ctx.BV(8, 10)), ctx.Ult(ctx.BV(8, 20), a)}
-	if res := l.CheckFeasible(q[:1], q[1]); res != solver.Unsat {
+	observe(l, q[0])
+	if res := l.CheckFeasible(q[1]); res != solver.Unsat {
 		t.Fatalf("first = %v, want Unsat", res)
 	}
 	checks := sol.Stats().Checks
-	if res := l.CheckFeasible(q[:1], q[1]); res != solver.Unsat {
+	if res := l.CheckFeasible(q[1]); res != solver.Unsat {
 		t.Fatalf("second = %v, want Unsat", res)
 	}
 	if sol.Stats().Checks != checks {
@@ -160,15 +172,16 @@ func TestSupersetUnsat(t *testing.T) {
 
 	lo := ctx.Ult(a, ctx.BV(8, 10))
 	hi := ctx.Ult(ctx.BV(8, 20), a)
-	if res := l.CheckFeasible([]*smt.Term{lo}, hi); res != solver.Unsat {
+	observe(l, lo)
+	if res := l.CheckFeasible(hi); res != solver.Unsat {
 		t.Fatalf("core query = %v, want Unsat", res)
 	}
 	checks := sol.Stats().Checks
 
 	// Superset with an extra constraint over the same variable (so slicing
 	// cannot remove it): still answered by the unsat subset.
-	extra := ctx.Ult(a, b)
-	if res := l.CheckFeasible([]*smt.Term{lo, extra}, hi); res != solver.Unsat {
+	observe(l, ctx.Ult(a, b))
+	if res := l.CheckFeasible(hi); res != solver.Unsat {
 		t.Fatalf("superset query = %v, want Unsat", res)
 	}
 	if sol.Stats().Checks != checks {
@@ -186,7 +199,8 @@ func TestSharedFlushAndAdopt(t *testing.T) {
 	l1, ctx1, _ := newLocal(t, store)
 	l1.BeginPath(nil)
 	a1 := ctx1.Var("a", 8)
-	if res := l1.CheckFeasible([]*smt.Term{ctx1.Ult(a1, ctx1.BV(8, 10))}, ctx1.Ult(ctx1.BV(8, 20), a1)); res != solver.Unsat {
+	observe(l1, ctx1.Ult(a1, ctx1.BV(8, 10)))
+	if res := l1.CheckFeasible(ctx1.Ult(ctx1.BV(8, 20), a1)); res != solver.Unsat {
 		t.Fatalf("worker 1 = %v, want Unsat", res)
 	}
 	if store.Len() != 0 {
@@ -200,7 +214,8 @@ func TestSharedFlushAndAdopt(t *testing.T) {
 	l2, ctx2, sol2 := newLocal(t, store)
 	l2.BeginPath(nil)
 	a2 := ctx2.Var("a", 8)
-	if res := l2.CheckFeasible([]*smt.Term{ctx2.Ult(a2, ctx2.BV(8, 10))}, ctx2.Ult(ctx2.BV(8, 20), a2)); res != solver.Unsat {
+	observe(l2, ctx2.Ult(a2, ctx2.BV(8, 10)))
+	if res := l2.CheckFeasible(ctx2.Ult(ctx2.BV(8, 20), a2)); res != solver.Unsat {
 		t.Fatalf("worker 2 = %v, want Unsat", res)
 	}
 	if sol2.Stats().Checks != 0 {
@@ -219,7 +234,7 @@ func TestCheckModelPassThrough(t *testing.T) {
 	a := ctx.Var("a", 8)
 	l.BeginPath(Model{"a": 3})
 	c := ctx.Ult(a, ctx.BV(8, 10))
-	if res := l.CheckModel([]*smt.Term{}, c); res != solver.Sat {
+	if res := l.CheckModel(c); res != solver.Sat {
 		t.Fatalf("CheckModel = %v, want Sat", res)
 	}
 	if sol.Stats().Checks != 1 {
@@ -239,7 +254,7 @@ func TestCheckWitnessCompleteModel(t *testing.T) {
 	pcs := []*smt.Term{ctx.Ult(a, ctx.BV(8, 10))}
 	l.Observe(pcs[0], false)
 	cond := ctx.Ult(ctx.BV(8, 2), a)
-	res, m := l.CheckWitness(pcs, cond)
+	res, m := l.CheckWitness(cond)
 	if res != solver.Sat || m == nil {
 		t.Fatalf("CheckWitness = (%v, %v), want Sat with a model", res, m)
 	}
@@ -264,7 +279,7 @@ func TestExactHitMergeIsWitness(t *testing.T) {
 
 	// Path A caches the answer for {x == 0}.
 	l.BeginPath(nil)
-	if res := l.CheckFeasible(nil, q); res != solver.Sat {
+	if res := l.CheckFeasible(q); res != solver.Sat {
 		t.Fatalf("path A query = %v, want Sat", res)
 	}
 
@@ -274,7 +289,7 @@ func TestExactHitMergeIsWitness(t *testing.T) {
 	l.BeginPath(Model{"x": 2, "y": 5})
 	l.Observe(pcs[0], false)
 
-	res, m := l.CheckSibling(pcs, q)
+	res, m := l.CheckSibling(q)
 	if res != solver.Sat {
 		t.Fatalf("CheckSibling = %v, want Sat", res)
 	}
@@ -303,9 +318,9 @@ func TestWitnessFallbackAccounting(t *testing.T) {
 	// The pivot's slice excludes the a-constraint and no stack model exists,
 	// so check() answers Sat with a partial model and CheckWitness must
 	// re-derive the full witness from the solver.
-	pcs := []*smt.Term{ctx.Ult(a, ctx.BV(8, 10))}
+	observe(l, ctx.Ult(a, ctx.BV(8, 10)))
 	cond := ctx.Ult(b, ctx.BV(8, 5))
-	res, _ := l.CheckWitness(pcs, cond)
+	res, _ := l.CheckWitness(cond)
 	if res != solver.Sat {
 		t.Fatalf("CheckWitness = %v, want Sat", res)
 	}
@@ -328,7 +343,7 @@ func TestSiblingModelNotPushed(t *testing.T) {
 	a := ctx.Var("a", 8)
 	l.BeginPath(nil)
 	cond := ctx.Ult(a, ctx.BV(8, 10))
-	res, m := l.CheckSibling(nil, ctx.BNot(cond))
+	res, m := l.CheckSibling(ctx.BNot(cond))
 	if res != solver.Sat || m == nil {
 		t.Fatalf("CheckSibling = (%v, %v), want Sat with a complete model", res, m)
 	}
@@ -368,10 +383,10 @@ func TestSnapshotImportRoundtrip(t *testing.T) {
 	l.BeginPath(nil)
 	sat := ctx.Ult(a, ctx.BV(8, 10))
 	unsat := ctx.Ult(ctx.BV(8, 200), ctx.BV(8, 100))
-	if res := l.CheckFeasible(nil, sat); res != solver.Sat {
+	if res := l.CheckFeasible(sat); res != solver.Sat {
 		t.Fatalf("sat probe = %v", res)
 	}
-	if res := l.CheckFeasible(nil, unsat); res != solver.Unsat {
+	if res := l.CheckFeasible(unsat); res != solver.Unsat {
 		t.Fatalf("unsat probe = %v", res)
 	}
 	l.Flush()
@@ -407,10 +422,10 @@ func TestSnapshotImportRoundtrip(t *testing.T) {
 	l2.BeginPath(nil)
 	sat2 := ctx2.Ult(a2, ctx2.BV(8, 10))
 	unsat2 := ctx2.Ult(ctx2.BV(8, 200), ctx2.BV(8, 100))
-	if res := l2.CheckFeasible(nil, sat2); res != solver.Sat {
+	if res := l2.CheckFeasible(sat2); res != solver.Sat {
 		t.Fatalf("warm sat probe = %v", res)
 	}
-	if res := l2.CheckFeasible(nil, unsat2); res != solver.Unsat {
+	if res := l2.CheckFeasible(unsat2); res != solver.Unsat {
 		t.Fatalf("warm unsat probe = %v", res)
 	}
 	st := l2.Stats()

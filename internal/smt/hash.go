@@ -34,9 +34,9 @@ func hashCombine(h, v uint64) uint64 {
 // cost per term is O(1) after the first computation. The hash is never 0.
 func (c *Context) StructuralHash(t *Term) uint64 {
 	if int(t.id) > len(c.hashMemo) {
-		memo := make([]uint64, len(c.terms))
-		copy(memo, c.hashMemo)
-		c.hashMemo = memo
+		// append grows the capacity geometrically, so interleaving term
+		// creation with hashing copies the memo O(log n) times, not O(n).
+		c.hashMemo = append(c.hashMemo, make([]uint64, len(c.terms)-len(c.hashMemo))...)
 	}
 	if h := c.hashMemo[t.id-1]; h != 0 {
 		return h

@@ -458,3 +458,25 @@ func TestEvaluatorResetForgetsMemo(t *testing.T) {
 		t.Fatal("after Reset to an empty env: want an unbound-variable error")
 	}
 }
+
+// TestHashMemoGrowsGeometrically interleaves term creation with
+// StructuralHash calls, the pattern of a query layer hashing each new path
+// constraint. The memo must grow by amortized doubling: reallocating it to
+// the exact term count on every miss copies it once per new term.
+func TestHashMemoGrowsGeometrically(t *testing.T) {
+	c := NewContext()
+	x := c.Var("x", 32)
+	reallocs, last := 0, cap(c.hashMemo)
+	for i := 0; i < 10000; i++ {
+		c.StructuralHash(c.Ult(x, c.BV(32, uint64(i+1))))
+		if n := cap(c.hashMemo); n != last {
+			reallocs, last = reallocs+1, n
+		}
+	}
+	if c.NumTerms() < 10000 {
+		t.Fatalf("only %d terms interned", c.NumTerms())
+	}
+	if reallocs > 40 {
+		t.Fatalf("hash memo reallocated %d times over %d terms, want O(log n)", reallocs, c.NumTerms())
+	}
+}
