@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -559,11 +560,11 @@ func TestAddPCDeduplicates(t *testing.T) {
 	c := ctx.Eq(v, ctx.BV(8, 3))
 	eng.Assume(c)
 	eng.Assume(c)
-	if got := len(eng.pcs); got != 1 {
+	if got := len(eng.onPath.terms); got != 1 {
 		t.Fatalf("pcs length = %d after duplicate Assume, want 1", got)
 	}
 	eng.Assume(ctx.Ne(v, ctx.BV(8, 9)))
-	if got := len(eng.pcs); got != 2 {
+	if got := len(eng.onPath.terms); got != 2 {
 		t.Fatalf("pcs length = %d, want 2", got)
 	}
 }
@@ -592,8 +593,8 @@ func TestPathMarksResetPerPath(t *testing.T) {
 		t.Fatal("term from path 1 is on path 2")
 	}
 	eng.Assume(c)
-	if len(eng.pcs) != 1 {
-		t.Fatalf("pcs length = %d after assuming c on path 2, want 1", len(eng.pcs))
+	if len(eng.onPath.terms) != 1 {
+		t.Fatalf("pcs length = %d after assuming c on path 2, want 1", len(eng.onPath.terms))
 	}
 
 	// A term interned mid-path lies beyond the table until added.
@@ -605,8 +606,8 @@ func TestPathMarksResetPerPath(t *testing.T) {
 		t.Fatal("fresh term beyond the table is on path")
 	}
 	eng.Assume(d)
-	if !marks.has(d) || len(eng.pcs) != 2 {
-		t.Fatalf("fresh term not added: has=%v, pcs=%d", marks.has(d), len(eng.pcs))
+	if !marks.has(d) || len(eng.onPath.terms) != 2 {
+		t.Fatalf("fresh term not added: has=%v, pcs=%d", marks.has(d), len(eng.onPath.terms))
 	}
 
 	// Epoch wrap-around: e carries path 1's stamp, epoch 1, and the epoch
@@ -620,7 +621,81 @@ func TestPathMarksResetPerPath(t *testing.T) {
 		t.Fatal("a term stamped before the wrap is on path after it")
 	}
 	eng.Assume(e)
-	if len(eng.pcs) != 1 {
-		t.Fatalf("pcs length = %d after the wrap, want 1", len(eng.pcs))
+	if len(eng.onPath.terms) != 1 {
+		t.Fatalf("pcs length = %d after the wrap, want 1", len(eng.onPath.terms))
+	}
+}
+
+// TestPathModelInputsExact: test vectors and PathModel-backed findings carry
+// exactly the inputs registered on their path — unconstrained ones read 0,
+// variables made outside MakeSymbolic never appear — and the Explorer and a
+// Shard report the same input maps.
+func TestPathModelInputsExact(t *testing.T) {
+	prog := func(e *Engine) error {
+		ctx := e.Context()
+		a := e.MakeSymbolic("a", 8)
+		e.MakeSymbolic("b", 8) // never constrained
+		if e.Branch(ctx.Ult(a, ctx.BV(8, 10))) {
+			return fmt.Errorf("low")
+		}
+		if e.Branch(ctx.Eq(a, ctx.BV(8, 200))) {
+			e.MakeSymbolic("c", 8)
+			return nil
+		}
+		e.Branch(ctx.Ult(ctx.Var("hidden", 8), a))
+		return nil
+	}
+	check := func(who string, in smt.MapEnv) string {
+		t.Helper()
+		a := in["a"]
+		want := []string{"a", "b"}
+		if a == 200 {
+			want = append(want, "c")
+		}
+		var keys []string
+		for k := range in {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if fmt.Sprint(keys) != fmt.Sprint(want) || in["b"] != 0 || in["c"] != 0 {
+			t.Fatalf("%s: inputs %v, want exactly %v with b = c = 0", who, in, want)
+		}
+		return fmt.Sprint(in)
+	}
+
+	rep := NewExplorer(prog).Explore(Options{GenerateTests: true})
+	var got []string
+	for _, f := range rep.Findings {
+		if a := f.Inputs["a"]; a >= 10 {
+			t.Fatalf("finding input a = %d is not below 10", a)
+		}
+		got = append(got, "finding "+check("explorer finding", f.Inputs))
+	}
+	for _, tv := range rep.TestVectors {
+		got = append(got, "test "+check("explorer test", tv.Inputs))
+	}
+	if len(rep.Findings) != 1 || len(rep.TestVectors) != 3 {
+		t.Fatalf("%d findings and %d test vectors, want 1 and 3", len(rep.Findings), len(rep.TestVectors))
+	}
+
+	s := NewShard(prog, ShardOptions{GenerateTests: true})
+	s.SeedRoot()
+	var shard []string
+	for {
+		rec, ok := s.Step(SearchDFS)
+		if !ok {
+			break
+		}
+		switch {
+		case rec.Kind == PathFinding:
+			shard = append(shard, "finding "+check("shard finding", rec.Inputs))
+		case rec.HasTest:
+			shard = append(shard, "test "+check("shard test", rec.TestInputs))
+		}
+	}
+	sort.Strings(got)
+	sort.Strings(shard)
+	if fmt.Sprint(got) != fmt.Sprint(shard) {
+		t.Fatalf("explorer inputs %v, shard inputs %v", got, shard)
 	}
 }

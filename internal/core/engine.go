@@ -101,11 +101,10 @@ type Engine struct {
 	ctx *smt.Context
 	sol *solver.Solver
 
-	prefix []event // events to replay; the last one is the flipped branch
-	n      int     // events seen so far on this run (replayed + fresh)
-	fresh  []event // events recorded beyond the prefix (fresh decisions only)
-	pcs    []*smt.Term
-	onPath *pathMarks // interned members of pcs, for implication shortcuts
+	prefix []event    // events to replay; the last one is the flipped branch
+	n      int        // events seen so far on this run (replayed + fresh)
+	fresh  []event    // events recorded beyond the prefix (fresh decisions only)
+	onPath *pathMarks // the path constraints, in order and as a set
 
 	symbolic []*smt.Term // variables created via MakeSymbolic, in order
 
@@ -128,15 +127,19 @@ type Engine struct {
 	stats *Stats
 }
 
-// pathMarks is the set of terms on one path, an epoch stamp per term ID-1.
-// An Explorer or Shard reuses one for every path; begin empties it.
+// pathMarks holds one path's constraints: terms in order, and the same
+// terms as a set, an epoch stamp per term ID-1 (the implication shortcut and
+// dedup lookups). An Explorer or Shard reuses one for every path; begin
+// empties it, keeping both tables' storage.
 type pathMarks struct {
+	terms []*smt.Term
 	mark  []uint32
 	epoch uint32
 }
 
 // begin empties the set, clearing the table when the epoch wraps around.
 func (m *pathMarks) begin() {
+	m.terms = m.terms[:0]
 	m.epoch++
 	if m.epoch == 0 {
 		clear(m.mark)
@@ -149,8 +152,9 @@ func (m *pathMarks) has(t *smt.Term) bool {
 	return int(t.ID()) <= len(m.mark) && m.mark[t.ID()-1] == m.epoch
 }
 
-// add puts t in the set, growing the table geometrically.
+// add appends t to the path, growing the table geometrically.
 func (m *pathMarks) add(t *smt.Term) {
+	m.terms = append(m.terms, t)
 	if n := int(t.ID()); n > len(m.mark) {
 		m.mark = append(m.mark, make([]uint32, n-len(m.mark))...)
 	}
@@ -207,7 +211,7 @@ func (e *Engine) SymbolicInputs() []*smt.Term { return e.symbolic }
 
 // PathConstraints returns the constraints accumulated so far.
 func (e *Engine) PathConstraints() []*smt.Term {
-	return append([]*smt.Term(nil), e.pcs...)
+	return append([]*smt.Term(nil), e.onPath.terms...)
 }
 
 // Assume adds the condition to the path constraints, aborting the path if it
@@ -381,7 +385,7 @@ func (e *Engine) FindWitness(cond *smt.Term) (smt.MapEnv, bool) {
 		}
 		return nil, false
 	}
-	switch e.check(append(e.pcs, cond)...) {
+	switch e.check(append(e.onPath.terms, cond)...) {
 	case solver.Sat:
 		return e.sol.ModelFor(e.symbolic), true
 	case solver.Unknown:
@@ -438,7 +442,6 @@ func (e *Engine) addPC(t *smt.Term, trusted bool) {
 	if e.onPath.has(t) {
 		return
 	}
-	e.pcs = append(e.pcs, t)
 	e.onPath.add(t)
 	if e.qc != nil {
 		e.qc.Observe(t, trusted)
@@ -460,9 +463,9 @@ func (e *Engine) checkFeasible(query *smt.Term) solver.Result {
 		return e.qc.CheckFeasible(query)
 	}
 	if query != nil {
-		return e.sol.Check(append(e.pcs, query)...)
+		return e.sol.Check(append(e.onPath.terms, query)...)
 	}
-	return e.sol.Check(e.pcs...)
+	return e.sol.Check(e.onPath.terms...)
 }
 
 // checkSibling is the eager sibling-feasibility query; with the cache
@@ -473,7 +476,7 @@ func (e *Engine) checkSibling(neg *smt.Term) (solver.Result, querycache.Model) {
 	if e.qc != nil {
 		return e.qc.CheckSibling(neg)
 	}
-	return e.sol.Check(append(e.pcs, neg)...), nil
+	return e.sol.Check(append(e.onPath.terms, neg)...), nil
 }
 
 // checkModel answers satisfiability guaranteeing a pass-through to the
@@ -486,9 +489,9 @@ func (e *Engine) checkModel(query *smt.Term) solver.Result {
 		return e.qc.CheckModel(query)
 	}
 	if query != nil {
-		return e.sol.Check(append(e.pcs, query)...)
+		return e.sol.Check(append(e.onPath.terms, query)...)
 	}
-	return e.sol.Check(e.pcs...)
+	return e.sol.Check(e.onPath.terms...)
 }
 
 // polarise returns cond or its negation according to dir.

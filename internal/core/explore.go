@@ -292,7 +292,7 @@ func (x *Explorer) Explore(opts Options) *Report {
 			if w, ok := err.(Witnesser); ok {
 				f.Inputs = filterInputs(w.Witness(), eng.symbolic)
 			} else if m, ok := eng.PathModel(); ok {
-				f.Inputs = filterInputs(m, eng.symbolic)
+				f.Inputs = m
 			}
 			rep.Findings = append(rep.Findings, f)
 			if opts.StopOnFirstFinding {
@@ -305,7 +305,7 @@ func (x *Explorer) Explore(opts Options) *Report {
 				if m, ok := eng.PathModel(); ok {
 					rep.TestVectors = append(rep.TestVectors, TestVector{
 						Path:   pathID,
-						Inputs: filterInputs(m, eng.symbolic),
+						Inputs: m,
 					})
 				}
 			}
@@ -363,6 +363,8 @@ func runOne(run RunFunc, eng *Engine) (err error, abort *abortError) {
 	return run(eng), nil
 }
 
+// filterInputs restricts a Witnesser's model to the path's symbolic inputs.
+// PathModel results need no filtering: they hold exactly those inputs.
 func filterInputs(m smt.MapEnv, inputs []*smt.Term) smt.MapEnv {
 	out := make(smt.MapEnv, len(inputs))
 	for _, v := range inputs {

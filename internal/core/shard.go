@@ -216,13 +216,13 @@ func (s *Shard) Step(order SearchStrategy) (PathRecord, bool) {
 		if w, ok := err.(Witnesser); ok {
 			rec.Inputs = filterInputs(w.Witness(), eng.symbolic)
 		} else if m, ok := eng.PathModel(); ok {
-			rec.Inputs = filterInputs(m, eng.symbolic)
+			rec.Inputs = m
 		}
 	default:
 		rec.Kind = PathCompleted
 		if s.opts.GenerateTests {
 			if m, ok := eng.PathModel(); ok {
-				rec.TestInputs = filterInputs(m, eng.symbolic)
+				rec.TestInputs = m
 				rec.HasTest = true
 			}
 		}

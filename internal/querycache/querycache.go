@@ -335,6 +335,7 @@ type Local struct {
 	epoch   uint32
 	hsBuf   []uint64
 	keyBuf  []byte
+	idBuf   []uint32 // captureModel's support variables
 	stats   Stats
 
 	h *obs.Handle
@@ -669,17 +670,20 @@ func (l *Local) pushSolverModel(full []*smt.Term) {
 // witness after mergeWithStack overlays it onto a stack base.
 func (l *Local) captureModel(ts []*smt.Term) Model {
 	l.newEpoch()
-	env := make(Model, 32)
+	ids := l.idBuf[:0]
 	for _, t := range ts {
 		for _, id := range l.supportOf(t) {
-			if l.mark[id-1] == l.epoch {
-				continue
+			if l.mark[id-1] != l.epoch {
+				l.mark[id-1] = l.epoch
+				ids = append(ids, id)
 			}
-			l.mark[id-1] = l.epoch
-			v := l.ctx.TermByID(id)
-			mv, _ := l.sol.VarValue(v)
-			env[v.Name()] = mv
 		}
+	}
+	l.idBuf = ids
+	env := make(Model, len(ids))
+	for _, id := range ids {
+		v := l.ctx.TermByID(id)
+		env[v.Name()], _ = l.sol.VarValue(v)
 	}
 	return env
 }

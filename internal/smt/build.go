@@ -19,7 +19,7 @@ func (c *Context) Var(name string, width int) *Term {
 		}
 		return prev
 	}
-	t := c.newTerm(KVar, uint8(width), 0, nil)
+	t := c.newTerm(key{kw: kw(KVar, width)}, nil)
 	t.name = name
 	c.vars = append(c.vars, t)
 	c.varsByName[name] = t

@@ -156,17 +156,32 @@ func (t *Term) ExtractBounds() (hi, lo int) {
 }
 
 // key is the hash-cons key of a non-variable term. Every field is an integer,
-// so a table probe hashes 24 bytes and never a string. Variables are interned
-// by name in varsByName and never enter the table.
+// so a probe hashes it with two multiplies and a mix, and compares it by
+// value. Variables are interned by name in varsByName and never enter the
+// table.
 type key struct {
 	val        uint64
 	a0, a1, a2 uint32
 	kw         uint32 // kind<<8 | width
 }
 
+// hash mixes the key's fields into a slot hash; the odd multipliers keep the
+// operand IDs of one kind and width collision-free before the final mix. The
+// receiver is a pointer because a value receiver makes mk copy its key
+// through the stack with a store-forwarding stall, tripling the cost of a hit.
+func (k *key) hash() uint64 {
+	return mix64(k.val ^ (uint64(k.a0)<<32|uint64(k.a1))*hashMulA ^ (uint64(k.a2)<<32|uint64(k.kw))*hashMulB)
+}
+
 // Context owns and interns terms.
+//
+// The hash-cons table is open addressing over term IDs: slots is a
+// power-of-two array of IDs (0 = empty) probed linearly from a key's hash,
+// and keys holds every term's key by ID-1, so a probe compares keys by value
+// and the table holds no pointers for the garbage collector to scan.
 type Context struct {
-	table      map[key]*Term
+	slots      []uint32
+	keys       []key   // index = id-1; variables hold their kind and width only
 	terms      []*Term // index = id-1
 	tTrue      *Term
 	tFalse     *Term
@@ -180,7 +195,7 @@ type Context struct {
 // NewContext returns an empty term context.
 func NewContext() *Context {
 	c := &Context{
-		table:      make(map[key]*Term, 1024),
+		slots:      make([]uint32, 1024),
 		varsByName: make(map[string]*Term),
 	}
 	c.tTrue = c.mk0(KTrue, 0, 0)
@@ -203,25 +218,51 @@ func (c *Context) TermByID(id uint32) *Term {
 func (c *Context) Vars() []*Term { return c.vars }
 
 func (c *Context) mk(k key, args []*Term) *Term {
-	if t, ok := c.table[k]; ok {
-		return t
+	m := uint64(len(c.slots) - 1)
+	i := k.hash() & m
+	for id := c.slots[i]; id != 0; id = c.slots[i] {
+		if c.keys[id-1] == k {
+			return c.terms[id-1]
+		}
+		i = (i + 1) & m
 	}
-	t := c.newTerm(Kind(k.kw>>8), uint8(k.kw), k.val, args)
-	c.table[k] = t
+	t := c.newTerm(k, args)
+	c.slots[i] = t.id
+	if 4*(len(c.terms)-len(c.vars)) > 3*len(c.slots) {
+		c.grow()
+	}
 	return t
 }
 
+// grow doubles the slot array and reinserts every keyed term.
+func (c *Context) grow() {
+	slots := make([]uint32, 2*len(c.slots))
+	m := uint64(len(slots) - 1)
+	for _, id := range c.slots {
+		if id == 0 {
+			continue
+		}
+		i := c.keys[id-1].hash() & m
+		for slots[i] != 0 {
+			i = (i + 1) & m
+		}
+		slots[i] = id
+	}
+	c.slots = slots
+}
+
 // newTerm appends a term under the next dense ID.
-func (c *Context) newTerm(kind Kind, width uint8, val uint64, args []*Term) *Term {
+func (c *Context) newTerm(k key, args []*Term) *Term {
 	t := &Term{
 		id:    uint32(len(c.terms) + 1),
-		kind:  kind,
-		width: width,
-		val:   val,
+		kind:  Kind(k.kw >> 8),
+		width: uint8(k.kw),
+		val:   k.val,
 		nargs: uint8(len(args)),
 	}
 	copy(t.args[:], args)
 	c.terms = append(c.terms, t)
+	c.keys = append(c.keys, k)
 	return t
 }
 

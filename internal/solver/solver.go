@@ -63,6 +63,8 @@ type Solver struct {
 	sat *sat.Solver
 	bb  *bitblast.Blaster
 
+	lits []sat.Lit // assumption buffer of the current Check / CheckCore
+
 	checks     atomic.Uint64
 	satAns     atomic.Uint64
 	unsatAns   atomic.Uint64
@@ -116,10 +118,7 @@ func (s *Solver) Assert(t *smt.Term) {
 // assumptions. After Sat, Model and ModelValue read the witness.
 func (s *Solver) Check(assumptions ...*smt.Term) Result {
 	defer s.h.Start(obs.PhaseSolverCheck).End()
-	lits := make([]sat.Lit, len(assumptions))
-	for i, t := range assumptions {
-		lits[i] = s.bb.LitFor(t)
-	}
+	lits := s.assumptionLits(assumptions)
 	s.checks.Add(1)
 	res := s.sat.Solve(lits...)
 	s.snapshotSAT()
@@ -144,10 +143,7 @@ func (s *Solver) Check(assumptions ...*smt.Term) Result {
 // across related queries.
 func (s *Solver) CheckCore(assumptions ...*smt.Term) (Result, []*smt.Term) {
 	defer s.h.Start(obs.PhaseSolverCheck).End()
-	lits := make([]sat.Lit, len(assumptions))
-	for i, t := range assumptions {
-		lits[i] = s.bb.LitFor(t)
-	}
+	lits := s.assumptionLits(assumptions)
 	s.checks.Add(1)
 	res := s.sat.Solve(lits...)
 	s.snapshotSAT()
@@ -177,6 +173,17 @@ func (s *Solver) CheckCore(assumptions ...*smt.Term) (Result, []*smt.Term) {
 	}
 	s.unknownAns.Add(1)
 	return Unknown, nil
+}
+
+// assumptionLits translates the assumptions into the solver's reused literal
+// buffer. sat.Solve copies what it keeps, so the buffer is free again once
+// the answer is read.
+func (s *Solver) assumptionLits(assumptions []*smt.Term) []sat.Lit {
+	s.lits = s.lits[:0]
+	for _, t := range assumptions {
+		s.lits = append(s.lits, s.bb.LitFor(t))
+	}
+	return s.lits
 }
 
 // snapshotSAT publishes a copy of the SAT-core counters for concurrent

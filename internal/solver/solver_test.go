@@ -472,3 +472,29 @@ func TestStatsConcurrentSampling(t *testing.T) {
 		t.Fatalf("final stats inconsistent: %+v", st)
 	}
 }
+
+// TestWarmCheckAllocs: once its terms are blasted, a Check or CheckCore
+// translates its assumptions into the solver's reused buffer, not a new
+// slice per call.
+func TestWarmCheckAllocs(t *testing.T) {
+	ctx := smt.NewContext()
+	s := New(ctx)
+	x, y := ctx.Var("x", 8), ctx.Var("y", 8)
+	sat := []*smt.Term{ctx.Ult(x, y), ctx.Ne(x, ctx.BV(8, 3)), ctx.Eq(ctx.Add(x, y), ctx.BV(8, 9))}
+	unsat := []*smt.Term{ctx.Ult(x, ctx.BV(8, 5)), ctx.Ugt(x, ctx.BV(8, 200))}
+	if s.Check(sat...) != Sat {
+		t.Fatal("warm-up query not Sat")
+	}
+	if n := testing.AllocsPerRun(50, func() { s.Check(sat...) }); n != 0 {
+		t.Fatalf("warm Check allocates %v times, want 0", n)
+	}
+	if res, _ := s.CheckCore(sat...); res != Sat {
+		t.Fatal("CheckCore not Sat")
+	}
+	if n := testing.AllocsPerRun(50, func() { s.CheckCore(sat...) }); n != 0 {
+		t.Fatalf("warm Sat CheckCore allocates %v times, want 0", n)
+	}
+	if res, core := s.CheckCore(unsat...); res != Unsat || len(core) == 0 {
+		t.Fatalf("CheckCore = %v with core %v, want Unsat with a core", res, core)
+	}
+}
