@@ -10,9 +10,9 @@
 //   - hashcons: the voter's pointer-equality fast path is sound only if
 //     every smt.Term is built through the hash-consing Context, so raw
 //     term construction outside internal/smt is banned.
-//   - clauseimmut: learned/shared clause slices ([]sat.Lit) that crossed a
-//     package boundary are immutable; mutating them corrupts the solver's
-//     clause database and the bit-blaster's caches.
+//   - clauseimmut: shared literal slices ([]sat.Lit) that crossed a
+//     package boundary are immutable; mutating them corrupts the
+//     bit-blaster's caches (the SAT solver copies clauses into its arena).
 //   - checkederr: solver/engine APIs report failure through error returns;
 //     silently discarding them turns solver aborts into bogus verdicts.
 //

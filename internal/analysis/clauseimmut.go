@@ -8,18 +8,17 @@ import (
 const satPkgPath = "symriscv/internal/sat"
 
 // ClauseImmut reports mutation of []sat.Lit slices that the current
-// function does not own. Clause literal slices are shared aggressively:
-// the SAT solver's clause database aliases learnt slices, and the
-// bit-blaster hands out its cached per-term bit slices by reference.
-// Writing into such a slice (index assignment, copy, in-place sort, or an
-// append whose result is discarded into a different variable) corrupts
-// state owned by another package. A function owns a slice only if it
+// function does not own. The bit-blaster hands out its cached per-term bit
+// slices by reference (the SAT solver copies every clause into its arena,
+// so it keeps no caller slice). Writing into such a slice (index
+// assignment, copy, in-place sort, or an append whose result is discarded
+// into a different variable) corrupts state owned by another package. A function owns a slice only if it
 // created it locally via make, a composite literal, or append-growth of
 // an owned slice.
 var ClauseImmut = &Analyzer{
 	Name: "clauseimmut",
 	Doc: "forbid mutation of shared []sat.Lit clause slices outside internal/sat " +
-		"(clause databases and bit-blaster caches alias their slices)",
+		"(the bit-blaster's caches alias their slices)",
 	Run: runClauseImmut,
 }
 
@@ -215,7 +214,7 @@ func checkLitIndexAssign(pass *Pass, owned map[*types.Var]bool, n *ast.AssignStm
 			continue
 		}
 		pass.Reportf(lhs.Pos(),
-			"write into shared []sat.Lit slice outside %s: clause slices alias the solver's database and the bit-blaster's caches; copy before mutating",
+			"write into shared []sat.Lit slice outside %s: bit slices alias the bit-blaster's caches; copy before mutating",
 			satPkgPath)
 	}
 }
@@ -230,7 +229,7 @@ func checkLitCall(pass *Pass, owned map[*types.Var]bool, f *ast.File, call *ast.
 			case "copy":
 				if len(call.Args) == 2 && isLitSlice(pass.TypeOf(call.Args[0])) && !ownedArg(call.Args[0]) {
 					pass.Reportf(call.Pos(),
-						"copy into shared []sat.Lit slice outside %s: destination aliases solver/bit-blaster state",
+						"copy into shared []sat.Lit slice outside %s: destination aliases bit-blaster state",
 						satPkgPath)
 				}
 			case "append":

@@ -1,6 +1,6 @@
 // Package fixture exercises the clauseimmut analyzer: []sat.Lit slices
-// received across a package boundary alias the solver's clause database
-// and must not be mutated in place.
+// received across a package boundary alias the bit-blaster's caches and
+// must not be mutated in place.
 package fixture
 
 import (

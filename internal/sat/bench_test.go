@@ -1,6 +1,9 @@
 package sat
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // propagationChain builds n implication chains of length depth fanning out
 // from one root variable: asserting the root floods the trail with unit
@@ -66,6 +69,53 @@ func BenchmarkConflictHeavy(b *testing.B) {
 		addPigeonhole(s, 8, 7)
 		if s.Solve() != Unsat {
 			b.Fatal("pigeonhole should be unsat")
+		}
+	}
+}
+
+// prefixScript builds a gate DAG and the query sequence of a depth-first
+// walk over a path tree on it, the bit-blasted engine's pattern: grow the
+// path by one branch literal, query both sides, follow a feasible one, and
+// now and then backtrack a few levels. Answers are taken on s while the
+// script is built, so s arrives warm.
+func prefixScript(s *Solver, gates, queries int) [][]Lit {
+	rng := rand.New(rand.NewSource(3))
+	c := &circuit{nIn: 32}
+	newVars(s, c.nIn)
+	for k := 0; k < gates; k++ {
+		c.addGate(rng, s)
+	}
+	var script [][]Lit
+	var path []Lit
+	for len(script) < queries {
+		if len(path) >= 16 || rng.Intn(6) == 0 {
+			path = path[:rng.Intn(len(path)+1)]
+		}
+		l := c.randomLit(rng)
+		sat := false
+		for _, br := range [2]Lit{l, l.Neg()} {
+			q := append(path[:len(path):len(path)], br)
+			script = append(script, q)
+			if s.Solve(q...) == Sat && !sat {
+				sat = true
+				path = q
+			}
+		}
+	}
+	return script
+}
+
+// BenchmarkSolvePrefix replays prefixScript's 256 queries per iteration on a
+// 1000-gate DAG: trail reuse, cone reuse along the shared prefix and
+// cone-restricted propagation, with conflicts only where a branch is
+// infeasible.
+func BenchmarkSolvePrefix(b *testing.B) {
+	s := New()
+	script := prefixScript(s, 1000, 256)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range script {
+			s.Solve(q...)
 		}
 	}
 }

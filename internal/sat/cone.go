@@ -42,6 +42,7 @@ func (op GateOp) arity() int {
 const (
 	opMask  = 3      // the variable's GateOp; 0 for an input variable
 	fRooted = 1 << 2 // occurs in an AddClause clause: in every cone
+	fInCone = 1 << 3 // member of the current cone
 )
 
 // AddGate creates a variable defined as op over ins, adds the defining
@@ -58,7 +59,7 @@ func (s *Solver) AddGate(op GateOp, ins ...Lit) Lit {
 		}
 	}
 	v := s.newVar(false)
-	s.vflags[v] = uint8(op)
+	s.vflags[v] |= uint8(op)
 	copy(s.fanin[3*int(v):], ins)
 	o := MkLit(v, false)
 	if !s.ok {
@@ -108,23 +109,34 @@ func (s *Solver) root(v Var) {
 
 // openCone starts a Solve call's cone: the fan-in closure of the
 // assumptions, the roots and every inherited assignment whose fan-in is
-// open. The decision heap is rebuilt from the cone alone. Runs after trail
-// reuse has cut the trail back to the kept prefix.
-func (s *Solver) openCone(assumptions []Lit) {
-	s.coneTick++
-	if s.coneTick == 0 {
-		clear(s.coneStamp)
-		s.coneTick = 1
+// open. The decision heap is rebuilt from the cone alone, in cone order.
+// Runs after trail reuse has cut the trail back to the kept prefix.
+//
+// The cone of the first shared assumptions, which equal the previous
+// call's, is kept. markCone over a marked set closed under fan-in visits
+// exactly the unmarked part of the full traversal, in the same order, and
+// gate fan-in never changes; so cutting the cone back to coneLim[shared-1]
+// and marking on from there gives the cone a fresh marking would.
+func (s *Solver) openCone(assumptions []Lit, shared int) {
+	lim := 0
+	if shared > 0 {
+		lim = int(s.coneLim[shared-1])
 	}
-	s.cone = s.cone[:0]
-	s.order.clear()
-	for _, p := range assumptions {
+	for _, v := range s.cone[lim:] {
+		s.vflags[v] &^= fInCone
+	}
+	s.cone = s.cone[:lim]
+	s.coneLim = s.coneLim[:shared]
+	s.coneOpen = true
+	for _, p := range assumptions[shared:] {
 		s.markCone(p.Var())
+		s.coneLim = append(s.coneLim, int32(len(s.cone)))
 	}
 	for _, v := range s.roots {
 		s.markCone(v)
 	}
 	s.markOpenFanin()
+	s.order.clear()
 	for _, v := range s.cone {
 		if s.decision[v] && s.assigns[v] >= uint8(lUndef) {
 			s.order.insert(v, s.activity)
@@ -134,19 +146,18 @@ func (s *Solver) openCone(assumptions []Lit) {
 
 // markCone adds v and its fan-in closure to the cone.
 func (s *Solver) markCone(v Var) {
-	tick := s.coneTick
-	if s.coneStamp[v] == tick {
+	if s.vflags[v]&fInCone != 0 {
 		return
 	}
-	s.coneStamp[v] = tick
+	s.vflags[v] |= fInCone
 	work := append(s.work[:0], v)
 	for len(work) > 0 {
 		u := work[len(work)-1]
 		work = work[:len(work)-1]
 		s.cone = append(s.cone, u)
 		for _, l := range s.faninOf(u) {
-			if w := l.Var(); s.coneStamp[w] != tick {
-				s.coneStamp[w] = tick
+			if w := l.Var(); s.vflags[w]&fInCone == 0 {
+				s.vflags[w] |= fInCone
 				work = append(work, w)
 			}
 		}
@@ -160,7 +171,7 @@ func (s *Solver) markCone(v Var) {
 func (s *Solver) markOpenFanin() {
 	for _, l := range s.trail {
 		v := l.Var()
-		if s.coneStamp[v] == s.coneTick {
+		if s.vflags[v]&fInCone != 0 {
 			continue
 		}
 		for _, in := range s.faninOf(v) {
@@ -174,10 +185,11 @@ func (s *Solver) markOpenFanin() {
 
 // coneComplete reports whether the assignment is a complete answer: every
 // cone variable assigned and, when a backjump cut the trail below the kept
-// prefix (trailCut), every assigned gate's fan-in assigned. Otherwise it makes the open variables decision variables and puts them in
-// the heap. A cone variable is open when its implication was skipped while
-// it was outside an earlier cone and the trigger lies in the kept trail, or
-// when backtracking unassigned an inherited gate's fan-in.
+// prefix (trailCut), every assigned gate's fan-in assigned. Otherwise it
+// makes the open variables decision variables and puts them in the heap. A
+// cone variable is open when its implication was skipped while it was
+// outside an earlier cone and the trigger lies in the kept trail, or when
+// backtracking unassigned an inherited gate's fan-in.
 func (s *Solver) coneComplete(trailCut bool) bool {
 	if trailCut {
 		s.markOpenFanin()

@@ -14,8 +14,11 @@ type circuit struct {
 	extra  [][]Lit // AddClause clauses
 }
 
+// chooser draws the circuit's random choices: a *rand.Rand, or fuzz bytes.
+type chooser interface{ Intn(n int) int }
+
 // addGate creates a random gate over the existing variables in s and c.
-func (c *circuit) addGate(rng *rand.Rand, s *Solver) {
+func (c *circuit) addGate(rng chooser, s *Solver) {
 	n := c.nIn + len(c.ops)
 	op := GateOp(1 + rng.Intn(3))
 	ins := make([]Lit, op.arity())
@@ -36,7 +39,7 @@ func (c *circuit) addGate(rng *rand.Rand, s *Solver) {
 
 // randomLit picks a literal over the circuit's variables, gates more often
 // than inputs.
-func (c *circuit) randomLit(rng *rand.Rand) Lit {
+func (c *circuit) randomLit(rng chooser) Lit {
 	n := c.nIn + len(c.ops)
 	v := rng.Intn(n)
 	if len(c.ops) > 0 && rng.Intn(3) != 0 {

@@ -3,6 +3,9 @@
 // dedicated binary-clause fast path, first-UIP conflict analysis, VSIDS
 // variable activity with phase saving, Luby restarts and LBD-tiered
 // learnt-clause retention. The heuristic parameters are fixed constants.
+// Clauses live in one pointer-free arena of literal words and are named by
+// uint32 offsets; deleted clauses are reclaimed in one relocation pass once
+// they waste half of it.
 //
 // Solve decides only the cone of influence of its query (see cone.go):
 // variables created with AddGate carry their gate definition, and a call
@@ -14,13 +17,14 @@
 // The solver is incremental: variables and clauses may be added between calls
 // to Solve, and Solve accepts assumption literals that hold only for that
 // call. Consecutive Solve calls sharing an assumption prefix reuse the
-// propagation work of the common prefix (trail reuse). This is the backend of
-// the bit-vector solver in internal/solver.
+// propagation work (trail reuse) and the cone of the common prefix. This is
+// the backend of the bit-vector solver in internal/solver.
 package sat
 
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 )
 
@@ -80,18 +84,27 @@ const (
 	tier2LBD = 6
 )
 
-type clause struct {
-	lits   []Lit
-	act    float32
-	lbd    uint32
-	used   uint8 // tier2 retention window: refreshed on use, decayed by reduceDB
-	learnt bool
-}
+// Clauses live in one arena of Lit words, MiniSat style, so the clause
+// store holds no pointers. A clause is a header word — literal count<<3,
+// the 2-bit tier2 retention window (refreshed on use, decayed by reduceDB)
+// <<1, the learnt bit — then, for a learnt clause, its LBD and the float32
+// bits of its activity, then its literals. A cref names a clause by the
+// offset of its header; 0 names none. reduceDB leaves holes, which reclaim
+// compacts once they exceed half the arena.
+type cref uint32
 
+const (
+	hLearnt  = 1
+	hUsed    = 3 << 1
+	crefBin  = 1 << 31 // in a watcher's ref: binary clause
+	noReason = cref(0)
+)
+
+// watcher watches a clause for one literal; blocker is another literal of
+// the clause, the only other one if ref carries crefBin.
 type watcher struct {
-	c       *clause
+	ref     cref
 	blocker Lit
-	bin     bool // binary clause: blocker is the only other literal
 }
 
 // Status is the result of a Solve call.
@@ -136,14 +149,16 @@ func (s *Stats) Add(o Stats) {
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	clauses []*clause
-	learnts []*clause
+	arena   []Lit
+	clauses []cref
+	learnts []cref
+	wasted  int // arena words of deleted clauses
 
 	watches [][]watcher // indexed by Lit
 
 	assigns  []uint8 // indexed by Var: 0 true, 1 false, >= lUndef unassigned
 	level    []int32
-	reason   []*clause
+	reason   []cref
 	phase    []uint8 // saved polarity: 0 positive, 1 negative
 	activity []float64
 	decision []bool // per var: kept in the decision heap while unassigned and in the cone
@@ -158,22 +173,24 @@ type Solver struct {
 
 	seen       []bool
 	analyzeTmp []Lit
+	clearTmp   []Lit // analyze: seen flags to clear
+	addTmp     []Lit // clause simplification buffer
 
 	levelStamp []uint64 // computeLBD scratch, indexed by decision level
 	lbdTick    uint64
 
-	lastAssumps []Lit // assumption prefix of the previous Solve (trail reuse)
+	lastAssumps []Lit // previous Solve's assumptions (trail and cone reuse)
 
 	ok bool // false once the clause set is unsat at level 0
 
 	conflictAssumps []Lit // failed assumptions after an Unsat answer
 
 	// Gate structure and the current call's cone (see cone.go).
-	vflags    []uint8  // per var: gate op, rooted and fan-in bits
+	vflags    []uint8  // per var: gate op, rooted and in-cone bits
 	fanin     []Lit    // per var: gate inputs at [3v, 3v+arity)
-	coneStamp []uint32 // per var: coneTick while in the current cone
-	coneTick  uint32
 	cone      []Var    // current cone members, in marking order
+	coneLim   []int32  // len(cone) after marking each of lastAssumps
+	coneOpen  bool     // a Solve call has opened a cone; before, all vars are in it
 	roots     []Var    // rooted variables
 	work      []Var    // markCone / evalGate scratch stack
 	litStamp  []uint64 // per Lit: gate-value memo of the current answer (ValueOf)
@@ -192,6 +209,7 @@ func New() *Solver {
 		claInc:     1,
 		ok:         true,
 		levelStamp: make([]uint64, 1),
+		arena:      make([]Lit, 1), // offset 0 is noReason
 	}
 }
 
@@ -212,13 +230,18 @@ func (s *Solver) newVar(decision bool) Var {
 	v := Var(len(s.assigns))
 	s.assigns = append(s.assigns, uint8(lUndef))
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, noReason)
 	s.phase = append(s.phase, 1) // decide negative first
 	s.activity = append(s.activity, 0)
 	s.decision = append(s.decision, decision)
 	s.vflags = append(s.vflags, 0)
+	if !s.coneOpen {
+		// Until the first Solve call every variable is in the cone, so
+		// level-0 units added before it propagate in full.
+		s.vflags[v] = fInCone
+		s.cone = append(s.cone, v)
+	}
 	s.fanin = append(s.fanin, 0, 0, 0)
-	s.coneStamp = append(s.coneStamp, 0)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
 	s.levelStamp = append(s.levelStamp, 0)
@@ -253,76 +276,45 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 // Tseitin clauses go through here).
 func (s *Solver) addClauseInternal(lits []Lit) bool {
 	s.dropModel()
+	out, done := s.simplify(lits)
+	if done {
+		return true
+	}
 	// Fast path: attach the clause without disturbing the current trail.
 	// Incremental callers interleave encoding and solving, and backtracking
 	// to level 0 on every added clause would throw away (and then redo) the
 	// propagation of the whole assumption prefix on every check.
-	if s.decisionLevel() > 0 && s.attachLive(lits) {
-		return s.ok
+	if s.decisionLevel() > 0 && s.attachLive(out) {
+		return true
 	}
 	s.cancelUntil(0)
-
-	// Sort-free simplification: drop duplicate and false literals, detect
-	// tautologies and satisfied clauses.
-	out := make([]Lit, 0, len(lits))
-	for _, l := range lits {
-		switch s.value(l) {
-		case lTrue:
-			return true // already satisfied at level 0
-		case lFalse:
-			continue // cannot help
-		}
-		dup := false
-		for _, o := range out {
-			if o == l {
-				dup = true
-				break
-			}
-			if o == l.Neg() {
-				return true // tautology
-			}
-		}
-		if !dup {
-			out = append(out, l)
-		}
-	}
-
 	switch len(out) {
 	case 0:
 		s.ok = false
 		return false
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		s.ok = s.propagate() == nil
+		s.uncheckedEnqueue(out[0], noReason)
+		s.ok = s.propagate() == noReason
 		return s.ok
 	}
-	c := &clause{lits: out}
-	s.clauses = append(s.clauses, c)
-	s.attach(c)
+	s.newClause(out, false)
 	return true
 }
 
-// attachLive adds a clause while a trail is active, without backtracking.
-// It reports success; false sends the caller to the level-0 path (empty or
-// unit after simplification, or falsified by the current trail).
-//
-// Correctness: at attach time at most one watch is false, and when it is,
-// the other watched literal is made true (late implication) or already is.
-// From then on the standard invariant holds — a watch can only become false
-// through a propagate step that processes the clause — so no conflict or
-// model error can hide. A backtrack past the implication can leave the
-// clause unit without a pending trigger, which delays (never loses) the
-// implication: the solver cannot answer Sat with an unassigned variable,
-// and assigning the watched literal false processes the clause.
-// Out-of-cone implications skipped by propagate leave clauses in the same
-// state, with the same argument.
-func (s *Solver) attachLive(lits []Lit) bool {
-	out := make([]Lit, 0, len(lits))
+// simplify copies lits into the reused buffer without duplicates and
+// literals false at level 0 (sort-free); done reports a tautology or a
+// clause true at level 0. Cancelling to level 0 keeps every level-0
+// assignment, so the result holds on both of addClauseInternal's paths.
+func (s *Solver) simplify(lits []Lit) (out []Lit, done bool) {
+	if cap(s.addTmp) < len(lits) {
+		s.addTmp = make([]Lit, 0, 2*len(lits))
+	}
+	out = s.addTmp[:0]
 	for _, l := range lits {
 		if s.level[l.Var()] == 0 {
 			switch s.value(l) {
 			case lTrue:
-				return true // satisfied forever
+				return nil, true // satisfied forever
 			case lFalse:
 				continue // can never help
 			}
@@ -334,13 +326,31 @@ func (s *Solver) attachLive(lits []Lit) bool {
 				break
 			}
 			if o == l^1 {
-				return true // tautology
+				return nil, true // tautology
 			}
 		}
 		if !dup {
 			out = append(out, l)
 		}
 	}
+	return out, false
+}
+
+// attachLive adds a simplified clause while a trail is active, without
+// backtracking. It reports success; false sends the caller to the level-0
+// path (empty or unit, or falsified by the current trail).
+//
+// Correctness: at attach time at most one watch is false, and when it is,
+// the other watched literal is made true (late implication) or already is.
+// From then on the standard invariant holds — a watch can only become false
+// through a propagate step that processes the clause — so no conflict or
+// model error can hide. A backtrack past the implication can leave the
+// clause unit without a pending trigger, which delays (never loses) the
+// implication: the solver cannot answer Sat with an unassigned variable,
+// and assigning the watched literal false processes the clause.
+// Out-of-cone implications skipped by propagate leave clauses in the same
+// state, with the same argument.
+func (s *Solver) attachLive(out []Lit) bool {
 	if len(out) < 2 {
 		return false // empty or unit: take the level-0 path
 	}
@@ -373,9 +383,7 @@ func (s *Solver) attachLive(lits []Lit) bool {
 		w1 = w0
 	}
 	out[1], out[w1] = out[w1], out[1]
-	c := &clause{lits: out}
-	s.clauses = append(s.clauses, c)
-	s.attach(c)
+	c := s.newClause(out, false)
 	if s.value(out[1]) == lFalse && s.value(out[0]) >= lUndef {
 		// Late implication; the next propagate call picks it up from qhead.
 		s.uncheckedEnqueue(out[0], c)
@@ -383,14 +391,43 @@ func (s *Solver) attachLive(lits []Lit) bool {
 	return true
 }
 
-func (s *Solver) attach(c *clause) {
-	bin := len(c.lits) == 2
-	l0, l1 := c.lits[0], c.lits[1]
-	s.watches[l0^1] = append(s.watches[l0^1], watcher{c, l1, bin})
-	s.watches[l1^1] = append(s.watches[l1^1], watcher{c, l0, bin})
+// newClause copies lits into the arena, lists and watches the clause. A
+// learnt clause starts with its retention window open.
+func (s *Solver) newClause(lits []Lit, learnt bool) cref {
+	c := cref(len(s.arena))
+	h := Lit(len(lits)) << 3
+	if learnt {
+		s.arena = append(s.arena, h|2<<1|hLearnt, 0, 0) // lbd and activity 0
+		s.learnts = append(s.learnts, c)
+	} else {
+		s.arena = append(s.arena, h)
+		s.clauses = append(s.clauses, c)
+	}
+	s.arena = append(s.arena, lits...)
+	ref := c
+	if len(lits) == 2 {
+		ref |= crefBin
+	}
+	l0, l1 := lits[0], lits[1]
+	s.watches[l0^1] = append(s.watches[l0^1], watcher{ref, l1})
+	s.watches[l1^1] = append(s.watches[l1^1], watcher{ref, l0})
+	return c
 }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
+// lits returns clause c's literals, aliasing the arena.
+func (s *Solver) lits(c cref) []Lit {
+	h := s.arena[c]
+	i := int(c) + 1 + 2*int(h&hLearnt)
+	return s.arena[i : i+int(h>>3)]
+}
+
+// words returns the arena words clause c occupies.
+func (s *Solver) words(c cref) int {
+	h := s.arena[c]
+	return 1 + 2*int(h&hLearnt) + int(h>>3)
+}
+
+func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.Var()
 	s.assigns[v] = uint8(l) & 1
 	s.level[v] = s.decisionLevel()
@@ -399,14 +436,13 @@ func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
 	s.trail = append(s.trail, l)
 }
 
-// propagate performs unit propagation; it returns a conflicting clause or nil.
-// An implied literal whose variable lies outside the current cone is not
-// enqueued: the clause keeps watching it, so the implication is only delayed
-// until a call whose cone holds the variable assigns it (a wrong decision
-// there shows up as a conflict on this clause).
-func (s *Solver) propagate() *clause {
-	assigns := s.assigns
-	cone, tick := s.coneStamp, s.coneTick
+// propagate performs unit propagation; it returns a conflicting clause or
+// noReason. An implied literal whose variable lies outside the current cone
+// is not enqueued: the clause keeps watching it, so the implication is only
+// delayed until a call whose cone holds the variable assigns it (a wrong
+// decision there shows up as a conflict on this clause).
+func (s *Solver) propagate() cref {
+	assigns, vflags := s.assigns, s.vflags
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
@@ -414,11 +450,11 @@ func (s *Solver) propagate() *clause {
 
 		ws := s.watches[p]
 		kept := ws[:0]
-		var confl *clause
+		confl := noReason
 	nextWatcher:
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if confl != nil {
+			if confl != noReason {
 				kept = append(kept, w)
 				continue
 			}
@@ -427,65 +463,65 @@ func (s *Solver) propagate() *clause {
 				kept = append(kept, w)
 				continue
 			}
-			if w.bin {
+			if w.ref&crefBin != 0 {
 				// Binary fast path: the blocker is the only other literal,
 				// so no watch ever moves — conflict or enqueue directly.
 				kept = append(kept, w)
-				c := w.c
+				c := w.ref &^ crefBin
 				if bv == lFalse {
 					confl = c
 					s.qhead = len(s.trail)
 					continue
 				}
-				if cone[w.blocker>>1] != tick {
+				if vflags[w.blocker>>1]&fInCone == 0 {
 					continue
 				}
 				// Reason clauses keep the implied literal at position 0.
-				if c.lits[0] != w.blocker {
-					c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+				if lits := s.lits(c); lits[0] != w.blocker {
+					lits[0], lits[1] = lits[1], lits[0]
 				}
 				s.uncheckedEnqueue(w.blocker, c)
 				continue
 			}
-			c := w.c
+			c := w.ref
+			lits := s.lits(c)
 			// Ensure the false literal (¬p) is at position 1.
 			np := p ^ 1
-			if c.lits[0] == np {
-				c.lits[0], c.lits[1] = c.lits[1], np
+			if lits[0] == np {
+				lits[0], lits[1] = lits[1], np
 			}
-			first := c.lits[0]
+			first := lits[0]
 			if first != w.blocker && lbool(assigns[first>>1]^uint8(first&1)) == lTrue {
-				kept = append(kept, watcher{c, first, false})
+				kept = append(kept, watcher{c, first})
 				continue
 			}
 			// Look for a new literal to watch.
-			lits := c.lits
 			for k := 2; k < len(lits); k++ {
 				if lbool(assigns[lits[k]>>1]^uint8(lits[k]&1)) != lFalse {
 					lits[1], lits[k] = lits[k], lits[1]
 					nw := lits[1] ^ 1
-					s.watches[nw] = append(s.watches[nw], watcher{c, first, false})
+					s.watches[nw] = append(s.watches[nw], watcher{c, first})
 					continue nextWatcher
 				}
 			}
 			// Clause is unit or conflicting.
-			kept = append(kept, watcher{c, first, false})
+			kept = append(kept, watcher{c, first})
 			if lbool(assigns[first>>1]^uint8(first&1)) == lFalse {
 				confl = c
 				s.qhead = len(s.trail)
 				continue
 			}
-			if cone[first>>1] != tick {
+			if vflags[first>>1]&fInCone == 0 {
 				continue
 			}
 			s.uncheckedEnqueue(first, c)
 		}
 		s.watches[p] = kept
-		if confl != nil {
+		if confl != noReason {
 			return confl
 		}
 	}
-	return nil
+	return noReason
 }
 
 func (s *Solver) cancelUntil(lvl int32) {
@@ -497,8 +533,8 @@ func (s *Solver) cancelUntil(lvl int32) {
 	for i := len(s.trail) - 1; i >= int(bound); i-- {
 		v := s.trail[i].Var()
 		s.assigns[v] = uint8(lUndef)
-		s.reason[v] = nil
-		if s.decision[v] && s.coneStamp[v] == s.coneTick {
+		s.reason[v] = noReason
+		if s.decision[v] && s.vflags[v]&fInCone != 0 {
 			s.order.insert(v, act)
 		}
 	}
@@ -525,11 +561,17 @@ func (s *Solver) varBump(v Var) {
 
 func (s *Solver) varDecay() { s.varInc /= varDecay }
 
-func (s *Solver) claBump(c *clause) {
-	c.act += float32(s.claInc)
-	if c.act > 1e20 {
+// act returns learnt clause c's activity; setAct stores it.
+func (s *Solver) act(c cref) float32 { return math.Float32frombits(uint32(s.arena[c+2])) }
+
+func (s *Solver) setAct(c cref, a float32) { s.arena[c+2] = Lit(math.Float32bits(a)) }
+
+func (s *Solver) claBump(c cref) {
+	a := s.act(c) + float32(s.claInc)
+	s.setAct(c, a)
+	if a > 1e20 {
 		for _, lc := range s.learnts {
-			lc.act *= 1e-20
+			s.setAct(lc, s.act(lc)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -539,27 +581,28 @@ func (s *Solver) claDecay() { s.claInc /= clauseDecay }
 
 // analyze performs first-UIP conflict analysis, returning the learnt clause
 // (asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl *clause) (learnt []Lit, btLevel int32) {
+func (s *Solver) analyze(confl cref) (learnt []Lit, btLevel int32) {
 	learnt = append(s.analyzeTmp[:0], 0) // reserve slot 0 for the asserting literal
 	seenCount := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
 
 	for {
-		if confl.learnt {
+		lits := s.lits(confl)
+		if h := s.arena[confl]; h&hLearnt != 0 {
 			s.claBump(confl)
-			confl.used = 2
+			s.arena[confl] = h&^hUsed | 2<<1
 			// Dynamic LBD: a clause that participates in conflicts with a
 			// better level profile is promoted toward the core tier.
-			if nl := s.computeLBD(confl.lits); nl < confl.lbd {
-				confl.lbd = nl
+			if nl := s.computeLBD(lits); nl < uint32(s.arena[confl+1]) {
+				s.arena[confl+1] = Lit(nl)
 			}
 		}
 		start := 0
 		if p != -1 {
 			start = 1
 		}
-		for _, q := range confl.lits[start:] {
+		for _, q := range lits[start:] {
 			v := q.Var()
 			if s.seen[v] || s.level[v] == 0 {
 				continue
@@ -590,20 +633,21 @@ func (s *Solver) analyze(confl *clause) (learnt []Lit, btLevel int32) {
 
 	// Remember every flagged literal so the seen flags can be cleared even
 	// for literals removed by minimisation below.
-	toClear := append([]Lit(nil), learnt[1:]...)
+	toClear := append(s.clearTmp[:0], learnt[1:]...)
+	s.clearTmp = toClear
 
 	// Minimise: drop literals implied by the rest of the clause (local check).
 	j := 1
 	for i := 1; i < len(learnt); i++ {
 		v := learnt[i].Var()
 		r := s.reason[v]
-		if r == nil {
+		if r == noReason {
 			learnt[j] = learnt[i]
 			j++
 			continue
 		}
 		redundant := true
-		for _, q := range r.lits[1:] {
+		for _, q := range s.lits(r)[1:] {
 			if !s.seen[q.Var()] && s.level[q.Var()] > 0 {
 				redundant = false
 				break
@@ -670,12 +714,12 @@ func (s *Solver) analyzeFinal(p Lit) {
 		if !s.seen[v] {
 			continue
 		}
-		if s.reason[v] == nil {
+		if s.reason[v] == noReason {
 			if s.level[v] > 0 {
 				s.conflictAssumps = append(s.conflictAssumps, s.trail[i].Neg())
 			}
 		} else {
-			for _, q := range s.reason[v].lits[1:] {
+			for _, q := range s.lits(s.reason[v])[1:] {
 				if s.level[q.Var()] > 0 {
 					s.seen[q.Var()] = true
 				}
@@ -729,24 +773,26 @@ func (s *Solver) reduceDB() {
 		return
 	}
 	keep := ls[:0]
-	var local []*clause
+	var local []cref
 	for _, c := range ls {
+		h, lbd := s.arena[c], uint32(s.arena[c+1])
 		switch {
-		case len(c.lits) <= 2 || c.lbd <= coreLBD:
+		case h>>3 <= 2 || lbd <= coreLBD:
 			keep = append(keep, c)
-		case c.lbd <= tier2LBD && c.used > 0:
-			c.used--
+		case lbd <= tier2LBD && h&hUsed != 0:
+			s.arena[c] = h - 1<<1
 			keep = append(keep, c)
 		default:
 			local = append(local, c)
 		}
 	}
 	if len(local) > 0 {
-		sort.Slice(local, func(i, j int) bool { return worse(local[i], local[j]) })
+		sort.Slice(local, func(i, j int) bool { return s.worse(local[i], local[j]) })
 		target := len(local) / 2
 		for i, c := range local {
 			if i < target && !s.locked(c) {
 				s.detach(c)
+				s.wasted += s.words(c)
 				s.stats.Removed++
 				continue
 			}
@@ -754,25 +800,54 @@ func (s *Solver) reduceDB() {
 		}
 	}
 	s.learnts = keep
+	if s.wasted > len(s.arena)/2 {
+		s.reclaim()
+	}
+}
+
+// reclaim compacts the arena. Live clauses are copied in list order, and
+// each old clause's second word records its new offset, through which every
+// watcher and reason ref is rewritten in place: no watch list changes order.
+func (s *Solver) reclaim() {
+	to := make([]Lit, 1, len(s.arena)-s.wasted)
+	for _, cs := range [2][]cref{s.clauses, s.learnts} {
+		for i, c := range cs {
+			cs[i] = cref(len(to))
+			to = append(to, s.arena[c:int(c)+s.words(c)]...)
+			s.arena[c+1] = Lit(cs[i])
+		}
+	}
+	for _, ws := range s.watches {
+		for i, w := range ws {
+			ws[i].ref = cref(s.arena[w.ref&^crefBin+1]) | w.ref&crefBin
+		}
+	}
+	for _, l := range s.trail {
+		if r := s.reason[l.Var()]; r != noReason {
+			s.reason[l.Var()] = cref(s.arena[r+1])
+		}
+	}
+	s.arena, s.wasted = to, 0
 }
 
 // worse orders clauses so that less valuable clauses come first.
-func worse(a, b *clause) bool {
-	if a.lbd != b.lbd {
-		return a.lbd > b.lbd
+func (s *Solver) worse(a, b cref) bool {
+	if la, lb := s.arena[a+1], s.arena[b+1]; la != lb {
+		return la > lb
 	}
-	return a.act < b.act
+	return s.act(a) < s.act(b)
 }
 
-func (s *Solver) locked(c *clause) bool {
-	return s.reason[c.lits[0].Var()] == c
+func (s *Solver) locked(c cref) bool {
+	return s.reason[s.lits(c)[0].Var()] == c
 }
 
-func (s *Solver) detach(c *clause) {
-	for _, l := range []Lit{c.lits[0].Neg(), c.lits[1].Neg()} {
+func (s *Solver) detach(c cref) {
+	lits := s.lits(c)
+	for _, l := range [2]Lit{lits[0].Neg(), lits[1].Neg()} {
 		ws := s.watches[l]
 		for i, w := range ws {
-			if w.c == c {
+			if w.ref&^crefBin == c {
 				ws[i] = ws[len(ws)-1]
 				s.watches[l] = ws[:len(ws)-1]
 				break
@@ -798,24 +873,19 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		}
 	}
 
-	// Trail reuse: consecutive calls usually share a long assumption prefix
-	// (the engine's path constraints grow incrementally), and decision
-	// levels 1..k correspond one-to-one to assumptions 0..k-1, so keeping
-	// the common prefix skips re-propagating it from scratch.
-	keep := 0
-	maxKeep := int(s.decisionLevel())
-	if len(assumptions) < maxKeep {
-		maxKeep = len(assumptions)
+	// Trail and cone reuse: consecutive calls usually share a long
+	// assumption prefix (the engine's path constraints grow incrementally).
+	// Decision levels 1..k correspond one-to-one to assumptions 0..k-1, so
+	// keeping the common prefix skips re-propagating it from scratch, and
+	// the cone of the prefix is kept too (openCone).
+	shared := 0
+	for shared < len(assumptions) && shared < len(s.lastAssumps) && s.lastAssumps[shared] == assumptions[shared] {
+		shared++
 	}
-	if len(s.lastAssumps) < maxKeep {
-		maxKeep = len(s.lastAssumps)
-	}
-	for keep < maxKeep && s.lastAssumps[keep] == assumptions[keep] {
-		keep++
-	}
+	keep := min(shared, int(s.decisionLevel()))
 	s.cancelUntil(int32(keep))
+	s.openCone(assumptions, shared)
 	s.lastAssumps = append(s.lastAssumps[:0], assumptions...)
-	s.openCone(assumptions)
 	// trailCut records that the trail below the kept prefix changed during
 	// this call, so kept assignments may have lost their fan-in.
 	trailCut := false
@@ -828,7 +898,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != noReason {
 			s.stats.Conflicts++
 			conflictsSinceRestart++
 			if s.decisionLevel() == 0 {
@@ -839,13 +909,11 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			s.cancelUntil(btLevel)
 			trailCut = trailCut || btLevel < int32(keep)
 			if len(learnt) == 1 {
-				s.uncheckedEnqueue(learnt[0], nil)
+				s.uncheckedEnqueue(learnt[0], noReason)
 			} else {
-				c := &clause{lits: append([]Lit(nil), learnt...), learnt: true, used: 2}
-				c.lbd = s.computeLBD(c.lits)
-				s.learnts = append(s.learnts, c)
+				c := s.newClause(learnt, true)
+				s.arena[c+1] = Lit(s.computeLBD(learnt))
 				s.stats.Learnt++
-				s.attach(c)
 				s.claBump(c)
 				s.uncheckedEnqueue(learnt[0], c)
 			}
@@ -853,7 +921,6 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			s.claDecay()
 			if s.ConflictBudget > 0 && s.stats.Conflicts-conflictsAtStart > s.ConflictBudget {
 				s.cancelUntil(0)
-				s.lastAssumps = s.lastAssumps[:0]
 				return Unknown
 			}
 			continue
@@ -889,7 +956,6 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			case lFalse:
 				s.analyzeFinal(p.Neg())
 				s.cancelUntil(0)
-				s.lastAssumps = s.lastAssumps[:0]
 				return Unsat
 			default:
 				next = p
@@ -911,7 +977,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			s.stats.Decisions++
 		}
 		s.trailLim = append(s.trailLim, int32(len(s.trail)))
-		s.uncheckedEnqueue(next, nil)
+		s.uncheckedEnqueue(next, noReason)
 	}
 }
 
@@ -1058,7 +1124,7 @@ func (s *Solver) WriteDIMACS(w io.Writer) error {
 		}
 	}
 	for _, c := range s.clauses {
-		for _, l := range c.lits {
+		for _, l := range s.lits(c) {
 			if _, err := fmt.Fprintf(w, "%d ", dimacs(l)); err != nil {
 				return err
 			}

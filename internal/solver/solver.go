@@ -158,15 +158,14 @@ func (s *Solver) CheckCore(assumptions ...*smt.Term) (Result, []*smt.Term) {
 			return Unsat, nil
 		}
 		// FailedAssumptions holds the negations of the responsible
-		// assumption literals.
-		set := make(map[sat.Lit]struct{}, len(failed))
-		for _, l := range failed {
-			set[l] = struct{}{}
-		}
+		// assumption literals, a handful, so a scan beats a set.
 		core := make([]*smt.Term, 0, len(failed))
 		for i, t := range assumptions {
-			if _, ok := set[lits[i].Neg()]; ok {
-				core = append(core, t)
+			for _, l := range failed {
+				if l == lits[i].Neg() {
+					core = append(core, t)
+					break
+				}
 			}
 		}
 		return Unsat, core
