@@ -243,14 +243,18 @@ func checkLitCall(pass *Pass, owned map[*types.Var]bool, f *ast.File, call *ast.
 			return
 		}
 	}
-	// In-place library sorts/reversals on a foreign clause slice.
+	// In-place library sorts, reversals and edits on a foreign clause slice;
+	// read-only calls such as slices.Contains or slices.Equal are fine.
 	if fn := calleeFunc(pass, call); fn != nil && fn.Pkg() != nil {
-		switch fn.Pkg().Path() {
-		case "sort", "slices":
+		switch fn.Pkg().Path() + "." + fn.Name() {
+		case "sort.Sort", "sort.Stable", "sort.Slice", "sort.SliceStable",
+			"slices.Sort", "slices.SortFunc", "slices.SortStableFunc", "slices.Reverse",
+			"slices.Insert", "slices.Delete", "slices.DeleteFunc", "slices.Compact",
+			"slices.CompactFunc", "slices.Replace":
 			for _, arg := range call.Args {
 				if isLitSlice(pass.TypeOf(arg)) && !ownedArg(arg) {
 					pass.Reportf(call.Pos(),
-						"in-place %s.%s on shared []sat.Lit slice outside %s: copy before sorting",
+						"in-place %s.%s on shared []sat.Lit slice outside %s: copy before mutating",
 						fn.Pkg().Name(), fn.Name(), satPkgPath)
 				}
 			}

@@ -4,6 +4,7 @@
 package fixture
 
 import (
+	"slices"
 	"sort"
 
 	"symriscv/internal/sat"
@@ -23,6 +24,12 @@ func appendShared(shared []sat.Lit, l sat.Lit) []sat.Lit {
 
 func sortShared(shared []sat.Lit) {
 	sort.Slice(shared, func(i, j int) bool { return shared[i] < shared[j] }) // want `in-place sort\.Slice on shared \[\]sat\.Lit`
+	slices.Sort(shared)                                                      // want `in-place slices\.Sort on shared \[\]sat\.Lit`
+}
+
+// readShared only reads a foreign clause through the slices package: allowed.
+func readShared(shared, other []sat.Lit, l sat.Lit) bool {
+	return slices.Contains(shared, l) && slices.Index(shared, l) >= 0 && slices.Equal(shared, other)
 }
 
 // ownedWrite mutates a slice this function allocated itself: allowed.

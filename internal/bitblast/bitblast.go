@@ -21,8 +21,9 @@ type Blaster struct {
 	ctx *smt.Context
 	sat *sat.Solver
 
-	bvBits  map[uint32][]sat.Lit // term ID -> bits, LSB first
-	boolLit map[uint32]sat.Lit
+	// Encodings by term ID-1, grown with the context (nil or noLit: none yet).
+	bvBits  [][]sat.Lit // bits, LSB first
+	boolLit []sat.Lit
 
 	gates map[gateKey]sat.Lit
 
@@ -37,15 +38,15 @@ type gateKey struct {
 	a, b, c sat.Lit
 }
 
+const noLit sat.Lit = -1 // boolLit slot of a term not yet encoded
+
 // New returns a Blaster targeting the given SAT solver. The solver gains one
 // reserved variable that is constrained to true.
 func New(ctx *smt.Context, s *sat.Solver) *Blaster {
 	b := &Blaster{
-		ctx:     ctx,
-		sat:     s,
-		bvBits:  make(map[uint32][]sat.Lit),
-		boolLit: make(map[uint32]sat.Lit),
-		gates:   make(map[gateKey]sat.Lit),
+		ctx:   ctx,
+		sat:   s,
+		gates: make(map[gateKey]sat.Lit),
 	}
 	v := s.NewVar()
 	b.lTrue = sat.MkLit(v, false)
@@ -194,14 +195,15 @@ func (b *Blaster) Bits(t *smt.Term) []sat.Lit {
 	if t.IsBool() {
 		panic("bitblast: Bits on Boolean term")
 	}
-	if bits, ok := b.bvBits[t.ID()]; ok {
+	b.grow()
+	if bits := b.bvBits[t.ID()-1]; bits != nil {
 		return bits
 	}
 	bits := b.encodeBV(t)
 	if len(bits) != t.Width() {
 		panic(fmt.Sprintf("bitblast: internal: %v encoded to %d bits, want %d", t.Kind(), len(bits), t.Width()))
 	}
-	b.bvBits[t.ID()] = bits
+	b.bvBits[t.ID()-1] = bits
 	return bits
 }
 
@@ -210,12 +212,21 @@ func (b *Blaster) LitFor(t *smt.Term) sat.Lit {
 	if !t.IsBool() {
 		panic("bitblast: LitFor on bit-vector term")
 	}
-	if l, ok := b.boolLit[t.ID()]; ok {
+	b.grow()
+	if l := b.boolLit[t.ID()-1]; l != noLit {
 		return l
 	}
 	l := b.encodeBool(t)
-	b.boolLit[t.ID()] = l
+	b.boolLit[t.ID()-1] = l //symlint:allow clauseimmut -- the blaster's own table, never handed out
 	return l
+}
+
+// grow extends both encoding tables over every term interned so far.
+func (b *Blaster) grow() {
+	for len(b.boolLit) < b.ctx.NumTerms() {
+		b.boolLit = append(b.boolLit, noLit)
+		b.bvBits = append(b.bvBits, nil)
+	}
 }
 
 func (b *Blaster) encodeBV(t *smt.Term) []sat.Lit {
@@ -558,9 +569,10 @@ func flipMSB(a []sat.Lit) []sat.Lit {
 // The term must already have been encoded (directly or as part of a larger
 // encoded term).
 func (b *Blaster) ModelValue(t *smt.Term) (uint64, bool) {
+	b.grow()
 	if t.IsBool() {
-		l, ok := b.boolLit[t.ID()]
-		if !ok {
+		l := b.boolLit[t.ID()-1]
+		if l == noLit {
 			return 0, false
 		}
 		if b.sat.LitValue(l) {
@@ -568,8 +580,8 @@ func (b *Blaster) ModelValue(t *smt.Term) (uint64, bool) {
 		}
 		return 0, true
 	}
-	bits, ok := b.bvBits[t.ID()]
-	if !ok {
+	bits := b.bvBits[t.ID()-1]
+	if bits == nil {
 		return 0, false
 	}
 	var v uint64

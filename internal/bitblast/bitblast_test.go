@@ -363,3 +363,38 @@ func TestModelValueOutsideCone(t *testing.T) {
 		t.Fatalf("only %d of 200 queries were sat", sats)
 	}
 }
+
+// TestLitForHitAllocs: looking up an already encoded term allocates nothing
+// and reaches no map. The gate cache is swapped for nil during the hits, so a
+// lookup that fell through to encoding would panic on its first gate insert.
+// The constant-true term checks that literal 0 (the reserved true literal)
+// reads as an encoding, not as an empty slot.
+func TestLitForHitAllocs(t *testing.T) {
+	ctx := smt.NewContext()
+	s := sat.New()
+	b := New(ctx, s)
+	x, y := ctx.Var("x", 32), ctx.Var("y", 32)
+	cond := ctx.Ult(ctx.Add(x, y), ctx.Xor(x, y))
+	sum := ctx.Add(x, y)
+	tru := ctx.True()
+	l, bits, lt := b.LitFor(cond), b.Bits(sum), b.LitFor(tru)
+	if lt != b.LitTrue() {
+		t.Fatalf("LitFor(true) = %v, want %v", lt, b.LitTrue())
+	}
+	vars := s.NumVars()
+
+	gates := b.gates
+	b.gates = nil
+	n := testing.AllocsPerRun(100, func() {
+		if b.LitFor(cond) != l || b.LitFor(tru) != lt || &b.Bits(sum)[0] != &bits[0] {
+			t.Fatal("hit returned a different encoding")
+		}
+	})
+	b.gates = gates
+	if n != 0 {
+		t.Fatalf("encoding hit allocates %v times per run, want 0", n)
+	}
+	if s.NumVars() != vars {
+		t.Fatalf("hits grew the instance: %d -> %d vars", vars, s.NumVars())
+	}
+}

@@ -104,9 +104,7 @@ type Engine struct {
 	prefix []event    // events to replay; the last one is the flipped branch
 	n      int        // events seen so far on this run (replayed + fresh)
 	fresh  []event    // events recorded beyond the prefix (fresh decisions only)
-	onPath *pathMarks // the path constraints, in order and as a set
-
-	symbolic []*smt.Term // variables created via MakeSymbolic, in order
+	onPath *pathMarks // the path constraints and symbolic inputs
 
 	instrRetired uint64
 	cycles       uint64
@@ -129,17 +127,20 @@ type Engine struct {
 
 // pathMarks holds one path's constraints: terms in order, and the same
 // terms as a set, an epoch stamp per term ID-1 (the implication shortcut and
-// dedup lookups). An Explorer or Shard reuses one for every path; begin
-// empties it, keeping both tables' storage.
+// dedup lookups). It also holds the path's symbolic inputs, the variables
+// created via MakeSymbolic, in first-use order. An Explorer or Shard reuses
+// one for every path; begin empties it, keeping the tables' storage.
 type pathMarks struct {
-	terms []*smt.Term
-	mark  []uint32
-	epoch uint32
+	terms    []*smt.Term
+	symbolic []*smt.Term
+	mark     []uint32
+	epoch    uint32
 }
 
 // begin empties the set, clearing the table when the epoch wraps around.
 func (m *pathMarks) begin() {
 	m.terms = m.terms[:0]
+	m.symbolic = m.symbolic[:0]
 	m.epoch++
 	if m.epoch == 0 {
 		clear(m.mark)
@@ -196,18 +197,18 @@ func (e *Engine) Obs() *obs.Handle { return e.h }
 // the same variable.
 func (e *Engine) MakeSymbolic(name string, width int) *smt.Term {
 	v := e.ctx.Var(name, width)
-	for _, s := range e.symbolic {
+	for _, s := range e.onPath.symbolic {
 		if s == v {
 			return v
 		}
 	}
-	e.symbolic = append(e.symbolic, v)
+	e.onPath.symbolic = append(e.onPath.symbolic, v)
 	return v
 }
 
 // SymbolicInputs returns the variables registered through MakeSymbolic on
-// this path, in first-use order.
-func (e *Engine) SymbolicInputs() []*smt.Term { return e.symbolic }
+// this path, in first-use order. The slice is reused by the next path.
+func (e *Engine) SymbolicInputs() []*smt.Term { return e.onPath.symbolic }
 
 // PathConstraints returns the constraints accumulated so far.
 func (e *Engine) PathConstraints() []*smt.Term {
@@ -369,7 +370,7 @@ func (e *Engine) FindWitness(cond *smt.Term) (smt.MapEnv, bool) {
 		if e.checkModel(nil) != solver.Sat {
 			return nil, false
 		}
-		return e.sol.ModelFor(e.symbolic), true
+		return e.sol.ModelFor(e.onPath.symbolic), true
 	}
 	if e.qc != nil {
 		e.stats.SolverQueries++
@@ -379,7 +380,7 @@ func (e *Engine) FindWitness(cond *smt.Term) (smt.MapEnv, bool) {
 			if env != nil {
 				return e.witnessEnv(env), true
 			}
-			return e.sol.ModelFor(e.symbolic), true
+			return e.sol.ModelFor(e.onPath.symbolic), true
 		case solver.Unknown:
 			panic(abortError{AbortUnknown, "witness query: solver budget exhausted"})
 		}
@@ -387,7 +388,7 @@ func (e *Engine) FindWitness(cond *smt.Term) (smt.MapEnv, bool) {
 	}
 	switch e.check(append(e.onPath.terms, cond)...) {
 	case solver.Sat:
-		return e.sol.ModelFor(e.symbolic), true
+		return e.sol.ModelFor(e.onPath.symbolic), true
 	case solver.Unknown:
 		panic(abortError{AbortUnknown, "witness query: solver budget exhausted"})
 	}
@@ -398,8 +399,8 @@ func (e *Engine) FindWitness(cond *smt.Term) (smt.MapEnv, bool) {
 // inputs, with the same zero default for unconstrained variables as the
 // solver's model extraction.
 func (e *Engine) witnessEnv(m querycache.Model) smt.MapEnv {
-	out := make(smt.MapEnv, len(e.symbolic))
-	for _, v := range e.symbolic {
+	out := make(smt.MapEnv, len(e.onPath.symbolic))
+	for _, v := range e.onPath.symbolic {
 		out[v.Name()] = m[v.Name()]
 	}
 	return out
@@ -413,7 +414,7 @@ func (e *Engine) PathModel() (smt.MapEnv, bool) {
 	if e.checkModel(nil) != solver.Sat {
 		return nil, false
 	}
-	return e.sol.ModelFor(e.symbolic), true
+	return e.sol.ModelFor(e.onPath.symbolic), true
 }
 
 // CountInstruction records n retired instructions (for the experiment

@@ -290,7 +290,7 @@ func (x *Explorer) Explore(opts Options) *Report {
 			rep.Stats.Partial++
 			f := Finding{Err: err, Path: pathID}
 			if w, ok := err.(Witnesser); ok {
-				f.Inputs = filterInputs(w.Witness(), eng.symbolic)
+				f.Inputs = filterInputs(w.Witness(), eng.onPath.symbolic)
 			} else if m, ok := eng.PathModel(); ok {
 				f.Inputs = m
 			}

@@ -214,7 +214,7 @@ func (s *Shard) Step(order SearchStrategy) (PathRecord, bool) {
 		rec.Kind = PathFinding
 		rec.Err = err
 		if w, ok := err.(Witnesser); ok {
-			rec.Inputs = filterInputs(w.Witness(), eng.symbolic)
+			rec.Inputs = filterInputs(w.Witness(), eng.onPath.symbolic)
 		} else if m, ok := eng.PathModel(); ok {
 			rec.Inputs = m
 		}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"symriscv/internal/core"
 	"symriscv/internal/iss"
@@ -136,25 +137,27 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Run executes one co-simulation path under the engine: it is the RunFunc
-// body handed to the explorer. A Mismatch is returned as the path error when
-// the voter finds one.
-func Run(eng *core.Engine, cfg Config) error {
-	return newRunState(eng, cfg.WithDefaults()).loop()
-}
+// Run executes one co-simulation path under the engine on a testbench built
+// for this call alone; RunFunc reuses testbenches across paths. A Mismatch is
+// returned as the path error when the voter finds one.
+func Run(eng *core.Engine, cfg Config) error { return RunFunc(cfg)(eng) }
 
-// runState owns one co-simulation path's mutable testbench state.
+// runState owns one co-simulation path's mutable testbench state. reset
+// readies it for a path in place, so one runState serves many paths.
 type runState struct {
 	eng      *core.Engine
 	cfg      Config
-	imem     *SymbolicIMem
-	initPool *SharedInit
-	dmemRTL  *SymbolicDMem
-	dmemISS  *SymbolicDMem
+	imem     SymbolicIMem
+	initPool SharedInit
+	dmemRTL  SymbolicDMem
+	dmemISS  SymbolicDMem
+	mrv      microrv32.Core
+	pipe     pipecore.Core
 	dut      DUT
-	ref      *iss.ISS
-	checker  *rvfi.Checker
-	irq      *IrqLine
+	ref      iss.ISS
+	checker  rvfi.Checker
+	irq      IrqLine
+	regNames map[uint32]string // symbolic register names, kept across resets
 
 	ib      rtl.IBusResponse
 	db      rtl.DBusResponse
@@ -162,33 +165,33 @@ type runState struct {
 	cycles  int
 }
 
-func newRunState(eng *core.Engine, cfg Config) *runState {
+// reset builds the testbench for a path of eng: every memory and model at
+// reset, the symbolic registers installed, and the checker bound to eng.
+func (rs *runState) reset(eng *core.Engine, cfg Config) {
 	ctx := eng.Context()
-	rs := &runState{eng: eng, cfg: cfg}
+	rs.eng, rs.cfg = eng, cfg
+	rs.ib, rs.db, rs.retired, rs.cycles = rtl.IBusResponse{}, rtl.DBusResponse{}, 0, 0
 
 	filter := cfg.Filter
 	if cfg.Pin != nil {
 		filter = Filters(pinFilter(cfg.Pin), filter)
 	}
-	rs.imem = NewSymbolicIMem(eng, filter)
-	rs.imem.concrete = cfg.ConcreteIMem
-	rs.initPool = NewSharedInit(eng)
-	rs.initPool.concrete = cfg.ConcreteMem
-	if cfg.Pin != nil {
-		rs.initPool.pin = cfg.Pin
-	}
-	rs.dmemRTL = NewSymbolicDMem(ctx, rs.initPool)
-	rs.dmemISS = NewSymbolicDMem(ctx, rs.initPool)
+	rs.imem.reset(eng, filter, cfg.ConcreteIMem)
+	rs.initPool.reset(eng, cfg.Pin, cfg.ConcreteMem)
+	rs.dmemRTL.reset(ctx, &rs.initPool)
+	rs.dmemISS.reset(ctx, &rs.initPool)
 
 	switch {
 	case cfg.NewDUT != nil:
 		rs.dut = cfg.NewDUT(eng)
 	case cfg.DUTCore == CorePipecore:
-		rs.dut = pipecore.New(eng, cfg.Pipe)
+		rs.pipe.Reset(eng, cfg.Pipe)
+		rs.dut = &rs.pipe
 	default:
-		rs.dut = microrv32.New(eng, cfg.Core)
+		rs.mrv.Reset(eng, cfg.Core)
+		rs.dut = &rs.mrv
 	}
-	rs.ref = iss.New(eng, rs.imem, rs.dmemISS, cfg.ISS)
+	rs.ref.Reset(eng, &rs.imem, &rs.dmemISS, cfg.ISS)
 	rs.dut.SetPC(cfg.StartPC)
 	rs.ref.SetPC(cfg.StartPC)
 
@@ -199,7 +202,7 @@ func newRunState(eng *core.Engine, cfg Config) *runState {
 		if cfg.ConcreteRegs != nil {
 			v = ctx.BV(32, uint64(cfg.ConcreteRegs[i]))
 		} else {
-			name := fmt.Sprintf("reg_x%d", i)
+			name := cachedName(&rs.regNames, "reg_x%d", uint32(i))
 			v = eng.MakeSymbolic(name, 32)
 			if val, ok := cfg.Pin[name]; ok {
 				eng.Assume(ctx.Eq(v, ctx.BV(32, val)))
@@ -210,11 +213,11 @@ func newRunState(eng *core.Engine, cfg Config) *runState {
 	}
 
 	if cfg.SymbolicInterrupts {
-		rs.irq = &IrqLine{eng: eng, pin: cfg.Pin}
+		rs.irq.eng, rs.irq.pin, rs.irq.vars = eng, cfg.Pin, emptied(rs.irq.vars)
 		if aware, ok := rs.dut.(IrqAware); ok {
-			aware.SetIrqSource(rs.irq)
+			aware.SetIrqSource(&rs.irq)
 		}
-		rs.ref.SetIrqSource(rs.irq)
+		rs.ref.SetIrqSource(&rs.irq)
 
 		mst := makePinned(eng, cfg.Pin, "csr_mstatus", 32)
 		mie := makePinned(eng, cfg.Pin, "csr_mie", 32)
@@ -226,8 +229,7 @@ func newRunState(eng *core.Engine, cfg Config) *runState {
 		rs.ref.SetCSR(riscv.CSRMIe, mie)
 	}
 
-	rs.checker = rvfi.NewChecker(eng)
-	return rs
+	rs.checker = *rvfi.NewChecker(eng)
 }
 
 // loop clocks the core until the retired-instruction limit, servicing buses
@@ -302,9 +304,18 @@ func termStr(t *smt.Term) string {
 	return t.String()
 }
 
-// RunFunc binds a Config into the explorer's RunFunc shape.
+// RunFunc binds a Config into the explorer's RunFunc shape. Its paths draw
+// testbenches from a pool and reset them in place, so explorations running
+// concurrently may share one RunFunc.
 func RunFunc(cfg Config) core.RunFunc {
-	return func(eng *core.Engine) error { return Run(eng, cfg) }
+	cfg = cfg.WithDefaults()
+	pool := &sync.Pool{New: func() any { return new(runState) }}
+	return func(eng *core.Engine) error {
+		rs := pool.Get().(*runState)
+		defer pool.Put(rs)
+		rs.reset(eng, cfg)
+		return rs.loop()
+	}
 }
 
 // IrqAware is satisfied by DUTs that model the external interrupt line.
@@ -321,20 +332,18 @@ type CSRInitializer interface {
 // IrqLine is the symbolic external-interrupt input: one cached 1-bit
 // variable per instruction slot, shared by both models.
 type IrqLine struct {
-	eng  *core.Engine
-	pin  smt.MapEnv
-	vars map[uint64]*smt.Term
+	eng   *core.Engine
+	pin   smt.MapEnv
+	vars  map[uint64]*smt.Term
+	names map[uint64]string // variable names, kept across resets
 }
 
 // Line returns the (cached) interrupt-line value for an instruction slot.
 func (l *IrqLine) Line(slot uint64) *smt.Term {
-	if l.vars == nil {
-		l.vars = make(map[uint64]*smt.Term)
-	}
 	if v, ok := l.vars[slot]; ok {
 		return v
 	}
-	v := makePinned(l.eng, l.pin, fmt.Sprintf("irq_%d", slot), 1)
+	v := makePinned(l.eng, l.pin, cachedName(&l.names, "irq_%d", slot), 1)
 	l.vars[slot] = v
 	return v
 }

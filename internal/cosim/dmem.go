@@ -1,8 +1,6 @@
 package cosim
 
 import (
-	"fmt"
-
 	"symriscv/internal/core"
 	"symriscv/internal/rtl"
 	"symriscv/internal/smt"
@@ -17,11 +15,13 @@ type SharedInit struct {
 	bytes    map[uint32]*smt.Term
 	pin      smt.MapEnv              // optional replay pins, keyed by variable name
 	concrete func(addr uint32) uint8 // fuzzing mode: concrete initial bytes
+	names    map[uint32]string       // variable names, kept across resets
 }
 
-// NewSharedInit returns an empty initial-byte pool.
-func NewSharedInit(eng *core.Engine) *SharedInit {
-	return &SharedInit{eng: eng, bytes: make(map[uint32]*smt.Term)}
+// reset empties the pool for a path of eng, keeping its storage.
+func (s *SharedInit) reset(eng *core.Engine, pin smt.MapEnv, concrete func(uint32) uint8) {
+	s.eng, s.pin, s.concrete = eng, pin, concrete
+	s.bytes = emptied(s.bytes)
 }
 
 func (s *SharedInit) byteAt(addr uint32) *smt.Term {
@@ -33,7 +33,7 @@ func (s *SharedInit) byteAt(addr uint32) *smt.Term {
 		s.bytes[addr] = b
 		return b
 	}
-	name := fmt.Sprintf("dmem_%08x", addr)
+	name := cachedName(&s.names, "dmem_%08x", addr)
 	b := s.eng.MakeSymbolic(name, 8)
 	if val, ok := s.pin[name]; ok {
 		ctx := s.eng.Context()
@@ -54,9 +54,12 @@ type SymbolicDMem struct {
 	writes []uint32
 }
 
-// NewSymbolicDMem returns a memory view over the shared initial bytes.
-func NewSymbolicDMem(ctx *smt.Context, init *SharedInit) *SymbolicDMem {
-	return &SymbolicDMem{ctx: ctx, init: init, overlay: make(map[uint32]*smt.Term)}
+// reset empties the view over the shared initial bytes for a path, keeping
+// its storage.
+func (m *SymbolicDMem) reset(ctx *smt.Context, init *SharedInit) {
+	m.ctx, m.init = ctx, init
+	m.overlay = emptied(m.overlay)
+	m.writes = m.writes[:0]
 }
 
 func (m *SymbolicDMem) byteAt(addr uint32) *smt.Term {

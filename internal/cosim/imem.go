@@ -21,15 +21,14 @@ type SymbolicIMem struct {
 	words    map[uint32]*smt.Term
 	filter   InstrFilter
 	concrete func(addr uint32) uint32 // fuzzing mode: concrete generation
+	names    map[uint32]string        // variable names, kept across resets
 }
 
-// NewSymbolicIMem returns an empty instruction memory. filter may be nil.
-func NewSymbolicIMem(eng *core.Engine, filter InstrFilter) *SymbolicIMem {
-	return &SymbolicIMem{
-		eng:    eng,
-		words:  make(map[uint32]*smt.Term),
-		filter: filter,
-	}
+// reset empties the memory for a path of eng, keeping its storage. filter
+// and concrete may be nil.
+func (m *SymbolicIMem) reset(eng *core.Engine, filter InstrFilter, concrete func(uint32) uint32) {
+	m.eng, m.filter, m.concrete = eng, filter, concrete
+	m.words = emptied(m.words)
 }
 
 // Fetch returns the (cached) instruction word at addr, generating a fresh
@@ -43,12 +42,35 @@ func (m *SymbolicIMem) Fetch(addr uint32) *smt.Term {
 		m.words[addr] = w
 		return w
 	}
-	w := m.eng.MakeSymbolic(fmt.Sprintf("imem_%08x", addr), 32)
+	w := m.eng.MakeSymbolic(cachedName(&m.names, "imem_%08x", addr), 32)
 	if m.filter != nil {
 		m.filter(m.eng, w)
 	}
 	m.words[addr] = w
 	return w
+}
+
+// cachedName returns fmt.Sprintf(format, key), formatting it once per
+// names map, which it creates on first use.
+func cachedName[K uint32 | uint64](names *map[K]string, format string, key K) string {
+	if *names == nil {
+		*names = make(map[K]string)
+	}
+	n, ok := (*names)[key]
+	if !ok {
+		n = fmt.Sprintf(format, key)
+		(*names)[key] = n
+	}
+	return n
+}
+
+// emptied returns m cleared, or a new map when m is nil.
+func emptied[K comparable, V any](m map[K]V) map[K]V {
+	if m == nil {
+		return make(map[K]V)
+	}
+	clear(m)
+	return m
 }
 
 // Preload pins a concrete instruction at addr (for directed co-simulation

@@ -11,6 +11,25 @@ import (
 	"symriscv/internal/smt"
 )
 
+// newIMem, newInit and newDMem build empty memories for one path of e.
+func newIMem(e *core.Engine, filter InstrFilter) *SymbolicIMem {
+	m := new(SymbolicIMem)
+	m.reset(e, filter, nil)
+	return m
+}
+
+func newInit(e *core.Engine) *SharedInit {
+	s := new(SharedInit)
+	s.reset(e, nil, nil)
+	return s
+}
+
+func newDMem(ctx *smt.Context, init *SharedInit) *SymbolicDMem {
+	m := new(SymbolicDMem)
+	m.reset(ctx, init)
+	return m
+}
+
 // withEngine runs fn inside a single-path exploration.
 func withEngine(t *testing.T, fn func(e *core.Engine)) {
 	t.Helper()
@@ -26,7 +45,7 @@ func withEngine(t *testing.T, fn func(e *core.Engine)) {
 
 func TestIMemCachesAndShares(t *testing.T) {
 	withEngine(t, func(e *core.Engine) {
-		m := NewSymbolicIMem(e, nil)
+		m := newIMem(e, nil)
 		w1 := m.Fetch(0x100)
 		w2 := m.Fetch(0x100)
 		if w1 != w2 {
@@ -43,7 +62,7 @@ func TestIMemCachesAndShares(t *testing.T) {
 
 func TestIMemPreload(t *testing.T) {
 	withEngine(t, func(e *core.Engine) {
-		m := NewSymbolicIMem(e, nil)
+		m := newIMem(e, nil)
 		m.Preload(0, riscv.ADDI(1, 0, 7))
 		w := m.Fetch(0)
 		if !w.IsConst() || uint32(w.ConstVal()) != riscv.ADDI(1, 0, 7) {
@@ -57,7 +76,7 @@ func TestIMemFilterApplies(t *testing.T) {
 	// opcode==LOAD under the path constraints.
 	x := core.NewExplorer(func(e *core.Engine) error {
 		ctx := e.Context()
-		m := NewSymbolicIMem(e, OnlyOpcode(riscv.OpReg))
+		m := newIMem(e, OnlyOpcode(riscv.OpReg))
 		w := m.Fetch(0)
 		if _, ok := e.FindWitness(ctx.Eq(ctx.And(w, ctx.BV(32, 0x7f)), ctx.BV(32, riscv.OpLoad))); ok {
 			t.Error("filter did not constrain the generated word")
@@ -70,9 +89,9 @@ func TestIMemFilterApplies(t *testing.T) {
 func TestDMemSharedInitSeparateOverlay(t *testing.T) {
 	withEngine(t, func(e *core.Engine) {
 		ctx := e.Context()
-		pool := NewSharedInit(e)
-		a := NewSymbolicDMem(ctx, pool)
-		b := NewSymbolicDMem(ctx, pool)
+		pool := newInit(e)
+		a := newDMem(ctx, pool)
+		b := newDMem(ctx, pool)
 
 		if a.LoadByte(50) != b.LoadByte(50) {
 			t.Error("initial bytes must be shared between the two sides")
@@ -93,8 +112,8 @@ func TestDMemSharedInitSeparateOverlay(t *testing.T) {
 func TestDMemWidthComposition(t *testing.T) {
 	withEngine(t, func(e *core.Engine) {
 		ctx := e.Context()
-		pool := NewSharedInit(e)
-		m := NewSymbolicDMem(ctx, pool)
+		pool := newInit(e)
+		m := newDMem(ctx, pool)
 		m.StoreWord(100, ctx.BV(32, 0xdeadbeef))
 		if v := m.LoadWord(100); v.ConstVal() != 0xdeadbeef {
 			t.Errorf("word readback %#x", v.ConstVal())
@@ -115,8 +134,8 @@ func TestDMemWidthComposition(t *testing.T) {
 func TestServeDBus(t *testing.T) {
 	withEngine(t, func(e *core.Engine) {
 		ctx := e.Context()
-		pool := NewSharedInit(e)
-		m := NewSymbolicDMem(ctx, pool)
+		pool := newInit(e)
+		m := newDMem(ctx, pool)
 
 		// Write half lane 1 (bytes 2,3) then read the word back.
 		resp := m.ServeDBus(rtl.DBusRequest{

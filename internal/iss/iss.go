@@ -88,22 +88,26 @@ type IrqSource = rvfi.IrqSource
 
 // New returns an ISS with all registers zero and PC 0.
 func New(eng *core.Engine, imem InstrFetcher, dmem DataMemory, cfg Config) *ISS {
+	s := new(ISS)
+	s.Reset(eng, imem, dmem, cfg)
+	return s
+}
+
+// Reset puts the ISS into its reset state (registers zero, PC 0) for a path
+// of eng over the given memories, reusing its storage.
+func (s *ISS) Reset(eng *core.Engine, imem InstrFetcher, dmem DataMemory, cfg Config) {
 	ctx := eng.Context()
-	s := &ISS{
-		cfg:  cfg,
-		eng:  eng,
-		ctx:  ctx,
-		imem: imem,
-		dmem: dmem,
-		pc:   ctx.BV(32, 0),
-		csr:  make(map[uint16]*smt.Term),
+	csr := s.csr
+	if csr == nil {
+		csr = make(map[uint16]*smt.Term)
 	}
+	clear(csr)
+	*s = ISS{cfg: cfg, eng: eng, ctx: ctx, imem: imem, dmem: dmem, pc: ctx.BV(32, 0), csr: csr,
+		interesting: append(s.interesting[:0], 0)}
 	zero := ctx.BV(32, 0)
 	for i := range s.regs {
 		s.regs[i] = zero
 	}
-	s.interesting = []int{0}
-	return s
 }
 
 // SetPC sets the program counter.

@@ -101,7 +101,8 @@ type Core struct {
 	eng *core.Engine
 	ctx *smt.Context
 
-	table []decodeEntry
+	table  []decodeEntry
+	consts []*smt.Term // row i's mask and match terms at 2i, 2i+1; nil until first use
 
 	pc          uint32
 	regs        [32]*smt.Term
@@ -128,20 +129,33 @@ type IrqSource = rvfi.IrqSource
 
 // New returns a core at reset (PC 0, registers zero).
 func New(eng *core.Engine, cfg Config) *Core {
+	c := new(Core)
+	c.Reset(eng, cfg)
+	return c
+}
+
+// Reset puts the core into its reset state for a path of eng, reusing its
+// storage. It rebuilds the decode table only for a new fault set or M switch,
+// and drops the table's terms when eng's term context is not theirs.
+func (c *Core) Reset(eng *core.Engine, cfg Config) {
 	ctx := eng.Context()
-	c := &Core{
-		cfg:   cfg,
-		eng:   eng,
-		ctx:   ctx,
-		table: buildDecodeTable(cfg.Faults, cfg.EnableM),
-		csr:   make(map[uint16]*smt.Term),
+	table, consts, csr := c.table, c.consts, c.csr
+	if table == nil || cfg.Faults != c.cfg.Faults || cfg.EnableM != c.cfg.EnableM {
+		table = buildDecodeTable(cfg.Faults, cfg.EnableM)
+		consts = make([]*smt.Term, 2*len(table))
+	} else if ctx != c.ctx {
+		clear(consts)
 	}
+	if csr == nil {
+		csr = make(map[uint16]*smt.Term)
+	}
+	clear(csr)
+	*c = Core{cfg: cfg, eng: eng, ctx: ctx, table: table, consts: consts, csr: csr,
+		interesting: append(c.interesting[:0], 0)}
 	zero := ctx.BV(32, 0)
 	for i := range c.regs {
 		c.regs[i] = zero
 	}
-	c.interesting = []int{0}
-	return c
 }
 
 // SetPC sets the reset program counter.

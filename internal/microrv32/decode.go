@@ -179,11 +179,19 @@ func buildDecodeTable(f faults.Set, enableM bool) []decodeEntry {
 // entries; no match decodes to opIllegal.
 func (c *Core) decode(insn *smt.Term) opKind {
 	ctx := c.ctx
-	for _, e := range c.table {
-		cond := ctx.Eq(ctx.And(insn, c.bv(e.mask)), c.bv(e.match))
+	for i, e := range c.table {
+		cond := ctx.Eq(ctx.And(insn, c.tableConst(2*i, e.mask)), c.tableConst(2*i+1, e.match))
 		if c.eng.Branch(cond) {
 			return e.op
 		}
 	}
 	return opIllegal
+}
+
+// tableConst returns the 32-bit constant v memoized in consts slot i.
+func (c *Core) tableConst(i int, v uint32) *smt.Term {
+	if c.consts[i] == nil {
+		c.consts[i] = c.bv(v)
+	}
+	return c.consts[i]
 }

@@ -203,10 +203,11 @@ type wbEntry struct {
 
 // Core is the pipelined core model.
 type Core struct {
-	cfg   Config
-	eng   *core.Engine
-	ctx   *smt.Context
-	table []decodeEntry
+	cfg    Config
+	eng    *core.Engine
+	ctx    *smt.Context
+	table  []decodeEntry
+	consts []*smt.Term // row i's mask and match terms at 2i, 2i+1; nil until first use
 
 	regs        [32]*smt.Term
 	interesting []int
@@ -251,19 +252,29 @@ type Core struct {
 
 // New returns a core at reset.
 func New(eng *core.Engine, cfg Config) *Core {
+	c := new(Core)
+	c.Reset(eng, cfg)
+	return c
+}
+
+// Reset puts the core into its reset state for a path of eng, reusing its
+// storage. It rebuilds the decode table only for a new fault set or M switch,
+// and drops the table's terms when eng's term context is not theirs.
+func (c *Core) Reset(eng *core.Engine, cfg Config) {
 	ctx := eng.Context()
-	c := &Core{
-		cfg:   cfg,
-		eng:   eng,
-		ctx:   ctx,
-		table: buildTable(cfg.Faults, cfg.EnableM),
+	table, consts := c.table, c.consts
+	if table == nil || cfg.Faults != c.cfg.Faults || cfg.EnableM != c.cfg.EnableM {
+		table = buildTable(cfg.Faults, cfg.EnableM)
+		consts = make([]*smt.Term, 2*len(table))
+	} else if ctx != c.ctx {
+		clear(consts)
 	}
+	*c = Core{cfg: cfg, eng: eng, ctx: ctx, table: table, consts: consts,
+		interesting: append(c.interesting[:0], 0)}
 	zero := ctx.BV(32, 0)
 	for i := range c.regs {
 		c.regs[i] = zero
 	}
-	c.interesting = []int{0}
-	return c
 }
 
 // SetPC sets the reset fetch address.
@@ -507,11 +518,19 @@ func (c *Core) trap(cause uint32) {
 }
 
 func (c *Core) decode(insn *smt.Term) opKind {
-	for _, e := range c.table {
-		cond := c.ctx.Eq(c.ctx.And(insn, c.bv(e.mask)), c.bv(e.match))
+	for i, e := range c.table {
+		cond := c.ctx.Eq(c.ctx.And(insn, c.tableConst(2*i, e.mask)), c.tableConst(2*i+1, e.match))
 		if c.eng.Branch(cond) {
 			return e.op
 		}
 	}
 	return opIllegal
+}
+
+// tableConst returns the 32-bit constant v memoized in consts slot i.
+func (c *Core) tableConst(i int, v uint32) *smt.Term {
+	if c.consts[i] == nil {
+		c.consts[i] = c.bv(v)
+	}
+	return c.consts[i]
 }

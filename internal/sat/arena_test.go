@@ -30,7 +30,8 @@ func checkArena(t *testing.T, s *Solver, where string) {
 // answers under assumptions still agree with brute force. The solver holds
 // two instances: pigeonhole 9→8 behind an activation literal, solved under
 // a conflict budget to pile up learnt clauses, and a small satisfiable random
-// CNF that every checked query solves with the pigeonhole switched off.
+// CNF that every checked query solves with the pigeonhole switched off. The
+// learnt-clause base is lowered to reach several reclaims quickly.
 func TestReduceDBReclaimsArena(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const n = 12
@@ -55,6 +56,9 @@ func TestReduceDBReclaimsArena(t *testing.T) {
 		s.AddClause(cl...)
 	}
 	s.ConflictBudget = 2000
+	// Reduce from the first learnt clause past half the problem clauses,
+	// so reclaims start within a few rounds instead of after ~20.
+	s.learntBase = 0
 
 	query := func(where string) {
 		assumps := []Lit{MkLit(act, true)}

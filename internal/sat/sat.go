@@ -196,7 +196,8 @@ type Solver struct {
 	litStamp  []uint64 // per Lit: gate-value memo of the current answer (ValueOf)
 	stampTick uint64   // litStamp value marking the current answer's memo
 
-	stats Stats
+	stats      Stats
+	learntBase int // learnt clauses beyond half the problem clauses that trigger reduceDB
 
 	// Budget limits one Solve call; 0 means unlimited.
 	ConflictBudget uint64
@@ -210,6 +211,7 @@ func New() *Solver {
 		ok:         true,
 		levelStamp: make([]uint64, 1),
 		arena:      make([]Lit, 1), // offset 0 is noReason
+		learntBase: 4000,
 	}
 }
 
@@ -894,7 +896,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	var restartSeq uint64
 	restartBudget := luby(restartSeq) * lubyUnit
 	var conflictsSinceRestart uint64
-	maxLearnts := 4000 + len(s.clauses)/2
+	maxLearnts := s.learntBase + len(s.clauses)/2
 
 	for {
 		confl := s.propagate()
