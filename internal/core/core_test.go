@@ -554,7 +554,7 @@ func TestSolverBudgetAbortsPathAsPartial(t *testing.T) {
 func TestAddPCDeduplicates(t *testing.T) {
 	x := NewExplorer(nil)
 	var st Stats
-	eng := newEngine(x.ctx, x.sol, nil, &st, nil, &pathMarks{})
+	eng := newEngine(x.ctx, x.sol, nil, nil, &st, nil, &pathMarks{})
 	ctx := eng.Context()
 	v := eng.MakeSymbolic("v", 8)
 	c := ctx.Eq(v, ctx.BV(8, 3))
@@ -576,7 +576,7 @@ func TestPathMarksResetPerPath(t *testing.T) {
 	x := NewExplorer(nil)
 	var st Stats
 	marks := &pathMarks{}
-	eng := newEngine(x.ctx, x.sol, nil, &st, nil, marks)
+	eng := newEngine(x.ctx, x.sol, nil, nil, &st, nil, marks)
 	ctx := eng.Context()
 	v := eng.MakeSymbolic("v", 8)
 	c := ctx.Ult(v, ctx.BV(8, 100))
@@ -588,7 +588,7 @@ func TestPathMarksResetPerPath(t *testing.T) {
 	}
 
 	// Path 2 shares the table: c is not on it until assumed again.
-	eng = newEngine(x.ctx, x.sol, nil, &st, nil, marks)
+	eng = newEngine(x.ctx, x.sol, nil, nil, &st, nil, marks)
 	if marks.has(c) {
 		t.Fatal("term from path 1 is on path 2")
 	}
@@ -613,7 +613,7 @@ func TestPathMarksResetPerPath(t *testing.T) {
 	// Epoch wrap-around: e carries path 1's stamp, epoch 1, and the epoch
 	// after the wrap is 1 again, so the table must have been cleared.
 	marks.epoch = math.MaxUint32
-	eng = newEngine(x.ctx, x.sol, nil, &st, nil, marks)
+	eng = newEngine(x.ctx, x.sol, nil, nil, &st, nil, marks)
 	if marks.epoch != 1 {
 		t.Fatalf("epoch after wrap = %d, want 1", marks.epoch)
 	}

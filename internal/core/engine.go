@@ -89,8 +89,8 @@ type event struct {
 	// feasible. It seeds the sibling path's stack cache (querycache): the
 	// model satisfies the sibling's entire replayed constraint prefix, so
 	// every branch condition it satisfies during that path resolves without
-	// a solver query. Maps are immutable once recorded.
-	sibModel querycache.Model
+	// a solver query. Models are immutable.
+	sibModel querycache.VarModel
 }
 
 // Engine is the per-path symbolic execution interface handed to the program
@@ -103,8 +103,7 @@ type Engine struct {
 
 	prefix []event    // events to replay; the last one is the flipped branch
 	n      int        // events seen so far on this run (replayed + fresh)
-	fresh  []event    // events recorded beyond the prefix (fresh decisions only)
-	onPath *pathMarks // the path constraints and symbolic inputs
+	onPath *pathMarks // the path constraints, symbolic inputs and fresh events
 
 	instrRetired uint64
 	cycles       uint64
@@ -128,11 +127,14 @@ type Engine struct {
 // pathMarks holds one path's constraints: terms in order, and the same
 // terms as a set, an epoch stamp per term ID-1 (the implication shortcut and
 // dedup lookups). It also holds the path's symbolic inputs, the variables
-// created via MakeSymbolic, in first-use order. An Explorer or Shard reuses
-// one for every path; begin empties it, keeping the tables' storage.
+// created via MakeSymbolic, in first-use order, and its fresh events, those
+// recorded beyond the replayed prefix. An Explorer or Shard reuses one for
+// every path; begin empties it, keeping the tables' storage, so whatever
+// outlives the path (the walker's scheduled siblings) must be copied out.
 type pathMarks struct {
 	terms    []*smt.Term
 	symbolic []*smt.Term
+	fresh    []event
 	mark     []uint32
 	epoch    uint32
 }
@@ -141,6 +143,7 @@ type pathMarks struct {
 func (m *pathMarks) begin() {
 	m.terms = m.terms[:0]
 	m.symbolic = m.symbolic[:0]
+	m.fresh = m.fresh[:0]
 	m.epoch++
 	if m.epoch == 0 {
 		clear(m.mark)
@@ -162,7 +165,10 @@ func (m *pathMarks) add(t *smt.Term) {
 	m.mark[t.ID()-1] = m.epoch
 }
 
-func newEngine(ctx *smt.Context, sol *solver.Solver, prefix []event, stats *Stats, qc *querycache.Local, onPath *pathMarks) *Engine {
+// newEngine returns the engine for one path replaying prefix. imported is
+// the seed model, by variable name, of a prefix imported from another
+// context (Shard.AddPrefix); nil otherwise.
+func newEngine(ctx *smt.Context, sol *solver.Solver, prefix []event, imported querycache.Model, stats *Stats, qc *querycache.Local, onPath *pathMarks) *Engine {
 	onPath.begin()
 	e := &Engine{
 		ctx:    ctx,
@@ -173,13 +179,13 @@ func newEngine(ctx *smt.Context, sol *solver.Solver, prefix []event, stats *Stat
 		stats:  stats,
 	}
 	if qc != nil {
-		var seed querycache.Model
+		var seed querycache.VarModel
 		if n := len(prefix); n > 0 {
 			// The last prefix event is the flipped branch; its sibModel (when
 			// captured) satisfies exactly this path's replayed constraints.
 			seed = prefix[n-1].sibModel
 		}
-		qc.BeginPath(seed)
+		qc.BeginPath(seed, imported)
 	}
 	return e
 }
@@ -249,11 +255,15 @@ func (e *Engine) Branch(cond *smt.Term) bool {
 	// Implication shortcut: conditions already entailed syntactically by a
 	// path constraint (typically the other model's identical decode
 	// condition) resolve without a decision, a solver query, or a fork.
+	// neg, the negated condition, is built once per branch, where the
+	// shortcut first needs it (or, without the shortcut, where a direction
+	// first does).
+	var neg *smt.Term
 	if !e.noOpt {
 		if e.onPath.has(cond) {
 			return true
 		}
-		if e.onPath.has(e.ctx.BNot(cond)) {
+		if neg = e.ctx.BNot(cond); e.onPath.has(neg) {
 			return false
 		}
 	}
@@ -268,7 +278,14 @@ func (e *Engine) Branch(cond *smt.Term) bool {
 			panic(fmt.Sprintf("core: replay divergence at event %d: program is not deterministic (have %v)", idx, ev.kind))
 		}
 		e.n++
-		e.addPC(polarise(e.ctx, cond, ev.dir), true)
+		if ev.dir {
+			e.addPC(cond, true)
+		} else {
+			if neg == nil {
+				neg = e.ctx.BNot(cond)
+			}
+			e.addPC(neg, true)
+		}
 		if idx == len(e.prefix)-1 && !ev.sibVerified {
 			// This is the freshly flipped decision and its feasibility could
 			// not be proven when it was scheduled: verify it now.
@@ -292,7 +309,7 @@ func (e *Engine) Branch(cond *smt.Term) bool {
 	case solver.Sat:
 		ev := event{kind: evBranch, dir: true, cond: cond}
 		if !e.noOpt {
-			res, sib := e.checkSibling(e.ctx.BNot(cond))
+			res, sib := e.checkSibling(neg)
 			switch res {
 			case solver.Unsat:
 				ev.noSibling = true
@@ -301,15 +318,18 @@ func (e *Engine) Branch(cond *smt.Term) bool {
 				ev.sibModel = sib
 			}
 		}
-		e.fresh = append(e.fresh, ev)
+		e.onPath.fresh = append(e.onPath.fresh, ev)
 		e.n++
 		e.addPC(cond, false)
 		return true
 	case solver.Unsat:
 		// pcs are satisfiable and pcs∧cond is not, so pcs∧¬cond is.
-		e.fresh = append(e.fresh, event{kind: evBranch, dir: false, cond: cond, noSibling: true})
+		e.onPath.fresh = append(e.onPath.fresh, event{kind: evBranch, dir: false, cond: cond, noSibling: true})
 		e.n++
-		e.addPC(e.ctx.BNot(cond), false)
+		if neg == nil {
+			neg = e.ctx.BNot(cond)
+		}
+		e.addPC(neg, false)
 		return false
 	default:
 		panic(abortError{AbortUnknown, "branch: solver budget exhausted"})
@@ -342,7 +362,7 @@ func (e *Engine) Concretize(t *smt.Term) uint64 {
 	}
 
 	e.stats.Concretizations++
-	switch e.checkModel(nil) {
+	switch e.checkModel(nil, false) {
 	case solver.Unsat:
 		// Unreachable if the invariant holds; treat defensively.
 		panic(abortError{AbortInfeasible, "concretize: path constraints unsatisfiable"})
@@ -350,7 +370,7 @@ func (e *Engine) Concretize(t *smt.Term) uint64 {
 		panic(abortError{AbortUnknown, "concretize: solver budget exhausted"})
 	}
 	v := e.sol.ModelValue(t)
-	e.fresh = append(e.fresh, event{kind: evConcretize, val: v, term: t})
+	e.onPath.fresh = append(e.onPath.fresh, event{kind: evConcretize, val: v, term: t})
 	e.n++
 	e.addPC(e.ctx.Eq(t, e.ctx.BV(t.Width(), v)), false)
 	return v
@@ -367,7 +387,7 @@ func (e *Engine) FindWitness(cond *smt.Term) (smt.MapEnv, bool) {
 			return nil, false
 		}
 		// Trivially true: any model of the path constraints witnesses it.
-		if e.checkModel(nil) != solver.Sat {
+		if e.checkModel(nil, false) != solver.Sat {
 			return nil, false
 		}
 		return e.sol.ModelFor(e.onPath.symbolic), true
@@ -398,10 +418,10 @@ func (e *Engine) FindWitness(cond *smt.Term) (smt.MapEnv, bool) {
 // witnessEnv restricts a cache-provided model to this path's symbolic
 // inputs, with the same zero default for unconstrained variables as the
 // solver's model extraction.
-func (e *Engine) witnessEnv(m querycache.Model) smt.MapEnv {
+func (e *Engine) witnessEnv(m querycache.VarModel) smt.MapEnv {
 	out := make(smt.MapEnv, len(e.onPath.symbolic))
 	for _, v := range e.onPath.symbolic {
-		out[v.Name()] = m[v.Name()]
+		out[v.Name()] = m.Value(v)
 	}
 	return out
 }
@@ -409,9 +429,10 @@ func (e *Engine) witnessEnv(m querycache.Model) smt.MapEnv {
 // PathModel returns a model of the current path's symbolic inputs, used to
 // turn a completed path into a concrete test vector. The model is restricted
 // to the inputs registered via MakeSymbolic — O(symbolic inputs) rather than
-// O(every variable the context ever interned).
+// O(every variable the context ever interned). It is the path's last query:
+// the query cache does not keep its model for later stack hits.
 func (e *Engine) PathModel() (smt.MapEnv, bool) {
-	if e.checkModel(nil) != solver.Sat {
+	if e.checkModel(nil, true) != solver.Sat {
 		return nil, false
 	}
 	return e.sol.ModelFor(e.onPath.symbolic), true
@@ -472,7 +493,7 @@ func (e *Engine) checkFeasible(query *smt.Term) solver.Result {
 // checkSibling is the eager sibling-feasibility query; with the cache
 // enabled a Sat answer may carry the model that proves it, which seeds the
 // sibling path's stack cache.
-func (e *Engine) checkSibling(neg *smt.Term) (solver.Result, querycache.Model) {
+func (e *Engine) checkSibling(neg *smt.Term) (solver.Result, querycache.VarModel) {
 	e.stats.SolverQueries++
 	if e.qc != nil {
 		return e.qc.CheckSibling(neg)
@@ -483,9 +504,13 @@ func (e *Engine) checkSibling(neg *smt.Term) (solver.Result, querycache.Model) {
 // checkModel answers satisfiability guaranteeing a pass-through to the
 // solver, so model values can be read afterwards. Model-bearing queries are
 // never answered from the cache: the values the engine reads (concretized
-// constants, witnesses, test vectors) must not depend on cache state.
-func (e *Engine) checkModel(query *smt.Term) solver.Result {
+// constants, witnesses, test vectors) must not depend on cache state. last
+// marks the path's final query, whose model the cache need not keep.
+func (e *Engine) checkModel(query *smt.Term, last bool) solver.Result {
 	e.stats.SolverQueries++
+	if e.qc != nil && last {
+		return e.qc.CheckFinalModel(query)
+	}
 	if e.qc != nil {
 		return e.qc.CheckModel(query)
 	}
@@ -493,12 +518,4 @@ func (e *Engine) checkModel(query *smt.Term) solver.Result {
 		return e.sol.Check(append(e.onPath.terms, query)...)
 	}
 	return e.sol.Check(e.onPath.terms...)
-}
-
-// polarise returns cond or its negation according to dir.
-func polarise(ctx *smt.Context, cond *smt.Term, dir bool) *smt.Term {
-	if dir {
-		return cond
-	}
-	return ctx.BNot(cond)
 }

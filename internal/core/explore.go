@@ -267,7 +267,7 @@ func (x *Explorer) Explore(opts Options) *Report {
 
 		sp := h.Start(obs.PhasePath)
 		sp.SetPath(pathID)
-		eng := newEngine(x.ctx, x.sol, wk.materialize(n), &rep.Stats, x.qc, &x.onPath)
+		eng := newEngine(x.ctx, x.sol, wk.materialize(n), nil, &rep.Stats, x.qc, &x.onPath)
 		eng.noOpt = opts.NoBranchOptimizations
 		eng.h = h
 		err, abort := runOne(x.run, eng)
@@ -312,7 +312,7 @@ func (x *Explorer) Explore(opts Options) *Report {
 		}
 
 		// Schedule the unexplored sibling of every fresh branch decision.
-		wk.schedule(n, eng.fresh)
+		wk.schedule(n, eng.onPath.fresh)
 		sp.End()
 	}
 

@@ -175,7 +175,7 @@ func (s *Shard) Handoff() ([]Step, Sig, bool) {
 	}
 	n := s.w.frontier[0]
 	s.w.frontier = s.w.frontier[1:]
-	return s.w.export(n), n.sig, true
+	return s.w.export(n, s.ctx), n.sig, true
 }
 
 // Step explores one path using the given pop order (the orchestrator's seed
@@ -189,13 +189,13 @@ func (s *Shard) Step(order SearchStrategy) (PathRecord, bool) {
 
 	sp := s.h.Start(obs.PhasePath)
 	var st Stats
-	eng := newEngine(s.ctx, s.sol, s.w.materialize(n), &st, s.qc, &s.onPath)
+	eng := newEngine(s.ctx, s.sol, s.w.materialize(n), n.imported, &st, s.qc, &s.onPath)
 	eng.noOpt = s.opts.NoBranchOptimizations
 	eng.h = s.h
 	err, abort := runOne(s.run, eng)
 
 	rec := PathRecord{
-		Sig:          s.w.pathSig(n, eng.fresh),
+		Sig:          s.w.pathSig(n, eng.onPath.fresh),
 		Instructions: eng.instrRetired,
 		Cycles:       eng.cycles,
 	}
@@ -231,7 +231,7 @@ func (s *Shard) Step(order SearchStrategy) (PathRecord, bool) {
 	// Every scheduled sibling flips a taken-true decision to false, so all
 	// children order strictly after this path's Sig — scheduling after a
 	// min-Sig finding is harmless under a bound (everything gets pruned).
-	s.w.schedule(n, eng.fresh)
+	s.w.schedule(n, eng.onPath.fresh)
 	sp.End()
 	return finishRecord(rec, &st), true
 }

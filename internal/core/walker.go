@@ -1,6 +1,11 @@
 package core
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"symriscv/internal/querycache"
+	"symriscv/internal/smt"
+)
 
 // Sig is the canonical signature of a path: one byte per branch decision
 // (true sorts before false, so lexicographic Sig order equals the order a
@@ -45,7 +50,8 @@ type Step struct {
 	SibVerified bool   // branch: this direction was proven feasible when scheduled
 	// SibModel is the model that proved this direction feasible (by variable
 	// name, so it is context-portable); it seeds the importing shard's stack
-	// cache. Nil when no complete model was captured. Immutable.
+	// cache. Set on a prefix's last step only, the one a replay seeds from;
+	// nil when no complete model was captured. Immutable.
 	SibModel map[string]uint64
 }
 
@@ -62,6 +68,10 @@ type node struct {
 	flip   bool    // events[take-1] replays with its direction inverted
 	depth  int     // total prefix length (parent.depth + take)
 	sig    Sig     // canonical signature of the prefix ("" unless tracking)
+	// imported is an imported prefix's seed model, by variable name: its
+	// variables belong to no term of this context until the replay interns
+	// them. Nil for every other node.
+	imported querycache.Model
 }
 
 // walker owns the frontier of scheduled paths and the scratch buffer
@@ -86,14 +96,18 @@ func (w *walker) addRoot() { w.frontier = append(w.frontier, &node{}) }
 // addPrefix schedules an imported portable prefix as a subtree root.
 func (w *walker) addPrefix(steps []Step, sig Sig) {
 	evs := make([]event, len(steps))
+	n := &node{events: evs, take: len(evs), depth: len(evs), sig: sig}
 	for i, st := range steps {
 		if st.Concretize {
 			evs[i] = event{kind: evConcretize, val: st.Val}
 		} else {
-			evs[i] = event{kind: evBranch, dir: st.Dir, sibVerified: st.SibVerified, sibModel: st.SibModel}
+			evs[i] = event{kind: evBranch, dir: st.Dir, sibVerified: st.SibVerified}
 		}
 	}
-	w.frontier = append(w.frontier, &node{events: evs, take: len(evs), depth: len(evs), sig: sig})
+	if k := len(steps); k > 0 && !steps[k-1].Concretize {
+		n.imported = steps[k-1].SibModel
+	}
+	w.frontier = append(w.frontier, n)
 }
 
 // setBound discards future work ordered strictly after sig. Because a node's
@@ -151,8 +165,19 @@ func (w *walker) materialize(n *node) []event {
 }
 
 // schedule pushes the unexplored sibling of every fresh branch decision of a
-// finished run, sharing the run's fresh slice across all of them.
+// finished run. fresh is the engine's reused buffer: the siblings share one
+// copy of it, cut after the last event that schedules one.
 func (w *walker) schedule(n *node, fresh []event) {
+	last := -1
+	for i, ev := range fresh {
+		if ev.kind == evBranch && !ev.noSibling {
+			last = i
+		}
+	}
+	if last < 0 {
+		return
+	}
+	fresh = append([]event(nil), fresh[:last+1]...)
 	var cum []byte
 	if w.trackSigs {
 		cum = append(w.sigBuf[:0], n.sig...)
@@ -187,8 +212,9 @@ func (w *walker) pathSig(n *node, fresh []event) Sig {
 	return Sig(cum)
 }
 
-// export materializes a node into its portable form.
-func (w *walker) export(n *node) []Step {
+// export materializes a node into its portable form; ctx is the context
+// the node's seed model belongs to.
+func (w *walker) export(n *node, ctx *smt.Context) []Step {
 	evs := w.materialize(n)
 	steps := make([]Step, len(evs))
 	for i, ev := range evs {
@@ -197,7 +223,14 @@ func (w *walker) export(n *node) []Step {
 			Dir:         ev.dir,
 			Val:         ev.val,
 			SibVerified: ev.sibVerified,
-			SibModel:    ev.sibModel,
+		}
+	}
+	if k := len(evs); k > 0 {
+		switch m := evs[k-1].sibModel; {
+		case n.imported != nil:
+			steps[k-1].SibModel = n.imported
+		case m != nil:
+			steps[k-1].SibModel = m.Names(ctx)
 		}
 	}
 	return steps

@@ -219,26 +219,30 @@ func TestShardPerPathStatsSplitInvariant(t *testing.T) {
 }
 
 // TestWalkerMaterializeSharesPrefixes checks the parent-pointer frontier:
-// sibling nodes scheduled from one run share the run's fresh-event slice
-// instead of owning O(depth) copies.
+// sibling nodes scheduled from one run share one copy of the run's fresh
+// events instead of owning O(depth) copies, and that copy is not the
+// engine's buffer, which the next path reuses.
 func TestWalkerMaterializeSharesPrefixes(t *testing.T) {
 	x := NewExplorer(branchProgram(4, nil))
 	wk := &walker{}
 	wk.addRoot()
 	n := wk.pop(SearchDFS, &pathRNG{})
 	var st Stats
-	eng := newEngine(x.ctx, x.sol, wk.materialize(n), &st, nil, &pathMarks{})
+	eng := newEngine(x.ctx, x.sol, wk.materialize(n), nil, &st, nil, &pathMarks{})
 	if err, abort := runOne(x.run, eng); err != nil || abort != nil {
 		t.Fatalf("run failed: %v / %v", err, abort)
 	}
-	wk.schedule(n, eng.fresh)
+	wk.schedule(n, eng.onPath.fresh)
 	if wk.pending() != 4 {
 		t.Fatalf("scheduled %d siblings, want 4", wk.pending())
 	}
 	for _, child := range wk.frontier {
-		if &child.events[0] != &eng.fresh[0] {
-			t.Fatal("sibling does not share the run's fresh slice")
+		if &child.events[0] != &wk.frontier[0].events[0] {
+			t.Fatal("sibling does not share the run's fresh events")
 		}
+	}
+	if &wk.frontier[0].events[0] == &eng.onPath.fresh[0] {
+		t.Fatal("siblings alias the engine's reused fresh buffer")
 	}
 	// Deepest sibling materializes to the full run with its last decision
 	// flipped.
@@ -248,11 +252,11 @@ func TestWalkerMaterializeSharesPrefixes(t *testing.T) {
 		t.Fatalf("deepest prefix length = %d, want 4", len(pre))
 	}
 	for i := 0; i < 3; i++ {
-		if pre[i].dir != eng.fresh[i].dir {
+		if pre[i].dir != eng.onPath.fresh[i].dir {
 			t.Fatalf("prefix event %d direction diverged", i)
 		}
 	}
-	if pre[3].dir == eng.fresh[3].dir {
+	if pre[3].dir == eng.onPath.fresh[3].dir {
 		t.Fatal("last prefix event was not flipped")
 	}
 }
@@ -290,11 +294,11 @@ func TestWalkerPopOrderAcrossStrategies(t *testing.T) {
 		wk.addRoot()
 		n := wk.pop(SearchDFS, &pathRNG{})
 		var st Stats
-		eng := newEngine(x.ctx, x.sol, wk.materialize(n), &st, nil, &pathMarks{})
+		eng := newEngine(x.ctx, x.sol, wk.materialize(n), nil, &st, nil, &pathMarks{})
 		if err, abort := runOne(x.run, eng); err != nil || abort != nil {
 			t.Fatalf("run failed: %v / %v", err, abort)
 		}
-		wk.schedule(n, eng.fresh)
+		wk.schedule(n, eng.onPath.fresh)
 		nodes := append([]*node(nil), wk.frontier...)
 		return wk, x, nodes
 	}
@@ -353,11 +357,11 @@ func TestWalkerMaterializeMatchesNaive(t *testing.T) {
 				t.Fatalf("event %d differs from naive reconstruction", i)
 			}
 		}
-		eng := newEngine(x.ctx, x.sol, got, &st, nil, &pathMarks{})
+		eng := newEngine(x.ctx, x.sol, got, nil, &st, nil, &pathMarks{})
 		if err, abort := runOne(x.run, eng); err != nil || abort != nil {
 			t.Fatalf("run failed: %v / %v", err, abort)
 		}
-		wk.schedule(n, eng.fresh)
+		wk.schedule(n, eng.onPath.fresh)
 	}
 }
 

@@ -146,7 +146,7 @@ func TestTablesGrowWithContext(t *testing.T) {
 			t.Fatalf("round %d: pivot ID %d is inside the tables (%d, %d)", round, newest.ID(), len(l.support), len(l.mark))
 		}
 		all := make([]*smt.Term, 0, 8)
-		l.BeginPath(nil)
+		l.BeginPath(nil, nil)
 		for i := 0; i < 7; i++ {
 			c := conds[rng.Intn(len(conds))]
 			all = append(all, c)
@@ -176,7 +176,9 @@ func TestTablesGrowWithContext(t *testing.T) {
 // vouch for a model that fails it.
 func TestStackModelsNeverLeak(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	holds := func(env Model, cs ...*smt.Term) bool {
+	var ctx *smt.Context
+	holds := func(m VarModel, cs ...*smt.Term) bool {
+		env := m.Names(ctx)
 		for _, c := range cs {
 			if v, err := smt.EvalBool(c, env); err != nil || !v {
 				return false
@@ -186,7 +188,8 @@ func TestStackModelsNeverLeak(t *testing.T) {
 	}
 	var evictions, drops int
 	for trial := 0; trial < 20; trial++ {
-		l, ctx, _ := newLocal(t, nil)
+		var l *Local
+		l, ctx, _ = newLocal(t, nil)
 		vs := []*smt.Term{ctx.Var("a", 4), ctx.Var("b", 4), ctx.Var("c", 4)}
 		var pool []*smt.Term
 		for i := 0; i < 16; i++ {
@@ -201,18 +204,18 @@ func TestStackModelsNeverLeak(t *testing.T) {
 				pool = append(pool, ctx.Eq(ctx.And(x, k), ctx.And(y, k)))
 			}
 		}
-		var seed Model
+		var seed VarModel
 		var seedPrefix []*smt.Term
 		for path := 0; path < 30; path++ {
 			var pcs []*smt.Term
 			if seed != nil && rng.Intn(2) == 0 {
-				l.BeginPath(seed)
+				l.BeginPath(seed, nil)
 				for _, c := range seedPrefix {
 					l.Observe(c, true)
 					pcs = append(pcs, c)
 				}
 			} else {
-				l.BeginPath(nil)
+				l.BeginPath(nil, nil)
 			}
 			for step := 0; step < 10; step++ {
 				if rng.Intn(3) == 0 {
@@ -248,8 +251,8 @@ func TestStackModelsNeverLeak(t *testing.T) {
 					drops++
 				}
 				for _, m := range l.stack {
-					if !holds(m.env, pcs...) {
-						t.Fatalf("trial %d path %d: stacked model %v fails the path constraints", trial, path, m.env)
+					if !holds(m.m, pcs...) {
+						t.Fatalf("trial %d path %d: stacked model %v fails the path constraints", trial, path, m.m)
 					}
 				}
 			}
@@ -327,7 +330,7 @@ func benchProbe(b *testing.B, build func(*smt.Context) []*smt.Term) {
 	l := NewLocal(ctx, solver.New(ctx), nil)
 	conds := build(ctx)
 	path := func(mask int) {
-		l.BeginPath(nil)
+		l.BeginPath(nil, nil)
 		for i, c := range conds {
 			if mask>>(i%8)&1 == 0 {
 				c = ctx.BNot(c)
@@ -345,5 +348,47 @@ func benchProbe(b *testing.B, build func(*smt.Context) []*smt.Term) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		path(i % 16)
+	}
+}
+
+// TestWarmProbeAllocs pins the two warm probe answers at zero allocations:
+// a stack hit (the stacked model satisfies the pivot) and a superset-unsat
+// answer (a known unsat core is a subset of the probe's set).
+func TestWarmProbeAllocs(t *testing.T) {
+	l, ctx, _ := newLocal(t, nil)
+	a := ctx.Var("a", 8)
+	b := ctx.Var("b", 8)
+	l.BeginPath(nil, nil)
+	lo := ctx.Ult(a, ctx.BV(8, 10))
+	observe(l, lo, ctx.Ult(a, b))
+	if l.CheckModel(nil) != solver.Sat {
+		t.Fatal("path unsatisfiable")
+	}
+	hit := ctx.Ult(a, ctx.BV(8, 11)) // implied by lo: every stacked model has it
+	hi := ctx.Ult(ctx.BV(8, 20), a)  // contradicts lo
+	if l.CheckFeasible(hi) != solver.Unsat || l.CheckFeasible(hi) != solver.Unsat {
+		t.Fatal("hi not unsat")
+	}
+	for _, c := range []struct {
+		name  string
+		pivot *smt.Term
+		want  solver.Result
+		count func(Stats) uint64
+	}{
+		{"stack hit", hit, solver.Sat, func(s Stats) uint64 { return s.StackHits }},
+		{"superset unsat", hi, solver.Unsat, func(s Stats) uint64 { return s.SupersetUnsat }},
+	} {
+		before := c.count(l.Stats())
+		n := testing.AllocsPerRun(100, func() {
+			if l.CheckFeasible(c.pivot) != c.want {
+				t.Fatalf("%s: answer changed", c.name)
+			}
+		})
+		if got := c.count(l.Stats()) - before; got != 101 {
+			t.Fatalf("%s: %d of 101 probes answered by it", c.name, got)
+		}
+		if n != 0 {
+			t.Errorf("%s: %v allocations per probe, want 0", c.name, n)
+		}
 	}
 }

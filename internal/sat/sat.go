@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -180,6 +181,14 @@ type Solver struct {
 	lbdTick    uint64
 
 	lastAssumps []Lit // previous Solve's assumptions (trail and cone reuse)
+
+	// The standing model: lastSat marks that the previous Solve answered
+	// Sat, with stampTick at satTick and satVars variables then. A repeat of
+	// its assumptions with neither since changed returns it (Solve).
+	lastSat      bool
+	satTick      uint64
+	satVars      int
+	noModelReuse bool // tests: search again instead
 
 	ok bool // false once the clause set is unsat at level 0
 
@@ -875,6 +884,17 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		}
 	}
 
+	// A repeat of the previous Sat call, with no clause or variable added
+	// since (no dropModel, same variable count) and no reduceDB due (which
+	// the search would run first), has the standing model as its answer: the
+	// search would re-decide the same assignment, every decision taking its
+	// saved phase and every propagation forced to its model value.
+	if s.lastSat && s.stampTick == s.satTick && len(s.assigns) == s.satVars &&
+		len(s.learnts) <= s.learntBase+len(s.clauses)/2 && slices.Equal(assumptions, s.lastAssumps) && !s.noModelReuse {
+		return Sat
+	}
+	s.lastSat = false
+
 	// Trail and cone reuse: consecutive calls usually share a long
 	// assumption prefix (the engine's path constraints grow incrementally).
 	// Decision levels 1..k correspond one-to-one to assumptions 0..k-1, so
@@ -974,6 +994,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 					continue
 				}
 				s.dropModel()
+				s.lastSat, s.satTick, s.satVars = true, s.stampTick, len(s.assigns)
 				return Sat
 			}
 			s.stats.Decisions++

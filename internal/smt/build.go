@@ -26,6 +26,10 @@ func (c *Context) Var(name string, width int) *Term {
 	return t
 }
 
+// LookupVar returns the variable named name, or nil when the context has
+// not created it. Unlike Var it never interns a term.
+func (c *Context) LookupVar(name string) *Term { return c.varsByName[name] }
+
 // FreshVar returns a variable with a unique generated name carrying the
 // given prefix.
 func (c *Context) FreshVar(prefix string, width int) *Term {

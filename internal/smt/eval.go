@@ -40,6 +40,16 @@ func eval(t *Term, env Env, cache map[*Term]uint64) (uint64, error) {
 		}
 		args[i] = v
 	}
+	v, err := apply(t, &args, env)
+	if err != nil {
+		return 0, err
+	}
+	cache[t] = v
+	return v, nil
+}
+
+// apply computes t's value from its arguments' values; a variable reads env.
+func apply(t *Term, args *[3]uint64, env Env) (uint64, error) {
 	w := t.Width()
 	var v uint64
 	switch t.Kind() {
@@ -136,7 +146,6 @@ func eval(t *Term, env Env, cache map[*Term]uint64) (uint64, error) {
 	default:
 		return 0, fmt.Errorf("smt: eval: unsupported kind %v", t.Kind())
 	}
-	cache[t] = v
 	return v, nil
 }
 
@@ -152,27 +161,75 @@ func b2u(b bool) uint64 {
 // share most of their DAG, so evaluating a stream of path constraints with
 // an Evaluator costs each DAG node once, where repeated Eval calls would
 // re-walk the shared structure every time. The environment must not change
-// behind the Evaluator's back.
+// behind the Evaluator's back, and between Resets every term must come from
+// one Context: the memo is indexed by term ID.
+//
+// The memo is two dense tables by term ID-1, a value and the epoch that
+// wrote it; Reset starts a new epoch, so forgetting every value is a tick
+// and the tables hold no pointers for the garbage collector to scan.
 type Evaluator struct {
 	env   Env
-	cache map[*Term]uint64
+	val   []uint64
+	stamp []uint32
+	epoch uint32
 }
 
 // NewEvaluator returns an evaluator over the fixed environment env.
 func NewEvaluator(env Env) *Evaluator {
-	return &Evaluator{env: env, cache: make(map[*Term]uint64, 64)}
+	return &Evaluator{env: env, epoch: 1}
 }
 
-// Reset rebinds the evaluator to env and forgets every memoized value. The
-// memo keeps its storage, so a recycled evaluator does not allocate again.
+// Reset rebinds the evaluator to env and forgets every memoized value and
+// binding. The memo keeps its storage, so a recycled evaluator does not
+// allocate again.
 func (e *Evaluator) Reset(env Env) {
 	e.env = env
-	clear(e.cache)
+	e.epoch++
+	if e.epoch == 0 {
+		clear(e.stamp)
+		e.epoch = 1
+	}
+}
+
+// Bind fixes the variable v to val (truncated to v's width) until the next
+// Reset, taking precedence over the environment. Binding a model's
+// variables up front spares the evaluator an environment lookup by name.
+func (e *Evaluator) Bind(v *Term, val uint64) {
+	e.memo(v, val&mask(v.Width()))
 }
 
 // Eval computes the concrete value of t, memoized across calls.
 func (e *Evaluator) Eval(t *Term) (uint64, error) {
-	return eval(t, e.env, e.cache)
+	i := t.id - 1
+	if int(i) < len(e.stamp) && e.stamp[i] == e.epoch {
+		return e.val[i], nil
+	}
+	var args [3]uint64
+	for j := 0; j < int(t.nargs); j++ {
+		v, err := e.Eval(t.args[j])
+		if err != nil {
+			return 0, err
+		}
+		args[j] = v
+	}
+	v, err := apply(t, &args, e.env)
+	if err != nil {
+		return 0, err
+	}
+	e.memo(t, v)
+	return v, nil
+}
+
+// memo records t's value in the current epoch, growing the tables
+// geometrically to cover t.
+func (e *Evaluator) memo(t *Term, v uint64) {
+	i := int(t.id) - 1
+	if i >= len(e.stamp) {
+		n := max(2*len(e.stamp), i+1, 64)
+		e.stamp = append(e.stamp, make([]uint32, n-len(e.stamp))...)
+		e.val = append(e.val, make([]uint64, n-len(e.val))...)
+	}
+	e.stamp[i], e.val[i] = e.epoch, v
 }
 
 // EvalBool evaluates a Boolean term, memoized across calls.
@@ -180,7 +237,7 @@ func (e *Evaluator) EvalBool(t *Term) (bool, error) {
 	if !t.IsBool() {
 		return false, fmt.Errorf("smt: EvalBool on bit-vector term")
 	}
-	v, err := eval(t, e.env, e.cache)
+	v, err := e.Eval(t)
 	return v != 0, err
 }
 
