@@ -83,16 +83,9 @@ func (s *Session) Checkpoint() {
 	if s == nil {
 		return
 	}
-	snap := s.shared.Snapshot()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fresh := make([]querycache.PortableEntry, 0, len(snap))
-	for _, pe := range snap {
-		if _, ok := s.seen[pe.Key]; ok {
-			continue
-		}
-		fresh = append(fresh, pe)
-	}
+	fresh := s.shared.Snapshot(s.seen)
 	if len(fresh) == 0 {
 		return
 	}
