@@ -9,7 +9,6 @@
 //	symv hunt    [-fault E6] [-limit 1] [-shipped] [-regs 2] [-time 60s] [shared flags]
 //	symv longrun [-budget 30s] [-limit 1] [-regs 2] [-coverage] [shared flags]
 //	symv ablation [-kind regs|limit] [-budget 30s] [shared flags]
-//	symv bench   [-budget 10s] [-quick] [-ablate] [-json-file BENCH_explore.json] [shared flags]
 //	symv baseline [-cell-time 20s] [-trials 200000] [shared flags]
 //	symv replay  [-fault E6] [-cycle-trace] [shared flags] name=hexvalue ...
 //	symv trace   [-top 8] TRACE.jsonl
@@ -24,8 +23,9 @@
 //	-core NAME     device under test: microrv32 (default) | pipecore; the
 //	               lint commands also accept both (their default)
 //	-workers N     shard each exploration's path tree across N solver
-//	               contexts (default GOMAXPROCS); results are identical to
-//	               -workers 1 by construction (see internal/parexplore)
+//	               contexts (default 1); paths, counts, path indices and
+//	               finding classes match -workers 1, witness values do not
+//	               (see internal/parexplore)
 //	-cache on|off  query-elimination layer (stack models, independence
 //	               slicing, feasibility caching)
 //	-store DIR     persistent witness store (inspect with symv cache)
@@ -34,10 +34,13 @@
 //	-metrics       print the aggregated per-phase table to stderr afterwards
 //
 // Every path replays its decision prefix from the start (replay-based
-// forking, see internal/core). -cache=off is an ablation switch — reports
-// are identical on and off by construction, only the solver work changes
-// (see internal/querycache). -store, -trace and -metrics are side channels:
-// they never change a report either (see internal/qstore, internal/obs).
+// forking, see internal/core). -cache=off is an ablation switch: paths,
+// counts, path indices and finding classes are identical on and off by
+// construction, only the solver work changes (see internal/querycache).
+// -store is a side channel in the same sense, and -trace and -metrics never
+// change a report at all (see internal/qstore, internal/obs). Witness values
+// are whatever model answered, so they can differ with -workers, -cache and
+// -store state.
 package main
 
 import (
@@ -46,8 +49,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -119,8 +120,6 @@ func run(args []string, stderr io.Writer) int {
 		err = cmdLongRun(args[1:], stderr)
 	case "ablation":
 		err = cmdAblation(args[1:], stderr)
-	case "bench":
-		err = cmdBench(args[1:], stderr)
 	case "baseline":
 		err = cmdBaseline(args[1:], stderr)
 	case "replay":
@@ -160,7 +159,6 @@ commands:
   hunt      hunt one injected fault (or the shipped bugs)
   longrun   budgeted comprehensive exploration statistics
   ablation  sliced-register or instruction-limit ablation
-  bench     exploration throughput and time-to-bug at workers=1 vs N
   baseline  compare symbolic execution against fuzzing baselines
   replay    re-execute a test vector (name=hexvalue pairs) against a fault
   trace     digest a JSONL observability trace (from -trace FILE)
@@ -194,8 +192,8 @@ type sharedFlags struct {
 // sharedGroup registers the shared flag group on a subcommand's flag set.
 func sharedGroup(fs *flag.FlagSet) *sharedFlags {
 	return &sharedFlags{
-		workers: fs.Int("workers", runtime.GOMAXPROCS(0),
-			"parallel exploration workers per exploration (1 = sequential; results are worker-count independent)"),
+		workers: fs.Int("workers", 1,
+			"parallel exploration workers per exploration (1 = sequential; paths, counts and finding classes are worker-count independent, witness values are not)"),
 		core: fs.String("core", "",
 			"device under test: microrv32 | pipecore (default microrv32; the lint commands also accept both)"),
 		cache: fs.String("cache", "on", "query-elimination layer (stack models, slicing, feasibility cache): on | off"),
@@ -780,102 +778,6 @@ func cmdTrace(args []string, stderr io.Writer) error {
 		return json.NewEncoder(os.Stdout).Encode(sum)
 	}
 	fmt.Print(sum.Format(*top))
-	return nil
-}
-
-func cmdBench(args []string, stderr io.Writer) error {
-	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	budget := fs.Duration("budget", 10*time.Second, "throughput budget per worker count")
-	huntTime := fs.Duration("hunt-time", 30*time.Second, "time-to-bug budget per fault")
-	instrLimit := fs.Int("instr-limit", 1, "instruction limit for the throughput workload")
-	faultsArg := fs.String("faults", "", "comma-separated time-to-bug faults (default E1,E5,E6)")
-	jsonPath := fs.String("json-file", "", "also write the machine-readable report to this file")
-	quick := fs.Bool("quick", false, "CI smoke mode: 2s budgets, one fault")
-	ablate := fs.Bool("ablate", false, "run the cache-on/cache-off equivalence check even outside -quick")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole benchmark to this file")
-	shared := sharedGroup(fs)
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-
-	if err := shared.requireMicroRV32("bench", stderr); err != nil {
-		return err
-	}
-	common, finish, err := shared.build("bench", stderr)
-	if err != nil {
-		return err
-	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return err
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	common.Budget = *budget
-	opt := harness.BenchOptions{
-		Common:        common,
-		HuntTime:      *huntTime,
-		InstrLimit:    *instrLimit,
-		CacheAblation: *ablate,
-	}
-	if *faultsArg != "" {
-		fset, err := parseFaults(*faultsArg)
-		if err != nil {
-			return badUsage(stderr, "%v", err)
-		}
-		opt.Faults = fset
-	}
-	if *quick {
-		opt.Budget = 2 * time.Second
-		opt.HuntTime = 5 * time.Second
-		if opt.Faults == nil {
-			opt.Faults = []faults.Fault{faults.E6}
-		}
-		// CI smoke: always cross-check the cache determinism contract.
-		opt.CacheAblation = true
-	}
-	res := harness.RunBench(opt)
-	if *shared.jsonOut {
-		if err := json.NewEncoder(os.Stdout).Encode(res); err != nil {
-			return err
-		}
-	} else {
-		fmt.Print(res.Format())
-	}
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "wrote %s\n", *jsonPath)
-	}
-	if err := finish(); err != nil {
-		return err
-	}
-	if res.Ablation != nil && !res.Ablation.Match {
-		return fmt.Errorf("bench: cache ablation mismatch: %s", res.Ablation.Mismatch)
-	}
-	if res.SolverMat != nil && !res.SolverMat.Match {
-		return fmt.Errorf("bench: solver equivalence mismatch: %s", res.SolverMat.Mismatch)
-	}
 	return nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -42,7 +43,6 @@ func TestRunUsageErrors(t *testing.T) {
 		{"longrun -fork off", []string{"longrun", "-fork", "off"}, "flag provided but not defined: -fork"},
 		{"longrun -rewrite off", []string{"longrun", "-rewrite", "off"}, "flag provided but not defined: -rewrite"},
 		{"ablation bad flag", []string{"ablation", "-definitely-not-a-flag"}, "flag provided but not defined"},
-		{"bench bad flag", []string{"bench", "-definitely-not-a-flag"}, "flag provided but not defined"},
 		{"baseline bad flag", []string{"baseline", "-definitely-not-a-flag"}, "flag provided but not defined"},
 		{"replay bad flag", []string{"replay", "-definitely-not-a-flag"}, "flag provided but not defined"},
 		{"trace bad flag", []string{"trace", "-definitely-not-a-flag"}, "flag provided but not defined"},
@@ -68,7 +68,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{"hunt unknown search", []string{"hunt", "-search", "bogus"}, "unknown search strategy"},
 		{"ablation unknown kind", []string{"ablation", "-kind", "bogus"}, "unknown ablation kind"},
 		{"baseline unknown fault", []string{"baseline", "-faults", "E99"}, "unknown fault"},
-		{"bench unknown fault", []string{"bench", "-faults", "E99"}, "unknown fault"},
+		{"bench removed", []string{"bench"}, "unknown command \"bench\""},
 
 		{"replay no vector", []string{"replay"}, "no test-vector assignments"},
 		{"replay malformed pair", []string{"replay", "justaname"}, "want name=hexvalue"},
@@ -131,22 +131,9 @@ func TestReplayReproducesHuntWitness(t *testing.T) {
 		args = append(args, fmt.Sprintf("%s=%x", name, val))
 	}
 
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stdout := os.Stdout
-	os.Stdout = w
-	var stderr bytes.Buffer
-	code := run(args, &stderr)
-	os.Stdout = stdout
-	w.Close()
-	out, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, code, stderr := runCapture(t, args)
 	if code != 0 {
-		t.Fatalf("replay = exit %d; stderr:\n%s", code, stderr.String())
+		t.Fatalf("replay = exit %d; stderr:\n%s", code, stderr)
 	}
 	var doc struct{ Reproduced bool }
 	if err := json.Unmarshal(out, &doc); err != nil {
@@ -154,6 +141,47 @@ func TestReplayReproducesHuntWitness(t *testing.T) {
 	}
 	if !doc.Reproduced {
 		t.Fatalf("witness %v did not reproduce the finding %v", rep.Findings[0].Inputs, rep.Findings[0].Err)
+	}
+}
+
+// runCapture runs one symv invocation with stdout redirected, returning what
+// it printed there, its exit code and its stderr.
+func runCapture(t *testing.T, args []string) (stdout []byte, code int, stderr string) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		read <- b
+	}()
+	saved := os.Stdout
+	os.Stdout = w
+	var errBuf bytes.Buffer
+	code = run(args, &errBuf)
+	os.Stdout = saved
+	w.Close()
+	return <-read, code, errBuf.String()
+}
+
+// TestTraceRoundTrip pins that symv trace reads what a run's -trace sink
+// writes: a bounded longrun with -trace and -metrics, then the digest of its
+// file, both exit 0 and the digest names the exploration and path phases.
+func TestTraceRoundTrip(t *testing.T) {
+	f := filepath.Join(t.TempDir(), "trace.jsonl")
+	if _, code, stderr := runCapture(t, []string{"longrun", "-budget", "0", "-max-paths", "50", "-workers", "1", "-trace", f, "-metrics"}); code != 0 {
+		t.Fatalf("longrun -trace = exit %d; stderr:\n%s", code, stderr)
+	}
+	out, code, stderr := runCapture(t, []string{"trace", f})
+	if code != 0 {
+		t.Fatalf("trace = exit %d; stderr:\n%s", code, stderr)
+	}
+	for _, phase := range []string{"explore", "path"} {
+		if !regexp.MustCompile(`(?m)^` + phase + `\s`).Match(out) {
+			t.Errorf("trace digest names no %q phase:\n%s", phase, out)
+		}
 	}
 }
 

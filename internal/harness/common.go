@@ -44,7 +44,8 @@ func ParseToggle(v string) (Toggle, bool) {
 type Common struct {
 	// Workers shards each exploration's path tree across this many solver
 	// contexts (see internal/parexplore); <= 1 explores sequentially.
-	// Reports are worker-count independent by construction.
+	// Paths, counts, path indices and finding classes are worker-count
+	// independent by construction; witness values are not.
 	Workers int
 	// Core selects the device under test for campaigns that support more
 	// than one ("" = the campaign's default, microrv32). It is the single

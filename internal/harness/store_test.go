@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"symriscv/internal/iss"
 	"symriscv/internal/microrv32"
 	"symriscv/internal/qstore"
+	"symriscv/internal/rvfi"
 )
 
 // storeWorkload is the bounded exploration used by the store equivalence
@@ -38,6 +40,17 @@ func deterministicKey(t *testing.T, r *core.Report) string {
 		fmt.Fprintf(&b, "finding path=%d class=%s\n", f.Path, findingClass(f.Err))
 	}
 	return b.String()
+}
+
+// findingClass maps a finding to its deterministic comparison key: the
+// mismatch classification for co-simulation voter findings, the rendered
+// error otherwise.
+func findingClass(err error) string {
+	var m *rvfi.Mismatch
+	if errors.As(err, &m) {
+		return ClassifyFor(cosim.CoreMicroRV32, m).Key()
+	}
+	return err.Error()
 }
 
 // TestStoreEquivalence pins the tentpole contract: the same bounded
