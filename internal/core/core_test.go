@@ -9,8 +9,18 @@ import (
 	"testing"
 	"time"
 
+	"symriscv/internal/querycache"
 	"symriscv/internal/smt"
+	"symriscv/internal/solver"
 )
+
+// newEngine returns a fresh engine for one path, as Explorer and Shard
+// reset theirs.
+func newEngine(ctx *smt.Context, sol *solver.Solver, prefix []event, imported querycache.Model, stats *Stats, qc *querycache.Local, onPath *pathMarks) *Engine {
+	e := new(Engine)
+	e.reset(ctx, sol, prefix, imported, stats, qc, onPath)
+	return e
+}
 
 func TestTwoPathBranch(t *testing.T) {
 	errLow := errors.New("x is low")

@@ -165,12 +165,13 @@ func (m *pathMarks) add(t *smt.Term) {
 	m.mark[t.ID()-1] = m.epoch
 }
 
-// newEngine returns the engine for one path replaying prefix. imported is
-// the seed model, by variable name, of a prefix imported from another
-// context (Shard.AddPrefix); nil otherwise.
-func newEngine(ctx *smt.Context, sol *solver.Solver, prefix []event, imported querycache.Model, stats *Stats, qc *querycache.Local, onPath *pathMarks) *Engine {
+// reset starts e on one path replaying prefix, clearing every field the
+// previous path set; an Explorer or Shard reuses one Engine for all its
+// paths. imported is the seed model, by variable name, of a prefix imported
+// from another context (Shard.AddPrefix); nil otherwise.
+func (e *Engine) reset(ctx *smt.Context, sol *solver.Solver, prefix []event, imported querycache.Model, stats *Stats, qc *querycache.Local, onPath *pathMarks) {
 	onPath.begin()
-	e := &Engine{
+	*e = Engine{
 		ctx:    ctx,
 		sol:    sol,
 		prefix: prefix,
@@ -187,7 +188,6 @@ func newEngine(ctx *smt.Context, sol *solver.Solver, prefix []event, imported qu
 		}
 		qc.BeginPath(seed, imported)
 	}
-	return e
 }
 
 // Context returns the shared term context.

@@ -204,6 +204,7 @@ type Explorer struct {
 	run    RunFunc
 	qc     *querycache.Local
 	onPath pathMarks // reused by every path's Engine
+	eng    Engine    // reused for every path
 }
 
 // NewExplorer returns an explorer for the program run.
@@ -267,7 +268,8 @@ func (x *Explorer) Explore(opts Options) *Report {
 
 		sp := h.Start(obs.PhasePath)
 		sp.SetPath(pathID)
-		eng := newEngine(x.ctx, x.sol, wk.materialize(n), nil, &rep.Stats, x.qc, &x.onPath)
+		eng := &x.eng
+		eng.reset(x.ctx, x.sol, wk.materialize(n), nil, &rep.Stats, x.qc, &x.onPath)
 		eng.noOpt = opts.NoBranchOptimizations
 		eng.h = h
 		err, abort := runOne(x.run, eng)

@@ -75,6 +75,7 @@ type Shard struct {
 	qc     *querycache.Local
 	h      *obs.Handle
 	onPath pathMarks // reused by every path's Engine
+	eng    Engine    // reused for every path
 }
 
 // NewShard returns a shard with a fresh context and solver.
@@ -189,7 +190,8 @@ func (s *Shard) Step(order SearchStrategy) (PathRecord, bool) {
 
 	sp := s.h.Start(obs.PhasePath)
 	var st Stats
-	eng := newEngine(s.ctx, s.sol, s.w.materialize(n), n.imported, &st, s.qc, &s.onPath)
+	eng := &s.eng
+	eng.reset(s.ctx, s.sol, s.w.materialize(n), n.imported, &st, s.qc, &s.onPath)
 	eng.noOpt = s.opts.NoBranchOptimizations
 	eng.h = s.h
 	err, abort := runOne(s.run, eng)

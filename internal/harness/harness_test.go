@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -273,5 +275,43 @@ func TestTable1CSRMismatchesAreInherent(t *testing.T) {
 		if !found[want] {
 			t.Errorf("inherent mismatch %s not surfaced:\n%s", want, res.Format())
 		}
+	}
+}
+
+// longRunGolden is the SHA-256 of the limit-1 longrun report at workers 1
+// (see TestLongRunAnswersGolden). A change that deliberately changes an
+// answer, a witness value or a work counter updates it, and says why.
+const longRunGolden = "18776badb6a24c681c15284b1a583e4be8f5a124895d0532adde26634aeb8f7d"
+
+// TestLongRunAnswersGolden anchors every answer of the exhaustive limit-1
+// exploration: the JSON of the whole report with Elapsed zeroed — path and
+// cache counters, SAT work counters, every finding's path, error text and
+// witness, every test vector — hashed and compared with a committed
+// constant. Optimisations of the query layers must leave it unchanged.
+func TestLongRunAnswersGolden(t *testing.T) {
+	res := LongRun(LongRunOptions{Common: Common{Workers: 1}, InstrLimit: 1, NumRegs: 2})
+	rep := res.Report
+	rep.Stats.Elapsed = 0
+	type finding struct {
+		Path   int
+		Err    string
+		Inputs map[string]uint64
+	}
+	doc := struct {
+		Stats       any
+		Exhausted   bool
+		Findings    []finding
+		TestVectors any
+	}{rep.Stats, rep.Exhausted, nil, rep.TestVectors}
+	for _, f := range rep.Findings {
+		doc.Findings = append(doc.Findings, finding{f.Path, f.Err.Error(), f.Inputs})
+	}
+	b, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != longRunGolden {
+		t.Fatalf("limit-1 longrun report hashes to %s, want %s (%d paths, %d findings, %d vectors)",
+			got, longRunGolden, rep.Stats.Paths, len(rep.Findings), len(rep.TestVectors))
 	}
 }

@@ -270,8 +270,11 @@ func TestStackModelsNeverLeak(t *testing.T) {
 // or the superset rule, so ns/op and allocs/op measure the layer itself.
 // Sub-benchmarks: n18 is the original 18-constraint path (one word plus an
 // independent rs1 pair); n54 is one 54-constraint component, the mean slice
-// size of the exhaustive limit-1 tree; comp2 interleaves two independent
-// 27-constraint words, so slicing drops half the path on every probe.
+// size of the exhaustive limit-1 tree; n216 is n54 extended to 216
+// constraints on the same word by 4-bit field bounds, so its ns/op divided
+// by 216 against n54's divided by 54 shows whether a probe's cost grows
+// with the path; comp2 interleaves two independent 27-constraint words, so
+// slicing drops half the path on every probe.
 func BenchmarkCacheProbe(b *testing.B) {
 	b.Run("n18", func(b *testing.B) {
 		benchProbe(b, func(ctx *smt.Context) []*smt.Term {
@@ -283,6 +286,17 @@ func BenchmarkCacheProbe(b *testing.B) {
 	b.Run("n54", func(b *testing.B) {
 		benchProbe(b, func(ctx *smt.Context) []*smt.Term {
 			return decodeConds(ctx, ctx.Var("insn", 32), 54)
+		})
+	})
+	b.Run("n216", func(b *testing.B) {
+		benchProbe(b, func(ctx *smt.Context) []*smt.Term {
+			insn := ctx.Var("insn", 32)
+			cs := decodeConds(ctx, insn, 54)
+			for i := 0; len(cs) < 216; i++ {
+				lo := i % 29
+				cs = append(cs, ctx.Ule(ctx.Extract(insn, lo+3, lo), ctx.BV(4, uint64(8+i/29))))
+			}
+			return cs
 		})
 	})
 	b.Run("comp2", func(b *testing.B) {

@@ -11,10 +11,13 @@ import (
 )
 
 // FuzzProbeState drives BeginPath/Observe/probe sequences over 2–6 small
-// variables and checks the incrementally kept path state at every probe
-// against references written from scratch: the fixed-point slice (terms,
-// order and dropped count), KeyOf of the slice's sorted hashes, and the
-// superset entry an ascending scan over smallest-hash buckets finds. The
+// variables and checks the incrementally kept path state against references
+// written from scratch: after every Observe and probe, each component's
+// slot count and set hash and each hash's path count (checkAggregates); at
+// every probe, sliced or not, the fixed-point slice (terms, order and
+// dropped count), the probe's set (its size, set hash and slot membership
+// against the sorted hashes of the slice), and the superset entry an
+// ascending scan over smallest-hash buckets finds. The
 // entry arena is checked against a map-based reference kept beside it: the
 // entry an exact lookup finds for the probe's set, the superset entry, the
 // stage that answered and whether StoreHits counted it, and every sat
@@ -22,7 +25,9 @@ import (
 // checked against a fresh solver on the unsliced set. The same operations
 // run twice: on a cold cache, then on a fresh context whose Shared store
 // holds the first run's entries round-tripped through Snapshot and Import,
-// so adopted entries carry store models resolved into the new context.
+// so adopted entries carry store models resolved into the new context; on
+// both legs the Shared set-hash index must find exactly the store's entry
+// for the probe's key.
 func FuzzProbeState(f *testing.F) {
 	for seed := int64(1); seed <= 24; seed++ {
 		b := make([]byte, 256)
@@ -53,8 +58,10 @@ type refEntry struct {
 	model      Model
 }
 
-// viewOf reads arena entry i in the reference's terms.
-func viewOf(l *Local, i uint32) *refEntry {
+// viewOf reads arena entry i in the reference's terms, its hashes sorted.
+// An unsat entry's slots must already ascend by hash: the superset rule
+// reads the first as the smallest.
+func viewOf(t *testing.T, l *Local, i uint32) *refEntry {
 	e := l.entries[i]
 	re := &refEntry{sat: e.sat, store: e.store}
 	for _, s := range l.slotsOf(&e) {
@@ -62,6 +69,9 @@ func viewOf(l *Local, i uint32) *refEntry {
 	}
 	if e.sat {
 		re.model = l.entryModel(i).Names(l.ctx)
+		slices.Sort(re.hs)
+	} else if !slices.IsSorted(re.hs) {
+		t.Fatalf("unsat entry %d hashes %x not ascending", i, re.hs)
 	}
 	return re
 }
@@ -70,15 +80,46 @@ func (a *refEntry) equal(b *refEntry) bool {
 	return slices.Equal(a.hs, b.hs) && a.sat == b.sat && a.store == b.store && maps.Equal(a.model, b.model)
 }
 
-// localExact returns the arena entry an exact lookup of ss finds, without
-// consulting (or adopting from) the shared store.
-func localExact(l *Local, ss []uint32) (uint32, bool) {
-	for k := l.exact[setHash(ss)]; k != 0; k = l.entries[k-1].next {
-		if slices.Equal(l.slotsOf(&l.entries[k-1]), ss) {
-			return k - 1, true
+// checkAggregates recomputes, from the test's copy of the path, each
+// union-find component's distinct-hash count and set hash and each hash's
+// path count, and compares them with l's.
+func checkAggregates(t *testing.T, l *Local, path []*smt.Term) {
+	type agg struct {
+		n   uint32
+		sum uint64
+	}
+	want := map[uint32]*agg{}
+	seen := map[uint32]bool{}
+	slotN := map[uint32]uint32{}
+	for _, c := range path {
+		s := l.slotOfTerm(c)
+		slotN[s]++
+		r := l.find(l.keysOf(c)[0])
+		if want[r] == nil {
+			want[r] = &agg{}
+		}
+		if !seen[s] {
+			seen[s] = true
+			want[r].n++
+			want[r].sum += l.hashes[s-1]
 		}
 	}
-	return 0, false
+	for _, v := range l.onPath {
+		if r := l.find(v); r == v {
+			w := want[r]
+			if w == nil {
+				w = &agg{}
+			}
+			if l.nslots[r-1] != w.n || l.sum[r-1] != w.sum {
+				t.Fatalf("component %d: %d slots, set hash %x; from the path %d, %x", r, l.nslots[r-1], l.sum[r-1], w.n, w.sum)
+			}
+		}
+	}
+	for s := uint32(1); s <= uint32(len(l.hashes)); s++ {
+		if l.slotN[s-1] != slotN[s] {
+			t.Fatalf("slot %d on %d path constraints, counted %d", s, slotN[s], l.slotN[s-1])
+		}
+	}
 }
 
 // checkPublished checks a Snapshot of a store that one Local filled, with
@@ -87,7 +128,7 @@ func localExact(l *Local, ss []uint32) (uint32, bool) {
 func checkPublished(t *testing.T, l *Local, snap []PortableEntry) {
 	want := map[string]*refEntry{}
 	for i := range l.entries {
-		re := viewOf(l, uint32(i))
+		re := viewOf(t, l, uint32(i))
 		if k := KeyOf(re.hs); want[k] == nil {
 			want[k] = re
 		}
@@ -172,7 +213,7 @@ func runProbeOps(t *testing.T, data []byte, shared *Shared) *Local {
 	mirror := func(want []uint64, adopted *sharedEntry) {
 		wantKey := KeyOf(want)
 		for i := len(byIndex); i < len(l.entries); i++ {
-			re := viewOf(l, uint32(i))
+			re := viewOf(t, l, uint32(i))
 			k := KeyOf(re.hs)
 			if adopted != nil {
 				// Adopted: the shared entry for the probe's own set, its
@@ -220,26 +261,37 @@ func runProbeOps(t *testing.T, data []byte, shared *Shared) *Local {
 		wantKey := KeyOf(hs)
 
 		dropped := l.markSlice(pivot)
-		gotSlice := slices.Clone(l.sliceTerms(query, dropped))
 		ps := l.slotOfTerm(pivot)
-		ss := l.sliceSlots(ps, query != nil, dropped)
-		gotKey := string(l.key(ss))
-		if dropped != wantDropped || !slices.Equal(gotSlice, wantSlice) {
-			t.Fatalf("slice of %v over %v = %v (dropped %d), want %v (dropped %d)", pivot, all, gotSlice, dropped, wantSlice, wantDropped)
+		l.probeSet(ps, query != nil, dropped)
+		var sum uint64
+		for _, h := range hs {
+			sum += h
 		}
-		if gotKey != wantKey {
-			t.Fatalf("key of %v = %x, want %x", wantSlice, gotKey, wantKey)
+		if l.pn != uint32(len(hs)) || l.psum != sum {
+			t.Fatalf("probe set of %v: %d hashes, set hash %x; want %d, %x", wantSlice, l.pn, l.psum, len(hs), sum)
+		}
+		for s := uint32(1); s <= uint32(len(l.hashes)); s++ {
+			if _, want := slices.BinarySearch(hs, l.hashes[s-1]); l.inProbe(s) != want {
+				t.Fatalf("slot %d (hash %x) in probe set %v, want %v (set %x)", s, l.hashes[s-1], !want, want, hs)
+			}
 		}
 		wantExact := refExact[wantKey]
-		if i, ok := localExact(l, ss); ok != (wantExact != nil) || ok && byIndex[i] != wantExact {
+		if i, ok := l.localLookup(); ok != (wantExact != nil) || ok && byIndex[i] != wantExact {
 			t.Fatalf("exact lookup of %x: arena entry %v (found %v), reference %+v", wantKey, i, ok, wantExact)
 		}
 		wantSup := refSuperset(indexed, hs)
-		if i, ok := l.supersetUnsat(ps, ss); ok != (wantSup != nil) || ok && byIndex[i] != wantSup {
+		if i, ok := l.supersetUnsat(ps); ok != (wantSup != nil) || ok && byIndex[i] != wantSup {
 			t.Fatalf("superset entry of %x: arena entry %v (found %v), reference %+v", wantKey, i, ok, wantSup)
 		}
-
 		adopt := shared.m[wantKey]
+		if got := shared.get(l.psum, l.keyInProbe); got != adopt {
+			t.Fatalf("shared index for %x: %+v, store entry %+v", wantKey, got, adopt)
+		}
+		gotSlice := slices.Clone(l.sliceTerms(query, dropped))
+		if dropped != wantDropped || !slices.Equal(gotSlice, wantSlice) {
+			t.Fatalf("slice of %v over %v = %v (dropped %d), want %v (dropped %d)", pivot, all, gotSlice, dropped, wantSlice, wantDropped)
+		}
+
 		before := l.Stats()
 		res := ask()
 		if want := fresh.Check(all...); res != want {
@@ -274,11 +326,13 @@ func runProbeOps(t *testing.T, data []byte, shared *Shared) *Local {
 		} else {
 			mirror(hs, nil)
 		}
+		checkAggregates(t, l, path)
 		return res
 	}
 	observe := func(c *smt.Term) {
 		l.Observe(c, false)
 		path = append(path, c)
+		checkAggregates(t, l, path)
 	}
 	begin := func() {
 		l.BeginPath(nil, nil)

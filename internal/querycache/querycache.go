@@ -22,12 +22,15 @@
 //  3. Counterexample caching: answers are cached under a canonical
 //     fingerprint of the sliced constraint set (sorted context-independent
 //     structural hashes, so entries are valid across solver contexts and
-//     parexplore workers), kept sorted by Observe. An exact fingerprint
-//     match returns the cached answer; a superset of a known-unsat set is
-//     unsat. Unsat answers are recorded as the solver's unsat core when it
-//     is smaller than the slice, so the superset rule covers every later
-//     query containing the core. Unsat entries are indexed under each of
-//     their hashes; a probe tests only its pivot's bucket.
+//     parexplore workers). An exact fingerprint match returns the cached
+//     answer; a superset of a known-unsat set is unsat. Unsat answers are
+//     recorded as the solver's unsat core when it is smaller than the
+//     slice, so the superset rule covers every later query containing the
+//     core. Entries are found by a set hash, the wrapping sum of the
+//     members' structural hashes, which each union-find component keeps as
+//     Observe grows it; unsat entries are also indexed under each of their
+//     hashes, and a probe tests only its pivot's bucket. Membership in the
+//     probe's set is a slot test, so a probe never walks the path.
 //
 // Determinism: the layer never changes a Sat/Unsat answer — hits are either
 // witnessed by a concrete model (checked with smt.Eval, the ground truth) or
@@ -175,9 +178,11 @@ func (s *Stats) Add(o Stats) {
 }
 
 // entry is one cached feasibility answer in a Local's entry list, named by
-// its index. The constraint set the answer is for is a sorted, deduplicated
-// set of structural hashes, stored as the hashes' slots (see Local), n of
-// them at block sb, offset so of the slots arena, ascending by hash. A sat
+// its index. The constraint set the answer is for is a deduplicated set of
+// structural hashes, stored as the hashes' slots (see Local), n of them at
+// block sb, offset so of the slots arena: ascending by hash in an unsat
+// entry, whose smallest hash the superset rule reads, and in slice order in
+// a sat entry, which only exact lookups and Flush read. A sat
 // entry's model, mn bindings at block mb, offset mo of the models arena, is
 // a witness restricted to — and total over — the set's support variables,
 // with explicit zeros for variables the solver left unconstrained. Totality
@@ -218,50 +223,68 @@ func (a *arena[T]) add(xs []T) (uint32, uint32) {
 // run returns the n elements at block k, offset off.
 func (a *arena[T]) run(k, off, n uint32) []T { return a.blocks[k][off : off+n : off+n] }
 
-// chain lists the unsat entries holding one hash, in index order, as a
-// linked list of link cells named by index+1 (0 = none).
-type chain struct{ head, tail uint32 }
-
-// link is one chain cell: an entry index and the next cell.
+// link is one cell of a slot's chain, the list of the unsat entries holding
+// the slot's hash: an entry index and the next cell, cells named by index+1
+// (0 = none). A chain is ordered by its entries' smallest hash, then index.
 type link struct{ entry, next uint32 }
 
 // sharedEntry is one entry of the cross-worker store, in the
 // context-independent form: the key, KeyOf of the sorted hashes, which it
-// stores only once, and a model by name.
+// stores only once, and a model by name. next links the older entries with
+// the same set hash; it is set before the entry is published and never
+// changes.
 type sharedEntry struct {
 	key   string
 	sat   bool
 	model Model
 	store bool
+	next  *sharedEntry
 }
 
 // sharedLimit bounds the cross-worker store (entries, not bytes).
 const sharedLimit = 1 << 20
 
 // Shared is the cross-worker cache store: a read-mostly map from canonical
-// fingerprint to entry. Workers look entries up lock-cheaply (RLock) on
-// every local miss and publish their locally created entries in batches at
+// fingerprint to entry, indexed by set hash. Workers look entries up
+// lock-cheaply (RLock) on every local miss, by the set hash their probe
+// already holds, and publish their locally created entries in batches at
 // handoff points (Local.Flush). First writer wins; since any entry for a key
 // is a sound answer for that key, the race on who publishes first never
 // changes an answer. Entries carry models by variable name, because every
 // worker interns its variables under its own term IDs.
 type Shared struct {
-	mu sync.RWMutex
-	m  map[string]*sharedEntry
+	mu    sync.RWMutex
+	m     map[string]*sharedEntry
+	bySum map[uint64]*sharedEntry // set hash -> newest entry with it
 }
 
 // NewShared returns an empty cross-worker store.
 func NewShared() *Shared {
-	return &Shared{m: make(map[string]*sharedEntry, 1024)}
+	return &Shared{m: make(map[string]*sharedEntry, 1024), bySum: make(map[uint64]*sharedEntry, 1024)}
 }
 
-// get returns the entry for key, or nil. Indexing with string(key) does not
-// allocate.
-func (s *Shared) get(key []byte) *sharedEntry {
+// get returns the entry with set hash sum whose key match accepts, or nil.
+func (s *Shared) get(sum uint64, match func(key string) bool) *sharedEntry {
 	s.mu.RLock()
-	e := s.m[string(key)]
-	s.mu.RUnlock()
-	return e
+	defer s.mu.RUnlock()
+	for e := s.bySum[sum]; e != nil; e = e.next {
+		if match(e.key) {
+			return e
+		}
+	}
+	return nil
+}
+
+// insert stores e, whose key has set hash sum, unless its key is present or
+// the store is full, and reports whether it did. The caller holds the write
+// lock.
+func (s *Shared) insert(e *sharedEntry, sum uint64) bool {
+	if _, ok := s.m[e.key]; ok || len(s.m) >= sharedLimit {
+		return false
+	}
+	e.next = s.bySum[sum]
+	s.m[e.key], s.bySum[sum] = e, e
+	return true
 }
 
 // put publishes a batch of entries, keeping the first entry per key.
@@ -271,12 +294,7 @@ func (s *Shared) put(batch []*sharedEntry) {
 	}
 	s.mu.Lock()
 	for _, e := range batch {
-		if len(s.m) >= sharedLimit {
-			break
-		}
-		if _, ok := s.m[e.key]; !ok {
-			s.m[e.key] = e
-		}
+		s.insert(e, keySum(e.key))
 	}
 	s.mu.Unlock()
 }
@@ -317,9 +335,28 @@ func KeyOf(hs []uint64) string {
 func hashesOf(key string) []uint64 {
 	hs := make([]uint64, len(key)/8)
 	for i := range hs {
-		hs[i] = binary.BigEndian.Uint64([]byte(key[8*i : 8*i+8]))
+		hs[i] = keyHash(key, i)
 	}
 	return hs
+}
+
+// keyHash returns the i-th hash of a KeyOf key.
+func keyHash(key string, i int) uint64 {
+	var h uint64
+	for _, c := range []byte(key[8*i : 8*i+8]) {
+		h = h<<8 | uint64(c)
+	}
+	return h
+}
+
+// keySum returns the set hash of a KeyOf key: the wrapping sum of its
+// hashes, the value each Local keeps per union-find component.
+func keySum(key string) uint64 {
+	var sum uint64
+	for i := range len(key) / 8 {
+		sum += keyHash(key, i)
+	}
+	return sum
 }
 
 // Snapshot returns a portable copy of every stored entry whose key skip
@@ -354,6 +391,12 @@ func (s *Shared) Snapshot(skip map[string]struct{}) []PortableEntry {
 func (s *Shared) Import(es []PortableEntry) int {
 	n := 0
 	s.mu.Lock()
+	if len(s.m) == 0 && len(es) > 1024 {
+		// A store loading into an empty cache: size both maps once.
+		size := min(len(es), sharedLimit)
+		s.m = make(map[string]*sharedEntry, size)
+		s.bySum = make(map[uint64]*sharedEntry, size)
+	}
 	for _, pe := range es {
 		if !validPortable(pe) {
 			continue
@@ -361,12 +404,13 @@ func (s *Shared) Import(es []PortableEntry) int {
 		if len(s.m) >= sharedLimit {
 			break
 		}
-		key := KeyOf(pe.Hashes)
-		if _, ok := s.m[key]; ok {
-			continue
+		var sum uint64
+		for _, h := range pe.Hashes {
+			sum += h
 		}
-		s.m[key] = &sharedEntry{key: key, sat: pe.Sat, model: pe.Model, store: true}
-		n++
+		if s.insert(&sharedEntry{key: KeyOf(pe.Hashes), sat: pe.Sat, model: pe.Model, store: true}, sum) {
+			n++
+		}
 	}
 	s.mu.Unlock()
 	return n
@@ -419,8 +463,8 @@ const chunkSize = 1024
 //
 // Every structural hash the Local meets gets a dense slot (slotOf, hashes),
 // so entries, the exact-lookup map and the superset index hold 32-bit slots:
-// their tables hold no pointers, and the superset test reads a per-probe
-// mark by slot.
+// their tables hold no pointers, and whether a probe's set holds a hash is a
+// test on its slot (inProbe).
 type Local struct {
 	ctx    *smt.Context
 	sol    *solver.Solver
@@ -429,8 +473,8 @@ type Local struct {
 	entries []entry           // every entry, by index
 	slots   arena[uint32]     // entries' hash slots
 	models  arena[binding]    // sat entries' models
-	exact   map[uint64]uint32 // setHash of an entry's slots -> newest such entry's index+1
-	chains  []chain           // slot-1 -> unsat entries holding the slot's hash
+	exact   map[uint64]uint32 // set hash of an entry's slots -> newest such entry's index+1
+	chains  []uint32          // slot-1 -> first cell of the chain of the slot's hash
 	links   []link            // chain cells
 	pending []uint32          // entries created here and not yet flushed
 
@@ -444,20 +488,34 @@ type Local struct {
 	free  []*smt.Evaluator // evaluators of dropped stack models, for reuse
 	chunk []binding        // keep's current block of model storage
 
-	// The current path, kept by BeginPath and Observe.
-	path   []*smt.Term  // observed constraints, in order
-	byHash []hashedTerm // path's structural hashes, sorted
-	parent []uint32     // key-1 -> union-find parent key; 0 = not on the path (see keysOf)
-	count  []uint32     // root key-1 -> path constraints in its component
-	onPath []uint32     // keys with a parent, cleared by BeginPath
+	// The current path, kept by BeginPath and Observe. A component's
+	// aggregates count each distinct hash once, in the component of the
+	// first constraint that carries it (one term: see Observe).
+	path    []*smt.Term // observed constraints, in order
+	parent  []uint32    // key-1 -> union-find parent key; 0 = not on the path (see keysOf)
+	count   []uint32    // root key-1 -> path constraints in its component
+	nslots  []uint32    // root key-1 -> distinct hashes in its component
+	sum     []uint64    // root key-1 -> set hash of its component: the wrapping sum of those hashes
+	onPath  []uint32    // keys with a parent, cleared by BeginPath
+	slotN   []uint32    // slot-1 -> path constraints with the slot's hash
+	slotKey []uint32    // slot-1 -> a union-find key of the hash's term, while slotN > 0
+
+	// The current probe's set, kept by markSlice and probeSet: n distinct
+	// hashes with set hash psum, the marked components' plus the pivot's
+	// slot pextra when it is a query on no path constraint (else 0). pall
+	// marks a slice that dropped nothing.
+	pn     uint32
+	psum   uint64
+	pextra uint32
+	pall   bool
 
 	// Reusable per-query buffers (valid only within one pipeline call).
 	scratch []*smt.Term // query assembly buffer (slices, pass-through sets)
 	mark    []uint32    // term ID-1 -> epoch that marked it (slice roots, captureModel)
-	hmark   []uint32    // slot-1 -> epoch whose probe holds the hash (supersetUnsat)
 	epoch   uint32
-	ssBuf   []uint32     // a probe's or core's slots
-	htBuf   []hashedTerm // fingerprint's sort buffer
+	hmark   []uint32 // slot-1 -> hepoch of the slotSet call that met it
+	hepoch  uint32
+	ssBuf   []uint32 // a probe's, core's or published entry's slots
 	keyBuf  []byte
 	idBuf   []uint32 // captureModel's support variables
 	mBuf    VarModel // captureModel's and mergeWithStack's result, until kept
@@ -476,14 +534,6 @@ func NewLocal(ctx *smt.Context, sol *solver.Solver, shared *Shared) *Local {
 		exact:  make(map[uint64]uint32, 256),
 		slotOf: make(map[uint64]uint32, 256),
 	}
-}
-
-// hashedTerm is one path constraint's structural hash, its slot and its
-// union-find key.
-type hashedTerm struct {
-	h    uint64
-	key  uint32
-	slot uint32
 }
 
 // AttachShared connects the cross-worker store. Must be called before any
@@ -511,7 +561,10 @@ func (l *Local) BeginPath(seed VarModel, imported Model) {
 	for _, v := range l.onPath {
 		l.parent[v-1] = 0
 	}
-	l.onPath, l.path, l.byHash = l.onPath[:0], l.path[:0], l.byHash[:0]
+	for _, t := range l.path {
+		l.slotN[l.termSlot[t.ID()-1]-1] = 0
+	}
+	l.onPath, l.path = l.onPath[:0], l.path[:0]
 	if seed != nil || imported != nil {
 		l.stack = append(l.stack, stackModel{m: seed, named: imported, ev: l.evaluator(seed, imported), seed: true})
 	}
@@ -548,20 +601,21 @@ func (l *Local) modelOf(sm *stackModel) VarModel {
 // Observe appends a constraint to the path. trusted marks replayed
 // constraints, which the seed model is known to satisfy (program
 // determinism); all other models are revalidated by evaluation and dropped
-// when they no longer satisfy the constraint set. The constraint's hash joins
-// the sorted path hashes and its variables join one union-find component.
+// when they no longer satisfy the constraint set. The constraint's variables
+// join one union-find component, and a hash new to the path joins that
+// component's slot count and set hash. Terms are hash-consed, so another
+// constraint with the same hash is the same term, with the same component.
 func (l *Local) Observe(t *smt.Term, trusted bool) {
 	l.path = append(l.path, t)
 	slot := l.slotOfTerm(t)
-	h := l.hashes[slot-1]
-	l.byHash = append(l.byHash, hashedTerm{})
-	i := len(l.byHash) - 1
-	for ; i > 0 && l.byHash[i-1].h > h; i-- {
-		l.byHash[i] = l.byHash[i-1]
-	}
 	keys := l.keysOf(t)
-	l.byHash[i] = hashedTerm{h, keys[0], slot}
-	l.count[l.join(keys)-1]++
+	r := l.join(keys) - 1
+	l.count[r]++
+	if l.slotN[slot-1]++; l.slotN[slot-1] == 1 {
+		l.slotKey[slot-1] = keys[0]
+		l.nslots[r]++
+		l.sum[r] += l.hashes[slot-1]
+	}
 
 	// Compact in place, writing only the models that move: a stack model
 	// holds pointers, and every store of one costs a write barrier while
@@ -596,7 +650,12 @@ func (l *Local) Flush() {
 		batch := make([]*sharedEntry, len(l.pending))
 		for k, i := range l.pending {
 			e := &l.entries[i]
-			se := &sharedEntry{key: string(l.key(l.slotsOf(e))), sat: e.sat}
+			ss := l.slotsOf(e)
+			if e.sat {
+				ss = l.sortByHash(append(l.ssBuf[:0], ss...))
+				l.ssBuf = ss
+			}
+			se := &sharedEntry{key: string(l.key(ss)), sat: e.sat}
 			if e.sat {
 				se.model = l.entryModel(i).Names(l.ctx)
 			}
@@ -718,12 +777,11 @@ func (l *Local) check(query *smt.Term, push bool) (solver.Result, VarModel, bool
 
 	// Stage 2: independence slicing.
 	dropped := l.markSlice(pivot)
+	pslot := l.slotOfTerm(pivot)
+	l.probeSet(pslot, query != nil, dropped)
 
 	// Stage 3: exact fingerprint lookup (local arena, then shared store).
-	pslot := l.slotOfTerm(pivot)
-	ss := l.sliceSlots(pslot, query != nil, dropped) // aliases a reused buffer
-	sh := setHash(ss)
-	if i, ok := l.lookup(ss, sh); ok {
+	if i, ok := l.lookup(); ok {
 		l.stats.ExactHits++
 		if l.entries[i].store {
 			l.stats.StoreHits++
@@ -733,7 +791,7 @@ func (l *Local) check(query *smt.Term, push bool) (solver.Result, VarModel, bool
 
 	// Stage 4: superset-of-unsat. Any known-unsat subset proves this set
 	// unsat.
-	if i, ok := l.supersetUnsat(pslot, ss); ok {
+	if i, ok := l.supersetUnsat(pslot); ok {
 		l.stats.SupersetUnsat++
 		if l.entries[i].store {
 			l.stats.StoreHits++
@@ -752,7 +810,8 @@ func (l *Local) check(query *smt.Term, push bool) (solver.Result, VarModel, bool
 	switch res {
 	case solver.Sat:
 		l.stats.CDCLSat++
-		i := l.record(ss, sh, true, l.captureModel(slice))
+		ss := l.slotSet(slice)
+		i := l.record(ss, true, l.captureModel(slice))
 		return l.hitResult(i, dropped, push)
 	case solver.Unsat:
 		l.stats.CDCLUnsat++
@@ -760,10 +819,9 @@ func (l *Local) check(query *smt.Term, push bool) (solver.Result, VarModel, bool
 			// Record the unsat core rather than the whole set: every future
 			// superset of the core — the same forced branch under different
 			// unrelated constraints — is answered by the superset rule.
-			cs := l.fingerprint(core)
-			l.record(cs, setHash(cs), false, nil)
+			l.record(l.fingerprint(core), false, nil)
 		} else {
-			l.record(ss, sh, false, nil)
+			l.record(l.fingerprint(slice), false, nil)
 		}
 		return solver.Unsat, nil, false
 	}
@@ -893,16 +951,21 @@ func (l *Local) captureModel(ts []*smt.Term) VarModel {
 
 // record creates, indexes and schedules for publication a new cache entry,
 // copying ss and model into the arena, and returns its index.
-func (l *Local) record(ss []uint32, sh uint64, sat bool, model VarModel) uint32 {
-	i := l.add(ss, sh, sat, model, false)
+func (l *Local) record(ss []uint32, sat bool, model VarModel) uint32 {
+	i := l.add(ss, sat, model, false)
 	l.pending = append(l.pending, i)
 	return i
 }
 
-// add appends an entry to the arena. It shadows an older entry for the same
-// set in exact lookups; unsat entries join the superset index under each of
-// their hashes, sat entries are reached by exact lookup only.
-func (l *Local) add(ss []uint32, sh uint64, sat bool, model VarModel, store bool) uint32 {
+// add appends an entry to the arena, under the set hash of ss. It shadows an
+// older entry for the same set in exact lookups; unsat entries, whose slots
+// must ascend by hash, join the superset index under each of their hashes,
+// sat entries are reached by exact lookup only.
+func (l *Local) add(ss []uint32, sat bool, model VarModel, store bool) uint32 {
+	var sh uint64
+	for _, s := range ss {
+		sh += l.hashes[s-1]
+	}
 	i := uint32(len(l.entries))
 	e := entry{n: uint32(len(ss)), next: l.exact[sh], sat: sat, store: store}
 	e.sb, e.so = l.slots.add(ss)
@@ -913,34 +976,30 @@ func (l *Local) add(ss []uint32, sh uint64, sat bool, model VarModel, store bool
 	l.entries = append(l.entries, e)
 	l.exact[sh] = i + 1
 	if !sat {
+		lo := l.hashes[ss[0]-1]
 		for _, s := range ss {
 			l.links = append(l.links, link{entry: i})
 			k := uint32(len(l.links))
-			c := &l.chains[s-1]
-			if c.tail != 0 {
-				l.links[c.tail-1].next = k
-			} else {
-				c.head = k
+			p := &l.chains[s-1]
+			for *p != 0 && l.smallest(l.links[*p-1].entry) <= lo {
+				p = &l.links[*p-1].next
 			}
-			c.tail = k
+			l.links[k-1].next, *p = *p, k
 		}
 	}
 	return i
 }
 
-// lookup finds the entry for the slot set ss (set hash sh) in the arena,
-// falling back to the shared store; shared finds are adopted into the arena
-// (and indexed, so shared unsat entries join the local superset reasoning).
-func (l *Local) lookup(ss []uint32, sh uint64) (uint32, bool) {
-	for k := l.exact[sh]; k != 0; k = l.entries[k-1].next {
-		if slices.Equal(l.slotsOf(&l.entries[k-1]), ss) {
-			return k - 1, true
-		}
+// lookup finds the entry for the probe's set in the arena, falling back to
+// the shared store; shared finds are adopted into the arena (and indexed, so
+// shared unsat entries join the local superset reasoning). Entries are found
+// by the probe's set hash: one of pn slots, all in the probe's set, is the
+// set itself.
+func (l *Local) lookup() (uint32, bool) {
+	if i, ok := l.localLookup(); ok || l.shared == nil {
+		return i, ok
 	}
-	if l.shared == nil {
-		return 0, false
-	}
-	se := l.shared.get(l.key(ss))
+	se := l.shared.get(l.psum, l.keyInProbe)
 	if se == nil {
 		return 0, false
 	}
@@ -948,59 +1007,73 @@ func (l *Local) lookup(ss []uint32, sh uint64) (uint32, bool) {
 	if se.sat {
 		m = varModel(l.ctx, se.model)
 	}
-	return l.add(ss, sh, se.sat, m, se.store), true
+	// keyInProbe left the key's slots, ascending by hash, in ssBuf.
+	return l.add(l.ssBuf, se.sat, m, se.store), true
 }
 
-// setHash folds a slot set into the exact-lookup map's key. Entries whose
-// sets collide share a chain; a hit compares the slots themselves.
-func setHash(ss []uint32) uint64 {
-	h := uint64(14695981039346656037)
-	for _, s := range ss {
-		h = (h ^ uint64(s)) * 1099511628211
+// localLookup is lookup in the arena alone.
+func (l *Local) localLookup() (uint32, bool) {
+	for k := l.exact[l.psum]; k != 0; k = l.entries[k-1].next {
+		if e := &l.entries[k-1]; e.n == l.pn && l.allInProbe(l.slotsOf(e)) {
+			return k - 1, true
+		}
 	}
-	return h
+	return 0, false
 }
 
-// supersetUnsat returns a known-unsat subset entry of the slot set ss. Only
+// keyInProbe reports whether a KeyOf key names the probe's set, leaving its
+// slots in ssBuf when it does.
+func (l *Local) keyInProbe(key string) bool {
+	if len(key) != 8*int(l.pn) {
+		return false
+	}
+	ss := l.ssBuf[:0]
+	for i := range int(l.pn) {
+		s, ok := l.slotOf[keyHash(key, i)]
+		if !ok || !l.inProbe(s) {
+			return false
+		}
+		ss = append(ss, s)
+	}
+	l.ssBuf = ss
+	return true
+}
+
+// supersetUnsat returns a known-unsat subset entry of the probe's set. Only
 // entries holding the pivot's hash (slot pslot) are candidates, which is
 // exact: the engine keeps the path satisfiable, so every unsat subset of
 // path ∪ {pivot} contains the pivot (were that broken, a pivot-free subset
 // would cost a hit, never an answer). It returns the subset with the least
 // smallest hash, earliest indexed on ties — the one an ascending scan over
 // smallest-hash buckets finds — so StoreHits does not depend on the index.
-// Membership is read from a mark of ss's slots in the probe's epoch.
-func (l *Local) supersetUnsat(pslot uint32, ss []uint32) (uint32, bool) {
-	k := l.chains[pslot-1].head
-	if k == 0 {
-		return 0, false
-	}
-	if len(l.hmark) < len(l.hashes) {
-		l.hmark = append(l.hmark, make([]uint32, len(l.hashes)-len(l.hmark))...)
-	}
-	for _, s := range ss {
-		l.hmark[s-1] = l.epoch
-	}
-	var best uint32 // index+1
-	var bestMin uint64
-	for ; k != 0; k = l.links[k-1].next {
+// Chains are kept in that order, so this is the first subset on the chain.
+func (l *Local) supersetUnsat(pslot uint32) (uint32, bool) {
+	for k := l.chains[pslot-1]; k != 0; k = l.links[k-1].next {
 		i := l.links[k-1].entry
-		e := &l.entries[i]
-		es := l.slotsOf(e)
-		if lo := l.hashes[es[0]-1]; (best == 0 || lo < bestMin) && len(es) <= len(ss) && l.marked(es) {
-			best, bestMin = i+1, lo
+		if e := &l.entries[i]; e.n <= l.pn && l.allInProbe(l.slotsOf(e)) {
+			return i, true
 		}
 	}
-	return best - 1, best != 0
+	return 0, false
 }
 
-// marked reports whether every slot of es is marked in the current epoch.
-func (l *Local) marked(es []uint32) bool {
+// smallest returns unsat entry i's smallest hash.
+func (l *Local) smallest(i uint32) uint64 { return l.hashes[l.slotsOf(&l.entries[i])[0]-1] }
+
+// allInProbe reports whether every slot of es is in the probe's set.
+func (l *Local) allInProbe(es []uint32) bool {
 	for _, s := range es {
-		if l.hmark[s-1] != l.epoch {
+		if !l.inProbe(s) {
 			return false
 		}
 	}
 	return true
+}
+
+// inProbe reports whether the probe's set holds slot s's hash: the pivot's
+// extra slot, or a hash on the path whose component markSlice marked.
+func (l *Local) inProbe(s uint32) bool {
+	return s == l.pextra || l.slotN[s-1] != 0 && (l.pall || l.inSlice(l.slotKey[s-1]))
 }
 
 // slotOfTerm returns the slot of t's structural hash, memoized per term.
@@ -1023,7 +1096,9 @@ func (l *Local) slotFor(h uint64) uint32 {
 		return s
 	}
 	l.hashes = append(l.hashes, h)
-	l.chains = append(l.chains, chain{})
+	l.chains = append(l.chains, 0)
+	l.slotN = append(l.slotN, 0)
+	l.slotKey = append(l.slotKey, 0)
 	s := uint32(len(l.hashes))
 	l.slotOf[h] = s
 	return s
@@ -1039,16 +1114,19 @@ func (l *Local) keysOf(t *smt.Term) []uint32 {
 }
 
 // join unites one constraint's sorted, non-empty keys, adding those new to
-// the path, and returns the root: of two roots, the one with more constraints.
+// the path, and returns the root: of two roots, the one with more
+// constraints, which takes over the other's aggregates.
 func (l *Local) join(keys []uint32) uint32 {
 	if n := l.ctx.NumTerms(); int(keys[len(keys)-1]) > len(l.parent) {
 		l.parent = append(l.parent, make([]uint32, n-len(l.parent))...)
 		l.count = append(l.count, make([]uint32, n-len(l.count))...)
+		l.nslots = append(l.nslots, make([]uint32, n-len(l.nslots))...)
+		l.sum = append(l.sum, make([]uint64, n-len(l.sum))...)
 	}
 	var r uint32
 	for _, v := range keys {
 		if l.parent[v-1] == 0 {
-			l.parent[v-1], l.count[v-1] = v, 0
+			l.parent[v-1], l.count[v-1], l.nslots[v-1], l.sum[v-1] = v, 0, 0, 0
 			l.onPath = append(l.onPath, v)
 		}
 		switch v = l.find(v); {
@@ -1060,6 +1138,8 @@ func (l *Local) join(keys []uint32) uint32 {
 			}
 			l.parent[v-1] = r
 			l.count[r-1] += l.count[v-1]
+			l.nslots[r-1] += l.nslots[v-1]
+			l.sum[r-1] += l.sum[v-1]
 		}
 	}
 	return r
@@ -1077,10 +1157,12 @@ func (l *Local) find(v uint32) uint32 {
 // markSlice marks, in a fresh epoch, the roots of the pivot's components and
 // returns how many path constraints lie outside them. The marked components
 // plus the pivot are the slice: the fixed point of "shares a variable with
-// the slice" started from the pivot.
+// the slice" started from the pivot. The probe's set starts as the marked
+// components' hashes (pn, psum).
 func (l *Local) markSlice(pivot *smt.Term) int {
 	l.newEpoch()
 	in := 0
+	l.pn, l.psum = 0, 0
 	for _, v := range l.keysOf(pivot) {
 		if int(v) > len(l.parent) || l.parent[v-1] == 0 {
 			continue // in no path constraint
@@ -1088,9 +1170,23 @@ func (l *Local) markSlice(pivot *smt.Term) int {
 		if r := l.find(v); l.mark[r-1] != l.epoch {
 			l.mark[r-1] = l.epoch
 			in += int(l.count[r-1])
+			l.pn += l.nslots[r-1]
+			l.psum += l.sum[r-1]
 		}
 	}
 	return len(l.path) - in
+}
+
+// probeSet completes the probe's set after markSlice: a query pivot (slot
+// ps) whose hash is on no path constraint joins it. A pivot hash that is on
+// the path belongs to the pivot's own term, in a marked component.
+func (l *Local) probeSet(ps uint32, query bool, dropped int) {
+	l.pall, l.pextra = dropped == 0, 0
+	if query && l.slotN[ps-1] == 0 {
+		l.pextra = ps
+		l.pn++
+		l.psum += l.hashes[ps-1]
+	}
 }
 
 // inSlice reports whether markSlice marked the component of key.
@@ -1113,37 +1209,33 @@ func (l *Local) sliceTerms(query *smt.Term, dropped int) []*smt.Term {
 	return s
 }
 
-// sliceSlots returns the fingerprint of sliceTerms(...), its slots in
-// ascending hash order without duplicates, without sorting: it walks the
-// sorted path hashes, filtered to the slice when constraints were dropped,
-// and merges in the pivot's slot ps when the pivot is a query, not a path
-// constraint. The result aliases a reused buffer.
-func (l *Local) sliceSlots(ps uint32, query bool, dropped int) []uint32 {
-	ph := l.hashes[ps-1]
-	ss := l.ssBuf[:0]
-	for _, p := range l.byHash {
-		if dropped > 0 && !l.inSlice(p.key) {
-			continue
-		}
-		if query && ph <= p.h {
-			ss, query = appendNew(ss, ps), false
-		}
-		ss = appendNew(ss, p.slot)
+// slotSet returns the distinct slots of ts's structural hashes, in order of
+// first occurrence. The result aliases a reused buffer.
+func (l *Local) slotSet(ts []*smt.Term) []uint32 {
+	l.hepoch++
+	if l.hepoch == 0 {
+		clear(l.hmark)
+		l.hepoch = 1
 	}
-	if query {
-		ss = appendNew(ss, ps)
+	ss := l.ssBuf[:0]
+	for _, t := range ts {
+		s := l.slotOfTerm(t)
+		if int(s) > len(l.hmark) {
+			l.hmark = append(l.hmark, make([]uint32, len(l.hashes)-len(l.hmark))...)
+		}
+		if l.hmark[s-1] != l.hepoch {
+			l.hmark[s-1] = l.hepoch
+			ss = append(ss, s)
+		}
 	}
 	l.ssBuf = ss
 	return ss
 }
 
-// appendNew appends s to ss unless it is already ss's last element. Equal
-// hashes are adjacent in hash order, so this deduplicates a sorted walk.
-func appendNew(ss []uint32, s uint32) []uint32 {
-	if n := len(ss); n > 0 && ss[n-1] == s {
-		return ss
-	}
-	return append(ss, s)
+// sortByHash sorts slots ascending by their hashes, in place.
+func (l *Local) sortByHash(ss []uint32) []uint32 {
+	slices.SortFunc(ss, func(a, b uint32) int { return cmp.Compare(l.hashes[a-1], l.hashes[b-1]) })
+	return ss
 }
 
 // fingerprint returns the canonical fingerprint of a constraint set: the
@@ -1153,21 +1245,9 @@ func appendNew(ss []uint32, s uint32) []uint32 {
 // unlikely and harmless to keep once). Identical sets built in different
 // contexts (or discovered in different orders) have the same hashes, hence
 // the same KeyOf. It sorts, so the pipeline uses it only to record unsat
-// cores. The result aliases a reused buffer.
+// entries. The result aliases a reused buffer.
 func (l *Local) fingerprint(ts []*smt.Term) []uint32 {
-	hts := l.htBuf[:0]
-	for _, t := range ts {
-		s := l.slotOfTerm(t)
-		hts = append(hts, hashedTerm{h: l.hashes[s-1], slot: s})
-	}
-	slices.SortFunc(hts, func(a, b hashedTerm) int { return cmp.Compare(a.h, b.h) })
-	l.htBuf = hts
-	ss := l.ssBuf[:0]
-	for _, ht := range hts {
-		ss = appendNew(ss, ht.slot)
-	}
-	l.ssBuf = ss
-	return ss
+	return l.sortByHash(l.slotSet(ts))
 }
 
 // key writes KeyOf of ss's hashes into the reused key buffer.
@@ -1191,7 +1271,6 @@ func (l *Local) newEpoch() {
 	l.epoch++
 	if l.epoch == 0 {
 		clear(l.mark)
-		clear(l.hmark)
 		l.epoch = 1
 	}
 }

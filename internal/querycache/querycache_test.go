@@ -472,7 +472,7 @@ func TestSharedConcurrentAccess(t *testing.T) {
 				key := KeyOf([]uint64{h})
 				batch := []*sharedEntry{{key: key, sat: false}}
 				s.put(batch)
-				if e := s.get([]byte(key)); e == nil {
+				if e := s.get(h, func(k string) bool { return k == key }); e == nil || e.key != key {
 					t.Errorf("worker %d: just-put entry %d missing", w, i)
 					return
 				}

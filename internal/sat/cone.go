@@ -1,6 +1,9 @@
 package sat
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Cone-restricted solving. A Solve call decides only the cone of influence
 // of its query: the fan-in closure of its assumptions and of the rooted
@@ -109,21 +112,35 @@ func (s *Solver) root(v Var) {
 
 // openCone starts a Solve call's cone: the fan-in closure of the
 // assumptions, the roots and every inherited assignment whose fan-in is
-// open. The decision heap is rebuilt from the cone alone, in cone order.
-// Runs after trail reuse has cut the trail back to the kept prefix.
+// open. The decision heap is rebuilt from the cone alone: its unassigned
+// decision variables, inserted in cone order. Runs after trail reuse has cut
+// the trail back to the kept prefix; freed are the literals that cut
+// unassigned.
 //
 // The cone of the first shared assumptions, which equal the previous
 // call's, is kept. markCone over a marked set closed under fan-in visits
 // exactly the unmarked part of the full traversal, in the same order, and
 // gate fan-in never changes; so cutting the cone back to coneLim[shared-1]
 // and marking on from there gives the cone a fresh marking would.
-func (s *Solver) openCone(assumptions []Lit, shared int) {
+//
+// When the previous answer was Sat and only this call's own backtrack has
+// run since (coneFull), every variable of the kept cone was assigned, so
+// its open ones are the freed ones still in it: in cone position order and
+// followed by the open part of the new suffix, they are the full scan's
+// insertions in the full scan's order, and the heap array comes out the
+// same.
+func (s *Solver) openCone(assumptions []Lit, shared int, freed []Lit) {
 	lim := 0
 	if shared > 0 {
 		lim = int(s.coneLim[shared-1])
 	}
 	for _, v := range s.cone[lim:] {
 		s.vflags[v] &^= fInCone
+		if s.assigns[v] < uint8(lUndef) {
+			s.nOutside++
+		} else {
+			s.nOpen--
+		}
 	}
 	s.cone = s.cone[:lim]
 	s.coneLim = s.coneLim[:shared]
@@ -137,10 +154,35 @@ func (s *Solver) openCone(assumptions []Lit, shared int) {
 	}
 	s.markOpenFanin()
 	s.order.clear()
-	for _, v := range s.cone {
+	from := s.cone
+	if s.coneFull {
+		// Visit the open prefix positions in order through a bitset, which
+		// is all zero between calls.
+		n := (lim + 63) / 64
+		if len(s.posBits) < n {
+			s.posBits = append(s.posBits, make([]uint64, n-len(s.posBits))...)
+		}
+		for _, l := range freed {
+			if v := l.Var(); s.decision[v] && s.vflags[v]&fInCone != 0 && int(s.conePos[v]) < lim {
+				p := s.conePos[v]
+				s.posBits[p>>6] |= 1 << (p & 63)
+			}
+		}
+		for w, b := range s.posBits[:n] {
+			for ; b != 0; b &= b - 1 {
+				s.order.insert(s.cone[w<<6|bits.TrailingZeros64(b)], s.activity)
+			}
+			s.posBits[w] = 0
+		}
+		from = s.cone[lim:]
+	}
+	for _, v := range from {
 		if s.decision[v] && s.assigns[v] >= uint8(lUndef) {
 			s.order.insert(v, s.activity)
 		}
+	}
+	if s.afterOpenCone != nil {
+		s.afterOpenCone()
 	}
 }
 
@@ -154,7 +196,13 @@ func (s *Solver) markCone(v Var) {
 	for len(work) > 0 {
 		u := work[len(work)-1]
 		work = work[:len(work)-1]
+		s.conePos[u] = int32(len(s.cone))
 		s.cone = append(s.cone, u)
+		if s.assigns[u] < uint8(lUndef) {
+			s.nOutside--
+		} else {
+			s.nOpen++
+		}
 		for _, l := range s.faninOf(u) {
 			if w := l.Var(); s.vflags[w]&fInCone == 0 {
 				s.vflags[w] |= fInCone
@@ -167,8 +215,13 @@ func (s *Solver) markCone(v Var) {
 
 // markOpenFanin adds to the cone every assigned gate outside it with an
 // unassigned input, so the input is decided and the gate's definition holds
-// in the model.
+// in the model. The trail is scanned only when some assigned variable lies
+// outside the cone (nOutside), which is rare: the kept trail was mostly
+// assigned under cones that the current one extends.
 func (s *Solver) markOpenFanin() {
+	if s.nOutside == 0 {
+		return
+	}
 	for _, l := range s.trail {
 		v := l.Var()
 		if s.vflags[v]&fInCone != 0 {
@@ -190,9 +243,15 @@ func (s *Solver) markOpenFanin() {
 // cone variable is open when its implication was skipped while it was
 // outside an earlier cone and the trigger lies in the kept trail, or when
 // backtracking unassigned an inherited gate's fan-in.
+//
+// The cone is scanned only when some cone variable is unassigned (nOpen);
+// the scan then inserts them in cone order, as before.
 func (s *Solver) coneComplete(trailCut bool) bool {
 	if trailCut {
 		s.markOpenFanin()
+	}
+	if s.nOpen == 0 {
+		return true
 	}
 	done := true
 	for _, v := range s.cone {

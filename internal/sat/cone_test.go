@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -163,4 +164,42 @@ func TestRandomGateDAGDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkHeapRebuild makes every openCone of s compare its heap array, element
+// by element, with a full rebuild: every unassigned decision variable of the
+// cone inserted in cone order. It also recounts the cone's unassigned
+// variables and the assigned ones outside it against nOpen and nOutside. It
+// returns the count of the openCone calls that rebuilt incrementally, after
+// a Sat answer.
+func checkHeapRebuild(t testing.TB, s *Solver) *int {
+	var ref varHeap
+	incremental := new(int)
+	s.afterOpenCone = func() {
+		if s.coneFull {
+			*incremental++
+		}
+		open, outside := 0, 0
+		for v := range s.assigns {
+			switch in, assigned := s.vflags[v]&fInCone != 0, s.assigns[v] < uint8(lUndef); {
+			case in && !assigned:
+				open++
+			case !in && assigned:
+				outside++
+			}
+		}
+		if s.nOpen != open || s.nOutside != outside {
+			t.Fatalf("nOpen %d, nOutside %d; recounted %d, %d", s.nOpen, s.nOutside, open, outside)
+		}
+		ref.clear()
+		for _, v := range s.cone {
+			if s.decision[v] && s.assigns[v] >= uint8(lUndef) {
+				ref.insert(v, s.activity)
+			}
+		}
+		if !slices.Equal(s.order.heap, ref.heap) {
+			t.Fatalf("heap after openCone %v, full rebuild %v", s.order.heap, ref.heap)
+		}
+	}
+	return incremental
 }

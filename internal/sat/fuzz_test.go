@@ -172,7 +172,8 @@ func checkCone(t *testing.T, s *Solver, c *circuit, assumps []Lit) {
 // calls share prefixes of every length and the kept cone is cut back and
 // regrown. Every answer must agree with brute force, every Sat model must
 // satisfy the circuit and the assumptions, every core must be unsat, and the
-// cone must equal a from-scratch computation (checkCone).
+// cone must equal a from-scratch computation (checkCone), as must every
+// heap openCone builds (checkHeapRebuild).
 func FuzzGateDAG(f *testing.F) {
 	rng := rand.New(rand.NewSource(13))
 	for i := 0; i < 24; i++ {
@@ -187,6 +188,7 @@ func FuzzGateDAG(f *testing.F) {
 		r := &byteRand{data}
 		c := &circuit{nIn: 2 + r.Intn(5)}
 		s := New()
+		checkHeapRebuild(t, s)
 		newVars(s, c.nIn)
 		for k := 2 + r.Intn(10); k > 0; k-- {
 			c.addGate(r, s)

@@ -53,9 +53,11 @@ func checkAnswer(t *testing.T, s *Solver, cnf [][]Lit, assumps []Lit, where stri
 // after a first Solve (so new gates read inputs the solver has already
 // assigned); gates outside a query's cone stay unassigned, and every Sat
 // model read through ValueOf must satisfy every clause, gate definitions
-// included. Unsat assumption cores are re-verified by enumeration.
+// included. Unsat assumption cores are re-verified by enumeration, and every
+// heap openCone builds is compared with a full rebuild (checkHeapRebuild).
 func TestRandomIncrementalDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	incremental := 0
 	for iter := 0; iter < 300; iter++ {
 		nIn := 3 + rng.Intn(5)   // 3..7 inputs
 		nGate := 2 + rng.Intn(6) // 2..7 gates
@@ -63,6 +65,7 @@ func TestRandomIncrementalDifferential(t *testing.T) {
 		early := nIn + nGate/2 // variables that exist at the first Solve
 
 		s := New()
+		rebuilt := checkHeapRebuild(t, s)
 		newVars(s, nIn)
 		var defs [][]Lit
 		addGates := func(from, to int) {
@@ -142,5 +145,9 @@ func TestRandomIncrementalDifferential(t *testing.T) {
 			}
 			assumps = append(assumps, MkLit(Var(rng.Intn(n)), rng.Intn(2) == 1))
 		}
+		incremental += *rebuilt
+	}
+	if incremental == 0 {
+		t.Error("no openCone rebuilt the heap incrementally")
 	}
 }

@@ -198,8 +198,13 @@ type Solver struct {
 	vflags    []uint8  // per var: gate op, rooted and in-cone bits
 	fanin     []Lit    // per var: gate inputs at [3v, 3v+arity)
 	cone      []Var    // current cone members, in marking order
+	conePos   []int32  // per var: its index in cone while in the cone
 	coneLim   []int32  // len(cone) after marking each of lastAssumps
 	coneOpen  bool     // a Solve call has opened a cone; before, all vars are in it
+	coneFull  bool     // set by a Sat answer, cleared by cancelUntil: every cone variable assigned, the heap empty
+	nOpen     int      // cone variables unassigned
+	nOutside  int      // assigned variables outside the cone
+	posBits   []uint64 // openCone scratch: cone positions to reinsert, as a bitset
 	roots     []Var    // rooted variables
 	work      []Var    // markCone / evalGate scratch stack
 	litStamp  []uint64 // per Lit: gate-value memo of the current answer (ValueOf)
@@ -207,6 +212,9 @@ type Solver struct {
 
 	stats      Stats
 	learntBase int // learnt clauses beyond half the problem clauses that trigger reduceDB
+
+	// afterOpenCone, when set, runs at the end of every openCone (tests).
+	afterOpenCone func()
 
 	// Budget limits one Solve call; 0 means unlimited.
 	ConflictBudget uint64
@@ -246,11 +254,14 @@ func (s *Solver) newVar(decision bool) Var {
 	s.activity = append(s.activity, 0)
 	s.decision = append(s.decision, decision)
 	s.vflags = append(s.vflags, 0)
+	s.conePos = append(s.conePos, 0)
 	if !s.coneOpen {
 		// Until the first Solve call every variable is in the cone, so
 		// level-0 units added before it propagate in full.
 		s.vflags[v] = fInCone
+		s.conePos[v] = int32(len(s.cone))
 		s.cone = append(s.cone, v)
+		s.nOpen++
 	}
 	s.fanin = append(s.fanin, 0, 0, 0)
 	s.seen = append(s.seen, false)
@@ -440,6 +451,11 @@ func (s *Solver) words(c cref) int {
 
 func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.Var()
+	if s.vflags[v]&fInCone != 0 {
+		s.nOpen--
+	} else {
+		s.nOutside++
+	}
 	s.assigns[v] = uint8(l) & 1
 	s.level[v] = s.decisionLevel()
 	s.reason[v] = from
@@ -535,23 +551,42 @@ func (s *Solver) propagate() cref {
 	return noReason
 }
 
+// cancelUntil backtracks to decision level lvl, putting the unassigned
+// decision variables of the cone into the heap.
 func (s *Solver) cancelUntil(lvl int32) {
-	if s.decisionLevel() <= lvl {
-		return
-	}
-	bound := s.trailLim[lvl]
+	s.coneFull = false
+	cut := s.unwind(lvl)
 	act := s.activity
-	for i := len(s.trail) - 1; i >= int(bound); i-- {
-		v := s.trail[i].Var()
-		s.assigns[v] = uint8(lUndef)
-		s.reason[v] = noReason
-		if s.decision[v] && s.vflags[v]&fInCone != 0 {
+	for i := len(cut) - 1; i >= 0; i-- {
+		if v := cut[i].Var(); s.decision[v] && s.vflags[v]&fInCone != 0 {
 			s.order.insert(v, act)
 		}
+	}
+}
+
+// unwind unassigns the trail above decision level lvl and returns the
+// unassigned literals; the result aliases the trail's spare capacity, valid
+// until the next enqueue.
+func (s *Solver) unwind(lvl int32) []Lit {
+	if s.decisionLevel() <= lvl {
+		return nil
+	}
+	bound := s.trailLim[lvl]
+	cut := s.trail[bound:]
+	for _, l := range cut {
+		v := l.Var()
+		if s.vflags[v]&fInCone != 0 {
+			s.nOpen++
+		} else {
+			s.nOutside--
+		}
+		s.assigns[v] = uint8(lUndef)
+		s.reason[v] = noReason
 	}
 	s.trail = s.trail[:bound]
 	s.trailLim = s.trailLim[:lvl]
 	s.qhead = len(s.trail)
+	return cut
 }
 
 // varBump raises v's activity. It also makes v a decision variable: a gate
@@ -899,14 +934,16 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	// assumption prefix (the engine's path constraints grow incrementally).
 	// Decision levels 1..k correspond one-to-one to assumptions 0..k-1, so
 	// keeping the common prefix skips re-propagating it from scratch, and
-	// the cone of the prefix is kept too (openCone).
+	// the cone of the prefix is kept too (openCone). The backtrack leaves the
+	// heap alone: openCone rebuilds it, from the unassigned variables alone
+	// when the previous answer left the whole cone assigned.
 	shared := 0
 	for shared < len(assumptions) && shared < len(s.lastAssumps) && s.lastAssumps[shared] == assumptions[shared] {
 		shared++
 	}
 	keep := min(shared, int(s.decisionLevel()))
-	s.cancelUntil(int32(keep))
-	s.openCone(assumptions, shared)
+	s.openCone(assumptions, shared, s.unwind(int32(keep)))
+	s.coneFull = false
 	s.lastAssumps = append(s.lastAssumps[:0], assumptions...)
 	// trailCut records that the trail below the kept prefix changed during
 	// this call, so kept assignments may have lost their fan-in.
@@ -995,6 +1032,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				}
 				s.dropModel()
 				s.lastSat, s.satTick, s.satVars = true, s.stampTick, len(s.assigns)
+				s.coneFull = true
 				return Sat
 			}
 			s.stats.Decisions++
