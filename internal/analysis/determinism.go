@@ -32,7 +32,6 @@ var deterministicPkgs = []string{
 	"symriscv/internal/rvfi",
 	"symriscv/internal/sat",
 	"symriscv/internal/smt",
-	"symriscv/internal/smtlib",
 	"symriscv/internal/solver",
 }
 

@@ -5,19 +5,19 @@ package fixture
 import (
 	"io"
 
-	"symriscv/internal/smtlib"
+	"symriscv/internal/sat"
 )
 
-func dropped(in *smtlib.Interp) {
-	in.Run("(exit)") // want `result of smtlib\.Run discarded`
+func dropped(s *sat.Solver) {
+	s.WriteDIMACS(io.Discard) // want `result of sat\.WriteDIMACS discarded`
 }
 
 // checked propagates the error: allowed.
-func checked(in *smtlib.Interp) error {
-	return in.Run("(exit)")
+func checked(s *sat.Solver) error {
+	return s.WriteDIMACS(io.Discard)
 }
 
 // explicitDiscard documents intent with a blank assignment: allowed.
 func explicitDiscard() {
-	_ = smtlib.NewInterp(io.Discard).Run("(exit)")
+	_ = sat.New().WriteDIMACS(io.Discard)
 }

@@ -14,8 +14,8 @@ import (
 	"symriscv/internal/solver"
 )
 
-// newEngine returns a fresh engine for one path, as Explorer and Shard
-// reset theirs.
+// newEngine returns a fresh engine for one path, as an Explorer resets its
+// own.
 func newEngine(ctx *smt.Context, sol *solver.Solver, prefix []event, imported querycache.Model, stats *Stats, qc *querycache.Local, onPath *pathMarks) *Engine {
 	e := new(Engine)
 	e.reset(ctx, sol, prefix, imported, stats, qc, onPath)
@@ -483,6 +483,11 @@ func TestAbortReasonStrings(t *testing.T) {
 	}
 }
 
+// TestProgressCallback pins what a snapshot means: it is taken after every
+// ProgressEvery-th path has been added to the report, so it counts that
+// path, in Paths and in its outcome counter. parexplore's
+// TestProgressCallbackFires checks the parallel driver against the same
+// meaning.
 func TestProgressCallback(t *testing.T) {
 	var snaps []Stats
 	x := NewExplorer(func(e *Engine) error {
@@ -503,8 +508,29 @@ func TestProgressCallback(t *testing.T) {
 	if len(snaps) != 4 {
 		t.Fatalf("progress callbacks = %d, want 4", len(snaps))
 	}
-	if snaps[0].Paths != 8 || snaps[3].Paths != 32 {
-		t.Fatalf("snapshot paths wrong: %v", snaps)
+	for i, s := range snaps {
+		if s.Paths != 8*(i+1) || s.Completed != s.Paths {
+			t.Fatalf("snapshot %d: paths=%d completed=%d, want %d/%d", i, s.Paths, s.Completed, 8*(i+1), 8*(i+1))
+		}
+	}
+	if last := snaps[3]; last.SolverQueries != rep.Stats.SolverQueries || last.Branches != rep.Stats.Branches {
+		t.Fatalf("last snapshot %v, report %v: the last path is not counted", last, rep.Stats)
+	}
+}
+
+// TestExploreAllocs bounds what a warm sequential exploration allocates:
+// 32 paths of a branch program, with the term context, the SAT encoding and
+// the query cache already built by an earlier run. What remains is the
+// report and the walker's frontier (one node per scheduled sibling and one
+// copy of each path's fresh events). A Sig, a per-path record or Stats on
+// the heap, or a second Engine per path adds at least 32.
+func TestExploreAllocs(t *testing.T) {
+	x := NewExplorer(branchProgram(5, nil))
+	x.Explore(Options{})
+	x.Explore(Options{})
+	const limit = 54
+	if got := testing.AllocsPerRun(20, func() { x.Explore(Options{}) }); got > limit {
+		t.Fatalf("warm 32-path exploration allocates %v objects, want <= %d", got, limit)
 	}
 }
 
@@ -639,7 +665,7 @@ func TestPathMarksResetPerPath(t *testing.T) {
 // TestPathModelInputsExact: test vectors and PathModel-backed findings carry
 // exactly the inputs registered on their path — unconstrained ones read 0,
 // variables made outside MakeSymbolic never appear — and the Explorer and a
-// Shard report the same input maps.
+// a shard report the same input maps.
 func TestPathModelInputsExact(t *testing.T) {
 	prog := func(e *Engine) error {
 		ctx := e.Context()
@@ -688,7 +714,7 @@ func TestPathModelInputsExact(t *testing.T) {
 		t.Fatalf("%d findings and %d test vectors, want 1 and 3", len(rep.Findings), len(rep.TestVectors))
 	}
 
-	s := NewShard(prog, ShardOptions{GenerateTests: true})
+	s := NewShard(prog, Options{GenerateTests: true}, 0)
 	s.SeedRoot()
 	var shard []string
 	for {
@@ -699,8 +725,8 @@ func TestPathModelInputsExact(t *testing.T) {
 		switch {
 		case rec.Kind == PathFinding:
 			shard = append(shard, "finding "+check("shard finding", rec.Inputs))
-		case rec.HasTest:
-			shard = append(shard, "test "+check("shard test", rec.TestInputs))
+		case rec.Inputs != nil:
+			shard = append(shard, "test "+check("shard test", rec.Inputs))
 		}
 	}
 	sort.Strings(got)

@@ -128,7 +128,7 @@ type Engine struct {
 // terms as a set, an epoch stamp per term ID-1 (the implication shortcut and
 // dedup lookups). It also holds the path's symbolic inputs, the variables
 // created via MakeSymbolic, in first-use order, and its fresh events, those
-// recorded beyond the replayed prefix. An Explorer or Shard reuses one for
+// recorded beyond the replayed prefix. An Explorer reuses one for
 // every path; begin empties it, keeping the tables' storage, so whatever
 // outlives the path (the walker's scheduled siblings) must be copied out.
 type pathMarks struct {
@@ -166,9 +166,9 @@ func (m *pathMarks) add(t *smt.Term) {
 }
 
 // reset starts e on one path replaying prefix, clearing every field the
-// previous path set; an Explorer or Shard reuses one Engine for all its
-// paths. imported is the seed model, by variable name, of a prefix imported
-// from another context (Shard.AddPrefix); nil otherwise.
+// previous path set; an Explorer reuses one Engine for all its paths.
+// imported is the seed model, by variable name, of a prefix imported from
+// another context (Explorer.AddPrefix); nil otherwise.
 func (e *Engine) reset(ctx *smt.Context, sol *solver.Solver, prefix []event, imported querycache.Model, stats *Stats, qc *querycache.Local, onPath *pathMarks) {
 	onPath.begin()
 	*e = Engine{

@@ -87,8 +87,9 @@ type Options struct {
 	// SolverConflictBudget bounds each SAT query; 0 means unlimited.
 	// Exhausted queries abort their path as AbortUnknown.
 	SolverConflictBudget uint64
-	// Progress, when set, receives a statistics snapshot every
-	// ProgressEvery started paths (default 256).
+	// Progress, when set, receives a statistics snapshot after every
+	// ProgressEvery-th path (default 256) has been added to the report;
+	// the snapshot counts that path.
 	Progress func(Stats)
 	// ProgressEvery sets the Progress callback period in paths.
 	ProgressEvery int
@@ -196,15 +197,53 @@ type Witnesser interface {
 	Witness() smt.MapEnv
 }
 
-// Explorer drives repeated executions of a program over one shared term
-// context and solver.
+// Add appends one explored path to the report under the next path index:
+// its statistic deltas, its outcome count, and its finding or test vector.
+// The sequential explorer adds paths in start order and the parallel merge
+// in canonical Sig order; both go through here.
+func (r *Report) Add(rec PathRecord) {
+	st := &r.Stats
+	path := st.Paths
+	st.Paths++
+	st.Instructions += rec.Instructions
+	st.Cycles += rec.Cycles
+	st.Branches += rec.Branches
+	st.Concretizations += rec.Concretizations
+	st.SolverQueries += rec.SolverQueries
+	switch rec.Kind {
+	case PathCompleted, PathStopped:
+		st.Completed++
+	case PathInfeasible:
+		st.Infeasible++
+	default:
+		st.Partial++
+	}
+	switch {
+	case rec.Kind == PathFinding:
+		r.Findings = append(r.Findings, Finding{Err: rec.Err, Inputs: rec.Inputs, Path: path})
+	case rec.Kind == PathCompleted && rec.Inputs != nil:
+		r.TestVectors = append(r.TestVectors, TestVector{Path: path, Inputs: rec.Inputs})
+	}
+}
+
+// Explorer drives repeated executions of a program over one private term
+// context and solver. Explore runs a whole exploration under the option
+// budgets; NewShard makes one for a parallel orchestrator, which drives Step
+// directly and moves subtrees between explorers.
+// An Explorer is not safe for concurrent use.
 type Explorer struct {
 	ctx    *smt.Context
 	sol    *solver.Solver
 	run    RunFunc
+	opts   Options
+	w      walker
+	rng    pathRNG
 	qc     *querycache.Local
+	h      *obs.Handle
 	onPath pathMarks // reused by every path's Engine
 	eng    Engine    // reused for every path
+	st     Stats     // the current path's statistic deltas
+	paths  int       // paths started since the last configure
 }
 
 // NewExplorer returns an explorer for the program run.
@@ -213,13 +252,25 @@ func NewExplorer(run RunFunc) *Explorer {
 	return &Explorer{ctx: ctx, sol: solver.New(ctx), run: run}
 }
 
-// Context exposes the shared term context (for tests and tooling).
-func (x *Explorer) Context() *smt.Context { return x.ctx }
+// NewShard returns an explorer for one worker of a parallel exploration. It
+// takes the exploration's options but ignores their budgets (the
+// orchestrator decides when to stop calling Step); worker is the index its
+// spans and counters report under. A shard signs every path it explores
+// (PathRecord.Sig), so the orchestrator can merge in canonical order.
+func NewShard(run RunFunc, opts Options, worker int) *Explorer {
+	x := NewExplorer(run)
+	x.configure(opts, worker)
+	x.w.trackSigs = true
+	return x
+}
 
-// Explore runs the program over the whole feasible path tree, subject to the
-// option budgets.
-func (x *Explorer) Explore(opts Options) *Report {
-	start := wallNow()
+// configure applies opts to the solver, the query cache and the
+// observability handle; the cache, with its entries, outlives one
+// exploration unless opts disable it.
+func (x *Explorer) configure(opts Options, worker int) {
+	x.opts = opts
+	x.rng = pathRNG{state: uint64(opts.Seed)}
+	x.paths = 0
 	x.sol.SetConflictBudget(opts.SolverConflictBudget)
 	if opts.NoQueryCache {
 		x.qc = nil
@@ -229,24 +280,32 @@ func (x *Explorer) Explore(opts Options) *Report {
 	if x.qc != nil && opts.SharedCache != nil {
 		x.qc.AttachShared(opts.SharedCache)
 	}
-
-	h := opts.Obs.NewHandle(0)
-	x.sol.SetObs(h)
+	x.h = opts.Obs.NewHandle(worker)
+	x.sol.SetObs(x.h)
 	if x.qc != nil {
-		x.qc.SetObs(h)
+		x.qc.SetObs(x.h)
 	}
-	root := h.Start(obs.PhaseExplore)
+}
 
-	rep := &Report{}
-	wk := &walker{}
-	wk.addRoot()
-	rng := &pathRNG{state: uint64(opts.Seed)}
+// Context exposes the shared term context (for tests and tooling).
+func (x *Explorer) Context() *smt.Context { return x.ctx }
+
+// Explore runs the program over the whole feasible path tree, subject to the
+// option budgets.
+func (x *Explorer) Explore(opts Options) *Report {
+	start := wallNow()
+	x.configure(opts, 0)
+	root := x.h.Start(obs.PhaseExplore)
+	x.w = walker{}
+	x.w.addRoot()
 	progressEvery := opts.ProgressEvery
 	if progressEvery <= 0 {
 		progressEvery = 256
 	}
 
-	for wk.pending() > 0 {
+	rep := &Report{}
+	stopped := false
+	for x.w.pending() > 0 && !stopped {
 		if opts.MaxPaths > 0 && rep.Stats.Paths >= opts.MaxPaths {
 			break
 		}
@@ -256,99 +315,23 @@ func (x *Explorer) Explore(opts Options) *Report {
 		if opts.MaxInstructions > 0 && rep.Stats.Instructions >= opts.MaxInstructions {
 			break
 		}
-
-		n := wk.pop(opts.Search, rng)
-		pathID := rep.Stats.Paths
-		rep.Stats.Paths++
+		rec, _ := x.Step(opts.Search)
+		rep.Add(rec)
 		if opts.Progress != nil && rep.Stats.Paths%progressEvery == 0 {
 			snap := rep.Stats
 			snap.Elapsed = wallNow().Sub(start)
 			opts.Progress(snap)
 		}
-
-		sp := h.Start(obs.PhasePath)
-		sp.SetPath(pathID)
-		eng := &x.eng
-		eng.reset(x.ctx, x.sol, wk.materialize(n), nil, &rep.Stats, x.qc, &x.onPath)
-		eng.noOpt = opts.NoBranchOptimizations
-		eng.h = h
-		err, abort := runOne(x.run, eng)
-
-		rep.Stats.Instructions += eng.instrRetired
-		rep.Stats.Cycles += eng.cycles
-
-		switch {
-		case abort != nil && abort.reason == AbortInfeasible:
-			rep.Stats.Infeasible++
-			sp.End()
-			continue // no fresh decisions to fork from
-		case abort != nil:
-			rep.Stats.Partial++
-		case errors.Is(err, ErrStopExploration):
-			rep.Stats.Completed++
-			sp.End()
-			return x.finish(rep, start, root, h)
-		case err != nil:
-			rep.Stats.Partial++
-			f := Finding{Err: err, Path: pathID}
-			if w, ok := err.(Witnesser); ok {
-				f.Inputs = filterInputs(w.Witness(), eng.onPath.symbolic)
-			} else if m, ok := eng.PathModel(); ok {
-				f.Inputs = m
-			}
-			rep.Findings = append(rep.Findings, f)
-			if opts.StopOnFirstFinding {
-				sp.End()
-				return x.finish(rep, start, root, h)
-			}
-		default:
-			rep.Stats.Completed++
-			if opts.GenerateTests {
-				if m, ok := eng.PathModel(); ok {
-					rep.TestVectors = append(rep.TestVectors, TestVector{
-						Path:   pathID,
-						Inputs: m,
-					})
-				}
-			}
-		}
-
-		// Schedule the unexplored sibling of every fresh branch decision.
-		wk.schedule(n, eng.onPath.fresh)
-		sp.End()
+		stopped = rec.Kind == PathStopped || rec.Kind == PathFinding && opts.StopOnFirstFinding
 	}
 
-	rep.Exhausted = wk.pending() == 0
-	return x.finish(rep, start, root, h)
-}
-
-// finish stamps the elapsed time and size/telemetry fields, then closes
-// out observability: the explore root span ends, the absorbed counters are
-// published, and the handle's shards merge into the recorder.
-func (x *Explorer) finish(rep *Report, start time.Time, root *obs.Span, h *obs.Handle) *Report {
+	rep.Exhausted = !stopped && x.w.pending() == 0
 	rep.Stats.Elapsed = wallNow().Sub(start)
-	if x.qc != nil {
-		// Publish locally created entries to the shared store (no-op without
-		// one) — the sequential explorer's hand-off boundary is completion.
-		x.qc.Flush()
-	}
-	x.fillSizes(rep)
+	x.Flush() // completion is the sequential explorer's hand-off boundary
 	root.End()
-	publishObs(h, rep.Stats, x.sol.Stats())
-	h.Flush()
+	PublishExploreObs(x.h, rep.Stats)
+	x.Finish(&rep.Stats)
 	return rep
-}
-
-func (x *Explorer) fillSizes(rep *Report) {
-	rep.Stats.TermCount = x.ctx.NumTerms()
-	rep.Stats.SATVars = x.sol.NumSATVars()
-	ss := x.sol.Stats()
-	rep.Stats.CDCLQueries = ss.Checks
-	rep.Stats.SolverUnknowns = ss.UnknownAns
-	rep.Stats.SAT = ss.SAT
-	if x.qc != nil {
-		rep.Stats.Cache = x.qc.Stats()
-	}
 }
 
 // runOne executes one path, converting abort panics into a structured result.

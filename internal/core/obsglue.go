@@ -41,19 +41,12 @@ const (
 	GaugeSATVars = "sat.vars"
 )
 
-// publishObs absorbs one exploration's scattered counters — the merged
-// Stats, the solver facade and the query-cache hit kinds — into the
-// handle's registry shard. The caller flushes. Nil-safe via the handle.
-func publishObs(h *obs.Handle, st Stats, ss solver.Stats) {
-	PublishExploreObs(h, st)
-	publishBackendObs(h, ss, st.Cache, st.TermCount, st.SATVars)
-}
-
 // PublishExploreObs absorbs the deterministic Stats fields of a finished
 // exploration (the explore.* counter family) into the handle's registry
-// shard; the caller flushes. The parallel orchestrator publishes its
-// merged report through this, while each shard publishes its own backend
-// counters via Shard.PublishObsCounters.
+// shard; the caller flushes. Explore publishes its report through this and a
+// parallel orchestrator its merged one, while every Explorer publishes its
+// own backend counters in Finish: summing per-shard path deltas would
+// double-count replay work moved across hand-offs.
 func PublishExploreObs(h *obs.Handle, st Stats) {
 	if h == nil {
 		return
@@ -71,8 +64,7 @@ func PublishExploreObs(h *obs.Handle, st Stats) {
 
 // publishBackendObs absorbs the solver-facade and query-cache counters plus
 // the context-size gauges — the per-backend share of the registry, published
-// once per solver context (the sequential explorer's, or each parallel
-// shard's).
+// once per solver context by Explorer.Finish.
 func publishBackendObs(h *obs.Handle, ss solver.Stats, cs querycache.Stats, terms, satVars int) {
 	if h == nil {
 		return

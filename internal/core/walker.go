@@ -76,8 +76,8 @@ type node struct {
 
 // walker owns the frontier of scheduled paths and the scratch buffer
 // prefixes are materialized into. The buffer is only valid until the next
-// materialize call; the sequential explorer and the shard both finish one
-// path before scheduling the next, so a single buffer suffices.
+// materialize call; Explorer.Step finishes one path before scheduling the
+// next, so a single buffer suffices.
 type walker struct {
 	frontier  []*node
 	scratch   []event

@@ -24,11 +24,11 @@ func branchProgram(bits int, collect func(pattern uint64)) RunFunc {
 	}
 }
 
-// TestShardEnumeratesFullTree drives a Shard by hand over a 3-level tree and
+// TestShardEnumeratesFullTree drives a shard by hand over a 3-level tree and
 // checks it explores exactly the 8 paths with unique canonical signatures.
 func TestShardEnumeratesFullTree(t *testing.T) {
 	seen := map[uint64]int{}
-	s := NewShard(branchProgram(3, func(p uint64) { seen[p]++ }), ShardOptions{})
+	s := NewShard(branchProgram(3, func(p uint64) { seen[p]++ }), Options{}, 0)
 	s.SeedRoot()
 	sigs := map[Sig]bool{}
 	paths := 0
@@ -60,7 +60,7 @@ func TestShardEnumeratesFullTree(t *testing.T) {
 // on: a depth-first shard discovers paths in ascending signature order, so
 // lexicographic Sig order equals sequential DFS discovery order.
 func TestShardDFSVisitsInSigOrder(t *testing.T) {
-	s := NewShard(branchProgram(4, nil), ShardOptions{})
+	s := NewShard(branchProgram(4, nil), Options{}, 0)
 	s.SeedRoot()
 	var order []Sig
 	for s.Pending() > 0 {
@@ -82,7 +82,7 @@ func TestShardDFSVisitsInSigOrder(t *testing.T) {
 // into a second shard with its own term context, and checks the union of
 // both shards' paths equals a sequential exploration.
 func TestShardHandoffRoundTrip(t *testing.T) {
-	s1 := NewShard(branchProgram(3, nil), ShardOptions{})
+	s1 := NewShard(branchProgram(3, nil), Options{}, 0)
 	s1.SeedRoot()
 	// Explore two paths breadth-first to widen the frontier.
 	for i := 0; i < 2; i++ {
@@ -101,11 +101,11 @@ func TestShardHandoffRoundTrip(t *testing.T) {
 		t.Fatalf("exported prefix=%v sig=%q", prefix, sig)
 	}
 
-	s2 := NewShard(branchProgram(3, nil), ShardOptions{})
+	s2 := NewShard(branchProgram(3, nil), Options{}, 0)
 	s2.AddPrefix(prefix, sig)
 
 	sigs := map[Sig]bool{}
-	collect := func(s *Shard) int {
+	collect := func(s *Explorer) int {
 		n := 0
 		for s.Pending() > 0 {
 			rec, ok := s.Step(SearchDFS)
@@ -134,7 +134,7 @@ func TestShardHandoffRoundTrip(t *testing.T) {
 // after the bound.
 func TestShardBoundPrunes(t *testing.T) {
 	// Reference exploration: collect all 8 sigs in DFS (= canonical) order.
-	ref := NewShard(branchProgram(3, nil), ShardOptions{})
+	ref := NewShard(branchProgram(3, nil), Options{}, 0)
 	ref.SeedRoot()
 	var all []Sig
 	for ref.Pending() > 0 {
@@ -149,7 +149,7 @@ func TestShardBoundPrunes(t *testing.T) {
 	}
 
 	bound := all[4]
-	s := NewShard(branchProgram(3, nil), ShardOptions{})
+	s := NewShard(branchProgram(3, nil), Options{}, 0)
 	s.SeedRoot()
 	s.SetBound(bound)
 	var got []Sig
@@ -178,7 +178,7 @@ func TestShardBoundPrunes(t *testing.T) {
 // reached via a hand-off prefix reports the same query/branch counts as it
 // does in a monolithic exploration.
 func TestShardPerPathStatsSplitInvariant(t *testing.T) {
-	mono := NewShard(branchProgram(3, nil), ShardOptions{})
+	mono := NewShard(branchProgram(3, nil), Options{}, 0)
 	mono.SeedRoot()
 	bysig := map[Sig]PathRecord{}
 	for mono.Pending() > 0 {
@@ -189,7 +189,7 @@ func TestShardPerPathStatsSplitInvariant(t *testing.T) {
 		bysig[rec.Sig] = rec
 	}
 
-	s1 := NewShard(branchProgram(3, nil), ShardOptions{})
+	s1 := NewShard(branchProgram(3, nil), Options{}, 0)
 	s1.SeedRoot()
 	for i := 0; i < 2; i++ {
 		s1.Step(SearchBFS)
@@ -198,7 +198,7 @@ func TestShardPerPathStatsSplitInvariant(t *testing.T) {
 	if !ok {
 		t.Fatal("handoff failed")
 	}
-	s2 := NewShard(branchProgram(3, nil), ShardOptions{})
+	s2 := NewShard(branchProgram(3, nil), Options{}, 0)
 	s2.AddPrefix(prefix, sig)
 	for s2.Pending() > 0 {
 		rec, ok := s2.Step(SearchDFS)

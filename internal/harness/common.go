@@ -106,10 +106,11 @@ func (c Common) explore(run core.RunFunc, o core.Options) *core.Report {
 }
 
 // exploreWorkers routes one exploration to the sequential explorer
-// (workers <= 1) or to the sharded parallel orchestrator. Both produce the
-// same Report for the same options — parexplore's canonical merge numbers
-// paths in sequential depth-first order — so callers choose a worker count
-// purely on hardware grounds.
+// (workers <= 1) or to the sharded parallel orchestrator. For the same
+// options both explore the same paths and report the same counts, path
+// indices and finding classes — parexplore's canonical merge numbers paths
+// in sequential depth-first order — but witness and test-vector values are
+// solver models and can differ with the worker count.
 func exploreWorkers(run core.RunFunc, opts core.Options, workers int) *core.Report {
 	if workers > 1 {
 		return parexplore.Explore(run, opts, workers)

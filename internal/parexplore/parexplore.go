@@ -1,8 +1,8 @@
 // Package parexplore shards one symbolic exploration's decision tree across
 // worker goroutines, each owning a private term context, solver and model
-// pair (a core.Shard). The deterministic kernel stays goroutine-free — all
-// concurrency lives here, above it, as the symlint determinism analyzer
-// mandates.
+// pair (a core.Explorer made by core.NewShard). The deterministic kernel
+// stays goroutine-free — all concurrency lives here, above it, as the symlint
+// determinism analyzer mandates.
 //
 // # Why sharding is cheap
 //
@@ -128,8 +128,8 @@ type coord struct {
 	start time.Time
 
 	records []core.PathRecord
-	ordered []int // record indices sorted by Sig (when a sig-cut budget is set)
-	running core.Stats
+	ordered []int       // record indices sorted by Sig (when a sig-cut budget is set)
+	running core.Report // records in arrival order, for Progress snapshots
 
 	hasStop    bool
 	minStop    core.Sig
@@ -201,10 +201,12 @@ func (c *coord) record(rec core.PathRecord) {
 	}
 	c.refreshBound()
 
-	accumulate(&c.running, rec)
-	c.running.Paths++
-	if c.opts.Progress != nil && c.running.Paths%c.progressEvery == 0 {
-		snap := c.running
+	if c.opts.Progress == nil {
+		return
+	}
+	c.running.Add(rec)
+	if c.running.Stats.Paths%c.progressEvery == 0 {
+		snap := c.running.Stats
 		snap.Elapsed = time.Since(c.start)
 		c.opts.Progress(snap)
 	}
@@ -247,27 +249,9 @@ func (c *coord) refreshBound() {
 	c.curBound, c.hasBound = b, has
 }
 
-// accumulate folds one record's statistic deltas into st (kind counters and
-// Paths are the caller's).
-func accumulate(st *core.Stats, r core.PathRecord) {
-	st.Instructions += r.Instructions
-	st.Cycles += r.Cycles
-	st.Branches += r.Branches
-	st.Concretizations += r.Concretizations
-	st.SolverQueries += r.SolverQueries
-	switch r.Kind {
-	case core.PathCompleted, core.PathStopped:
-		st.Completed++
-	case core.PathInfeasible:
-		st.Infeasible++
-	default:
-		st.Partial++
-	}
-}
-
 // merge sorts all records canonically, applies every budget as a cut over
 // that order, and builds the report.
-func (c *coord) merge(shards []*core.Shard) *core.Report {
+func (c *coord) merge(shards []*core.Explorer) *core.Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
@@ -305,39 +289,17 @@ func (c *coord) merge(shards []*core.Shard) *core.Report {
 	}
 
 	rep := &core.Report{}
-	for i, r := range recs[:cut] {
-		accumulate(&rep.Stats, r)
-		switch r.Kind {
-		case core.PathFinding:
-			rep.Findings = append(rep.Findings, core.Finding{Err: r.Err, Inputs: r.Inputs, Path: i})
-		case core.PathCompleted:
-			if r.HasTest {
-				rep.TestVectors = append(rep.TestVectors, core.TestVector{Path: i, Inputs: r.TestInputs})
-			}
-		}
+	for _, r := range recs[:cut] {
+		rep.Add(r)
 	}
-	rep.Stats.Paths = cut
 
 	pruned := false
 	for _, sh := range shards {
-		if sh.Pruned() {
-			pruned = true
-		}
-		terms, satVars := sh.Sizes()
-		if terms > rep.Stats.TermCount {
-			rep.Stats.TermCount = terms
-		}
-		if satVars > rep.Stats.SATVars {
-			rep.Stats.SATVars = satVars
-		}
+		pruned = pruned || sh.Pruned()
 		// Telemetry (cache- and scheduling-dependent, excluded from the
 		// deterministic report contract): summed over all workers, including
 		// work beyond the canonical cut.
-		ss := sh.SolverStats()
-		rep.Stats.CDCLQueries += ss.Checks
-		rep.Stats.SolverUnknowns += ss.UnknownAns
-		rep.Stats.SAT.Add(ss.SAT)
-		rep.Stats.Cache.Add(sh.CacheStats())
+		sh.Finish(&rep.Stats)
 	}
 
 	// Exhausted mirrors the sequential explorer: false whenever a budget,
@@ -363,9 +325,11 @@ func seedTarget(workers int) int {
 // Explore runs the program over the whole feasible path tree like
 // core.Explorer.Explore, sharded across the given number of worker
 // goroutines (default GOMAXPROCS when workers <= 0). Budgets are applied as
-// canonical cuts (see the package comment), so the report is identical for
-// every worker count; with the depth-first strategy it also matches the
-// sequential explorer path for path.
+// canonical cuts (see the package comment), so the explored paths, the
+// statistic counts, the path indices and the finding classes are the same
+// for every worker count, and with the depth-first strategy they match the
+// sequential explorer path for path. Witness and test-vector values are
+// solver models and can differ between worker counts.
 func Explore(run core.RunFunc, opts core.Options, workers int) *core.Report {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -378,35 +342,20 @@ func Explore(run core.RunFunc, opts core.Options, workers int) *core.Report {
 	oh := opts.Obs.NewHandle(0)
 	root := oh.Start(obs.PhaseExplore)
 
-	shardOpts := core.ShardOptions{
-		Search:                opts.Search,
-		SolverConflictBudget:  opts.SolverConflictBudget,
-		NoBranchOptimizations: opts.NoBranchOptimizations,
-		GenerateTests:         opts.GenerateTests,
-		NoQueryCache:          opts.NoQueryCache,
-		Obs:                   opts.Obs,
-	}
 	// One read-mostly cache store spans all workers; each shard buffers its
 	// new entries locally and publishes them at hand-off points, so cache
 	// traffic never serialises the hot path. A caller-provided store
 	// (opts.SharedCache, e.g. the persistent qstore session's) is reused so
 	// entries survive beyond this exploration.
-	store := opts.SharedCache
-	if store == nil && !opts.NoQueryCache {
-		store = querycache.NewShared()
+	shardOpts := opts
+	if shardOpts.SharedCache == nil && !opts.NoQueryCache {
+		shardOpts.SharedCache = querycache.NewShared()
 	}
-	if opts.NoQueryCache {
-		store = nil
-	}
-	shards := make([]*core.Shard, workers)
+	shards := make([]*core.Explorer, workers)
 	for i := range shards {
 		so := shardOpts
 		so.Seed = opts.Seed + int64(i)
-		so.ObsWorker = i + 1
-		shards[i] = core.NewShard(run, so)
-		if store != nil {
-			shards[i].AttachSharedCache(store)
-		}
+		shards[i] = core.NewShard(run, so, i+1)
 		shards[i].ObsHandle().SetBase(root)
 	}
 
@@ -438,13 +387,12 @@ func Explore(run core.RunFunc, opts core.Options, workers int) *core.Report {
 	}
 	// Publish the seed phase's cache entries before workers start, so every
 	// worker begins with the shared decode-prefix answers.
-	seed.FlushCache()
-	seed.FlushObs()
+	seed.Flush()
 
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
-		go func(i int, sh *core.Shard) {
+		go func(i int, sh *core.Explorer) {
 			defer wg.Done()
 			// pprof labels attribute CPU samples per worker and phase.
 			obs.LabelWorker(opts.Obs, i+1, obs.PhaseExplore, func() {
@@ -455,20 +403,15 @@ func Explore(run core.RunFunc, opts core.Options, workers int) *core.Report {
 	wg.Wait()
 
 	rep := c.merge(shards)
-	if opts.Obs != nil {
-		for _, sh := range shards {
-			sh.PublishObsCounters()
-		}
-		core.PublishExploreObs(oh, rep.Stats)
-		root.End()
-		oh.Flush()
-	}
+	core.PublishExploreObs(oh, rep.Stats)
+	root.End()
+	oh.Flush()
 	return rep
 }
 
 // workerLoop pulls subtree roots off the queue and explores them, donating
 // frontier nodes whenever another worker is starved.
-func workerLoop(sh *core.Shard, q *queue, c *coord, search core.SearchStrategy) {
+func workerLoop(sh *core.Explorer, q *queue, c *coord, search core.SearchStrategy) {
 	for {
 		u, ok := q.get()
 		if !ok {
@@ -492,15 +435,13 @@ func workerLoop(sh *core.Shard, q *queue, c *coord, search core.SearchStrategy) 
 				if prefix, sig, ok := sh.Handoff(); ok {
 					// The donated subtree's cached answers travel with it;
 					// counter/phase shards merge at the same hand-off point.
-					sh.FlushCache()
-					sh.FlushObs()
+					sh.Flush()
 					q.put(unit{prefix: prefix, sig: sig})
 				}
 			}
 		}
 		// Subtree done: publish its cache entries and counter shards before
 		// going idle.
-		sh.FlushCache()
-		sh.FlushObs()
+		sh.Flush()
 	}
 }

@@ -277,25 +277,33 @@ func TestNoOptEquivalence(t *testing.T) {
 	}
 }
 
-// TestProgressCallbackFires checks the merged progress hook runs without
-// racing (the callback mutates shared state; -race guards it).
+// TestProgressCallbackFires checks the merged progress hook against the
+// meaning core's TestProgressCallback pins: a snapshot follows every
+// ProgressEvery-th recorded path and counts it. On an exhaustive tree the
+// snapshots' Paths sequence is the sequential explorer's, and each one
+// counts the outcome of every path it includes. The callback mutates shared
+// state without a lock; -race checks that the hook is serialised.
 func TestProgressCallbackFires(t *testing.T) {
-	var calls int
-	var last core.Stats
-	opts := core.Options{
-		Search:        core.SearchDFS,
-		ProgressEvery: 4,
-		Progress: func(s core.Stats) {
-			calls++
-			last = s
-		},
+	snapshots := func(explore func(core.Options) *core.Report) (paths []int) {
+		opts := core.Options{
+			Search:        core.SearchDFS,
+			ProgressEvery: 4,
+			Progress: func(s core.Stats) {
+				if s.Completed+s.Partial+s.Infeasible != s.Paths {
+					t.Errorf("snapshot counts %d outcomes for %d paths", s.Completed+s.Partial+s.Infeasible, s.Paths)
+				}
+				paths = append(paths, s.Paths)
+			},
+		}
+		if rep := explore(opts); !rep.Exhausted {
+			t.Fatal("tree not exhausted")
+		}
+		return paths
 	}
-	parexplore.Explore(findingTree(5), opts, 2)
-	if calls != 8 {
-		t.Errorf("progress calls = %d, want 8 (32 paths / every 4)", calls)
-	}
-	if last.Paths == 0 {
-		t.Error("progress snapshot empty")
+	seq := snapshots(core.NewExplorer(findingTree(5)).Explore)
+	par := snapshots(func(o core.Options) *core.Report { return parexplore.Explore(findingTree(5), o, 2) })
+	if want := "[4 8 12 16 20 24 28 32]"; fmt.Sprint(seq) != want || fmt.Sprint(par) != want {
+		t.Errorf("snapshot paths: sequential %v, 2 workers %v, want %s", seq, par, want)
 	}
 }
 

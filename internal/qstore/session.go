@@ -76,7 +76,7 @@ func (s *Session) Dir() string { return s.store.Dir() }
 
 // Checkpoint persists every entry the campaign has created since the last
 // checkpoint as one new segment. Called at exploration hand-off boundaries
-// (after each exploration merges, alongside the final FlushCache). Failures
+// (after each exploration merges, alongside the final Explorer.Flush). Failures
 // are recorded and surfaced by Close; the campaign itself never fails on a
 // persist error.
 func (s *Session) Checkpoint() {

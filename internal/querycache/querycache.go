@@ -41,7 +41,7 @@
 // conflict budget: a cache hit can answer a query whose fresh CDCL run would
 // have been abandoned as Unknown. Unknown answers are never cached.
 //
-// A Local is single-goroutine (one per core.Shard); a Shared is the
+// A Local is single-goroutine (one per core.Explorer); a Shared is the
 // read-mostly cross-worker store, written in batches at handoff points.
 package querycache
 
