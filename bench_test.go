@@ -38,9 +38,7 @@ import (
 // core vs shipped VP, all probe scenarios).
 func BenchmarkTable1Campaign(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := harness.RunTable1(harness.Table1Options{
-			PerProbeTime: 60 * time.Second,
-		})
+		res := harness.RunTable1(harness.Table1Options{})
 		if len(res.Rows) < 25 {
 			b.Fatalf("campaign degraded: only %d rows", len(res.Rows))
 		}

@@ -12,13 +12,13 @@
 //	symv baseline [-cell-time 20s] [-trials 200000] [shared flags]
 //	symv replay  [-fault E6] [-cycle-trace] [shared flags] name=hexvalue ...
 //	symv trace   [-top 8] TRACE.jsonl
-//	symv lint-table [-v] [shared flags]
-//	symv lint-dut  [-allowlist LINTDUT.allow]
-//	               [-sat-probe] [-regs 2] [-v] [shared flags]
+//	symv lint-table [-core both] [-json] [-v]
+//	symv lint-dut  [-allowlist LINTDUT.allow] [-sat-probe] [-regs 2] [-v]
+//	               [shared flags except -workers and -store]
 //
-// lint-dut explores sequentially: it rejects -store and -workers above 1.
-//
-// Every subcommand accepts the shared flag group:
+// Every exploration subcommand accepts the shared flag group; lint-dut,
+// which explores sequentially and keeps no witness store, takes it without
+// -workers and -store:
 //
 //	-core NAME     device under test: microrv32 (default) | pipecore; the
 //	               lint commands also accept both (their default)
@@ -64,7 +64,6 @@ import (
 	"symriscv/internal/iss"
 	"symriscv/internal/microrv32"
 	"symriscv/internal/obs"
-	"symriscv/internal/pipecore"
 	"symriscv/internal/qstore"
 	"symriscv/internal/rvfi"
 )
@@ -167,42 +166,59 @@ commands:
   lint-table  statically verify the decode table (clean + all fault configs)
   lint-dut    static semantic lint of a core's symbolic transition relation
 
-shared flags (every exploration command):
+shared flags (every exploration command; lint-dut takes all but -workers
+and -store, lint-table only -core and -json):
   -core microrv32|pipecore  -workers N  -cache on|off
   -store DIR  -json  -trace FILE  -metrics`)
 }
 
 // sharedFlags is the flag group every exploration subcommand registers: the
-// worker count, the cache ablation toggle, machine-readable output, and the
-// observability sinks. It maps one-to-one onto harness.Common.
+// worker count, the cache ablation toggle, the witness store,
+// machine-readable output, and the observability sinks. It maps one-to-one
+// onto harness.Common.
 type sharedFlags struct {
-	workers *int
+	workers *int // nil without -workers (lint-dut)
 	core    *string
 	cache   *string
-	store   *string
+	store   *string // nil without -store (lint-dut)
 	jsonOut *bool
 	trace   *string
 	metrics *bool
 
-	// allowBothCores lets -core take "both"/"all" (the lint commands fan out
-	// over every core themselves; campaigns verify exactly one).
-	allowBothCores bool
+	// lint marks lint-dut's group: it fans out over the cores itself
+	// (lintCores), so build leaves -core to it.
+	lint bool
 }
 
-// sharedGroup registers the shared flag group on a subcommand's flag set.
+// sharedGroup registers the shared flag group on a campaign's flag set.
 func sharedGroup(fs *flag.FlagSet) *sharedFlags {
-	return &sharedFlags{
+	g := &sharedFlags{
 		workers: fs.Int("workers", 1,
 			"parallel exploration workers per exploration (1 = sequential; paths, counts and finding classes are worker-count independent, witness values are not)"),
-		core: fs.String("core", "",
-			"device under test: microrv32 | pipecore (default microrv32; the lint commands also accept both)"),
-		cache: fs.String("cache", "on", "query-elimination layer (stack models, slicing, feasibility cache): on | off"),
 		store: fs.String("store", "",
 			"persistent witness store directory: load compatible cache entries at startup, persist new ones at exploration boundaries (inspect with symv cache)"),
-		jsonOut: fs.Bool("json", false, "emit machine-readable JSON instead of the table"),
-		trace:   fs.String("trace", "", "write a JSONL span/counter trace to this file (inspect with symv trace)"),
-		metrics: fs.Bool("metrics", false, "print the aggregated counter/phase table to stderr after the run"),
 	}
+	g.register(fs)
+	return g
+}
+
+// lintGroup registers lint-dut's share of the group: everything but
+// -workers and -store, because the lint explores sequentially and keeps no
+// witness store.
+func lintGroup(fs *flag.FlagSet) *sharedFlags {
+	g := &sharedFlags{lint: true}
+	g.register(fs)
+	return g
+}
+
+// register adds the flags both groups take.
+func (g *sharedFlags) register(fs *flag.FlagSet) {
+	g.core = fs.String("core", "",
+		"device under test: microrv32 | pipecore (campaigns default to microrv32; lint-dut also accepts both, its default)")
+	g.cache = fs.String("cache", "on", "query-elimination layer (stack models, slicing, feasibility cache): on | off")
+	g.jsonOut = fs.Bool("json", false, "emit machine-readable JSON instead of the table")
+	g.trace = fs.String("trace", "", "write a JSONL span/counter trace to this file (inspect with symv trace)")
+	g.metrics = fs.Bool("metrics", false, "print the aggregated counter/phase table to stderr after the run")
 }
 
 // build validates the group, opens the observability sinks and (with -store)
@@ -216,20 +232,23 @@ func sharedGroup(fs *flag.FlagSet) *sharedFlags {
 // it after the campaign, before emitting results is fine too since all these
 // sinks bypass stdout.
 func (g *sharedFlags) build(cmd string, stderr io.Writer, keyParts ...string) (harness.Common, func() error, error) {
-	c := harness.Common{Workers: *g.workers}
-	var ok bool
-	if c.Cache, ok = harness.ParseToggle(*g.cache); !ok {
+	var c harness.Common
+	if g.workers != nil {
+		c.Workers = *g.workers
+	}
+	switch strings.ToLower(*g.cache) {
+	case "", "on":
+	case "off":
+		c.NoCache = true
+	default:
 		return c, nil, badUsage(stderr, "bad -cache=%q (want on or off)", *g.cache)
 	}
-	if g.allowBothCores && (*g.core == "" || isAllCores(*g.core)) {
-		// The command fans out over every core itself (harness.LintDUTCores);
-		// Common.Core stays at the zero value.
-	} else if kind, ok := cosim.ParseCoreKind(*g.core); ok {
+	if !g.lint {
+		kind, ok := cosim.ParseCoreKind(*g.core)
+		if !ok {
+			return c, nil, badUsage(stderr, "bad -core=%q (want microrv32 or pipecore)", *g.core)
+		}
 		c.Core = kind
-	} else if g.allowBothCores {
-		return c, nil, badUsage(stderr, "bad -core=%q (want microrv32, pipecore or both)", *g.core)
-	} else {
-		return c, nil, badUsage(stderr, "bad -core=%q (want microrv32 or pipecore)", *g.core)
 	}
 	var traceFile *os.File
 	if *g.trace != "" || *g.metrics {
@@ -244,7 +263,7 @@ func (g *sharedFlags) build(cmd string, stderr io.Writer, keyParts ...string) (h
 		}
 		c.Obs = obs.New(obs.Options{Trace: w, Label: "symv " + cmd})
 	}
-	if *g.store != "" {
+	if g.store != nil && *g.store != "" {
 		key := qstore.VersionKey(append([]string{"cmd=" + cmd}, keyParts...)...)
 		sess, err := qstore.OpenSession(*g.store, key)
 		if err != nil {
@@ -282,14 +301,18 @@ func (g *sharedFlags) build(cmd string, stderr io.Writer, keyParts ...string) (h
 	return c, finish, nil
 }
 
-// isAllCores reports whether a -core value selects every core at once (only
-// the lint commands accept this; campaigns verify exactly one core).
-func isAllCores(v string) bool {
+// lintCores resolves -core for the lint commands: the empty value, "both"
+// and "all" fan out over every core, and a single core's aliases resolve to
+// its canonical name.
+func lintCores(v string, stderr io.Writer) ([]string, error) {
 	switch strings.ToLower(v) {
-	case "both", "all":
-		return true
+	case "", "both", "all":
+		return []string{cosim.CoreMicroRV32.String(), cosim.CorePipecore.String()}, nil
 	}
-	return false
+	if k, ok := cosim.ParseCoreKind(v); ok {
+		return []string{k.String()}, nil
+	}
+	return nil, badUsage(stderr, "bad -core=%q (want microrv32, pipecore or both)", v)
 }
 
 // coreName returns the canonical name of the selected core for store version
@@ -302,10 +325,6 @@ func (g *sharedFlags) coreName() string {
 	}
 	return strings.ToLower(*g.core)
 }
-
-// lintCores resolves -core for the lint commands, where the empty value and
-// "both"/"all" fan out over every core.
-func (g *sharedFlags) lintCores() []string { return harness.LintDUTCores(*g.core) }
 
 // requireMicroRV32 rejects -core selections other than microrv32 for commands
 // whose campaign is defined on the FSM core only.
@@ -330,11 +349,9 @@ func cmdTable1(args []string, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res := harness.RunTable1(harness.Table1Options{
-		PerProbeTime:     *probeTime,
-		PerProbeMaxPaths: *maxPaths,
-		Common:           common,
-	})
+	common.Budget = *probeTime
+	common.MaxPaths = *maxPaths
+	res := harness.RunTable1(harness.Table1Options{Common: common})
 	if *shared.jsonOut {
 		if err := json.NewEncoder(os.Stdout).Encode(res); err != nil {
 			return err
@@ -468,27 +485,22 @@ func cmdHunt(args []string, stderr io.Writer) error {
 
 	cfg := cosim.Config{
 		ISS:                iss.FixedConfig(),
+		Core:               microrv32.FixedConfig(),
 		Filter:             cosim.BlockSystemInstructions,
 		InstrLimit:         *limit,
 		NumSymbolicRegs:    *regs,
 		SymbolicInterrupts: *irq || *irqBug,
 		DUTCore:            common.Core,
 	}
-	if common.Core == cosim.CorePipecore {
-		cfg.Pipe = pipecore.Config{Faults: faults.Of(fv...)}
-	} else {
-		coreCfg := microrv32.FixedConfig()
-		if *shipped {
-			coreCfg = microrv32.ShippedConfig()
-			cfg.ISS = iss.VPConfig()
-			cfg.Filter = nil
-		}
-		coreCfg.Faults = faults.Of(fv...)
-		if *irqBug {
-			coreCfg.IgnoreMIEBug = true
-		}
-		cfg.Core = coreCfg
+	if *shipped { // microrv32 only, checked above
+		cfg.Core = microrv32.ShippedConfig()
+		cfg.ISS = iss.VPConfig()
+		cfg.Filter = nil
 	}
+	if *irqBug {
+		cfg.Core.IgnoreMIEBug = true
+	}
+	cfg = cfg.WithFaults(faults.Of(fv...))
 	if cfg.SymbolicInterrupts {
 		cfg.StartPC = 0x100
 	}
@@ -501,7 +513,7 @@ func cmdHunt(args []string, stderr io.Writer) error {
 	if *progress {
 		opts.Progress = func(s core.Stats) { fmt.Fprintf(stderr, "  ... %v\n", s) }
 	}
-	rep := harness.ExploreWith(cosim.RunFunc(cfg), harness.ExploreOptions{Common: common, Opts: opts})
+	rep := common.Explore(cosim.RunFunc(cfg), opts)
 
 	if *shared.jsonOut {
 		if err := json.NewEncoder(os.Stdout).Encode(toReportJSON(rep)); err != nil {
@@ -638,12 +650,12 @@ func cmdBaseline(args []string, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	common.Budget = *cellTime
 	res := harness.RunBaseline(harness.BaselineOptions{
-		PerCellTime: *cellTime,
-		MaxTrials:   *trials,
-		Faults:      fset,
-		Seed:        *seed,
-		Common:      common,
+		MaxTrials: *trials,
+		Faults:    fset,
+		Seed:      *seed,
+		Common:    common,
 	})
 	if *shared.jsonOut {
 		if err := json.NewEncoder(os.Stdout).Encode(res); err != nil {
@@ -699,18 +711,12 @@ func cmdReplay(args []string, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg := cosim.Config{ISS: iss.FixedConfig(), InstrLimit: *limit, Pin: vector, DUTCore: common.Core}
-	if common.Core == cosim.CorePipecore {
-		cfg.Pipe = pipecore.Config{Faults: faults.Of(fv...)}
-	} else {
-		coreCfg := microrv32.FixedConfig()
-		if *shipped {
-			coreCfg = microrv32.ShippedConfig()
-			cfg.ISS = iss.VPConfig()
-		}
-		coreCfg.Faults = faults.Of(fv...)
-		cfg.Core = coreCfg
+	cfg := cosim.Config{ISS: iss.FixedConfig(), Core: microrv32.FixedConfig(), InstrLimit: *limit, Pin: vector, DUTCore: common.Core}
+	if *shipped { // microrv32 only, checked above
+		cfg.Core = microrv32.ShippedConfig()
+		cfg.ISS = iss.VPConfig()
 	}
+	cfg = cfg.WithFaults(faults.Of(fv...))
 	if err := cosim.CheckVector(cfg, vector); err != nil {
 		_ = finish() // the bad vector is the error to report
 		return badUsage(stderr, "replay: %v", err)
@@ -718,10 +724,7 @@ func cmdReplay(args []string, stderr io.Writer) error {
 	if *cycleTrace {
 		cfg.Trace = os.Stdout
 	}
-	rep := harness.ExploreWith(cosim.RunFunc(cfg), harness.ExploreOptions{
-		Common: common,
-		Opts:   cosim.ReplayOptions,
-	})
+	rep := common.Explore(cosim.RunFunc(cfg), cosim.ReplayOptions)
 	var m *rvfi.Mismatch
 	if len(rep.Findings) > 0 {
 		var ok bool
@@ -973,25 +976,18 @@ func cmdLintTable(args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("lint-table", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	verbose := fs.Bool("v", false, "print the full report for every configuration")
-	shared := sharedGroup(fs)
-	shared.allowBothCores = true
+	coreArg := fs.String("core", "", "core whose decode table to check: microrv32 | pipecore | both (default both)")
+	jsonOut := fs.Bool("json", false, "emit machine-readable JSON instead of the table")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	_, finish, err := shared.build("lint-table", stderr,
-		"core="+strings.Join(shared.lintCores(), "+"))
+	cores, err := lintCores(*coreArg, stderr)
 	if err != nil {
 		return err
 	}
-	jsonOut := shared.jsonOut
 	var reps []*decodecheck.Report
-	for _, name := range shared.lintCores() {
-		switch name {
-		case "microrv32", "pipecore":
-			reps = append(reps, decodecheck.CheckAllFor(decodecheck.CoreKind(name))...)
-		default:
-			return badUsage(stderr, "lint-table: unknown core %q (want microrv32, pipecore or both)", name)
-		}
+	for _, name := range cores {
+		reps = append(reps, decodecheck.CheckAllFor(decodecheck.CoreKind(name))...)
 	}
 	if *jsonOut {
 		if err := json.NewEncoder(os.Stdout).Encode(reps); err != nil {
@@ -1011,9 +1007,6 @@ func cmdLintTable(args []string, stderr io.Writer) error {
 		if !rep.OK() {
 			fail++
 		}
-	}
-	if err := finish(); err != nil {
-		return err
 	}
 	if fail > 0 {
 		return fmt.Errorf("lint-table: %d configuration(s) failed", fail)
@@ -1038,32 +1031,18 @@ func cmdLintDUT(args []string, stderr io.Writer) error {
 	maxPaths := fs.Int("max-paths", 0, "path bound (0 = exhaustive; truncation downgrades the coverage analyses)")
 	maxTime := fs.Duration("time", 0, "exploration wall-clock bound (0 = unlimited)")
 	verbose := fs.Bool("v", false, "print the per-observable cone-of-influence breakdown")
-	shared := sharedGroup(fs)
-	shared.allowBothCores = true
+	shared := lintGroup(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	// The lint explores sequentially without a witness store
-	// (harness.LintDUTOptions), so these shared flags would be silently
-	// ignored.
-	var unsupported string
-	fs.Visit(func(f *flag.Flag) {
-		if unsupported == "" && (f.Name == "store" || f.Name == "workers" && *shared.workers > 1) {
-			unsupported = f.Name
-		}
-	})
-	if unsupported != "" {
-		return badUsage(stderr, "lint-dut does not support -%s (the lint explores sequentially, without a store)", unsupported)
-	}
-
-	common, finish, err := shared.build("lint-dut", stderr,
-		"core="+strings.Join(shared.lintCores(), "+"),
-		fmt.Sprintf("regs=%d", *numRegs), fmt.Sprintf("satprobe=%v", *satProbe))
+	cores, err := lintCores(*shared.core, stderr)
 	if err != nil {
 		return err
 	}
-	common.Budget = *maxTime
-	common.MaxPaths = *maxPaths
+	common, finish, err := shared.build("lint-dut", stderr)
+	if err != nil {
+		return err
+	}
 
 	var allow *dutlint.Allowlist
 	if *allowPath != "" {
@@ -1079,9 +1058,12 @@ func cmdLintDUT(args []string, stderr io.Writer) error {
 	}
 
 	fail := 0
-	for _, name := range shared.lintCores() {
+	for _, name := range cores {
 		rep := harness.LintDUT(name, harness.LintDUTOptions{
-			Common:            common,
+			MaxPaths:          *maxPaths,
+			MaxTime:           *maxTime,
+			NoCache:           common.NoCache,
+			Obs:               common.Obs,
 			NumRegs:           *numRegs,
 			SATProbe:          *satProbe,
 			SATConflictBudget: *satConflicts,

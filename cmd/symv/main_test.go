@@ -86,8 +86,10 @@ func TestRunUsageErrors(t *testing.T) {
 		{"lint-table unknown core", []string{"lint-table", "-core", "bogus"}, "bad -core"},
 		{"lint-dut -fork", []string{"lint-dut", "-fork", "off"}, "flag provided but not defined: -fork"},
 		{"lint-dut -rewrite off", []string{"lint-dut", "-rewrite", "off"}, "flag provided but not defined: -rewrite"},
-		{"lint-dut -store", []string{"lint-dut", "-store", filepath.Join(os.TempDir(), "symv-lint-dut-store")}, "lint-dut does not support -store"},
-		{"lint-dut -workers", []string{"lint-dut", "-workers", "2"}, "lint-dut does not support -workers"},
+		{"lint-dut -store", []string{"lint-dut", "-store", filepath.Join(os.TempDir(), "symv-lint-dut-store")}, "flag provided but not defined: -store"},
+		{"lint-dut -workers", []string{"lint-dut", "-workers", "2"}, "flag provided but not defined: -workers"},
+		{"lint-table -store", []string{"lint-table", "-store", filepath.Join(os.TempDir(), "symv-lint-table-store")}, "flag provided but not defined: -store"},
+		{"lint-table -trace", []string{"lint-table", "-trace", filepath.Join(os.TempDir(), "symv-lint-table.jsonl")}, "flag provided but not defined: -trace"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

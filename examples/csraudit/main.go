@@ -14,9 +14,7 @@ import (
 
 func main() {
 	fmt.Println("auditing the as-shipped MicroRV32 against the as-shipped RISC-V VP ISS ...")
-	res := harness.RunTable1(harness.Table1Options{
-		PerProbeTime: 60 * time.Second,
-	})
+	res := harness.RunTable1(harness.Table1Options{})
 	fmt.Println()
 	fmt.Print(res.Format())
 

@@ -445,9 +445,6 @@ func (e *Engine) CountInstruction(n uint64) { e.instrRetired += n }
 // CountCycle records n simulated clock cycles.
 func (e *Engine) CountCycle(n uint64) { e.cycles += n }
 
-// InstructionsRetired returns this path's retired-instruction count.
-func (e *Engine) InstructionsRetired() uint64 { return e.instrRetired }
-
 // AbortLimitReached unwinds the path marking it partially explored; the
 // execution controller calls this when a hard mid-step limit trips.
 func (e *Engine) AbortLimitReached(msg string) {

@@ -61,6 +61,10 @@ func (s SearchStrategy) String() string {
 	return "dfs"
 }
 
+// ProgressEvery is the Options.Progress period in paths, the same for the
+// sequential explorer and the parallel orchestrator.
+const ProgressEvery = 256
+
 // RunFunc is one deterministic execution of the program under exploration
 // (for processor verification: one co-simulation run). A nil return completes
 // the path; a non-nil error is recorded as a finding (e.g. a voter mismatch).
@@ -72,9 +76,6 @@ type Options struct {
 	MaxPaths int
 	// MaxTime bounds the wall-clock exploration time; 0 means unlimited.
 	MaxTime time.Duration
-	// MaxInstructions bounds the cumulative retired-instruction count
-	// across all paths; 0 means unlimited.
-	MaxInstructions uint64
 	// StopOnFirstFinding ends the exploration at the first finding.
 	StopOnFirstFinding bool
 	// GenerateTests records a concrete test vector for every completed path
@@ -84,15 +85,10 @@ type Options struct {
 	Search SearchStrategy
 	// Seed seeds the random-path strategy; ignored otherwise.
 	Seed int64
-	// SolverConflictBudget bounds each SAT query; 0 means unlimited.
-	// Exhausted queries abort their path as AbortUnknown.
-	SolverConflictBudget uint64
 	// Progress, when set, receives a statistics snapshot after every
-	// ProgressEvery-th path (default 256) has been added to the report;
-	// the snapshot counts that path.
+	// ProgressEvery-th path has been added to the report; the snapshot
+	// counts that path.
 	Progress func(Stats)
-	// ProgressEvery sets the Progress callback period in paths.
-	ProgressEvery int
 	// NoBranchOptimizations disables the engine's implication shortcut and
 	// eager sibling-feasibility checks (ablation mode): siblings are
 	// scheduled optimistically and validated lazily on replay.
@@ -141,7 +137,10 @@ type Stats struct {
 	// CDCLQueries counts queries that reached the SAT core (the cost the
 	// elimination layer removes; equals SolverQueries with the cache off).
 	CDCLQueries uint64
-	// SolverUnknowns counts conflict-budget-exhausted answers.
+	// SolverUnknowns is always zero: it counted conflict-budget-exhausted
+	// answers, and no exploration sets a conflict budget any more. Like
+	// RewriteHits it stays because the benchmark module (perfbench/main.go,
+	// perfbench/gate.go) still reads it.
 	SolverUnknowns uint64
 	// RewriteHits is always zero: the extended term rewriter was removed,
 	// and only the basic constructor folds in smt/build.go are left. The
@@ -271,7 +270,6 @@ func (x *Explorer) configure(opts Options, worker int) {
 	x.opts = opts
 	x.rng = pathRNG{state: uint64(opts.Seed)}
 	x.paths = 0
-	x.sol.SetConflictBudget(opts.SolverConflictBudget)
 	if opts.NoQueryCache {
 		x.qc = nil
 	} else if x.qc == nil {
@@ -298,10 +296,6 @@ func (x *Explorer) Explore(opts Options) *Report {
 	root := x.h.Start(obs.PhaseExplore)
 	x.w = walker{}
 	x.w.addRoot()
-	progressEvery := opts.ProgressEvery
-	if progressEvery <= 0 {
-		progressEvery = 256
-	}
 
 	rep := &Report{}
 	stopped := false
@@ -312,12 +306,9 @@ func (x *Explorer) Explore(opts Options) *Report {
 		if opts.MaxTime > 0 && wallNow().Sub(start) >= opts.MaxTime {
 			break
 		}
-		if opts.MaxInstructions > 0 && rep.Stats.Instructions >= opts.MaxInstructions {
-			break
-		}
 		rec, _ := x.Step(opts.Search)
 		rep.Add(rec)
-		if opts.Progress != nil && rep.Stats.Paths%progressEvery == 0 {
+		if opts.Progress != nil && rep.Stats.Paths%ProgressEvery == 0 {
 			snap := rep.Stats
 			snap.Elapsed = wallNow().Sub(start)
 			opts.Progress(snap)

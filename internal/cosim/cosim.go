@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"symriscv/internal/core"
+	"symriscv/internal/faults"
 	"symriscv/internal/iss"
 	"symriscv/internal/microrv32"
 	"symriscv/internal/obs"
@@ -133,6 +134,18 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.CycleLimit == 0 {
 		c.CycleLimit = 64 * c.InstrLimit
+	}
+	return c
+}
+
+// WithFaults returns c with the injected fault set placed on the
+// configuration of the core DUTCore selects: Pipe for the pipelined core,
+// Core otherwise.
+func (c Config) WithFaults(s faults.Set) Config {
+	if c.DUTCore == CorePipecore {
+		c.Pipe.Faults = s
+	} else {
+		c.Core.Faults = s
 	}
 	return c
 }

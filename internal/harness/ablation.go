@@ -70,7 +70,7 @@ func RegAblation(opt RegAblationOptions) *AblationResult {
 			NumSymbolicRegs: n,
 			InstrLimit:      1,
 		}
-		rep := opt.explore(cosim.RunFunc(cfg), core.Options{})
+		rep := opt.Explore(cosim.RunFunc(cfg), core.Options{})
 		pt.Paths = rep.Stats.Paths
 		pt.Instr = rep.Stats.Instructions
 		pt.Time = rep.Stats.Elapsed
@@ -87,7 +87,7 @@ func RegAblation(opt RegAblationOptions) *AblationResult {
 			InstrLimit:      1,
 		}
 		t0 := time.Now()
-		hrep := hunt.explore(cosim.RunFunc(huntCfg), core.Options{StopOnFirstFinding: true})
+		hrep := hunt.Explore(cosim.RunFunc(huntCfg), core.Options{StopOnFirstFinding: true})
 		pt.FoundE6 = len(hrep.Findings) > 0
 		pt.FoundE6In = time.Since(t0)
 
@@ -152,7 +152,7 @@ func LimitAblation(opt LimitAblationOptions) []LimitAblationPoint {
 			Filter:     cosim.Filters(cosim.BlockSystemInstructions, cosim.OnlyOpcode(riscv.OpReg)),
 			InstrLimit: l,
 		}
-		rep := opt.explore(cosim.RunFunc(cfg), core.Options{})
+		rep := opt.Explore(cosim.RunFunc(cfg), core.Options{})
 		out = append(out, LimitAblationPoint{
 			Limit:     l,
 			Paths:     rep.Stats.Paths,

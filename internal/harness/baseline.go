@@ -48,10 +48,9 @@ type BaselineResult struct {
 type BaselineOptions struct {
 	// Common carries the shared options for the symbolic hunts (the fuzzing
 	// campaigns are concrete and single-threaded by construction).
-	// Common.Budget provides the per-cell default when PerCellTime is zero.
+	// Common.Budget bounds each cell: the hunt and each fuzzing campaign
+	// (default 20s).
 	Common
-	// PerCellTime bounds each hunt (default 20s).
-	PerCellTime time.Duration
 	// MaxTrials bounds each fuzzing campaign (default 200000).
 	MaxTrials int
 	// Faults selects the injected errors (default all).
@@ -62,11 +61,8 @@ type BaselineOptions struct {
 
 // RunBaseline runs the comparison.
 func RunBaseline(opt BaselineOptions) *BaselineResult {
-	if opt.PerCellTime == 0 {
-		opt.PerCellTime = opt.Budget
-	}
-	if opt.PerCellTime == 0 {
-		opt.PerCellTime = 20 * time.Second
+	if opt.Budget == 0 {
+		opt.Budget = 20 * time.Second
 	}
 	if opt.MaxTrials == 0 {
 		opt.MaxTrials = 200000
@@ -75,7 +71,7 @@ func RunBaseline(opt BaselineOptions) *BaselineResult {
 		opt.Faults = faults.All()
 	}
 	start := time.Now()
-	res := &BaselineResult{Budget: opt.PerCellTime, Trials: opt.MaxTrials}
+	res := &BaselineResult{Budget: opt.Budget, Trials: opt.MaxTrials}
 
 	for _, f := range opt.Faults {
 		coreCfg := microrv32.FixedConfig()
@@ -91,20 +87,20 @@ func RunBaseline(opt BaselineOptions) *BaselineResult {
 		symCfg := base
 		symCfg.Filter = cosim.BlockSystemInstructions
 		t0 := time.Now()
-		rep := opt.explore(cosim.RunFunc(symCfg), core.Options{StopOnFirstFinding: true, MaxTime: opt.PerCellTime})
+		rep := opt.Explore(cosim.RunFunc(symCfg), core.Options{StopOnFirstFinding: true})
 		row.SymFound = len(rep.Findings) > 0
 		row.SymTime = time.Since(t0)
 
 		vc := fuzz.Campaign{Seed: opt.Seed + int64(f), Strategy: fuzz.StrategyValid, Base: base}
-		vr := vc.Run(opt.MaxTrials, opt.PerCellTime)
+		vr := vc.Run(opt.MaxTrials, opt.Budget)
 		row.ValidFound, row.ValidTrials, row.ValidTime = vr.Found, vr.Trials, vr.Elapsed
 
 		uc := fuzz.Campaign{Seed: opt.Seed + 1000 + int64(f), Strategy: fuzz.StrategyUniform, Base: base}
-		ur := uc.Run(opt.MaxTrials, opt.PerCellTime)
+		ur := uc.Run(opt.MaxTrials, opt.Budget)
 		row.UniformFound, row.UniformTrials, row.UniformTime = ur.Found, ur.Trials, ur.Elapsed
 
 		mc := fuzz.MutationCampaign{Seed: opt.Seed + 2000 + int64(f), Base: base}
-		mr := mc.Run(opt.MaxTrials, opt.PerCellTime)
+		mr := mc.Run(opt.MaxTrials, opt.Budget)
 		row.MutFound, row.MutTrials, row.MutTime = mr.Found, mr.Trials, mr.Elapsed
 
 		res.Rows = append(res.Rows, row)

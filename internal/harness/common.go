@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"strings"
 	"time"
 
 	"symriscv/internal/core"
@@ -11,36 +10,10 @@ import (
 	"symriscv/internal/qstore"
 )
 
-// Toggle is a tri-state ablation switch as it appears on the command line:
-// the zero value and "on" leave the feature enabled, "off" disables it.
-// Toggles exist to measure what a layer buys — reports are identical on and
-// off by construction (see internal/querycache).
-type Toggle string
-
-// Toggle states.
-const (
-	On  Toggle = "on"
-	Off Toggle = "off"
-)
-
-// Disabled reports whether the toggle turns its feature off.
-func (t Toggle) Disabled() bool { return t == Off }
-
-// ParseToggle maps a flag value to a Toggle; ok is false for anything other
-// than "", "on" or "off" (case-insensitive).
-func ParseToggle(v string) (Toggle, bool) {
-	switch strings.ToLower(v) {
-	case "", "on":
-		return On, true
-	case "off":
-		return Off, true
-	}
-	return "", false
-}
-
 // Common is the option set shared by every harness campaign. Per-command
-// option structs embed it, so the symv flag group (-workers, -cache,
-// -trace, -metrics) maps onto one place regardless of command.
+// option structs embed it, so the symv flag group (-core, -workers, -cache,
+// -store, -trace, -metrics) and the per-exploration budgets map onto one
+// place regardless of command.
 type Common struct {
 	// Workers shards each exploration's path tree across this many solver
 	// contexts (see internal/parexplore); <= 1 explores sequentially.
@@ -51,9 +24,12 @@ type Common struct {
 	// than one ("" = the campaign's default, microrv32). It is the single
 	// core selector shared by every command (-core on the CLI).
 	Core cosim.CoreKind
-	// Cache toggles the query-elimination layer (stack models, independence
-	// slicing, feasibility caching).
-	Cache Toggle
+	// NoCache disables the query-elimination layer (stack models,
+	// independence slicing, feasibility caching; symv -cache off). It exists
+	// to measure what the layer buys: paths, counts, path indices and
+	// finding classes are identical with and without it by construction
+	// (see internal/querycache).
+	NoCache bool
 	// Obs, when non-nil, attaches every exploration to the observability
 	// layer (spans, counters, JSONL traces). Strictly a side channel:
 	// reports are byte-identical with and without it.
@@ -65,14 +41,10 @@ type Common struct {
 	// cache. Like Obs it is strictly a side channel: reports are
 	// byte-identical with and without it, warm or cold.
 	Store *qstore.Session
-	// Budget bounds each exploration's wall time when the command does not
-	// override it with a more specific budget (PerProbeTime, PerCellTime...).
-	// 0 means unbounded for every campaign — commands that want a default
-	// budget declare it on their flag, never by reinterpreting the zero
-	// value (LongRun used to silently turn 0 into 30s; it no longer does).
-	Budget time.Duration
-	// MaxPaths bounds each exploration's path count (0 = unbounded unless
-	// the command sets its own default).
+	// Budget bounds each exploration's wall time, and MaxPaths its path
+	// count. 0 means unbounded, unless the campaign's options document a
+	// default of their own (Table I, Table II, the baseline, the ablations).
+	Budget   time.Duration
 	MaxPaths int
 }
 
@@ -81,7 +53,7 @@ type Common struct {
 // ablation toggles only ever disable (they never re-enable a layer an
 // explicit option turned off).
 func (c Common) apply(o core.Options) core.Options {
-	o.NoQueryCache = o.NoQueryCache || c.Cache.Disabled()
+	o.NoQueryCache = o.NoQueryCache || c.NoCache
 	if o.Obs == nil {
 		o.Obs = c.Obs
 	}
@@ -97,36 +69,22 @@ func (c Common) apply(o core.Options) core.Options {
 	return o
 }
 
-// explore runs one exploration under the shared options, checkpointing the
-// persistent store (when one is attached) at the exploration boundary.
-func (c Common) explore(run core.RunFunc, o core.Options) *core.Report {
-	rep := exploreWorkers(run, c.apply(o), c.Workers)
+// Explore runs one exploration under the shared options layered onto o,
+// on the sequential explorer (Workers <= 1) or the sharded parallel
+// orchestrator, and checkpoints the persistent store (when one is attached)
+// at the exploration boundary. For the same options both drivers explore
+// the same paths and report the same counts, path indices and finding
+// classes — parexplore's canonical merge numbers paths in sequential
+// depth-first order — but witness and test-vector values are solver models
+// and can differ with the worker count.
+func (c Common) Explore(run core.RunFunc, o core.Options) *core.Report {
+	o = c.apply(o)
+	var rep *core.Report
+	if c.Workers > 1 {
+		rep = parexplore.Explore(run, o, c.Workers)
+	} else {
+		rep = core.NewExplorer(run).Explore(o)
+	}
 	c.Store.Checkpoint()
 	return rep
-}
-
-// exploreWorkers routes one exploration to the sequential explorer
-// (workers <= 1) or to the sharded parallel orchestrator. For the same
-// options both explore the same paths and report the same counts, path
-// indices and finding classes — parexplore's canonical merge numbers paths
-// in sequential depth-first order — but witness and test-vector values are
-// solver models and can differ with the worker count.
-func exploreWorkers(run core.RunFunc, opts core.Options, workers int) *core.Report {
-	if workers > 1 {
-		return parexplore.Explore(run, opts, workers)
-	}
-	return core.NewExplorer(run).Explore(opts)
-}
-
-// ExploreOptions configure one direct exploration (symv hunt / replay).
-type ExploreOptions struct {
-	Common
-	// Opts carries the exploration-specific options; the shared toggles,
-	// budgets and observability sink are layered on top by Common.
-	Opts core.Options
-}
-
-// ExploreWith runs one exploration under a single options struct.
-func ExploreWith(run core.RunFunc, o ExploreOptions) *core.Report {
-	return o.explore(run, o.Opts)
 }

@@ -4,14 +4,18 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
 
+	"symriscv/internal/core"
 	"symriscv/internal/cosim"
 	"symriscv/internal/faults"
 	"symriscv/internal/iss"
 	"symriscv/internal/microrv32"
+	"symriscv/internal/obs"
+	"symriscv/internal/qstore"
 	"symriscv/internal/riscv"
 )
 
@@ -21,7 +25,7 @@ func TestTable1Reproduces(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test")
 	}
-	res := RunTable1(Table1Options{PerProbeTime: 90 * time.Second})
+	res := RunTable1(Table1Options{Common: Common{Budget: 90 * time.Second}})
 	got := make(map[string]Table1Row, len(res.Rows))
 	for _, row := range res.Rows {
 		got[row.Class.Key()] = row
@@ -120,10 +124,10 @@ func TestLimitAblationSmoke(t *testing.T) {
 // constrained fuzzing misses the decode fault E0.
 func TestBaselineComparison(t *testing.T) {
 	res := RunBaseline(BaselineOptions{
-		PerCellTime: 30 * time.Second,
-		MaxTrials:   5000,
-		Faults:      []faults.Fault{faults.E0, faults.E6},
-		Seed:        11,
+		Common:    Common{Budget: 30 * time.Second},
+		MaxTrials: 5000,
+		Faults:    []faults.Fault{faults.E0, faults.E6},
+		Seed:      11,
 	})
 	byFault := map[faults.Fault]BaselineRow{}
 	for _, row := range res.Rows {
@@ -207,6 +211,11 @@ func TestTable2JSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTable2ParallelMatchesSequential runs the cell pool with its cells
+// sharing one observability recorder and one witness store session, as
+// symv table2 -parallel with -trace and -store does, and checks the cells
+// against a sequential run and the shared sinks against the cells. Run it
+// under -race: the pool's cells write both sinks concurrently.
 func TestTable2ParallelMatchesSequential(t *testing.T) {
 	opts := Table2Options{
 		PerCellTime: 60 * time.Second,
@@ -214,13 +223,36 @@ func TestTable2ParallelMatchesSequential(t *testing.T) {
 		Faults:      []faults.Fault{faults.E5, faults.E6},
 	}
 	seq := RunTable2(opts)
+	sess, err := qstore.OpenSession(t.TempDir(), qstore.VersionKey("test=table2-parallel"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.New(obs.Options{Trace: io.Discard})
 	opts.Parallel = 2
+	opts.Common = Common{Obs: rec, Store: sess}
 	par := RunTable2(opts)
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var completed, partial uint64
 	for i := range seq.Rows {
 		s, p := seq.Rows[i].Cells[1], par.Rows[i].Cells[1]
-		if s.Found != p.Found || s.Instr != p.Instr || s.Paths != p.Paths {
+		if s.Found != p.Found || s.Instr != p.Instr || s.Paths != p.Paths || s.Partial != p.Partial {
 			t.Errorf("%s: parallel diverges: %+v vs %+v", seq.Rows[i].Fault, s, p)
 		}
+		completed += uint64(p.Paths)
+		partial += uint64(p.Partial)
+	}
+	ctr := rec.Snapshot().Counters
+	if ctr[core.CtrCompleted] != completed || ctr[core.CtrPartial] != partial {
+		t.Errorf("recorder counts %d completed, %d partial; the cells %d, %d",
+			ctr[core.CtrCompleted], ctr[core.CtrPartial], completed, partial)
+	}
+	if sess.Stats().Persisted == 0 {
+		t.Error("no cell persisted an entry to the shared store session")
 	}
 }
 
@@ -235,16 +267,15 @@ func TestTable1FixedConfigIsClean(t *testing.T) {
 	issCfg := iss.FixedConfig()
 	coreCfg := microrv32.FixedConfig()
 	res := RunTable1(Table1Options{
-		PerProbeTime: 60 * time.Second,
-		ISSConfig:    &issCfg,
-		CoreConfig:   &coreCfg,
+		ISSConfig:  &issCfg,
+		CoreConfig: &coreCfg,
 		Probes: []Probe{
 			{Name: "loads", Filter: cosim.OnlyOpcode(riscv.OpLoad), Limit: 1},
 			{Name: "stores", Filter: cosim.OnlyOpcode(riscv.OpStore), Limit: 1},
 			{Name: "all-no-system", Filter: cosim.BlockSystemInstructions, Limit: 1},
 			{Name: "all-no-system-l2", Filter: cosim.BlockSystemInstructions, Limit: 2},
 		},
-		PerProbeMaxPaths: 2000,
+		Common: Common{Budget: 60 * time.Second, MaxPaths: 2000},
 	})
 	if len(res.Rows) != 0 {
 		t.Fatalf("fixed configuration still yields %d rows:\n%s", len(res.Rows), res.Format())
@@ -259,10 +290,10 @@ func TestTable1CSRMismatchesAreInherent(t *testing.T) {
 	issCfg := iss.FixedConfig()
 	coreCfg := microrv32.FixedConfig()
 	res := RunTable1(Table1Options{
-		PerProbeTime: 60 * time.Second,
-		ISSConfig:    &issCfg,
-		CoreConfig:   &coreCfg,
-		Probes:       []Probe{{Name: "system", Filter: cosim.OnlyOpcode(riscv.OpSystem), Limit: 1}},
+		ISSConfig:  &issCfg,
+		CoreConfig: &coreCfg,
+		Probes:     []Probe{{Name: "system", Filter: cosim.OnlyOpcode(riscv.OpSystem), Limit: 1}},
+		Common:     Common{Budget: 60 * time.Second},
 	})
 	found := map[string]bool{}
 	for _, row := range res.Rows {

@@ -1,18 +1,26 @@
 package harness
 
 import (
+	"time"
+
 	"symriscv/internal/dutlint"
 	"symriscv/internal/microrv32"
+	"symriscv/internal/obs"
 	"symriscv/internal/pipecore"
 )
 
-// LintDUTOptions configure one static DUT lint (symv lint-dut). The shared
-// Common block supplies the ablation toggles, budget and observability
-// sink; exploration is always sequential here (the lint's collector unions
-// observables across paths in walk order, and a full lint of either core
-// runs in well under a second).
+// LintDUTOptions configure one static DUT lint (symv lint-dut). The lint
+// always explores sequentially and without a witness store: its collector
+// unions observables across paths in walk order, and a full lint of either
+// core runs in well under a second.
 type LintDUTOptions struct {
-	Common
+	// MaxPaths and MaxTime bound the exploration (0 = unbounded).
+	MaxPaths int
+	MaxTime  time.Duration
+	// NoCache disables the query-elimination layer (symv -cache off).
+	NoCache bool
+	// Obs, when non-nil, records exploration spans and counters.
+	Obs *obs.Recorder
 	// NumRegs is the number of symbolic initial registers handed to the
 	// adapters (0 selects dutlint.DefaultNumRegs).
 	NumRegs int
@@ -28,8 +36,8 @@ type LintDUTOptions struct {
 func (o LintDUTOptions) dutlintOptions() dutlint.Options {
 	return dutlint.Options{
 		MaxPaths:          o.MaxPaths,
-		MaxTime:           o.Budget,
-		NoQueryCache:      o.Cache.Disabled(),
+		MaxTime:           o.MaxTime,
+		NoQueryCache:      o.NoCache,
 		Obs:               o.Obs,
 		SATProbe:          o.SATProbe,
 		SATConflictBudget: o.SATConflictBudget,
@@ -51,15 +59,4 @@ func LintDUT(name string, o LintDUTOptions) *dutlint.Report {
 		return nil
 	}
 	return dutlint.Run(dut, o.dutlintOptions(), o.Allow)
-}
-
-// LintDUTCores resolves a -core flag value to the core list to lint:
-// "both" (or "") expands to every supported core.
-func LintDUTCores(flag string) []string {
-	switch flag {
-	case "", "both", "all":
-		return []string{"microrv32", "pipecore"}
-	default:
-		return []string{flag}
-	}
 }

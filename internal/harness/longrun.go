@@ -60,7 +60,7 @@ func LongRun(opt LongRunOptions) *LongRunResult {
 		cfg.ISS = iss.VPConfig()
 		cfg.Core = microrv32.ShippedConfig()
 	}
-	rep := opt.explore(cosim.RunFunc(cfg), core.Options{GenerateTests: true})
+	rep := opt.Explore(cosim.RunFunc(cfg), core.Options{GenerateTests: true})
 	return &LongRunResult{Report: rep, Budget: opt.Budget, Limit: opt.InstrLimit, NumRegs: opt.NumRegs, Workers: opt.Workers}
 }
 

@@ -64,7 +64,7 @@ func TestStoreEquivalence(t *testing.T) {
 	key := qstore.VersionKey("test=store-equivalence")
 
 	// A: no store at all.
-	a := ExploreWith(run, ExploreOptions{Common: Common{Workers: 1}, Opts: opts})
+	a := Common{Workers: 1}.Explore(run, opts)
 	wantKey := deterministicKey(t, a)
 
 	// B: cold store — populates it.
@@ -72,7 +72,7 @@ func TestStoreEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := ExploreWith(run, ExploreOptions{Common: Common{Workers: 1, Store: sessB}, Opts: opts})
+	b := Common{Workers: 1, Store: sessB}.Explore(run, opts)
 	if err := sessB.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestStoreEquivalence(t *testing.T) {
 	if st := sessC.Stats(); st.Loaded == 0 {
 		t.Fatalf("warm session loaded nothing: %+v", st)
 	}
-	c := ExploreWith(run, ExploreOptions{Common: Common{Workers: 1, Store: sessC}, Opts: opts})
+	c := Common{Workers: 1, Store: sessC}.Explore(run, opts)
 	if err := sessC.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestStoreEquivalence(t *testing.T) {
 	if st := sessD.Stats(); st.CorruptRecords == 0 {
 		t.Fatalf("truncated segment not counted: %+v", st)
 	}
-	d := ExploreWith(run, ExploreOptions{Common: Common{Workers: 1, Store: sessD}, Opts: opts})
+	d := Common{Workers: 1, Store: sessD}.Explore(run, opts)
 	if err := sessD.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -143,14 +143,14 @@ func TestStoreParallelEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	key := qstore.VersionKey("test=store-parallel")
 
-	seq := ExploreWith(run, ExploreOptions{Common: Common{Workers: 1}, Opts: opts})
+	seq := Common{Workers: 1}.Explore(run, opts)
 	wantKey := deterministicKey(t, seq)
 
 	sess, err := qstore.OpenSession(dir, key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmup := ExploreWith(run, ExploreOptions{Common: Common{Workers: 1, Store: sess}, Opts: opts})
+	warmup := Common{Workers: 1, Store: sess}.Explore(run, opts)
 	if got := deterministicKey(t, warmup); got != wantKey {
 		t.Fatalf("store warmup diverged:\n%s\nvs\n%s", got, wantKey)
 	}
@@ -162,7 +162,7 @@ func TestStoreParallelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := ExploreWith(run, ExploreOptions{Common: Common{Workers: 3, Store: sess2}, Opts: opts})
+	par := Common{Workers: 3, Store: sess2}.Explore(run, opts)
 	if err := sess2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -199,17 +199,15 @@ func TestStoreCoreSeparation(t *testing.T) {
 	microKey := qstore.VersionKey("test=core-separation", "core=microrv32")
 	pipeKey := qstore.VersionKey("test=core-separation", "core=pipecore")
 
-	wantPipe := deterministicKey(t, ExploreWith(pipeRun,
-		ExploreOptions{Common: Common{Workers: 1}, Opts: pipeOpts}))
-	wantMicro := deterministicKey(t, ExploreWith(microRun,
-		ExploreOptions{Common: Common{Workers: 1}, Opts: microOpts}))
+	wantPipe := deterministicKey(t, Common{Workers: 1}.Explore(pipeRun, pipeOpts))
+	wantMicro := deterministicKey(t, Common{Workers: 1}.Explore(microRun, microOpts))
 
 	// Warm the shared directory from the microrv32 campaign.
 	warm, err := qstore.OpenSession(dir, microKey)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ExploreWith(microRun, ExploreOptions{Common: Common{Workers: 1, Store: warm}, Opts: microOpts})
+	Common{Workers: 1, Store: warm}.Explore(microRun, microOpts)
 	if err := warm.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +224,7 @@ func TestStoreCoreSeparation(t *testing.T) {
 	if st := cross.Stats(); st.Loaded != 0 || st.OtherSegments == 0 {
 		t.Fatalf("pipecore session sees microrv32 entries: %+v", st)
 	}
-	rep := ExploreWith(pipeRun, ExploreOptions{Common: Common{Workers: 1, Store: cross}, Opts: pipeOpts})
+	rep := Common{Workers: 1, Store: cross}.Explore(pipeRun, pipeOpts)
 	if err := cross.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +243,7 @@ func TestStoreCoreSeparation(t *testing.T) {
 	if st := again.Stats(); st.Loaded == 0 {
 		t.Fatalf("microrv32 session no longer loads its own entries: %+v", st)
 	}
-	rep = ExploreWith(microRun, ExploreOptions{Common: Common{Workers: 1, Store: again}, Opts: microOpts})
+	rep = Common{Workers: 1, Store: again}.Explore(microRun, microOpts)
 	if err := again.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -76,12 +76,8 @@ type Table1Result struct {
 	Elapsed time.Duration
 }
 
-// Table1Options configure the campaign budgets.
+// Table1Options configure the campaign.
 type Table1Options struct {
-	// PerProbeTime bounds each probe's exploration (default 60s).
-	PerProbeTime time.Duration
-	// PerProbeMaxPaths bounds each probe's path count (default 5000).
-	PerProbeMaxPaths int
 	// Probes overrides the default scenario list.
 	Probes []Probe
 	// ISSConfig / CoreConfig override the model behaviours (defaults: the
@@ -91,23 +87,17 @@ type Table1Options struct {
 	ISSConfig  *iss.Config
 	CoreConfig *microrv32.Config
 	// Common carries the shared campaign options (workers, ablation
-	// toggles, observability). Common.Budget / Common.MaxPaths provide the
-	// per-probe defaults when the fields above are zero.
+	// toggles, observability). Common.Budget and Common.MaxPaths bound each
+	// probe's exploration (defaults 60s and 5000 paths).
 	Common
 }
 
 func (o Table1Options) withDefaults() Table1Options {
-	if o.PerProbeTime == 0 {
-		o.PerProbeTime = o.Budget
+	if o.Budget == 0 {
+		o.Budget = 60 * time.Second
 	}
-	if o.PerProbeTime == 0 {
-		o.PerProbeTime = 60 * time.Second
-	}
-	if o.PerProbeMaxPaths == 0 {
-		o.PerProbeMaxPaths = o.MaxPaths
-	}
-	if o.PerProbeMaxPaths == 0 {
-		o.PerProbeMaxPaths = 5000
+	if o.MaxPaths == 0 {
+		o.MaxPaths = 5000
 	}
 	if o.Probes == nil {
 		o.Probes = DefaultProbesFor(o.Common.Core)
@@ -151,10 +141,7 @@ func RunTable1(opt Table1Options) *Table1Result {
 		} else {
 			cfg.Core = coreCfg
 		}
-		rep := opt.explore(cosim.RunFunc(cfg), core.Options{
-			MaxTime:  opt.PerProbeTime,
-			MaxPaths: opt.PerProbeMaxPaths,
-		})
+		rep := opt.Explore(cosim.RunFunc(cfg), core.Options{})
 		res.Stats.Paths += rep.Stats.Paths
 		res.Stats.Completed += rep.Stats.Completed
 		res.Stats.Partial += rep.Stats.Partial

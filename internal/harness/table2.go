@@ -12,7 +12,6 @@ import (
 	"symriscv/internal/faults"
 	"symriscv/internal/iss"
 	"symriscv/internal/microrv32"
-	"symriscv/internal/pipecore"
 )
 
 // Table2Cell is one (fault, instruction-limit) experiment outcome.
@@ -145,19 +144,13 @@ func RunTable2(opt Table2Options) *Table2Result {
 func runTable2Cell(f faults.Fault, limit int, opt Table2Options) Table2Cell {
 	cfg := cosim.Config{
 		ISS:        iss.FixedConfig(),
+		Core:       microrv32.FixedConfig(),
 		Filter:     cosim.BlockSystemInstructions,
 		InstrLimit: limit,
 		DUTCore:    opt.Common.Core,
-	}
-	if opt.Common.Core == cosim.CorePipecore {
-		cfg.Pipe = pipecore.Config{Faults: faults.Only(f)}
-	} else {
-		coreCfg := microrv32.FixedConfig()
-		coreCfg.Faults = faults.Only(f)
-		cfg.Core = coreCfg
-	}
+	}.WithFaults(faults.Only(f))
 	t0 := time.Now()
-	rep := opt.explore(cosim.RunFunc(cfg), core.Options{
+	rep := opt.Explore(cosim.RunFunc(cfg), core.Options{
 		StopOnFirstFinding: true,
 		MaxTime:            opt.PerCellTime,
 		Search:             opt.Search,

@@ -136,9 +136,6 @@ func (s *ISS) SetReg(i int, v *smt.Term) {
 // Reg returns the current value of register i.
 func (s *ISS) Reg(i int) *smt.Term { return s.regs[i] }
 
-// Instret returns the retired-instruction count.
-func (s *ISS) Instret() uint64 { return s.instret }
-
 func (s *ISS) markInteresting(i int) {
 	for p, x := range s.interesting {
 		if x == i {

@@ -193,9 +193,6 @@ func (c *Core) CSR(addr uint16) *smt.Term { return c.csr[addr] }
 // Cycles returns the clock-cycle count since reset.
 func (c *Core) Cycles() uint64 { return c.cycle }
 
-// Instret returns the retired-instruction count.
-func (c *Core) Instret() uint64 { return c.instret }
-
 // Retirement returns the RVFI record; Valid is set only during the Step in
 // which an instruction retired.
 func (c *Core) Retirement() *rvfi.Retirement { return &c.ret }

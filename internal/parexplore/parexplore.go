@@ -19,15 +19,14 @@
 // independent of which worker explored the path. The merge sorts all path
 // records by signature and applies every budget as a canonical cut over that
 // order: StopOnFirstFinding keeps everything up to the minimum-signature
-// finding, MaxPaths keeps the MaxPaths smallest signatures, MaxInstructions
-// keeps the longest signature-ordered prefix whose cumulative instruction
-// count stays under the budget. Workers prune scheduled work ordered after
-// the current cut bound; because the bound only ever shrinks toward its
-// final value, nothing ordered at or before the final cut is ever pruned, so
-// the kept set — findings, test vectors, path numbering and all statistic
-// totals — is bit-for-bit independent of scheduling and worker count. (Only
-// MaxTime expiry is inherently wall-clock dependent; runs that exhaust the
-// tree or stop on another budget are exactly reproducible.)
+// finding, and MaxPaths keeps the MaxPaths smallest signatures. Workers
+// prune scheduled work ordered after the current cut bound; because the
+// bound only ever shrinks toward its final value, nothing ordered at or
+// before the final cut is ever pruned, so the kept set — findings, test
+// vectors, path numbering and all statistic totals — is bit-for-bit
+// independent of scheduling and worker count. (Only MaxTime expiry is
+// inherently wall-clock dependent; runs that exhaust the tree or stop on
+// another budget are exactly reproducible.)
 //
 // Witness and test-vector values are solver models and may vary with a
 // worker's query history; their satisfying property, count and canonical
@@ -128,7 +127,7 @@ type coord struct {
 	start time.Time
 
 	records []core.PathRecord
-	ordered []int       // record indices sorted by Sig (when a sig-cut budget is set)
+	ordered []int       // record indices sorted by Sig (when MaxPaths is set)
 	running core.Report // records in arrival order, for Progress snapshots
 
 	hasStop    bool
@@ -139,21 +138,6 @@ type coord struct {
 	curBound core.Sig
 	hasBound bool
 	stopped  bool // MaxTime expired mid-run
-
-	progressEvery int
-}
-
-func newCoord(opts core.Options, start time.Time) *coord {
-	every := opts.ProgressEvery
-	if every <= 0 {
-		every = 256
-	}
-	return &coord{opts: opts, start: start, progressEvery: every}
-}
-
-// needOrder reports whether a budget requires the incremental sig ordering.
-func (c *coord) needOrder() bool {
-	return c.opts.MaxPaths > 0 || c.opts.MaxInstructions > 0
 }
 
 // shouldStop reports whether the wall-clock budget has expired.
@@ -184,7 +168,7 @@ func (c *coord) record(rec core.PathRecord) {
 
 	idx := len(c.records)
 	c.records = append(c.records, rec)
-	if c.needOrder() {
+	if c.opts.MaxPaths > 0 {
 		i := sort.Search(len(c.ordered), func(k int) bool {
 			return c.records[c.ordered[k]].Sig > rec.Sig
 		})
@@ -205,7 +189,7 @@ func (c *coord) record(rec core.PathRecord) {
 		return
 	}
 	c.running.Add(rec)
-	if c.running.Stats.Paths%c.progressEvery == 0 {
+	if c.running.Stats.Paths%core.ProgressEvery == 0 {
 		snap := c.running.Stats
 		snap.Elapsed = time.Since(c.start)
 		c.opts.Progress(snap)
@@ -231,20 +215,6 @@ func (c *coord) refreshBound() {
 	}
 	if c.opts.MaxPaths > 0 && len(c.ordered) >= c.opts.MaxPaths {
 		apply(c.records[c.ordered[c.opts.MaxPaths-1]].Sig)
-	}
-	if c.opts.MaxInstructions > 0 {
-		var sum uint64
-		var last core.Sig
-		for _, ri := range c.ordered {
-			if sum >= c.opts.MaxInstructions {
-				break
-			}
-			last = c.records[ri].Sig
-			sum += c.records[ri].Instructions
-		}
-		if sum >= c.opts.MaxInstructions {
-			apply(last)
-		}
 	}
 	c.curBound, c.hasBound = b, has
 }
@@ -276,16 +246,6 @@ func (c *coord) merge(shards []*core.Explorer) *core.Report {
 	}
 	if c.opts.MaxPaths > 0 && c.opts.MaxPaths < cut {
 		cut = c.opts.MaxPaths
-	}
-	if c.opts.MaxInstructions > 0 {
-		var sum uint64
-		for k, r := range recs[:cut] {
-			if sum >= c.opts.MaxInstructions {
-				cut = k
-				break
-			}
-			sum += r.Instructions
-		}
 	}
 
 	rep := &core.Report{}
@@ -335,7 +295,7 @@ func Explore(run core.RunFunc, opts core.Options, workers int) *core.Report {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	start := time.Now()
-	c := newCoord(opts, start)
+	c := &coord{opts: opts, start: start}
 
 	// The orchestrator's handle (worker 0) owns the explore root span;
 	// shard handles (workers 1..N) stitch their path spans under it.

@@ -173,24 +173,6 @@ func TestMaxPathsMatchesSequentialDFS(t *testing.T) {
 	}
 }
 
-// TestMaxInstructionsMatchesSequentialDFS checks the canonical cumulative
-// instruction cut against the sequential explorer.
-func TestMaxInstructionsMatchesSequentialDFS(t *testing.T) {
-	// Each path retires 5 instructions; a budget of 23 admits 5 paths
-	// (cumulative 0,5,10,15,20 all under budget; the sixth starts at 25).
-	opts := core.Options{Search: core.SearchDFS, MaxInstructions: 23}
-	seq := core.NewExplorer(findingTree(5)).Explore(opts)
-	if seq.Stats.Paths != 5 {
-		t.Fatalf("sequential paths = %d, want 5", seq.Stats.Paths)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		par := parexplore.Explore(findingTree(5), opts, workers)
-		if !sameStats(seq.Stats, par.Stats) {
-			t.Errorf("%d workers: stats diverge\nseq: %+v\npar: %+v", workers, seq.Stats, par.Stats)
-		}
-	}
-}
-
 // TestStopOnFirstFindingCanonical checks StopOnFirstFinding returns the
 // minimum-signature finding — the one sequential DFS reports — for every
 // worker count and search strategy.
@@ -284,10 +266,24 @@ func TestNoOptEquivalence(t *testing.T) {
 // counts the outcome of every path it includes. The callback mutates shared
 // state without a lock; -race checks that the hook is serialised.
 func TestProgressCallbackFires(t *testing.T) {
+	// findingTree's outcomes over 9 branches: 512 paths, two snapshots.
+	run := func(e *core.Engine) error {
+		ctx := e.Context()
+		v := e.MakeSymbolic("v", 16)
+		var pat uint64
+		for bit := 0; bit < 9; bit++ {
+			if e.Branch(ctx.Eq(ctx.Extract(v, bit, bit), ctx.BV(1, 1))) {
+				pat |= 1 << bit
+			}
+		}
+		if pat%3 == 0 {
+			return fmt.Errorf("bad pattern %d", pat)
+		}
+		return nil
+	}
 	snapshots := func(explore func(core.Options) *core.Report) (paths []int) {
 		opts := core.Options{
-			Search:        core.SearchDFS,
-			ProgressEvery: 4,
+			Search: core.SearchDFS,
 			Progress: func(s core.Stats) {
 				if s.Completed+s.Partial+s.Infeasible != s.Paths {
 					t.Errorf("snapshot counts %d outcomes for %d paths", s.Completed+s.Partial+s.Infeasible, s.Paths)
@@ -300,9 +296,10 @@ func TestProgressCallbackFires(t *testing.T) {
 		}
 		return paths
 	}
-	seq := snapshots(core.NewExplorer(findingTree(5)).Explore)
-	par := snapshots(func(o core.Options) *core.Report { return parexplore.Explore(findingTree(5), o, 2) })
-	if want := "[4 8 12 16 20 24 28 32]"; fmt.Sprint(seq) != want || fmt.Sprint(par) != want {
+	seq := snapshots(core.NewExplorer(run).Explore)
+	par := snapshots(func(o core.Options) *core.Report { return parexplore.Explore(run, o, 2) })
+	want := fmt.Sprint([]int{core.ProgressEvery, 2 * core.ProgressEvery})
+	if fmt.Sprint(seq) != want || fmt.Sprint(par) != want {
 		t.Errorf("snapshot paths: sequential %v, 2 workers %v, want %s", seq, par, want)
 	}
 }

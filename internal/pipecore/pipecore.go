@@ -212,10 +212,9 @@ type Core struct {
 	regs        [32]*smt.Term
 	interesting []int
 
-	pc      uint32 // next fetch address
-	cycle   uint64
-	instret uint64
-	order   uint64
+	pc    uint32 // next fetch address
+	cycle uint64
+	order uint64
 
 	// IF stage.
 	fetchPending bool
@@ -320,9 +319,6 @@ func (c *Core) Reg(i int) *smt.Term { return c.regs[i] }
 
 // Cycles returns the clock cycle count.
 func (c *Core) Cycles() uint64 { return c.cycle }
-
-// Instret returns the retired instruction count.
-func (c *Core) Instret() uint64 { return c.instret }
 
 // Retirement returns the RVFI record (Valid only in the retiring cycle).
 func (c *Core) Retirement() *rvfi.Retirement { return &c.ret }
@@ -488,8 +484,6 @@ func (c *Core) complete(w *wbEntry) {
 	if w.trap {
 		c.ret.RdAddr = 0
 		c.ret.RdWData = nil
-	} else {
-		c.instret++
 	}
 	c.eng.CountInstruction(1)
 

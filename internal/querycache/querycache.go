@@ -37,9 +37,11 @@
 // follow from the sound slicing and superset arguments above. Model-bearing
 // queries (concretization, witness extraction, test vectors) always pass
 // through to the solver unsliced so the values the engine reads never depend
-// on cache state. The one observable difference is under a finite solver
-// conflict budget: a cache hit can answer a query whose fresh CDCL run would
-// have been abandoned as Unknown. Unknown answers are never cached.
+// on cache state. The one observable difference would be under a finite
+// solver conflict budget: a cache hit can answer a query whose fresh CDCL
+// run would have been abandoned as Unknown. No exploration sets a budget
+// (only dutlint's SAT probe does, on its own solver, without this layer),
+// and Unknown answers are never cached.
 //
 // A Local is single-goroutine (one per core.Explorer); a Shared is the
 // read-mostly cross-worker store, written in batches at handoff points.

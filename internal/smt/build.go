@@ -602,9 +602,6 @@ func (c *Context) Sle(a, b *Term) *Term {
 	return c.mk2(KSle, 0, a, b)
 }
 
-// Sgt returns the Boolean signed a > b.
-func (c *Context) Sgt(a, b *Term) *Term { return c.Slt(b, a) }
-
 // Sge returns the Boolean signed a >= b.
 func (c *Context) Sge(a, b *Term) *Term { return c.Sle(b, a) }
 

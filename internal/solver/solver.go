@@ -11,9 +11,6 @@
 package solver
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"symriscv/internal/bitblast"
 	"symriscv/internal/obs"
 	"symriscv/internal/sat"
@@ -51,13 +48,9 @@ type Stats struct {
 	SAT        sat.Stats
 }
 
-// Solver decides QF_BV formulas built in one smt.Context.
-//
-// Solving itself is single-owner (one goroutine drives Check/CheckCore at
-// a time, like the rest of a shard's context), but the facade counters are
-// atomics and the SAT-core stats are snapshotted under a mutex after each
-// solve, so Stats may be read concurrently by a telemetry sampler while a
-// worker is mid-Check.
+// Solver decides QF_BV formulas built in one smt.Context. A Solver is not
+// safe for concurrent use: one goroutine owns it, like the rest of an
+// explorer's context.
 type Solver struct {
 	ctx *smt.Context
 	sat *sat.Solver
@@ -65,13 +58,10 @@ type Solver struct {
 
 	lits []sat.Lit // assumption buffer of the current Check / CheckCore
 
-	checks     atomic.Uint64
-	satAns     atomic.Uint64
-	unsatAns   atomic.Uint64
-	unknownAns atomic.Uint64
-
-	satMu   sync.Mutex // guards satSnap
-	satSnap sat.Stats
+	checks     uint64
+	satAns     uint64
+	unsatAns   uint64
+	unknownAns uint64
 
 	h *obs.Handle
 }
@@ -119,18 +109,16 @@ func (s *Solver) Assert(t *smt.Term) {
 func (s *Solver) Check(assumptions ...*smt.Term) Result {
 	defer s.h.Start(obs.PhaseSolverCheck).End()
 	lits := s.assumptionLits(assumptions)
-	s.checks.Add(1)
-	res := s.sat.Solve(lits...)
-	s.snapshotSAT()
-	switch res {
+	s.checks++
+	switch s.sat.Solve(lits...) {
 	case sat.Sat:
-		s.satAns.Add(1)
+		s.satAns++
 		return Sat
 	case sat.Unsat:
-		s.unsatAns.Add(1)
+		s.unsatAns++
 		return Unsat
 	}
-	s.unknownAns.Add(1)
+	s.unknownAns++
 	return Unknown
 }
 
@@ -144,15 +132,13 @@ func (s *Solver) Check(assumptions ...*smt.Term) Result {
 func (s *Solver) CheckCore(assumptions ...*smt.Term) (Result, []*smt.Term) {
 	defer s.h.Start(obs.PhaseSolverCheck).End()
 	lits := s.assumptionLits(assumptions)
-	s.checks.Add(1)
-	res := s.sat.Solve(lits...)
-	s.snapshotSAT()
-	switch res {
+	s.checks++
+	switch s.sat.Solve(lits...) {
 	case sat.Sat:
-		s.satAns.Add(1)
+		s.satAns++
 		return Sat, nil
 	case sat.Unsat:
-		s.unsatAns.Add(1)
+		s.unsatAns++
 		failed := s.sat.FailedAssumptions()
 		if len(failed) == 0 {
 			return Unsat, nil
@@ -170,7 +156,7 @@ func (s *Solver) CheckCore(assumptions ...*smt.Term) (Result, []*smt.Term) {
 		}
 		return Unsat, core
 	}
-	s.unknownAns.Add(1)
+	s.unknownAns++
 	return Unknown, nil
 }
 
@@ -183,16 +169,6 @@ func (s *Solver) assumptionLits(assumptions []*smt.Term) []sat.Lit {
 		s.lits = append(s.lits, s.bb.LitFor(t))
 	}
 	return s.lits
-}
-
-// snapshotSAT publishes a copy of the SAT-core counters for concurrent
-// Stats readers. Called by the owning goroutine after each solve; the
-// copy is a handful of words, negligible next to the solve itself.
-func (s *Solver) snapshotSAT() {
-	st := s.sat.Stats()
-	s.satMu.Lock()
-	s.satSnap = st
-	s.satMu.Unlock()
 }
 
 // ModelValue returns the value of t under the model of the last Sat answer.
@@ -249,25 +225,16 @@ func (s *Solver) ModelFor(vars []*smt.Term) smt.MapEnv {
 	return env
 }
 
-// Stats returns cumulative counters. Safe to call from any goroutine,
-// including concurrently with a Check in flight on the owning worker: the
-// facade counters are atomics and the SAT block is the snapshot taken
-// after the most recent completed solve.
+// Stats returns the cumulative counters.
 func (s *Solver) Stats() Stats {
-	st := Stats{
-		Checks:     s.checks.Load(),
-		SatAns:     s.satAns.Load(),
-		UnsatAns:   s.unsatAns.Load(),
-		UnknownAns: s.unknownAns.Load(),
+	return Stats{
+		Checks:     s.checks,
+		SatAns:     s.satAns,
+		UnsatAns:   s.unsatAns,
+		UnknownAns: s.unknownAns,
+		SAT:        s.sat.Stats(),
 	}
-	s.satMu.Lock()
-	st.SAT = s.satSnap
-	s.satMu.Unlock()
-	return st
 }
 
 // NumSATVars exposes the size of the underlying SAT instance (for reporting).
 func (s *Solver) NumSATVars() int { return s.sat.NumVars() }
-
-// NumSATClauses exposes the problem-clause count of the SAT instance.
-func (s *Solver) NumSATClauses() int { return s.sat.NumClauses() }

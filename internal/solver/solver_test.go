@@ -428,51 +428,6 @@ func TestModelForRestrictsToGivenVars(t *testing.T) {
 	}
 }
 
-// TestStatsConcurrentSampling hammers Stats() from a sampler goroutine while
-// the owning goroutine keeps solving — the parallel orchestrator and the
-// observability layer both sample a live solver this way. The facade counters
-// are atomics and the SAT-core block is a mutex-guarded snapshot, so this
-// must be clean under -race and every sample must be internally consistent
-// (answers never exceed checks).
-func TestStatsConcurrentSampling(t *testing.T) {
-	ctx := smt.NewContext()
-	s := New(ctx)
-	x := ctx.Var("x", 32)
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 2000; i++ {
-			st := s.Stats()
-			if answered := st.SatAns + st.UnsatAns + st.UnknownAns; answered > st.Checks {
-				t.Errorf("inconsistent sample: %d answers for %d checks", answered, st.Checks)
-				return
-			}
-		}
-	}()
-
-	const rounds = 200
-	for i := 0; i < rounds; i++ {
-		want := Sat
-		lhs := ctx.Eq(x, ctx.BV(32, uint64(i)))
-		rhs := ctx.Eq(x, ctx.BV(32, uint64(i+1)))
-		if i%2 == 1 {
-			want = Unsat
-		} else {
-			rhs = lhs
-		}
-		if got := s.Check(lhs, rhs); got != want {
-			t.Fatalf("round %d: Check = %v, want %v", i, got, want)
-		}
-	}
-	<-done
-
-	st := s.Stats()
-	if st.Checks != rounds || st.SatAns+st.UnsatAns != rounds {
-		t.Fatalf("final stats inconsistent: %+v", st)
-	}
-}
-
 // TestWarmCheckAllocs: once its terms are blasted, a Check or CheckCore
 // translates its assumptions into the solver's reused buffer, not a new
 // slice per call.
