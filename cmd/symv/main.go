@@ -1025,8 +1025,7 @@ func cmdLintDUT(args []string, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	allowPath := fs.String("allowlist", "LINTDUT.allow",
 		"allowlist of intentional findings (\"\" lints with no allowlist; the default is optional, an explicit file must exist)")
-	satProbe := fs.Bool("sat-probe", false, "SAT-probe decode-arm selectability (bounded; off by default)")
-	satConflicts := fs.Uint64("sat-conflicts", 0, "conflict budget per probe query (0 = dutlint default)")
+	satProbe := fs.Bool("sat-probe", false, "SAT-probe decode-arm selectability (off by default)")
 	numRegs := fs.Int("regs", 0, "symbolic initial registers x1..xN (0 = dutlint default)")
 	maxPaths := fs.Int("max-paths", 0, "path bound (0 = exhaustive; truncation downgrades the coverage analyses)")
 	maxTime := fs.Duration("time", 0, "exploration wall-clock bound (0 = unlimited)")
@@ -1060,14 +1059,13 @@ func cmdLintDUT(args []string, stderr io.Writer) error {
 	fail := 0
 	for _, name := range cores {
 		rep := harness.LintDUT(name, harness.LintDUTOptions{
-			MaxPaths:          *maxPaths,
-			MaxTime:           *maxTime,
-			NoCache:           common.NoCache,
-			Obs:               common.Obs,
-			NumRegs:           *numRegs,
-			SATProbe:          *satProbe,
-			SATConflictBudget: *satConflicts,
-			Allow:             allow,
+			MaxPaths: *maxPaths,
+			MaxTime:  *maxTime,
+			NoCache:  common.NoCache,
+			Obs:      common.Obs,
+			NumRegs:  *numRegs,
+			SATProbe: *satProbe,
+			Allow:    allow,
 		})
 		if rep == nil {
 			return fmt.Errorf("lint-dut: unknown core %q (want microrv32, pipecore or both)", name)

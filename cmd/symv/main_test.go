@@ -49,6 +49,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{"cache bad flag", []string{"cache", "stats", "-definitely-not-a-flag"}, "flag provided but not defined"},
 		{"lint-table bad flag", []string{"lint-table", "-definitely-not-a-flag"}, "flag provided but not defined"},
 		{"lint-dut bad flag", []string{"lint-dut", "-definitely-not-a-flag"}, "flag provided but not defined"},
+		{"lint-dut -sat-conflicts", []string{"lint-dut", "-sat-conflicts", "5"}, "flag provided but not defined: -sat-conflicts"},
 
 		{"bad -cache toggle", []string{"hunt", "-cache", "maybe"}, "bad -cache"},
 		{"bad -rewrite toggle", []string{"hunt", "-rewrite", "maybe"}, "flag provided but not defined: -rewrite"},

@@ -27,11 +27,10 @@ import (
 
 func pipelineConfig(f faults.Set) cosim.Config {
 	return cosim.Config{
-		ISS:    iss.FixedConfig(),
-		Filter: cosim.BlockSystemInstructions,
-		NewDUT: func(eng *core.Engine) cosim.DUT {
-			return pipecore.New(eng, pipecore.Config{Faults: f})
-		},
+		ISS:     iss.FixedConfig(),
+		Filter:  cosim.BlockSystemInstructions,
+		DUTCore: cosim.CorePipecore,
+		Pipe:    pipecore.Config{Faults: f},
 	}
 }
 

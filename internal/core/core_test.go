@@ -449,8 +449,7 @@ func TestConcretizeBoolPanics(t *testing.T) {
 
 func TestAbortReasonStrings(t *testing.T) {
 	for r, want := range map[AbortReason]string{
-		AbortNone: "none", AbortInfeasible: "infeasible",
-		AbortUnknown: "solver-unknown", AbortLimit: "limit",
+		AbortNone: "none", AbortInfeasible: "infeasible", AbortLimit: "limit",
 	} {
 		if r.String() != want {
 			t.Errorf("%d.String() = %q, want %q", r, r.String(), want)

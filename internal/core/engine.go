@@ -37,7 +37,6 @@ type AbortReason uint8
 const (
 	AbortNone       AbortReason = iota
 	AbortInfeasible             // flipped branch or Assume contradicts the path constraints
-	AbortUnknown                // solver budget exhausted
 	AbortLimit                  // execution-controller limit reached mid-step
 )
 
@@ -45,8 +44,6 @@ func (r AbortReason) String() string {
 	switch r {
 	case AbortInfeasible:
 		return "infeasible"
-	case AbortUnknown:
-		return "solver-unknown"
 	case AbortLimit:
 		return "limit"
 	}
@@ -237,8 +234,6 @@ func (e *Engine) Assume(cond *smt.Term) {
 		e.addPC(cond, e.n < len(e.prefix))
 	case solver.Unsat:
 		panic(abortError{AbortInfeasible, "assumption contradicts path: " + cond.String()})
-	default:
-		panic(abortError{AbortUnknown, "assume: solver budget exhausted"})
 	}
 }
 
@@ -289,11 +284,8 @@ func (e *Engine) Branch(cond *smt.Term) bool {
 		if idx == len(e.prefix)-1 && !ev.sibVerified {
 			// This is the freshly flipped decision and its feasibility could
 			// not be proven when it was scheduled: verify it now.
-			switch e.checkFeasible(nil) {
-			case solver.Unsat:
+			if e.checkFeasible(nil) == solver.Unsat {
 				panic(abortError{AbortInfeasible, "flipped branch infeasible"})
-			case solver.Unknown:
-				panic(abortError{AbortUnknown, "flip check: solver budget exhausted"})
 			}
 		}
 		return ev.dir
@@ -322,7 +314,7 @@ func (e *Engine) Branch(cond *smt.Term) bool {
 		e.n++
 		e.addPC(cond, false)
 		return true
-	case solver.Unsat:
+	default:
 		// pcs are satisfiable and pcs∧cond is not, so pcs∧¬cond is.
 		e.onPath.fresh = append(e.onPath.fresh, event{kind: evBranch, dir: false, cond: cond, noSibling: true})
 		e.n++
@@ -331,8 +323,6 @@ func (e *Engine) Branch(cond *smt.Term) bool {
 		}
 		e.addPC(neg, false)
 		return false
-	default:
-		panic(abortError{AbortUnknown, "branch: solver budget exhausted"})
 	}
 }
 
@@ -362,12 +352,9 @@ func (e *Engine) Concretize(t *smt.Term) uint64 {
 	}
 
 	e.stats.Concretizations++
-	switch e.checkModel(nil, false) {
-	case solver.Unsat:
+	if e.checkModel(nil, false) == solver.Unsat {
 		// Unreachable if the invariant holds; treat defensively.
 		panic(abortError{AbortInfeasible, "concretize: path constraints unsatisfiable"})
-	case solver.Unknown:
-		panic(abortError{AbortUnknown, "concretize: solver budget exhausted"})
 	}
 	v := e.sol.ModelValue(t)
 	e.onPath.fresh = append(e.onPath.fresh, event{kind: evConcretize, val: v, term: t})
@@ -395,22 +382,16 @@ func (e *Engine) FindWitness(cond *smt.Term) (smt.MapEnv, bool) {
 	if e.qc != nil {
 		e.stats.SolverQueries++
 		res, env := e.qc.CheckWitness(cond)
-		switch res {
-		case solver.Sat:
+		if res == solver.Sat {
 			if env != nil {
 				return e.witnessEnv(env), true
 			}
 			return e.sol.ModelFor(e.onPath.symbolic), true
-		case solver.Unknown:
-			panic(abortError{AbortUnknown, "witness query: solver budget exhausted"})
 		}
 		return nil, false
 	}
-	switch e.check(append(e.onPath.terms, cond)...) {
-	case solver.Sat:
+	if e.check(append(e.onPath.terms, cond)...) == solver.Sat {
 		return e.sol.ModelFor(e.onPath.symbolic), true
-	case solver.Unknown:
-		panic(abortError{AbortUnknown, "witness query: solver budget exhausted"})
 	}
 	return nil, false
 }

@@ -116,7 +116,7 @@ type Options struct {
 type Stats struct {
 	Paths        int // paths started
 	Completed    int // RunFunc returned nil
-	Partial      int // findings, limits, solver-unknown aborts
+	Partial      int // findings and limits
 	Infeasible   int // flipped branches that turned out unsatisfiable
 	Instructions uint64
 	Cycles       uint64
@@ -138,7 +138,8 @@ type Stats struct {
 	// elimination layer removes; equals SolverQueries with the cache off).
 	CDCLQueries uint64
 	// SolverUnknowns is always zero: it counted conflict-budget-exhausted
-	// answers, and no exploration sets a conflict budget any more. Like
+	// answers, and the SAT core has no budget any more (every search ends
+	// in Sat or Unsat). Like
 	// RewriteHits it stays because the benchmark module (perfbench/main.go,
 	// perfbench/gate.go) still reads it.
 	SolverUnknowns uint64
@@ -150,9 +151,8 @@ type Stats struct {
 	RewriteHits uint64
 	// Cache breaks eliminated queries down by hit kind.
 	Cache querycache.Stats
-	// SAT holds the CDCL core's own counters (propagations, conflicts,
-	// restarts, learnt/deleted clauses), summed over
-	// all workers' solvers.
+	// SAT holds the CDCL core's own counters (conflicts, decisions,
+	// propagations, learnt clauses), summed over all workers' solvers.
 	SAT sat.Stats
 	// ForkSnapshots, ForkResumes and ReplayEventsSaved are always zero:
 	// fork-point checkpointing was removed and every path replays its

@@ -21,10 +21,9 @@ const (
 	CtrConcretizations = "explore.concretizations"
 	CtrQueries         = "explore.queries"
 
-	CtrSolverChecks  = "solver.checks"
-	CtrSolverSat     = "solver.sat"
-	CtrSolverUnsat   = "solver.unsat"
-	CtrSolverUnknown = "solver.unknown"
+	CtrSolverChecks = "solver.checks"
+	CtrSolverSat    = "solver.sat"
+	CtrSolverUnsat  = "solver.unsat"
 
 	CtrCacheQueries       = "cache.queries"
 	CtrCacheStackHits     = "cache.stack_hits"
@@ -72,7 +71,6 @@ func publishBackendObs(h *obs.Handle, ss solver.Stats, cs querycache.Stats, term
 	h.Add(CtrSolverChecks, ss.Checks)
 	h.Add(CtrSolverSat, ss.SatAns)
 	h.Add(CtrSolverUnsat, ss.UnsatAns)
-	h.Add(CtrSolverUnknown, ss.UnknownAns)
 
 	h.Add(CtrCacheQueries, cs.Queries)
 	h.Add(CtrCacheStackHits, cs.StackHits)

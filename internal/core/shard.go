@@ -14,7 +14,7 @@ type PathKind uint8
 // Path outcomes.
 const (
 	PathCompleted  PathKind = iota // RunFunc returned nil
-	PathPartial                    // limit or solver-unknown abort
+	PathPartial                    // execution-controller limit reached mid-step
 	PathInfeasible                 // flipped branch or assumption unsatisfiable
 	PathFinding                    // RunFunc returned an error
 	PathStopped                    // RunFunc returned ErrStopExploration
@@ -67,7 +67,6 @@ func (x *Explorer) Finish(st *Stats) {
 	st.SATVars = max(st.SATVars, satVars)
 	ss := x.sol.Stats()
 	st.CDCLQueries += ss.Checks
-	st.SolverUnknowns += ss.UnknownAns
 	st.SAT.Add(ss.SAT)
 	var cs querycache.Stats
 	if x.qc != nil {

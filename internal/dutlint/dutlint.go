@@ -24,7 +24,7 @@
 //   - width/extract/ITE discipline on the DAG plus interface-contract
 //     widths, and rtl.Strobe protocol checks on the DBus requests.
 //
-// An optional bounded mode SAT-probes whether each decode mux arm is
+// An optional mode SAT-probes whether each decode mux arm is
 // selectable under the walk order, cross-checked against the purely
 // bitwise overlap answer from internal/decodecheck.
 //
@@ -118,10 +118,8 @@ type Options struct {
 	NoQueryCache bool
 	// Obs, when non-nil, records exploration spans and counters.
 	Obs *obs.Recorder
-	// SATProbe enables the bounded decode-arm reachability mode.
+	// SATProbe enables the decode-arm reachability mode.
 	SATProbe bool
-	// SATConflictBudget bounds each probe query (default 50000 conflicts).
-	SATConflictBudget uint64
 	// Samples is the number of deterministic sample environments for the
 	// constant-candidate analysis (default 8).
 	Samples int
@@ -219,7 +217,7 @@ func Run(dut DUT, opts Options, allow *Allowlist) *Report {
 	analyzeStart := time.Now()
 	analyze(rep, col, opts)
 	if opts.SATProbe {
-		probeArms(rep, dut, opts)
+		probeArms(rep, dut)
 	}
 	rep.AnalyzeElapsed = time.Since(analyzeStart)
 

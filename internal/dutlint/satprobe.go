@@ -8,34 +8,25 @@ import (
 	"symriscv/internal/solver"
 )
 
-// defaultProbeBudget bounds each reachability query's SAT conflicts; the
-// probe is advisory, so running out of budget downgrades one arm's answer
-// to "unknown" instead of stalling the lint.
-const defaultProbeBudget = 50000
-
 // probeArms SAT-probes whether each decode arm is selectable under the
 // walk order: arm i is reachable iff some instruction word matches row i
 // and no earlier row. The answers are cross-checked against the purely
 // bitwise shadow analysis from internal/decodecheck — a full pairwise
 // shadow (an earlier row's mask is a subset of arm i's and the matches
 // agree on it) proves unreachability without a solver, so the two methods
-// must agree wherever both are conclusive.
-func probeArms(rep *Report, dut DUT, opts Options) {
+// must agree. Each query is one 32-bit word under at most a few dozen
+// mask/match (in)equalities, so it is decided outright.
+func probeArms(rep *Report, dut DUT) {
 	arms := dut.DecodeArms()
 	rep.Arms = len(arms)
 	if len(arms) == 0 {
 		return
 	}
 
-	budget := opts.SATConflictBudget
-	if budget == 0 {
-		budget = defaultProbeBudget
-	}
 	// The probe runs in its own context and solver: its queries must not
 	// pollute the transition-relation DAG the structural analyses walked.
 	ctx := smt.NewContext()
 	sol := solver.New(ctx)
-	sol.SetConflictBudget(budget)
 	insn := ctx.Var("insn", 32)
 
 	match := func(a DecodeArm) *smt.Term {
@@ -90,11 +81,6 @@ func probeArms(rep *Report, dut DUT, opts Options) {
 					Detail: "decodecheck proves a full shadow by an earlier row but the SAT probe found a selecting word",
 				})
 			}
-		case solver.Unknown:
-			rep.Findings = append(rep.Findings, Finding{
-				Class: FindProbeXCheck, Name: name,
-				Detail: fmt.Sprintf("probe exceeded the %d-conflict budget; arm reachability undecided", budget),
-			})
 		}
 	}
 }

@@ -24,10 +24,8 @@ type LintDUTOptions struct {
 	// NumRegs is the number of symbolic initial registers handed to the
 	// adapters (0 selects dutlint.DefaultNumRegs).
 	NumRegs int
-	// SATProbe enables the bounded decode-arm reachability probe.
+	// SATProbe enables the decode-arm reachability probe.
 	SATProbe bool
-	// SATConflictBudget bounds each probe query (0 = the dutlint default).
-	SATConflictBudget uint64
 	// Allow is the parsed allowlist, or nil.
 	Allow *dutlint.Allowlist
 }
@@ -35,12 +33,11 @@ type LintDUTOptions struct {
 // dutlintOptions maps the harness options onto the analyzer's own.
 func (o LintDUTOptions) dutlintOptions() dutlint.Options {
 	return dutlint.Options{
-		MaxPaths:          o.MaxPaths,
-		MaxTime:           o.MaxTime,
-		NoQueryCache:      o.NoCache,
-		Obs:               o.Obs,
-		SATProbe:          o.SATProbe,
-		SATConflictBudget: o.SATConflictBudget,
+		MaxPaths:     o.MaxPaths,
+		MaxTime:      o.MaxTime,
+		NoQueryCache: o.NoCache,
+		Obs:          o.Obs,
+		SATProbe:     o.SATProbe,
 	}
 }
 

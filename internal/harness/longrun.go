@@ -85,7 +85,6 @@ func (r *LongRunResult) Format() string {
 	fmt.Fprintf(&b, "  cache eliminated   %d (stack %d, exact %d, superset %d)\n",
 		s.Cache.Eliminated(), s.Cache.StackHits, s.Cache.ExactHits, s.Cache.SupersetUnsat)
 	fmt.Fprintf(&b, "  sliced queries     %d (%d constraints dropped)\n", s.Cache.SlicedQueries, s.Cache.SlicedDropped)
-	fmt.Fprintf(&b, "  solver unknowns    %d\n", s.SolverUnknowns)
 	fmt.Fprintf(&b, "  exhausted          %v\n", r.Report.Exhausted)
 	return b.String()
 }

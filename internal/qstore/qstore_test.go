@@ -260,13 +260,39 @@ func TestSessionWarmLoadAndCheckpoint(t *testing.T) {
 	}
 }
 
+// TestSessionConcurrentCheckpoints checkpoints one session from several
+// goroutines. In the first leg each import into the Shared store is
+// followed by a checkpoint, so the Shared store's own lock orders most of
+// them. In the second every round's entries are imported first, and then
+// the goroutines call Checkpoint at once behind a start barrier, with no
+// Shared operation between them: only the session's lock keeps them from
+// reading and writing its bookkeeping together (go test -race catches its
+// removal) and from persisting the same entries twice.
 func TestSessionConcurrentCheckpoints(t *testing.T) {
-	dir := t.TempDir()
 	key := VersionKey("core=a")
-	s, err := OpenSession(dir, key)
-	if err != nil {
-		t.Fatal(err)
+	open := func() (*Session, string) {
+		dir := t.TempDir()
+		s, err := OpenSession(dir, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, dir
 	}
+	closeAndLoad := func(s *Session, dir string, want int) {
+		t.Helper()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := (&Store{dir: dir}).Load(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != want {
+			t.Fatalf("loaded %d entries, want %d", len(got), want)
+		}
+	}
+
+	s, dir := open()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -280,16 +306,34 @@ func TestSessionConcurrentCheckpoints(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	closeAndLoad(s, dir, 64)
+
+	const rounds, workers, perRound = 8, 8, 16
+	s, dir = open()
+	for r := 0; r < rounds; r++ {
+		batch := make([]querycache.PortableEntry, perRound)
+		for i := range batch {
+			h := uint64(r*1000 + i + 1)
+			batch[i] = entry(false, nil, h, h+10000)
+		}
+		s.Shared().Import(batch)
+		start := make(chan struct{})
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				s.Checkpoint()
+			}()
+		}
+		close(start)
+		wg.Wait()
 	}
-	got, _, err := (&Store{dir: dir}).Load(key)
-	if err != nil {
-		t.Fatal(err)
+	if st := s.Stats(); st.Persisted != rounds*perRound || st.Segments != rounds {
+		t.Fatalf("concurrent checkpoints persisted %d entries in %d segments, want %d in %d",
+			st.Persisted, st.Segments, rounds*perRound, rounds)
 	}
-	if len(got) != 64 {
-		t.Fatalf("loaded %d entries, want 64", len(got))
-	}
+	closeAndLoad(s, dir, rounds*perRound)
 }
 
 func TestStatsAndVerify(t *testing.T) {

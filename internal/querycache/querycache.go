@@ -37,11 +37,7 @@
 // follow from the sound slicing and superset arguments above. Model-bearing
 // queries (concretization, witness extraction, test vectors) always pass
 // through to the solver unsliced so the values the engine reads never depend
-// on cache state. The one observable difference would be under a finite
-// solver conflict budget: a cache hit can answer a query whose fresh CDCL
-// run would have been abandoned as Unknown. No exploration sets a budget
-// (only dutlint's SAT probe does, on its own solver, without this layer),
-// and Unknown answers are never cached.
+// on cache state.
 //
 // A Local is single-goroutine (one per core.Explorer); a Shared is the
 // read-mostly cross-worker store, written in batches at handoff points.
@@ -699,7 +695,7 @@ func (l *Local) CheckWitness(query *smt.Term) (solver.Result, VarModel) {
 	if res == solver.Sat && env != nil && complete {
 		return res, env
 	}
-	if env == nil && res != solver.Unsat && res != solver.Unknown {
+	if env == nil && res == solver.Sat {
 		// Answered by the solver directly: its model state is current.
 		return res, nil
 	}
@@ -815,7 +811,7 @@ func (l *Local) check(query *smt.Term, push bool) (solver.Result, VarModel, bool
 		ss := l.slotSet(slice)
 		i := l.record(ss, true, l.captureModel(slice))
 		return l.hitResult(i, dropped, push)
-	case solver.Unsat:
+	default:
 		l.stats.CDCLUnsat++
 		if len(core) > 0 && len(core) < len(slice) {
 			// Record the unsat core rather than the whole set: every future
@@ -827,7 +823,6 @@ func (l *Local) check(query *smt.Term, push bool) (solver.Result, VarModel, bool
 		}
 		return solver.Unsat, nil, false
 	}
-	return solver.Unknown, nil, false
 }
 
 // hitResult converts a cache entry into a pipeline answer, merging sat

@@ -60,7 +60,7 @@ func addPigeonhole(s *Solver, p, h int) {
 	}
 }
 
-// BenchmarkConflictHeavy measures conflict analysis, learning and restarts on
+// BenchmarkConflictHeavy measures conflict analysis and learning on
 // a fresh pigeonhole instance per iteration (learnt clauses from one run must
 // not subsidise the next).
 func BenchmarkConflictHeavy(b *testing.B) {

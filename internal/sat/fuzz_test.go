@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -173,7 +174,8 @@ func checkCone(t *testing.T, s *Solver, c *circuit, assumps []Lit) {
 // regrown. Every answer must agree with brute force, every Sat model must
 // satisfy the circuit and the assumptions, every core must be unsat, and the
 // cone must equal a from-scratch computation (checkCone), as must every
-// heap openCone builds (checkHeapRebuild).
+// heap openCone builds (checkHeapRebuild); the clause arena is checked after
+// every call (checkArena).
 func FuzzGateDAG(f *testing.F) {
 	rng := rand.New(rand.NewSource(13))
 	for i := 0; i < 24; i++ {
@@ -222,6 +224,7 @@ func FuzzGateDAG(f *testing.F) {
 				t.Fatalf("query %d: Solve(%v) = %v, brute force sat=%v", q, assumps, got, want)
 			}
 			checkCone(t, s, c, assumps)
+			checkArena(t, s, fmt.Sprintf("query %d", q))
 			if got == Unsat {
 				var core []Lit
 				for _, l := range s.FailedAssumptions() {

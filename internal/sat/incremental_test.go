@@ -53,8 +53,9 @@ func checkAnswer(t *testing.T, s *Solver, cnf [][]Lit, assumps []Lit, where stri
 // after a first Solve (so new gates read inputs the solver has already
 // assigned); gates outside a query's cone stay unassigned, and every Sat
 // model read through ValueOf must satisfy every clause, gate definitions
-// included. Unsat assumption cores are re-verified by enumeration, and every
-// heap openCone builds is compared with a full rebuild (checkHeapRebuild).
+// included. Unsat assumption cores are re-verified by enumeration, every
+// heap openCone builds is compared with a full rebuild (checkHeapRebuild),
+// and the clause arena is checked after every call (checkArena).
 func TestRandomIncrementalDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	incremental := 0
@@ -96,6 +97,7 @@ func TestRandomIncrementalDifferential(t *testing.T) {
 		if got == Sat {
 			checkAnswer(t, s, cnf, nil, "first Solve")
 		}
+		checkArena(t, s, "first Solve")
 
 		defs = defs[:0]
 		addGates(early, n)
@@ -111,6 +113,7 @@ func TestRandomIncrementalDifferential(t *testing.T) {
 		if got == Sat {
 			checkAnswer(t, s, cnf, nil, "second Solve")
 		}
+		checkArena(t, s, "second Solve")
 
 		// Assumption queries over the same incremental instance; the second
 		// extends the first, so it reuses its trail prefix.
@@ -143,6 +146,7 @@ func TestRandomIncrementalDifferential(t *testing.T) {
 			if gotA == Sat {
 				checkAnswer(t, s, cnf, assumps, "assumption query")
 			}
+			checkArena(t, s, "assumption query")
 			assumps = append(assumps, MkLit(Var(rng.Intn(n)), rng.Intn(2) == 1))
 		}
 		incremental += *rebuilt

@@ -12,8 +12,7 @@ import (
 // (noModelReuse) searches again. The skipped search would have re-propagated
 // the model and moved watchers, so every later answer is compared too: the
 // same status, the same value for every variable after Sat, the same failed
-// assumptions after Unsat. Half the sequences lower learntBase so that a
-// reduceDB falls due between calls.
+// assumptions after Unsat.
 func TestModelReuseMatchesSearch(t *testing.T) {
 	reused := 0
 	for seed := int64(1); seed <= 300; seed++ {
@@ -21,11 +20,6 @@ func TestModelReuseMatchesSearch(t *testing.T) {
 		c := &circuit{nIn: 2 + rng.Intn(5)}
 		a, b := New(), New()
 		b.noModelReuse = true
-		if seed%2 == 0 {
-			// Reach reduceDB, which a repeat must not skip, within a few
-			// conflicts.
-			a.learntBase, b.learntBase = 0, 0
-		}
 		newVars(a, c.nIn)
 		newVars(b, c.nIn)
 		addGate := func() {
@@ -85,40 +79,5 @@ func TestModelReuseMatchesSearch(t *testing.T) {
 	}
 	if reused < 500 {
 		t.Fatalf("%d repeats answered from the standing model: the sequences no longer exercise reuse", reused)
-	}
-}
-
-// TestModelReuseRunsDueReduceDB: a repeat of a Sat call is searched again
-// when the learnt clauses have outgrown their limit, because the search
-// would start by reducing them, and skipping it would leave the solver in a
-// state a search never leaves.
-func TestModelReuseRunsDueReduceDB(t *testing.T) {
-	s := New()
-	act := s.NewVar()
-	php := New()
-	addPigeonhole(php, 7, 6)
-	newVars(s, php.NumVars())
-	for _, c := range php.clauses {
-		cl := []Lit{MkLit(act, true)}
-		for _, l := range php.lits(c) {
-			cl = append(cl, l+2*Lit(act+1))
-		}
-		s.AddClause(cl...)
-	}
-	s.learntBase = 0
-	s.ConflictBudget = 100
-	if got := s.Solve(MkLit(act, false)); got == Sat {
-		t.Fatal("pigeonhole instance answered Sat")
-	}
-	off := []Lit{MkLit(act, true)}
-	if s.Solve(off...) != Sat {
-		t.Fatal("deactivated instance not Sat")
-	}
-	if len(s.learnts) <= s.learntBase+len(s.clauses)/2 {
-		t.Fatalf("%d learnts, %d clauses: no reduceDB due", len(s.learnts), len(s.clauses))
-	}
-	before := s.stats
-	if s.Solve(off...) != Sat || s.stats == before {
-		t.Fatal("repeat answered from the standing model with a reduceDB due")
 	}
 }

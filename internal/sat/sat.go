@@ -1,11 +1,11 @@
 // Package sat implements a CDCL (conflict-driven clause learning) SAT solver
 // in the MiniSat lineage: two-literal watching with blocker literals and a
 // dedicated binary-clause fast path, first-UIP conflict analysis, VSIDS
-// variable activity with phase saving, Luby restarts and LBD-tiered
-// learnt-clause retention. The heuristic parameters are fixed constants.
-// Clauses live in one pointer-free arena of literal words and are named by
-// uint32 offsets; deleted clauses are reclaimed in one relocation pass once
-// they waste half of it.
+// variable activity with phase saving. Every learnt clause is kept, and a
+// search runs until it answers Sat or Unsat: the queries of a co-simulation
+// are small enough that no workload restarts, trims its learnt clauses or
+// gives up. Clauses live in one pointer-free arena of literal words and are
+// named by uint32 offsets; the arena only grows.
 //
 // Solve decides only the cone of influence of its query (see cone.go):
 // variables created with AddGate carry their gate definition, and a call
@@ -24,9 +24,7 @@ package sat
 import (
 	"fmt"
 	"io"
-	"math"
 	"slices"
-	"sort"
 )
 
 // Var is a propositional variable index, starting at 0.
@@ -74,29 +72,16 @@ const (
 	lUndef lbool = 2
 )
 
-// Search parameters.
-const (
-	lubyUnit    = 100   // conflicts per unit of the Luby restart sequence
-	varDecay    = 0.99  // VSIDS activity decay
-	clauseDecay = 0.999 // learnt-clause activity decay
-	// Learnt clauses with lbd <= coreLBD are kept forever; those with lbd <=
-	// tier2LBD survive while recently used; reduceDB halves the rest.
-	coreLBD  = 3
-	tier2LBD = 6
-)
+const varDecay = 0.99 // VSIDS activity decay
 
 // Clauses live in one arena of Lit words, MiniSat style, so the clause
-// store holds no pointers. A clause is a header word — literal count<<3,
-// the 2-bit tier2 retention window (refreshed on use, decayed by reduceDB)
-// <<1, the learnt bit — then, for a learnt clause, its LBD and the float32
-// bits of its activity, then its literals. A cref names a clause by the
-// offset of its header; 0 names none. reduceDB leaves holes, which reclaim
-// compacts once they exceed half the arena.
+// store holds no pointers. A clause is a header word, its literal count,
+// then its literals. A cref names a clause by the offset of its header; 0
+// names none. No clause is ever deleted, so the arena is the clauses end to
+// end.
 type cref uint32
 
 const (
-	hLearnt  = 1
-	hUsed    = 3 << 1
 	crefBin  = 1 << 31 // in a watcher's ref: binary clause
 	noReason = cref(0)
 )
@@ -113,19 +98,15 @@ type Status int8
 
 // Solve outcomes.
 const (
-	Unknown Status = iota
-	Sat
+	Sat Status = iota + 1
 	Unsat
 )
 
 func (s Status) String() string {
-	switch s {
-	case Sat:
+	if s == Sat {
 		return "sat"
-	case Unsat:
-		return "unsat"
 	}
-	return "unknown"
+	return "unsat"
 }
 
 // Stats holds cumulative solver counters.
@@ -133,9 +114,7 @@ type Stats struct {
 	Conflicts    uint64
 	Decisions    uint64
 	Propagations uint64
-	Restarts     uint64
 	Learnt       uint64 // learnt clauses created
-	Removed      uint64 // learnt clauses deleted by reduceDB
 }
 
 // Add accumulates o into s field by field (for merging per-worker solvers).
@@ -143,17 +122,13 @@ func (s *Stats) Add(o Stats) {
 	s.Conflicts += o.Conflicts
 	s.Decisions += o.Decisions
 	s.Propagations += o.Propagations
-	s.Restarts += o.Restarts
 	s.Learnt += o.Learnt
-	s.Removed += o.Removed
 }
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
 	arena   []Lit
-	clauses []cref
-	learnts []cref
-	wasted  int // arena words of deleted clauses
+	clauses []cref // problem clauses
 
 	watches [][]watcher // indexed by Lit
 
@@ -170,15 +145,11 @@ type Solver struct {
 
 	order  varHeap
 	varInc float64
-	claInc float64
 
 	seen       []bool
 	analyzeTmp []Lit
 	clearTmp   []Lit // analyze: seen flags to clear
 	addTmp     []Lit // clause simplification buffer
-
-	levelStamp []uint64 // computeLBD scratch, indexed by decision level
-	lbdTick    uint64
 
 	lastAssumps []Lit // previous Solve's assumptions (trail and cone reuse)
 
@@ -210,25 +181,18 @@ type Solver struct {
 	litStamp  []uint64 // per Lit: gate-value memo of the current answer (ValueOf)
 	stampTick uint64   // litStamp value marking the current answer's memo
 
-	stats      Stats
-	learntBase int // learnt clauses beyond half the problem clauses that trigger reduceDB
+	stats Stats
 
 	// afterOpenCone, when set, runs at the end of every openCone (tests).
 	afterOpenCone func()
-
-	// Budget limits one Solve call; 0 means unlimited.
-	ConflictBudget uint64
 }
 
 // New returns an empty solver.
 func New() *Solver {
 	return &Solver{
-		varInc:     1,
-		claInc:     1,
-		ok:         true,
-		levelStamp: make([]uint64, 1),
-		arena:      make([]Lit, 1), // offset 0 is noReason
-		learntBase: 4000,
+		varInc: 1,
+		ok:     true,
+		arena:  make([]Lit, 1), // offset 0 is noReason
 	}
 }
 
@@ -266,7 +230,6 @@ func (s *Solver) newVar(decision bool) Var {
 	s.fanin = append(s.fanin, 0, 0, 0)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
-	s.levelStamp = append(s.levelStamp, 0)
 	s.litStamp = append(s.litStamp, 0, 0)
 	return v
 }
@@ -413,18 +376,14 @@ func (s *Solver) attachLive(out []Lit) bool {
 	return true
 }
 
-// newClause copies lits into the arena, lists and watches the clause. A
-// learnt clause starts with its retention window open.
+// newClause copies lits into the arena and watches the clause; a problem
+// clause is also listed.
 func (s *Solver) newClause(lits []Lit, learnt bool) cref {
 	c := cref(len(s.arena))
-	h := Lit(len(lits)) << 3
-	if learnt {
-		s.arena = append(s.arena, h|2<<1|hLearnt, 0, 0) // lbd and activity 0
-		s.learnts = append(s.learnts, c)
-	} else {
-		s.arena = append(s.arena, h)
+	if !learnt {
 		s.clauses = append(s.clauses, c)
 	}
+	s.arena = append(s.arena, Lit(len(lits)))
 	s.arena = append(s.arena, lits...)
 	ref := c
 	if len(lits) == 2 {
@@ -438,15 +397,7 @@ func (s *Solver) newClause(lits []Lit, learnt bool) cref {
 
 // lits returns clause c's literals, aliasing the arena.
 func (s *Solver) lits(c cref) []Lit {
-	h := s.arena[c]
-	i := int(c) + 1 + 2*int(h&hLearnt)
-	return s.arena[i : i+int(h>>3)]
-}
-
-// words returns the arena words clause c occupies.
-func (s *Solver) words(c cref) int {
-	h := s.arena[c]
-	return 1 + 2*int(h&hLearnt) + int(h>>3)
+	return s.arena[c+1 : c+1+cref(s.arena[c])]
 }
 
 func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
@@ -607,24 +558,6 @@ func (s *Solver) varBump(v Var) {
 
 func (s *Solver) varDecay() { s.varInc /= varDecay }
 
-// act returns learnt clause c's activity; setAct stores it.
-func (s *Solver) act(c cref) float32 { return math.Float32frombits(uint32(s.arena[c+2])) }
-
-func (s *Solver) setAct(c cref, a float32) { s.arena[c+2] = Lit(math.Float32bits(a)) }
-
-func (s *Solver) claBump(c cref) {
-	a := s.act(c) + float32(s.claInc)
-	s.setAct(c, a)
-	if a > 1e20 {
-		for _, lc := range s.learnts {
-			s.setAct(lc, s.act(lc)*1e-20)
-		}
-		s.claInc *= 1e-20
-	}
-}
-
-func (s *Solver) claDecay() { s.claInc /= clauseDecay }
-
 // analyze performs first-UIP conflict analysis, returning the learnt clause
 // (asserting literal first) and the backtrack level.
 func (s *Solver) analyze(confl cref) (learnt []Lit, btLevel int32) {
@@ -635,15 +568,6 @@ func (s *Solver) analyze(confl cref) (learnt []Lit, btLevel int32) {
 
 	for {
 		lits := s.lits(confl)
-		if h := s.arena[confl]; h&hLearnt != 0 {
-			s.claBump(confl)
-			s.arena[confl] = h&^hUsed | 2<<1
-			// Dynamic LBD: a clause that participates in conflicts with a
-			// better level profile is promoted toward the core tier.
-			if nl := s.computeLBD(lits); nl < uint32(s.arena[confl+1]) {
-				s.arena[confl+1] = Lit(nl)
-			}
-		}
 		start := 0
 		if p != -1 {
 			start = 1
@@ -725,27 +649,6 @@ func (s *Solver) analyze(confl cref) (learnt []Lit, btLevel int32) {
 	return learnt, btLevel
 }
 
-// computeLBD returns the number of distinct decision levels in the clause,
-// via a per-level stamp array (no allocation).
-func (s *Solver) computeLBD(lits []Lit) uint32 {
-	s.lbdTick++
-	t := s.lbdTick
-	var n uint32
-	for _, l := range lits {
-		lv := s.level[l>>1]
-		// Assumptions that already hold open empty levels, so levels can
-		// outnumber the variables the stamp array grows with.
-		for int(lv) >= len(s.levelStamp) {
-			s.levelStamp = append(s.levelStamp, 0)
-		}
-		if s.levelStamp[lv] != t {
-			s.levelStamp[lv] = t
-			n++
-		}
-	}
-	return n
-}
-
 // analyzeFinal collects the subset of assumptions responsible for forcing
 // the complement of p, storing them in conflictAssumps.
 func (s *Solver) analyzeFinal(p Lit) {
@@ -791,123 +694,11 @@ func (s *Solver) pickBranchLit() Lit {
 	}
 }
 
-// luby computes the Luby restart sequence value for 0-based index i:
-// 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ...
-func luby(i uint64) uint64 {
-	// Find the finite subsequence containing index i and its size.
-	var size uint64 = 1
-	var seq uint
-	for size < i+1 {
-		seq++
-		size = 2*size + 1
-	}
-	for size-1 != i {
-		size = (size - 1) / 2
-		seq--
-		i %= size
-	}
-	return uint64(1) << seq
-}
-
-// reduceDB trims the learnt-clause database by tier: core clauses (binary or
-// lbd <= coreLBD) are kept forever, tier2 clauses (lbd <= tier2LBD) survive
-// while their recent-use window is open, and the local tier is halved by
-// activity. Reason ("locked") clauses are never removed.
-func (s *Solver) reduceDB() {
-	ls := s.learnts
-	if len(ls) < 100 {
-		return
-	}
-	keep := ls[:0]
-	var local []cref
-	for _, c := range ls {
-		h, lbd := s.arena[c], uint32(s.arena[c+1])
-		switch {
-		case h>>3 <= 2 || lbd <= coreLBD:
-			keep = append(keep, c)
-		case lbd <= tier2LBD && h&hUsed != 0:
-			s.arena[c] = h - 1<<1
-			keep = append(keep, c)
-		default:
-			local = append(local, c)
-		}
-	}
-	if len(local) > 0 {
-		sort.Slice(local, func(i, j int) bool { return s.worse(local[i], local[j]) })
-		target := len(local) / 2
-		for i, c := range local {
-			if i < target && !s.locked(c) {
-				s.detach(c)
-				s.wasted += s.words(c)
-				s.stats.Removed++
-				continue
-			}
-			keep = append(keep, c)
-		}
-	}
-	s.learnts = keep
-	if s.wasted > len(s.arena)/2 {
-		s.reclaim()
-	}
-}
-
-// reclaim compacts the arena. Live clauses are copied in list order, and
-// each old clause's second word records its new offset, through which every
-// watcher and reason ref is rewritten in place: no watch list changes order.
-func (s *Solver) reclaim() {
-	to := make([]Lit, 1, len(s.arena)-s.wasted)
-	for _, cs := range [2][]cref{s.clauses, s.learnts} {
-		for i, c := range cs {
-			cs[i] = cref(len(to))
-			to = append(to, s.arena[c:int(c)+s.words(c)]...)
-			s.arena[c+1] = Lit(cs[i])
-		}
-	}
-	for _, ws := range s.watches {
-		for i, w := range ws {
-			ws[i].ref = cref(s.arena[w.ref&^crefBin+1]) | w.ref&crefBin
-		}
-	}
-	for _, l := range s.trail {
-		if r := s.reason[l.Var()]; r != noReason {
-			s.reason[l.Var()] = cref(s.arena[r+1])
-		}
-	}
-	s.arena, s.wasted = to, 0
-}
-
-// worse orders clauses so that less valuable clauses come first.
-func (s *Solver) worse(a, b cref) bool {
-	if la, lb := s.arena[a+1], s.arena[b+1]; la != lb {
-		return la > lb
-	}
-	return s.act(a) < s.act(b)
-}
-
-func (s *Solver) locked(c cref) bool {
-	return s.reason[s.lits(c)[0].Var()] == c
-}
-
-func (s *Solver) detach(c cref) {
-	lits := s.lits(c)
-	for _, l := range [2]Lit{lits[0].Neg(), lits[1].Neg()} {
-		ws := s.watches[l]
-		for i, w := range ws {
-			if w.ref&^crefBin == c {
-				ws[i] = ws[len(ws)-1]
-				s.watches[l] = ws[:len(ws)-1]
-				break
-			}
-		}
-	}
-}
-
 // Solve determines satisfiability of the clause set conjoined with the given
 // assumption literals. It assigns only the call's cone (cone.go); on Sat,
 // ValueOf/LitValue read a model of every clause, with variables outside the
 // cone computed from their gate definitions. On Unsat, FailedAssumptions
-// reports an inconsistent assumption subset. Unknown is returned only when
-// ConflictBudget is exhausted.
+// reports an inconsistent assumption subset.
 func (s *Solver) Solve(assumptions ...Lit) Status {
 	s.conflictAssumps = s.conflictAssumps[:0]
 	if !s.ok {
@@ -920,12 +711,12 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	}
 
 	// A repeat of the previous Sat call, with no clause or variable added
-	// since (no dropModel, same variable count) and no reduceDB due (which
-	// the search would run first), has the standing model as its answer: the
-	// search would re-decide the same assignment, every decision taking its
-	// saved phase and every propagation forced to its model value.
+	// since (no dropModel, same variable count), has the standing model as
+	// its answer: the search would re-decide the same assignment, every
+	// decision taking its saved phase and every propagation forced to its
+	// model value.
 	if s.lastSat && s.stampTick == s.satTick && len(s.assigns) == s.satVars &&
-		len(s.learnts) <= s.learntBase+len(s.clauses)/2 && slices.Equal(assumptions, s.lastAssumps) && !s.noModelReuse {
+		slices.Equal(assumptions, s.lastAssumps) && !s.noModelReuse {
 		return Sat
 	}
 	s.lastSat = false
@@ -949,17 +740,10 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	// this call, so kept assignments may have lost their fan-in.
 	trailCut := false
 
-	conflictsAtStart := s.stats.Conflicts
-	var restartSeq uint64
-	restartBudget := luby(restartSeq) * lubyUnit
-	var conflictsSinceRestart uint64
-	maxLearnts := s.learntBase + len(s.clauses)/2
-
 	for {
 		confl := s.propagate()
 		if confl != noReason {
 			s.stats.Conflicts++
-			conflictsSinceRestart++
 			if s.decisionLevel() == 0 {
 				s.ok = false
 				return Unsat
@@ -971,37 +755,11 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				s.uncheckedEnqueue(learnt[0], noReason)
 			} else {
 				c := s.newClause(learnt, true)
-				s.arena[c+1] = Lit(s.computeLBD(learnt))
 				s.stats.Learnt++
-				s.claBump(c)
 				s.uncheckedEnqueue(learnt[0], c)
 			}
 			s.varDecay()
-			s.claDecay()
-			if s.ConflictBudget > 0 && s.stats.Conflicts-conflictsAtStart > s.ConflictBudget {
-				s.cancelUntil(0)
-				return Unknown
-			}
 			continue
-		}
-
-		if conflictsSinceRestart >= restartBudget {
-			conflictsSinceRestart = 0
-			restartSeq++
-			restartBudget = luby(restartSeq) * lubyUnit
-			s.stats.Restarts++
-			// Restart the search but keep the assumption prefix: levels
-			// 1..len(assumptions) are assumption levels by construction.
-			al := int32(len(assumptions))
-			if dl := s.decisionLevel(); dl < al {
-				al = dl
-			}
-			s.cancelUntil(al)
-			continue
-		}
-		if len(s.learnts) > maxLearnts {
-			s.reduceDB()
-			maxLearnts += maxLearnts / 10
 		}
 
 		// Enqueue pending assumptions, one decision level each.

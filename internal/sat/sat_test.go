@@ -498,15 +498,6 @@ func TestAssumptionEquivalence(t *testing.T) {
 	}
 }
 
-func TestLuby(t *testing.T) {
-	want := []uint64{1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8}
-	for i, w := range want {
-		if got := luby(uint64(i)); got != w {
-			t.Errorf("luby(%d) = %d, want %d", i, got, w)
-		}
-	}
-}
-
 // TestAssumptionLevelsOutnumberVars repeats an assumption, so the
 // assumption levels (one per assumption, empty when it already holds)
 // outnumber the variables, and then needs conflicts above them: conflict
@@ -523,39 +514,6 @@ func TestAssumptionLevelsOutnumberVars(t *testing.T) {
 	}
 	if s.Stats().Conflicts == 0 {
 		t.Fatal("setup: expected the refutation to need conflicts")
-	}
-}
-
-func TestConflictBudgetUnknown(t *testing.T) {
-	// A hard instance with a tiny budget must return Unknown, then solve
-	// fine with the budget lifted.
-	const p, h = 7, 6
-	s := New()
-	vs := make([][]Var, p)
-	for i := range vs {
-		vs[i] = newVars(s, h)
-	}
-	for i := 0; i < p; i++ {
-		cl := make([]Lit, h)
-		for j := 0; j < h; j++ {
-			cl[j] = MkLit(vs[i][j], false)
-		}
-		s.AddClause(cl...)
-	}
-	for j := 0; j < h; j++ {
-		for i := 0; i < p; i++ {
-			for k := i + 1; k < p; k++ {
-				s.AddClause(MkLit(vs[i][j], true), MkLit(vs[k][j], true))
-			}
-		}
-	}
-	s.ConflictBudget = 5
-	if got := s.Solve(); got != Unknown {
-		t.Fatalf("tiny budget: got %v, want Unknown", got)
-	}
-	s.ConflictBudget = 0
-	if got := s.Solve(); got != Unsat {
-		t.Fatalf("no budget: got %v, want Unsat", got)
 	}
 }
 

@@ -22,30 +22,23 @@ type Result int8
 
 // Check outcomes.
 const (
-	Unknown Result = iota
-	Sat
+	Sat Result = iota + 1
 	Unsat
 )
 
 func (r Result) String() string {
-	switch r {
-	case Sat:
+	if r == Sat {
 		return "sat"
-	case Unsat:
-		return "unsat"
 	}
-	return "unknown"
+	return "unsat"
 }
 
-// Stats holds cumulative solver-facade counters. UnknownAns counts Check
-// calls that exhausted the conflict budget without an answer; it is always
-// zero when no budget is set.
+// Stats holds cumulative solver-facade counters.
 type Stats struct {
-	Checks     uint64
-	SatAns     uint64
-	UnsatAns   uint64
-	UnknownAns uint64
-	SAT        sat.Stats
+	Checks   uint64
+	SatAns   uint64
+	UnsatAns uint64
+	SAT      sat.Stats
 }
 
 // Solver decides QF_BV formulas built in one smt.Context. A Solver is not
@@ -58,10 +51,9 @@ type Solver struct {
 
 	lits []sat.Lit // assumption buffer of the current Check / CheckCore
 
-	checks     uint64
-	satAns     uint64
-	unsatAns   uint64
-	unknownAns uint64
+	checks   uint64
+	satAns   uint64
+	unsatAns uint64
 
 	h *obs.Handle
 }
@@ -82,10 +74,6 @@ func (s *Solver) Context() *smt.Context { return s.ctx }
 // SetObs attaches the owning worker's observability handle; every Check /
 // CheckCore then runs under a solver-check span. A nil handle detaches.
 func (s *Solver) SetObs(h *obs.Handle) { s.h = h }
-
-// SetConflictBudget bounds the SAT effort of each Check call; 0 removes the
-// bound. Exceeding the budget yields Unknown.
-func (s *Solver) SetConflictBudget(n uint64) { s.sat.ConflictBudget = n }
 
 // Assert permanently adds the Boolean term t to the solver. Constant terms
 // (the usual result of the term constructors folding a path condition) are handled
@@ -114,12 +102,10 @@ func (s *Solver) Check(assumptions ...*smt.Term) Result {
 	case sat.Sat:
 		s.satAns++
 		return Sat
-	case sat.Unsat:
+	default:
 		s.unsatAns++
 		return Unsat
 	}
-	s.unknownAns++
-	return Unknown
 }
 
 // CheckCore is Check plus, on Unsat, the subset of assumption terms the
@@ -137,7 +123,7 @@ func (s *Solver) CheckCore(assumptions ...*smt.Term) (Result, []*smt.Term) {
 	case sat.Sat:
 		s.satAns++
 		return Sat, nil
-	case sat.Unsat:
+	default:
 		s.unsatAns++
 		failed := s.sat.FailedAssumptions()
 		if len(failed) == 0 {
@@ -156,8 +142,6 @@ func (s *Solver) CheckCore(assumptions ...*smt.Term) (Result, []*smt.Term) {
 		}
 		return Unsat, core
 	}
-	s.unknownAns++
-	return Unknown, nil
 }
 
 // assumptionLits translates the assumptions into the solver's reused literal
@@ -228,11 +212,10 @@ func (s *Solver) ModelFor(vars []*smt.Term) smt.MapEnv {
 // Stats returns the cumulative counters.
 func (s *Solver) Stats() Stats {
 	return Stats{
-		Checks:     s.checks,
-		SatAns:     s.satAns,
-		UnsatAns:   s.unsatAns,
-		UnknownAns: s.unknownAns,
-		SAT:        s.sat.Stats(),
+		Checks:   s.checks,
+		SatAns:   s.satAns,
+		UnsatAns: s.unsatAns,
+		SAT:      s.sat.Stats(),
 	}
 }
 

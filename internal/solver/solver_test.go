@@ -236,26 +236,6 @@ func TestIncrementalReuse(t *testing.T) {
 	}
 }
 
-func TestConflictBudgetUnknown(t *testing.T) {
-	ctx := smt.NewContext()
-	s := New(ctx)
-	// Factoring a prime without wrap-around (64-bit product of 32-bit
-	// factors, both > 1) is unsat, and refuting it takes far more than one
-	// conflict. A modular 32-bit product would not do: for any odd x the
-	// equation x*y == c is solved by propagation alone.
-	x := ctx.Var("hx", 32)
-	y := ctx.Var("hy", 32)
-	q := ctx.BAnd(
-		ctx.Eq(ctx.Mul(ctx.ZExt(x, 64), ctx.ZExt(y, 64)), ctx.BV(64, 0x1234567d)),
-		ctx.BAnd(ctx.Ugt(x, ctx.BV(32, 1)), ctx.Ugt(y, ctx.BV(32, 1))),
-	)
-	s.SetConflictBudget(1)
-	if got := s.Check(q); got != Unknown {
-		t.Skipf("instance solved within one conflict (got %v); budget path still covered elsewhere", got)
-	}
-	s.SetConflictBudget(0)
-}
-
 func TestBoolConnectives(t *testing.T) {
 	ctx := smt.NewContext()
 	s := New(ctx)
