@@ -309,42 +309,62 @@ func TestTable1CSRMismatchesAreInherent(t *testing.T) {
 	}
 }
 
-// longRunGolden is the SHA-256 of the limit-1 longrun report at workers 1
+// longRunGolden is the SHA-256 of the microrv32 limit-1 longrun report at workers 1
 // (see TestLongRunAnswersGolden). A change that deliberately changes an
 // answer, a witness value or a work counter updates it, and says why. It
 // last changed when the SAT counters Restarts and Removed (both zero in this
 // run) left the stats; every answer and witness stayed the same.
 const longRunGolden = "3a5efe4f5b94f7ebbbd8410f886524b8d689464b6ba1102bf784baf190dfbc3b"
 
-// TestLongRunAnswersGolden anchors every answer of the exhaustive limit-1
-// exploration: the JSON of the whole report with Elapsed zeroed — path and
-// cache counters, SAT work counters, every finding's path, error text and
-// witness, every test vector — hashed and compared with a committed
-// constant. Optimisations of the query layers must leave it unchanged.
+// TestLongRunAnswersGolden anchors every answer of three explorations: the
+// exhaustive limit-1 tree of each core and the first 3000 DFS paths of the
+// pipecore limit-2 tree. The JSON of each whole report with Elapsed zeroed
+// — path and cache counters, SAT work counters, every finding's path, error
+// text and witness, every test vector — is hashed and compared with a
+// committed constant. Optimisations of the query layers and refactors of
+// either core must leave them unchanged.
 func TestLongRunAnswersGolden(t *testing.T) {
-	res := LongRun(LongRunOptions{Common: Common{Workers: 1}, InstrLimit: 1, NumRegs: 2})
-	rep := res.Report
-	rep.Stats.Elapsed = 0
-	type finding struct {
-		Path   int
-		Err    string
-		Inputs map[string]uint64
+	cases := []struct {
+		name   string
+		core   cosim.CoreKind
+		limit  int
+		paths  int
+		golden string
+	}{
+		{"microrv32-limit1", "", 1, 0, longRunGolden},
+		{"pipecore-limit1", cosim.CorePipecore, 1, 0, "ffce462ae715167d3c3ac036b9f3af10e5a15b0ac3aad58e3a37f974b78a86fc"},
+		{"pipecore-limit2-3000", cosim.CorePipecore, 2, 3000, "cfc342d093284245514c988540029a848bc617e6fd66e52bd430fa61f3881888"},
 	}
-	doc := struct {
-		Stats       any
-		Exhausted   bool
-		Findings    []finding
-		TestVectors any
-	}{rep.Stats, rep.Exhausted, nil, rep.TestVectors}
-	for _, f := range rep.Findings {
-		doc.Findings = append(doc.Findings, finding{f.Path, f.Err.Error(), f.Inputs})
-	}
-	b, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != longRunGolden {
-		t.Fatalf("limit-1 longrun report hashes to %s, want %s (%d paths, %d findings, %d vectors)",
-			got, longRunGolden, rep.Stats.Paths, len(rep.Findings), len(rep.TestVectors))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res := LongRun(LongRunOptions{
+				Common:     Common{Workers: 1, Core: tc.core, MaxPaths: tc.paths},
+				InstrLimit: tc.limit, NumRegs: 2,
+			})
+			rep := res.Report
+			rep.Stats.Elapsed = 0
+			type finding struct {
+				Path   int
+				Err    string
+				Inputs map[string]uint64
+			}
+			doc := struct {
+				Stats       any
+				Exhausted   bool
+				Findings    []finding
+				TestVectors any
+			}{rep.Stats, rep.Exhausted, nil, rep.TestVectors}
+			for _, f := range rep.Findings {
+				doc.Findings = append(doc.Findings, finding{f.Path, f.Err.Error(), f.Inputs})
+			}
+			b, err := json.Marshal(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != tc.golden {
+				t.Fatalf("longrun report hashes to %s, want %s (%d paths, %d findings, %d vectors)",
+					got, tc.golden, rep.Stats.Paths, len(rep.Findings), len(rep.TestVectors))
+			}
+		})
 	}
 }
