@@ -150,11 +150,6 @@ func (c Config) WithFaults(s faults.Set) Config {
 	return c
 }
 
-// Run executes one co-simulation path under the engine on a testbench built
-// for this call alone; RunFunc reuses testbenches across paths. A Mismatch is
-// returned as the path error when the voter finds one.
-func Run(eng *core.Engine, cfg Config) error { return RunFunc(cfg)(eng) }
-
 // runState owns one co-simulation path's mutable testbench state. reset
 // readies it for a path in place, so one runState serves many paths.
 type runState struct {

@@ -67,10 +67,11 @@ func TestDirectedConcreteAgreement(t *testing.T) {
 	}
 }
 
-// runPreloaded mirrors Run but pins the first instruction to a concrete word.
+// runPreloaded runs one path on a fresh testbench with the first
+// instruction pinned to a concrete word.
 func runPreloaded(eng *core.Engine, cfg Config, word uint32) error {
 	cfg.Filter = Filters(cfg.Filter, OnlyMasked(0xffffffff, word))
-	return Run(eng, cfg)
+	return RunFunc(cfg)(eng)
 }
 
 // TestMatchedModelsAgreeOneInstruction explores the full RV32I space (SYSTEM

@@ -18,7 +18,7 @@ import (
 // freshRun is the reference for the pooled RunFunc: a testbench built from
 // scratch on every path.
 func freshRun(cfg Config) core.RunFunc {
-	return func(eng *core.Engine) error { return Run(eng, cfg) }
+	return func(eng *core.Engine) error { return RunFunc(cfg)(eng) }
 }
 
 // poolCases are the scenarios the pooled testbench is compared on: the

@@ -28,12 +28,8 @@ import (
 	"symriscv/internal/microrv32"
 	"symriscv/internal/pipecore"
 	"symriscv/internal/riscv"
+	"symriscv/internal/rtl"
 )
-
-// Entry is one decode-table row under verification. It aliases the
-// microrv32 export (the original DUT) so historical call sites keep
-// working; pipecore rows are converted by entriesFor.
-type Entry = microrv32.TableEntry
 
 // CoreKind selects which DUT's decode table a Config verifies.
 type CoreKind string
@@ -69,24 +65,17 @@ func (c Config) String() string {
 }
 
 // entriesFor builds the decode table of the configured core.
-func entriesFor(cfg Config) []Entry {
-	switch cfg.core() {
-	case CorePipecore:
-		rows := pipecore.DecodeTableEntries(cfg.Faults, cfg.EnableM)
-		out := make([]Entry, len(rows))
-		for i, e := range rows {
-			out[i] = Entry(e)
-		}
-		return out
-	default:
-		return microrv32.DecodeTableEntries(cfg.Faults, cfg.EnableM)
+func entriesFor(cfg Config) []rtl.Row {
+	if cfg.core() == CorePipecore {
+		return pipecore.DecodeTable(cfg.Faults, cfg.EnableM)
 	}
+	return microrv32.DecodeTable(cfg.Faults, cfg.EnableM)
 }
 
 // Overlap is a pair of rows that both match some instruction word.
 type Overlap struct {
 	I, J int // row indices in walk order
-	A, B Entry
+	A, B rtl.Row
 	Word uint32 // counterexample word matching both rows
 }
 
@@ -188,7 +177,7 @@ func Check(cfg Config) *Report {
 // masks; the union of the match bits is then a concrete witness (valid
 // given well-formedness). Exposed for dutlint, which cross-checks its
 // SAT-probed decode-arm reachability against this purely bitwise answer.
-func FindOverlaps(entries []Entry) []Overlap {
+func FindOverlaps(entries []rtl.Row) []Overlap {
 	var overlaps []Overlap
 	for i := 0; i < len(entries); i++ {
 		for j := i + 1; j < len(entries); j++ {
@@ -206,7 +195,7 @@ func FindOverlaps(entries []Entry) []Overlap {
 
 // CheckEntries verifies an explicit entry list (exposed so tests can
 // inject deliberately broken rows).
-func CheckEntries(entries []Entry, cfg Config) *Report {
+func CheckEntries(entries []rtl.Row, cfg Config) *Report {
 	rep := &Report{Config: cfg, Rows: len(entries)}
 
 	for i, e := range entries {
@@ -244,10 +233,10 @@ func CheckEntries(entries []Entry, cfg Config) *Report {
 }
 
 // tableDecode walks the entries in order, as the core's decode stage does.
-func tableDecode(entries []Entry, w uint32) string {
+func tableDecode(entries []rtl.Row, w uint32) string {
 	for _, e := range entries {
 		if w&e.Mask == e.Match {
-			return e.Op
+			return e.Op.String()
 		}
 	}
 	return "illegal"

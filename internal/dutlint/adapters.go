@@ -7,6 +7,7 @@ import (
 	"symriscv/internal/microrv32"
 	"symriscv/internal/pipecore"
 	"symriscv/internal/riscv"
+	"symriscv/internal/rtl"
 	"symriscv/internal/rvfi"
 )
 
@@ -41,8 +42,8 @@ func MicroRV32(cfg microrv32.Config, numRegs int) DUT {
 
 func (d *mrvDUT) Name() string { return "microrv32" }
 
-func (d *mrvDUT) DecodeArms() []DecodeArm {
-	return tableArms(microrv32.DecodeTableEntries(d.cfg.Faults, d.cfg.EnableM))
+func (d *mrvDUT) DecodeArms() []rtl.Row {
+	return microrv32.DecodeTable(d.cfg.Faults, d.cfg.EnableM)
 }
 
 // mrvCSRs are the CSRs given free symbolic initial storage. mscratch is
@@ -124,8 +125,8 @@ func Pipecore(cfg pipecore.Config, numRegs int) DUT {
 
 func (d *pipeDUT) Name() string { return "pipecore" }
 
-func (d *pipeDUT) DecodeArms() []DecodeArm {
-	return tableArms(pipecore.DecodeTableEntries(d.cfg.Faults, d.cfg.EnableM))
+func (d *pipeDUT) DecodeArms() []rtl.Row {
+	return pipecore.DecodeTable(d.cfg.Faults, d.cfg.EnableM)
 }
 
 func (d *pipeDUT) Run(eng *core.Engine) (*CycleResult, error) {
@@ -160,24 +161,4 @@ func addRVFIRoots(res *CycleResult, ret *rvfi.Retirement) {
 	}
 	res.AddRoot(ClassRVFI, "mem_addr", ret.MemAddr)
 	res.AddRoot(ClassRVFI, "mem_wdata", ret.MemWData)
-}
-
-// tableArms converts either core's exported decode table. Both exports use
-// an identical row struct; the generic constraint keeps the conversion in
-// one place.
-func tableArms[E interface {
-	~struct {
-		Mask, Match uint32
-		Op          string
-	}
-}](entries []E) []DecodeArm {
-	out := make([]DecodeArm, len(entries))
-	for i, e := range entries {
-		r := (struct {
-			Mask, Match uint32
-			Op          string
-		})(e)
-		out[i] = DecodeArm{Op: r.Op, Mask: r.Mask, Match: r.Match}
-	}
-	return out
 }

@@ -84,12 +84,6 @@ func (r *CycleResult) AddRoot(class RootClass, name string, t *smt.Term) {
 	r.Roots = append(r.Roots, Root{Class: class, Name: name, Term: t})
 }
 
-// DecodeArm is one row of the DUT's priority decode table, in walk order.
-type DecodeArm struct {
-	Op          string
-	Mask, Match uint32
-}
-
 // DUT is the adapter interface a core must implement to be lintable.
 type DUT interface {
 	// Name identifies the core in reports and allowlists.
@@ -99,9 +93,9 @@ type DUT interface {
 	// transition relation for the current path. It is invoked once per
 	// exploration path under the engine's replay discipline.
 	Run(eng *core.Engine) (*CycleResult, error)
-	// DecodeArms returns the priority decode table for the SAT-probe
+	// DecodeArms returns the priority decode table, in walk order, for the SAT-probe
 	// reachability mode and its decodecheck cross-check.
-	DecodeArms() []DecodeArm
+	DecodeArms() []rtl.Row
 }
 
 // Options configure one lint run.

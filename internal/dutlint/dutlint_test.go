@@ -12,6 +12,7 @@ import (
 	"symriscv/internal/core"
 	"symriscv/internal/microrv32"
 	"symriscv/internal/pipecore"
+	"symriscv/internal/rtl"
 )
 
 // fixtureDUT seeds exactly one defect of each acceptance class: a dead
@@ -22,11 +23,11 @@ type fixtureDUT struct{}
 
 func (fixtureDUT) Name() string { return "fixture" }
 
-func (fixtureDUT) DecodeArms() []DecodeArm {
-	return []DecodeArm{
-		{Op: "addi", Mask: 0x7f, Match: 0x13},
-		{Op: "shadowed", Mask: 0x707f, Match: 0x13}, // every match also hits row 0
-		{Op: "lui", Mask: 0x7f, Match: 0x37},
+func (fixtureDUT) DecodeArms() []rtl.Row {
+	return []rtl.Row{
+		{Op: rtl.OpADDI, Mask: 0x7f, Match: 0x13},
+		{Op: rtl.OpXORI, Mask: 0x707f, Match: 0x13}, // shadowed: every match also hits row 0
+		{Op: rtl.OpLUI, Mask: 0x7f, Match: 0x37},
 	}
 }
 
@@ -69,8 +70,8 @@ func TestFixtureSeededDefects(t *testing.T) {
 	if f := byClass[FindUnconstrained]; f.Name != "in_unused" {
 		t.Errorf("unconstrained finding names %q, want in_unused", f.Name)
 	}
-	if f := byClass[FindUnreachArm]; f.Name != "arm01:shadowed" {
-		t.Errorf("unreach-arm finding names %q, want arm01:shadowed", f.Name)
+	if f := byClass[FindUnreachArm]; f.Name != "arm01:xori" {
+		t.Errorf("unreach-arm finding names %q, want arm01:xori", f.Name)
 	}
 	if f := byClass[FindStrobe]; f.Name != "dbus#0" || !strings.Contains(f.Detail, "0101") {
 		t.Errorf("strobe finding = %+v", f)
@@ -120,8 +121,8 @@ func TestFixtureCOI(t *testing.T) {
 // crashing the lint.
 type panicDUT struct{}
 
-func (panicDUT) Name() string            { return "panic-fixture" }
-func (panicDUT) DecodeArms() []DecodeArm { return nil }
+func (panicDUT) Name() string          { return "panic-fixture" }
+func (panicDUT) DecodeArms() []rtl.Row { return nil }
 
 func (panicDUT) Run(eng *core.Engine) (*CycleResult, error) {
 	ctx := eng.Context()
@@ -147,8 +148,8 @@ func TestBuildPanicRecovered(t *testing.T) {
 // must flag it as a fold candidate.
 type constDUT struct{}
 
-func (constDUT) Name() string            { return "const-fixture" }
-func (constDUT) DecodeArms() []DecodeArm { return nil }
+func (constDUT) Name() string          { return "const-fixture" }
+func (constDUT) DecodeArms() []rtl.Row { return nil }
 
 func (constDUT) Run(eng *core.Engine) (*CycleResult, error) {
 	ctx := eng.Context()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"symriscv/internal/decodecheck"
+	"symriscv/internal/rtl"
 	"symriscv/internal/smt"
 	"symriscv/internal/solver"
 )
@@ -29,7 +30,7 @@ func probeArms(rep *Report, dut DUT) {
 	sol := solver.New(ctx)
 	insn := ctx.Var("insn", 32)
 
-	match := func(a DecodeArm) *smt.Term {
+	match := func(a rtl.Row) *smt.Term {
 		return ctx.Eq(ctx.And(insn, ctx.BV(32, uint64(a.Mask))), ctx.BV(32, uint64(a.Match)))
 	}
 
@@ -45,7 +46,7 @@ func probeArms(rep *Report, dut DUT) {
 			}
 		}
 	}
-	overlaps := decodecheck.FindOverlaps(armEntries(arms))
+	overlaps := decodecheck.FindOverlaps(arms)
 	overlapsEarlier := make([]bool, len(arms))
 	for _, o := range overlaps {
 		overlapsEarlier[o.J] = true
@@ -83,12 +84,4 @@ func probeArms(rep *Report, dut DUT) {
 			}
 		}
 	}
-}
-
-func armEntries(arms []DecodeArm) []decodecheck.Entry {
-	out := make([]decodecheck.Entry, len(arms))
-	for i, a := range arms {
-		out[i] = decodecheck.Entry{Mask: a.Mask, Match: a.Match, Op: a.Op}
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package microrv32
 
 import (
 	"symriscv/internal/riscv"
+	"symriscv/internal/rtl"
 	"symriscv/internal/smt"
 )
 
@@ -83,10 +84,10 @@ func (c *Core) csrWrite(addr uint16, v *smt.Term) (ok bool) {
 }
 
 // csrOp executes one Zicsr instruction in the RTL CSR unit.
-func (c *Core) csrOp(op opKind, insn, pcPlus4 *smt.Term) {
+func (c *Core) csrOp(op rtl.Op, insn, pcPlus4 *smt.Term) {
 	ctx := c.ctx
 
-	immForm := op == opCSRRWI || op == opCSRRSI || op == opCSRRCI
+	immForm := op == rtl.OpCSRRWI || op == rtl.OpCSRRSI || op == rtl.OpCSRRCI
 	rd := c.chooseReg(riscv.FieldRd(ctx, insn))
 
 	var src *smt.Term
@@ -94,17 +95,17 @@ func (c *Core) csrOp(op opKind, insn, pcPlus4 *smt.Term) {
 	switch {
 	case immForm:
 		src = riscv.SymZimm(ctx, insn)
-		if op == opCSRRWI {
+		if op == rtl.OpCSRRWI {
 			wantWrite = true
 		} else {
 			wantWrite = !c.eng.BranchEq(riscv.FieldRs1(ctx, insn), ctx.BV(5, 0))
 		}
 	default:
 		rs1 := c.chooseReg(riscv.FieldRs1(ctx, insn))
-		src = c.regs[rs1]
-		wantWrite = op == opCSRRW || rs1 != 0
+		src = c.rf.X[rs1]
+		wantWrite = op == rtl.OpCSRRW || rs1 != 0
 	}
-	isRW := op == opCSRRW || op == opCSRRWI
+	isRW := op == rtl.OpCSRRW || op == rtl.OpCSRRWI
 	wantRead := !isRW || rd != 0
 
 	addr, known := c.chooseCSR(riscv.FieldCSR(ctx, insn))
@@ -131,7 +132,7 @@ func (c *Core) csrOp(op opKind, insn, pcPlus4 *smt.Term) {
 		switch {
 		case isRW:
 			nv = src
-		case op == opCSRRS || op == opCSRRSI:
+		case op == rtl.OpCSRRS || op == rtl.OpCSRRSI:
 			nv = ctx.Or(old, src)
 		default:
 			nv = ctx.And(old, ctx.Not(src))

@@ -1,30 +1,18 @@
 package microrv32
 
 import (
-	"symriscv/internal/faults"
 	"symriscv/internal/riscv"
 	"symriscv/internal/rtl"
 	"symriscv/internal/smt"
 )
 
-func memOpSize(op opKind) uint32 {
-	switch op {
-	case opLB, opLBU, opSB:
-		return 1
-	case opLH, opLHU, opSH:
-		return 2
-	default:
-		return 4
-	}
-}
-
 // startMem executes the address phase of a load/store: effective-address
 // computation, the (configurable) alignment check, transaction planning —
 // one aligned bus word, or two when the core's full misaligned support has
 // to split the access — and the first bus request.
-func (c *Core) startMem(op opKind, insn *smt.Term) rtl.DBusRequest {
+func (c *Core) startMem(op rtl.Op, insn *smt.Term) rtl.DBusRequest {
 	ctx := c.ctx
-	isStore := op == opSB || op == opSH || op == opSW
+	isStore := op.IsStore()
 
 	var rd, rs2 int
 	rs1 := 0
@@ -38,12 +26,12 @@ func (c *Core) startMem(op opKind, insn *smt.Term) rtl.DBusRequest {
 
 	var ea *smt.Term
 	if isStore {
-		ea = ctx.Add(c.regs[rs1], riscv.SymImmS(ctx, insn))
+		ea = ctx.Add(c.rf.X[rs1], riscv.SymImmS(ctx, insn))
 	} else {
-		ea = ctx.Add(c.regs[rs1], riscv.SymImmI(ctx, insn))
+		ea = ctx.Add(c.rf.X[rs1], riscv.SymImmI(ctx, insn))
 	}
 
-	size := memOpSize(op)
+	size := rtl.AccessSize(op)
 	if !c.cfg.NoMisalignedCheck && size > 1 {
 		cond := ctx.Ne(ctx.And(ea, c.bv(size-1)), c.bv(0))
 		if c.eng.Branch(cond) {
@@ -56,22 +44,12 @@ func (c *Core) startMem(op opKind, insn *smt.Term) rtl.DBusRequest {
 		}
 	}
 
-	// The strobe generator is a mux over the low address bits: resolving it
-	// forks the exploration across the byte lanes (and, with misaligned
-	// support, across the aligned/misaligned classes) *before* the address
-	// is concretized — this is what lets the voter reach the misaligned
-	// paths where the reference ISS traps.
-	lane2 := ctx.Extract(ea, 1, 0)
-	for i := uint64(0); i < 4; i++ {
-		if c.eng.BranchEq(lane2, ctx.BV(2, i)) {
-			break
-		}
-	}
-
-	addr := uint32(c.eng.Concretize(ea))
-	if op == opLBU && c.cfg.Faults.Has(faults.E7) {
-		addr ^= 3 // E7: byte-lane endianness flip on LBU
-	}
+	// Forking the byte lanes (and, with misaligned support, the
+	// aligned/misaligned classes) before the address is concretized is what
+	// lets the voter reach the misaligned paths where the reference ISS
+	// traps.
+	rtl.ForkLanes(c.eng, ea)
+	addr := rtl.LoadAddr(c.cfg.Faults, op, uint32(c.eng.Concretize(ea)))
 
 	plan := memPlan{op: op, isStore: isStore, rd: rd, addr: addr, ea: ea}
 
@@ -85,7 +63,7 @@ func (c *Core) startMem(op opKind, insn *smt.Term) rtl.DBusRequest {
 	plan.reqAddr[1] = base + 4
 
 	if isStore {
-		val := c.regs[rs2]
+		val := c.rf.X[rs2]
 		if size < 4 {
 			plan.storeVal = ctx.ZExt(ctx.Extract(val, int(8*size-1), 0), 32)
 		} else {
@@ -139,8 +117,7 @@ func (c *Core) memRequest(i int) rtl.DBusRequest {
 }
 
 // finishMem runs after the last bus response: loads assemble and extend
-// their value (the fault hooks E8/E9 live here), then the instruction
-// retires.
+// their value (rtl.LoadValue), then the instruction retires.
 func (c *Core) finishMem() {
 	ctx := c.ctx
 	pcPlus4 := c.bv(c.pc + 4)
@@ -151,38 +128,15 @@ func (c *Core) finishMem() {
 		return
 	}
 
-	size := memOpSize(m.op)
+	size := rtl.AccessSize(m.op)
 	base := m.addr &^ 3
-	bytes := make([]*smt.Term, size)
+	var bytes [4]*smt.Term
 	for i := uint32(0); i < size; i++ {
 		g := m.addr + i
 		w := (g - base) / 4
 		lane := g & 3
 		bytes[i] = ctx.Extract(m.words[w], int(8*lane+7), int(8*lane))
 	}
-
-	f := c.cfg.Faults
-	var val *smt.Term
-	switch m.op {
-	case opLB:
-		if f.Has(faults.E8) {
-			val = ctx.ZExt(bytes[0], 32) // E8: sign extension missing
-		} else {
-			val = ctx.SExt(bytes[0], 32)
-		}
-	case opLBU:
-		val = ctx.ZExt(bytes[0], 32)
-	case opLH:
-		val = ctx.SExt(ctx.Concat(bytes[1], bytes[0]), 32)
-	case opLHU:
-		val = ctx.ZExt(ctx.Concat(bytes[1], bytes[0]), 32)
-	case opLW:
-		word := ctx.Concat(bytes[3], ctx.Concat(bytes[2], ctx.Concat(bytes[1], bytes[0])))
-		if f.Has(faults.E9) {
-			val = ctx.ZExt(ctx.Extract(word, 15, 0), 32) // E9: upper half not loaded
-		} else {
-			val = word
-		}
-	}
+	val := rtl.LoadValue(ctx, c.cfg.Faults, m.op, bytes)
 	c.retireALU(m.rd, val, pcPlus4)
 }

@@ -109,9 +109,6 @@ func New(o Options) *Recorder {
 	return r
 }
 
-// Enabled reports whether the recorder collects anything (i.e. is non-nil).
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // NewHandle returns the single-goroutine shard for one worker. Worker 0 is
 // the orchestrator / sequential explorer; parallel workers use 1..N.
 func (r *Recorder) NewHandle(worker int) *Handle {

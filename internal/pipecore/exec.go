@@ -25,176 +25,70 @@ func (c *Core) execute() (dbReq rtl.DBusRequest) {
 		c.complete(w)
 	}
 
-	op := c.decode(insn)
+	op := c.dec.Decode(c.eng, insn)
 	switch op {
-	case opIllegal:
+	case rtl.OpIllegal:
 		c.trap(riscv.ExcIllegalInstruction)
 
-	case opLUI:
+	case rtl.OpLUI:
 		rd := c.chooseReg(riscv.FieldRd(ctx, insn))
 		done(rd, riscv.SymImmU(ctx, insn), pcPlus4)
 
-	case opAUIPC:
+	case rtl.OpAUIPC:
 		rd := c.chooseReg(riscv.FieldRd(ctx, insn))
 		done(rd, ctx.Add(pc, riscv.SymImmU(ctx, insn)), pcPlus4)
 
-	case opJAL:
+	case rtl.OpJAL:
 		rd := c.chooseReg(riscv.FieldRd(ctx, insn))
-		next := ctx.Add(pc, riscv.SymImmJ(ctx, insn))
-		if f.Has(faults.E5) {
-			next = pcPlus4 // E5: JAL fails to change the PC
-		}
-		done(rd, pcPlus4, next)
+		done(rd, pcPlus4, rtl.JALTarget(ctx, f, insn, pc, pcPlus4))
 
-	case opJALR:
+	case rtl.OpJALR:
 		rd := c.chooseReg(riscv.FieldRd(ctx, insn))
 		rs1 := c.chooseReg(riscv.FieldRs1(ctx, insn))
 		next := ctx.And(ctx.Add(c.srcReg(rs1, faults.E10), riscv.SymImmI(ctx, insn)), c.bv(0xfffffffe))
 		done(rd, pcPlus4, next)
 
-	case opBEQ, opBNE, opBLT, opBGE, opBLTU, opBGEU:
+	case rtl.OpBEQ, rtl.OpBNE, rtl.OpBLT, rtl.OpBGE, rtl.OpBLTU, rtl.OpBGEU:
 		rs1 := c.chooseReg(riscv.FieldRs1(ctx, insn))
 		rs2 := c.chooseReg(riscv.FieldRs2(ctx, insn))
-		a, b := c.srcReg(rs1, faults.E10), c.srcReg(rs2, faults.E11)
-		var cond *smt.Term
-		switch op {
-		case opBEQ:
-			cond = ctx.Eq(a, b)
-		case opBNE:
-			if f.Has(faults.E6) {
-				cond = ctx.Eq(a, b) // E6: BNE behaves like BEQ
-			} else {
-				cond = ctx.Ne(a, b)
-			}
-		case opBLT:
-			cond = ctx.Slt(a, b)
-		case opBGE:
-			cond = ctx.Sge(a, b)
-		case opBLTU:
-			cond = ctx.Ult(a, b)
-		default:
-			cond = ctx.Uge(a, b)
-		}
 		next := pcPlus4
-		if c.eng.Branch(cond) {
+		if c.eng.Branch(rtl.BranchCond(ctx, f, op, c.srcReg(rs1, faults.E10), c.srcReg(rs2, faults.E11))) {
 			next = ctx.Add(pc, riscv.SymImmB(ctx, insn))
 		}
 		done(0, nil, next)
 
-	case opLB, opLH, opLW, opLBU, opLHU, opSB, opSH, opSW:
+	case rtl.OpLB, rtl.OpLH, rtl.OpLW, rtl.OpLBU, rtl.OpLHU, rtl.OpSB, rtl.OpSH, rtl.OpSW:
 		dbReq = c.startMem(op, insn)
 
-	case opADDI, opSLTI, opSLTIU, opXORI, opORI, opANDI, opSLLI, opSRLI, opSRAI:
+	case rtl.OpADDI, rtl.OpSLTI, rtl.OpSLTIU, rtl.OpXORI, rtl.OpORI, rtl.OpANDI, rtl.OpSLLI, rtl.OpSRLI, rtl.OpSRAI:
 		rd := c.chooseReg(riscv.FieldRd(ctx, insn))
 		rs1 := c.chooseReg(riscv.FieldRs1(ctx, insn))
-		a := c.srcReg(rs1, faults.E10)
-		imm := riscv.SymImmI(ctx, insn)
-		shamt := ctx.ZExt(riscv.FieldShamt(ctx, insn), 32)
-		var res *smt.Term
-		switch op {
-		case opADDI:
-			res = ctx.Add(a, imm)
-			if f.Has(faults.E3) {
-				res = ctx.And(res, c.bv(0xfffffffe)) // E3: bit 0 stuck at 0
-			}
-		case opSLTI:
-			res = ctx.ZExt(ctx.BoolToBV(ctx.Slt(a, imm)), 32)
-		case opSLTIU:
-			res = ctx.ZExt(ctx.BoolToBV(ctx.Ult(a, imm)), 32)
-		case opXORI:
-			res = ctx.Xor(a, imm)
-		case opORI:
-			res = ctx.Or(a, imm)
-		case opANDI:
-			res = ctx.And(a, imm)
-		case opSLLI:
-			res = ctx.Shl(a, shamt)
-		case opSRLI:
-			res = ctx.Lshr(a, shamt)
-		default:
-			res = ctx.Ashr(a, shamt)
-		}
-		done(rd, res, pcPlus4)
+		done(rd, rtl.ALUImm(ctx, f, op, insn, c.srcReg(rs1, faults.E10)), pcPlus4)
 
-	case opADD, opSUB, opSLL, opSLT, opSLTU, opXOR, opSRL, opSRA, opOR, opAND,
-		opMUL, opMULH, opMULHSU, opMULHU, opDIV, opDIVU, opREM, opREMU:
+	case rtl.OpADD, rtl.OpSUB, rtl.OpSLL, rtl.OpSLT, rtl.OpSLTU, rtl.OpXOR, rtl.OpSRL, rtl.OpSRA, rtl.OpOR, rtl.OpAND,
+		rtl.OpMUL, rtl.OpMULH, rtl.OpMULHSU, rtl.OpMULHU, rtl.OpDIV, rtl.OpDIVU, rtl.OpREM, rtl.OpREMU:
 		rd := c.chooseReg(riscv.FieldRd(ctx, insn))
 		rs1 := c.chooseReg(riscv.FieldRs1(ctx, insn))
 		rs2 := c.chooseReg(riscv.FieldRs2(ctx, insn))
-		a, b := c.srcReg(rs1, faults.E10), c.srcReg(rs2, faults.E11)
-		shamt := ctx.And(b, c.bv(31))
-		var res *smt.Term
-		switch op {
-		case opADD:
-			res = ctx.Add(a, b)
-		case opSUB:
-			res = ctx.Sub(a, b)
-			if f.Has(faults.E4) {
-				res = ctx.And(res, c.bv(0x7fffffff)) // E4: bit 31 stuck at 0
-			}
-		case opSLL:
-			res = ctx.Shl(a, shamt)
-		case opSLT:
-			res = ctx.ZExt(ctx.BoolToBV(ctx.Slt(a, b)), 32)
-		case opSLTU:
-			res = ctx.ZExt(ctx.BoolToBV(ctx.Ult(a, b)), 32)
-		case opXOR:
-			res = ctx.Xor(a, b)
-		case opSRL:
-			res = ctx.Lshr(a, shamt)
-		case opSRA:
-			res = ctx.Ashr(a, shamt)
-		case opOR:
-			res = ctx.Or(a, b)
-		case opAND:
-			res = ctx.And(a, b)
-		case opMUL:
-			res = riscv.SymMul(ctx, a, b)
-		case opMULH:
-			res = riscv.SymMulH(ctx, a, b)
-		case opMULHSU:
-			res = riscv.SymMulHSU(ctx, a, b)
-		case opMULHU:
-			res = riscv.SymMulHU(ctx, a, b)
-		case opDIV:
-			res = riscv.SymDiv(ctx, a, b)
-		case opDIVU:
-			res = riscv.SymDivU(ctx, a, b)
-		case opREM:
-			res = riscv.SymRem(ctx, a, b)
-		default:
-			res = riscv.SymRemU(ctx, a, b)
-		}
-		done(rd, res, pcPlus4)
+		done(rd, rtl.ALUReg(ctx, f, op, c.srcReg(rs1, faults.E10), c.srcReg(rs2, faults.E11)), pcPlus4)
 
-	case opFENCE, opWFI:
+	case rtl.OpFENCE, rtl.OpWFI:
 		done(0, nil, pcPlus4)
 
-	case opECALL:
+	case rtl.OpECALL:
 		c.trap(riscv.ExcEnvCallFromM)
-	case opEBREAK:
+	case rtl.OpEBREAK:
 		c.trap(riscv.ExcBreakpoint)
 	}
 	return dbReq
 }
 
-func memOpSize(op opKind) uint32 {
-	switch op {
-	case opLB, opLBU, opSB:
-		return 1
-	case opLH, opLHU, opSH:
-		return 2
-	default:
-		return 4
-	}
-}
-
 // startMem runs the EX address phase of a load/store: alignment check (this
 // core always traps on misaligned accesses), lane-select fork, one aligned
 // bus transaction.
-func (c *Core) startMem(op opKind, insn *smt.Term) rtl.DBusRequest {
+func (c *Core) startMem(op rtl.Op, insn *smt.Term) rtl.DBusRequest {
 	ctx := c.ctx
-	isStore := op == opSB || op == opSH || op == opSW
+	isStore := op.IsStore()
 
 	var rd, rs2 int
 	rs1 := c.chooseReg(riscv.FieldRs1(ctx, insn))
@@ -208,7 +102,7 @@ func (c *Core) startMem(op opKind, insn *smt.Term) rtl.DBusRequest {
 		ea = ctx.Add(base, riscv.SymImmI(ctx, insn))
 	}
 
-	size := memOpSize(op)
+	size := rtl.AccessSize(op)
 	if size > 1 {
 		cond := ctx.Ne(ctx.And(ea, c.bv(size-1)), c.bv(0))
 		if c.eng.Branch(cond) {
@@ -221,18 +115,8 @@ func (c *Core) startMem(op opKind, insn *smt.Term) rtl.DBusRequest {
 		}
 	}
 
-	// Lane-select mux over the low address bits (forks the byte lanes).
-	lane2 := ctx.Extract(ea, 1, 0)
-	for i := uint64(0); i < 4; i++ {
-		if c.eng.BranchEq(lane2, ctx.BV(2, i)) {
-			break
-		}
-	}
-
-	addr := uint32(c.eng.Concretize(ea))
-	if op == opLBU && c.cfg.Faults.Has(faults.E7) {
-		addr ^= 3 // E7: byte-lane endianness flip on LBU
-	}
+	rtl.ForkLanes(c.eng, ea)
+	addr := rtl.LoadAddr(c.cfg.Faults, op, uint32(c.eng.Concretize(ea)))
 
 	m := &memState{op: op, rd: rd, addr: addr, ea: ea}
 	lane := addr & 3
@@ -278,11 +162,9 @@ func (c *Core) finishMem(word *smt.Term) {
 	ctx := c.ctx
 	m := c.exMem
 	pcPlus4 := c.bv(c.exPC + 4)
-	f := c.cfg.Faults
 
 	w := &wbEntry{pc: c.exPC, insn: c.exInsn, nextPC: pcPlus4, memAddr: m.ea}
-	isStore := m.op == opSB || m.op == opSH || m.op == opSW
-	if isStore {
+	if m.op.IsStore() {
 		w.memWData = m.storeVal
 		w.memWMask = uint8(m.strobe)
 		c.complete(w)
@@ -290,33 +172,14 @@ func (c *Core) finishMem(word *smt.Term) {
 	}
 	w.memRMask = uint8(m.strobe)
 
+	// The lane mux extracts the highest byte first.
 	lane := m.addr & 3
-	byteAt := func(i uint32) *smt.Term {
-		l := lane + i
-		return ctx.Extract(word, int(8*l+7), int(8*l))
+	var bytes [4]*smt.Term
+	for i := rtl.AccessSize(m.op); i > 0; i-- {
+		l := lane + i - 1
+		bytes[i-1] = ctx.Extract(word, int(8*l+7), int(8*l))
 	}
-	var val *smt.Term
-	switch m.op {
-	case opLB:
-		if f.Has(faults.E8) {
-			val = ctx.ZExt(byteAt(0), 32) // E8: sign extension missing
-		} else {
-			val = ctx.SExt(byteAt(0), 32)
-		}
-	case opLBU:
-		val = ctx.ZExt(byteAt(0), 32)
-	case opLH:
-		val = ctx.SExt(ctx.Concat(byteAt(1), byteAt(0)), 32)
-	case opLHU:
-		val = ctx.ZExt(ctx.Concat(byteAt(1), byteAt(0)), 32)
-	case opLW:
-		full := ctx.Concat(byteAt(3), ctx.Concat(byteAt(2), ctx.Concat(byteAt(1), byteAt(0))))
-		if f.Has(faults.E9) {
-			val = ctx.ZExt(ctx.Extract(full, 15, 0), 32) // E9: upper half missing
-		} else {
-			val = full
-		}
-	}
+	val := rtl.LoadValue(ctx, c.cfg.Faults, m.op, bytes)
 	if m.rd != 0 {
 		w.rd, w.val = m.rd, val
 	}
