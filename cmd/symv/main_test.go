@@ -64,6 +64,15 @@ func TestRunUsageErrors(t *testing.T) {
 		{"hunt -shipped pipecore", []string{"hunt", "-core", "pipecore", "-shipped"}, "microrv32-only"},
 		{"hunt -mie-bug pipecore", []string{"hunt", "-core", "pipecore", "-mie-bug"}, "microrv32-only"},
 		{"table2 bad limits", []string{"table2", "-limits", "1,x"}, "bad -limits"},
+		{"table2 -limits below 1", []string{"table2", "-limits", "-1", "-faults", "E6"}, "-limits -1: the instruction limit must be at least 1"},
+		{"hunt -limit below 1", []string{"hunt", "-limit", "-2", "-fault", "E6"}, "-limit -2: the instruction limit must be at least 1"},
+		{"longrun -limit 0", []string{"longrun", "-limit", "0"}, "-limit 0: the instruction limit must be at least 1"},
+		{"replay -limit 0", []string{"replay", "-limit", "0", "x1=5"}, "-limit 0: the instruction limit must be at least 1"},
+		{"longrun -regs 32", []string{"longrun", "-regs", "32"}, "-regs 32: want 1..31"},
+		{"longrun -regs 0", []string{"longrun", "-regs", "0"}, "-regs 0: want 1..31"},
+		{"hunt -regs 33", []string{"hunt", "-regs", "33"}, "-regs 33: want 1..31"},
+		{"lint-dut -regs 40", []string{"lint-dut", "-regs", "40"}, "-regs 40: want 0..31"},
+		{"lint-dut -regs -1", []string{"lint-dut", "-regs", "-1"}, "-regs -1: want 0..31"},
 		{"table2 unknown fault", []string{"table2", "-faults", "E99"}, "unknown fault"},
 		{"hunt unknown fault", []string{"hunt", "-fault", "E99"}, "unknown fault"},
 		{"hunt unknown search", []string{"hunt", "-search", "bogus"}, "unknown search strategy"},
@@ -83,6 +92,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{"cache no op", []string{"cache"}, "usage: symv cache"},
 		{"cache unknown op", []string{"cache", "frobnicate"}, "unknown operation"},
 		{"cache missing store", []string{"cache", "stats"}, "-store DIR is required"},
+		{"cache stats -key", []string{"cache", "stats", "-store", filepath.Join(os.TempDir(), "symv-cache-key-store"), "-key", "K"}, "flag provided but not defined: -key"},
 
 		{"lint-table unknown core", []string{"lint-table", "-core", "bogus"}, "bad -core"},
 		{"lint-dut -fork", []string{"lint-dut", "-fork", "off"}, "flag provided but not defined: -fork"},
