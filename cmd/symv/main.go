@@ -1009,8 +1009,7 @@ func sortedKeys(m map[string]uint64) []string {
 }
 
 // cmdLintTable statically verifies a core's decode table for the clean
-// configuration and every single-fault configuration, both with and without
-// the M extension. It exits non-zero on any overlap, gap, malformed row, or
+// configuration and every single-fault configuration. It exits non-zero on any overlap, gap, malformed row, or
 // unexplained deviation; the E0–E2 mask widenings appear as intentional
 // deviations in the output.
 func cmdLintTable(args []string, stderr io.Writer) error {

@@ -55,9 +55,6 @@ func New(ctx *smt.Context, s *sat.Solver) *Blaster {
 	return b
 }
 
-// LitTrue returns the solver literal that is constrained to true.
-func (b *Blaster) LitTrue() sat.Lit { return b.lTrue }
-
 func (b *Blaster) constLit(v bool) sat.Lit {
 	if v {
 		return b.lTrue
@@ -265,28 +262,6 @@ func (b *Blaster) encodeBV(t *smt.Term) []sat.Lit {
 		}
 		return b.adder(zero, negBits(a), b.lTrue)
 
-	case smt.KMul:
-		return b.multiplier(b.Bits(t.Arg(0)), b.Bits(t.Arg(1)))
-
-	case smt.KUDiv, smt.KURem:
-		av := b.Bits(t.Arg(0))
-		cv := b.Bits(t.Arg(1))
-		q, r := b.divider(av, cv)
-		// SMT-LIB division-by-zero semantics.
-		bz := b.lTrue
-		for _, l := range cv {
-			bz = b.mkAnd(bz, l.Neg())
-		}
-		out := make([]sat.Lit, w)
-		for i := 0; i < w; i++ {
-			if t.Kind() == smt.KUDiv {
-				out[i] = b.mkMux(bz, b.lTrue, q[i])
-			} else {
-				out[i] = b.mkMux(bz, av[i], r[i])
-			}
-		}
-		return out
-
 	case smt.KAnd, smt.KOr, smt.KXor:
 		a := b.Bits(t.Arg(0))
 		c := b.Bits(t.Arg(1))
@@ -376,70 +351,6 @@ func (b *Blaster) adder(a, c []sat.Lit, cin sat.Lit) []sat.Lit {
 		out[i], carry = b.fullAdder(a[i], c[i], carry)
 	}
 	return out
-}
-
-// multiplier implements shift-and-add multiplication, keeping the low bits.
-func (b *Blaster) multiplier(a, c []sat.Lit) []sat.Lit {
-	w := len(a)
-	acc := make([]sat.Lit, w)
-	for i := range acc {
-		acc[i] = b.lFalse
-	}
-	for i := 0; i < w; i++ {
-		// Partial product: (a << i) AND c[i], added into acc.
-		row := make([]sat.Lit, w)
-		for j := range row {
-			if j < i {
-				row[j] = b.lFalse
-			} else {
-				row[j] = b.mkAnd(a[j-i], c[i])
-			}
-		}
-		acc = b.adder(acc, row, b.lFalse)
-	}
-	return acc
-}
-
-// adderCarry is the ripple adder variant that also returns the final carry.
-func (b *Blaster) adderCarry(a, c []sat.Lit, cin sat.Lit) (sum []sat.Lit, cout sat.Lit) {
-	sum = make([]sat.Lit, len(a))
-	carry := cin
-	for i := range a {
-		sum[i], carry = b.fullAdder(a[i], c[i], carry)
-	}
-	return sum, carry
-}
-
-// divider implements unsigned restoring long division, producing the
-// quotient and remainder bit vectors (callers overlay the division-by-zero
-// semantics).
-func (b *Blaster) divider(a, c []sat.Lit) (q, r []sat.Lit) {
-	w := len(a)
-	// (w+1)-bit remainder and divisor so the trial subtraction never wraps.
-	rem := make([]sat.Lit, w+1)
-	for i := range rem {
-		rem[i] = b.lFalse
-	}
-	cext := make([]sat.Lit, w+1)
-	copy(cext, c)
-	cext[w] = b.lFalse
-
-	q = make([]sat.Lit, w)
-	for i := w - 1; i >= 0; i-- {
-		// rem = (rem << 1) | a[i], dropping the (always-zero) top bit.
-		shifted := make([]sat.Lit, w+1)
-		shifted[0] = a[i]
-		copy(shifted[1:], rem[:w])
-		// Trial subtraction: diff = shifted - cext; carry-out == 1 means
-		// shifted >= cext.
-		diff, carry := b.adderCarry(shifted, negBits(cext), b.lTrue)
-		q[i] = carry
-		rem = make([]sat.Lit, w+1)
-		for j := range rem {
-			rem[j] = b.mkMux(carry, diff[j], shifted[j])
-		}
-	}
-	return q, rem[:w]
 }
 
 type shiftKind uint8

@@ -101,7 +101,7 @@ func TestRandomTermEquivalence(t *testing.T) {
 	exprs := []func(a, c *smt.Term) *smt.Term{
 		func(a, c *smt.Term) *smt.Term { return ctx.Add(a, c) },
 		func(a, c *smt.Term) *smt.Term { return ctx.Sub(a, c) },
-		func(a, c *smt.Term) *smt.Term { return ctx.Mul(a, c) },
+		func(a, c *smt.Term) *smt.Term { return ctx.Xor(ctx.Add(a, c), c) },
 		func(a, c *smt.Term) *smt.Term { return ctx.Neg(a) },
 		func(a, c *smt.Term) *smt.Term { return ctx.Shl(a, ctx.And(c, ctx.BV(16, 15))) },
 		func(a, c *smt.Term) *smt.Term { return ctx.Ashr(a, ctx.And(c, ctx.BV(16, 15))) },
@@ -170,9 +170,6 @@ func TestPropagationComplete(t *testing.T) {
 		{smt.KAdd, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Add(x, y) }},
 		{smt.KSub, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Sub(x, y) }},
 		{smt.KNeg, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Neg(x) }},
-		{smt.KMul, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Mul(x, y) }},
-		{smt.KUDiv, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.UDiv(x, y) }},
-		{smt.KURem, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.URem(x, y) }},
 		{smt.KAnd, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.And(x, y) }},
 		{smt.KOr, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Or(x, y) }},
 		{smt.KXor, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Xor(x, y) }},
@@ -190,14 +187,14 @@ func TestPropagationComplete(t *testing.T) {
 		{smt.KIte, func(ctx *smt.Context, x, y *smt.Term) *smt.Term {
 			return ctx.Ite(ctx.Slt(x, y), ctx.Ule(y, x), ctx.Eq(x, ctx.Not(y)))
 		}},
-		{smt.KExtract, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Extract(ctx.Mul(x, y), 6, 2) }},
+		{smt.KExtract, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Extract(ctx.Xor(ctx.Add(x, y), y), 6, 2) }},
 		{smt.KConcat, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.Concat(ctx.Sub(x, y), x) }},
 		{smt.KZExt, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.ZExt(ctx.Add(x, y), 2*w) }},
 		{smt.KSExt, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.SExt(ctx.Add(x, y), 2*w) }},
 		{smt.KBAnd, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.BAnd(ctx.Ult(x, y), ctx.Slt(y, x)) }},
 		{smt.KBOr, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.BOr(ctx.Ult(x, y), ctx.Slt(y, x)) }},
 		{smt.KBXor, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.BXor(ctx.Ult(x, y), ctx.Slt(y, x)) }},
-		{smt.KBNot, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.BNot(ctx.Eq(ctx.Mul(x, y), x)) }},
+		{smt.KBNot, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.BNot(ctx.Eq(ctx.Add(x, y), x)) }},
 	}
 	rng := rand.New(rand.NewSource(13))
 	for _, tc := range cases {
@@ -293,8 +290,8 @@ func TestModelValueOutsideCone(t *testing.T) {
 	x, y, z := ctx.Var("x", w), ctx.Var("y", w), ctx.Var("z", w)
 	terms := []*smt.Term{
 		ctx.Add(x, y),
-		ctx.Mul(x, z),
-		ctx.UDiv(y, z),
+		ctx.Shl(x, z),
+		ctx.Ite(ctx.Ult(y, z), y, ctx.Sub(y, z)),
 		ctx.Xor(ctx.Sub(z, x), y),
 		ctx.Ite(ctx.Slt(x, z), ctx.Sub(x, y), ctx.Shl(z, ctx.And(y, ctx.BV(w, 7)))),
 		ctx.Concat(ctx.Extract(ctx.Add(x, z), 3, 0), ctx.Extract(y, 7, 4)),
@@ -378,8 +375,8 @@ func TestLitForHitAllocs(t *testing.T) {
 	sum := ctx.Add(x, y)
 	tru := ctx.True()
 	l, bits, lt := b.LitFor(cond), b.Bits(sum), b.LitFor(tru)
-	if lt != b.LitTrue() {
-		t.Fatalf("LitFor(true) = %v, want %v", lt, b.LitTrue())
+	if lt != b.lTrue {
+		t.Fatalf("LitFor(true) = %v, want %v", lt, b.lTrue)
 	}
 	vars := s.NumVars()
 

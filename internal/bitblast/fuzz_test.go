@@ -26,11 +26,11 @@ func fuzzTerm(ctx *smt.Context, vars []*smt.Term, next func() byte, d int) *smt.
 	case 1:
 		return ctx.Sub(a, b)
 	case 2:
-		return ctx.Mul(a, b)
+		return ctx.Xor(ctx.Add(a, b), a)
 	case 3:
-		return ctx.UDiv(a, b)
+		return ctx.Ite(ctx.Ult(a, b), ctx.Sub(b, a), a)
 	case 4:
-		return ctx.URem(a, b)
+		return ctx.Shl(ctx.Xor(a, b), ctx.And(b, ctx.BV(8, 7)))
 	case 5:
 		return ctx.And(a, b)
 	case 6:

@@ -10,7 +10,9 @@ import (
 	"symriscv/internal/faults"
 	"symriscv/internal/iss"
 	"symriscv/internal/microrv32"
+	"symriscv/internal/pipecore"
 	"symriscv/internal/riscv"
+	"symriscv/internal/rtl"
 	"symriscv/internal/rvfi"
 	"symriscv/internal/smt"
 )
@@ -72,6 +74,71 @@ func TestDirectedConcreteAgreement(t *testing.T) {
 func runPreloaded(eng *core.Engine, cfg Config, word uint32) error {
 	cfg.Filter = Filters(cfg.Filter, OnlyMasked(0xffffffff, word))
 	return RunFunc(cfg)(eng)
+}
+
+// retireSpy records the DUT's first valid retirement.
+type retireSpy struct {
+	DUT
+	first *rvfi.Retirement
+}
+
+func (s retireSpy) Retirement() *rvfi.Retirement {
+	r := s.DUT.Retirement()
+	if r.Valid && !s.first.Valid {
+		*s.first = *r
+	}
+	return r
+}
+
+// TestFormerMExtensionWordsIllegal: the eight OP encodings with funct7 0x01
+// (RV32M's MUL through REMU) are illegal on every layer of this RV32I+Zicsr
+// build. The reference decoder rejects them, no decode-table row of either
+// core matches them (clean or under any single fault), and a concrete
+// co-simulation on each core traps illegal-instruction with no mismatch
+// against the ISS.
+func TestFormerMExtensionWordsIllegal(t *testing.T) {
+	tables := []struct {
+		kind  CoreKind
+		table func(faults.Set) []rtl.Row
+		dut   func(*core.Engine) DUT
+	}{
+		{CoreMicroRV32, microrv32.DecodeTable, func(eng *core.Engine) DUT { return microrv32.New(eng, microrv32.FixedConfig()) }},
+		{CorePipecore, pipecore.DecodeTable, func(eng *core.Engine) DUT { return pipecore.New(eng, pipecore.Config{}) }},
+	}
+	sets := []faults.Set{faults.None}
+	for _, f := range faults.All() {
+		sets = append(sets, faults.Only(f))
+	}
+	for f3 := uint32(0); f3 < 8; f3++ {
+		w := riscv.EncodeR(riscv.OpReg, 3, f3, 1, 2, 0x01)
+		if mn := riscv.Decode(w).Mn; mn != riscv.InsInvalid {
+			t.Errorf("%#08x decodes to %v", w, mn)
+		}
+		for _, tc := range tables {
+			for _, fs := range sets {
+				for _, row := range tc.table(fs) {
+					if w&row.Mask == row.Match {
+						t.Errorf("%v faults %v: %#08x matches the %v row", tc.kind, fs, w, row.Op)
+					}
+				}
+			}
+			var first rvfi.Retirement
+			cfg := Config{
+				ISS:          iss.FixedConfig(),
+				NewDUT:       func(eng *core.Engine) DUT { return retireSpy{tc.dut(eng), &first} },
+				ConcreteIMem: func(uint32) uint32 { return w },
+				ConcreteMem:  func(addr uint32) uint8 { return uint8(addr) },
+				ConcreteRegs: map[int]uint32{1: 0xfffffff6, 2: 7},
+			}
+			rep := explore(t, cfg, core.Options{})
+			if len(rep.Findings) != 0 {
+				t.Errorf("%v %#08x: %v", tc.kind, w, rep.Findings[0].Err)
+			}
+			if !first.Valid || !first.Trap || first.Cause != riscv.ExcIllegalInstruction {
+				t.Errorf("%v %#08x: first retirement %+v, want an illegal-instruction trap", tc.kind, w, first)
+			}
+		}
+	}
 }
 
 // TestMatchedModelsAgreeOneInstruction explores the full RV32I space (SYSTEM

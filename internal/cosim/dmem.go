@@ -105,9 +105,6 @@ func (m *SymbolicDMem) StoreWord(addr uint32, v *smt.Term) {
 	}
 }
 
-// WriteCount returns the number of byte stores performed (diagnostics).
-func (m *SymbolicDMem) WriteCount() int { return len(m.writes) }
-
 // ServeDBus services one strobe-based bus request against this memory (the
 // co-simulation main's DBus redirection, §IV-C.2). Read requests return the
 // full aligned bus word; the core extracts and extends its lanes itself.

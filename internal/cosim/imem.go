@@ -73,12 +73,6 @@ func emptied[K comparable, V any](m map[K]V) map[K]V {
 	return m
 }
 
-// Preload pins a concrete instruction at addr (for directed co-simulation
-// runs and tests).
-func (m *SymbolicIMem) Preload(addr uint32, word uint32) {
-	m.words[addr] = m.eng.Context().BV(32, uint64(word))
-}
-
 // BlockSystemInstructions is the Table II filter: it excludes the SYSTEM
 // opcode (CSR instructions, ECALL/EBREAK/WFI/MRET) from generation, which
 // removes the known CSR implementation mismatches from the search space.

@@ -6,7 +6,7 @@
 // deviates from the RV32 spec makes the hunt chase decode artefacts
 // instead of the injected faults E0–E9.
 //
-// Three properties are checked per configuration (fault set × M switch):
+// Three properties are checked per configuration (fault set):
 //
 //   - well-formedness: every row's match bits lie inside its mask;
 //   - non-overlap: no instruction word can match two rows that decode to
@@ -43,9 +43,8 @@ const (
 
 // Config selects the decode-table build to verify.
 type Config struct {
-	Core    CoreKind // "" means CoreMicroRV32
-	Faults  faults.Set
-	EnableM bool
+	Core   CoreKind // "" means CoreMicroRV32
+	Faults faults.Set
 }
 
 // core returns the effective core selector, defaulting to microrv32.
@@ -57,19 +56,15 @@ func (c Config) core() CoreKind {
 }
 
 func (c Config) String() string {
-	m := "rv32i"
-	if c.EnableM {
-		m = "rv32im"
-	}
-	return fmt.Sprintf("%s %s faults=%s", c.core(), m, c.Faults)
+	return fmt.Sprintf("%s rv32i faults=%s", c.core(), c.Faults)
 }
 
 // entriesFor builds the decode table of the configured core.
 func entriesFor(cfg Config) []rtl.Row {
 	if cfg.core() == CorePipecore {
-		return pipecore.DecodeTable(cfg.Faults, cfg.EnableM)
+		return pipecore.DecodeTable(cfg.Faults)
 	}
-	return microrv32.DecodeTable(cfg.Faults, cfg.EnableM)
+	return microrv32.DecodeTable(cfg.Faults)
 }
 
 // Overlap is a pair of rows that both match some instruction word.
@@ -207,7 +202,7 @@ func CheckEntries(entries []rtl.Row, cfg Config) *Report {
 	rep.Overlaps = FindOverlaps(entries)
 
 	// Completeness/correctness sweep against the reference decoder.
-	clean := entriesFor(Config{Core: cfg.Core, Faults: faults.None, EnableM: cfg.EnableM})
+	clean := entriesFor(Config{Core: cfg.Core, Faults: faults.None})
 	for _, w := range sweepWords() {
 		rep.Checked++
 		want := referenceDecode(w, cfg)
@@ -243,19 +238,12 @@ func tableDecode(entries []rtl.Row, w uint32) string {
 }
 
 // referenceDecode is the spec verdict: the independent riscv decoder,
-// restricted to the configured extension set and the core's implemented
-// instruction subset (pipecore raises illegal-instruction for Zicsr and
+// restricted to the core's implemented instruction subset (pipecore raises illegal-instruction for Zicsr and
 // MRET by design — see the pipecore package comment — so the reference
 // must agree there, or every CSR word would be reported as a gap).
 func referenceDecode(w uint32, cfg Config) string {
 	in := riscv.Decode(w)
 	mn := in.Mn.String()
-	if !cfg.EnableM {
-		switch mn {
-		case "mul", "mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu":
-			return "illegal"
-		}
-	}
 	if cfg.core() == CorePipecore {
 		switch mn {
 		case "csrrw", "csrrs", "csrrc", "csrrwi", "csrrsi", "csrrci", "mret":
@@ -275,7 +263,7 @@ func attributeFault(cfg Config, w uint32, got string) (faults.Fault, bool) {
 		if !cfg.Faults.Has(f) {
 			continue
 		}
-		only := entriesFor(Config{Core: cfg.Core, Faults: faults.Only(f), EnableM: cfg.EnableM})
+		only := entriesFor(Config{Core: cfg.Core, Faults: faults.Only(f)})
 		if tableDecode(only, w) == got {
 			return f, true
 		}
@@ -289,9 +277,9 @@ func attributeFault(cfg Config, w uint32, got string) (faults.Fault, bool) {
 // boundary immediates.
 func sweepWords() []uint32 {
 	var words []uint32
-	// funct7 values: the two defined ones (0x00, 0x20), the M-extension
-	// selector (0x01), their bit-25 widenings that E0–E2 accept
-	// (0x01/0x21), and two garbage patterns.
+	// funct7 values: the two defined ones (0x00, 0x20), their bit-25
+	// widenings that E0–E2 accept (0x01/0x21; 0x01 is also RV32M's
+	// selector, illegal here), and three garbage patterns.
 	f7s := []uint32{0x00, 0x01, 0x02, 0x20, 0x21, 0x40, 0x7f}
 	for opc := uint32(0); opc < 128; opc++ {
 		for f3 := uint32(0); f3 < 8; f3++ {
@@ -333,9 +321,10 @@ func catalogWords() []uint32 {
 		riscv.SLT(10, 11, 12), riscv.SLTU(13, 14, 15), riscv.XOR(16, 17, 18),
 		riscv.SRL(19, 20, 21), riscv.SRA(22, 23, 24), riscv.OR(25, 26, 27),
 		riscv.AND(28, 29, 30))
-	add(riscv.MUL(1, 2, 3), riscv.MULH(4, 5, 6), riscv.MULHSU(7, 8, 9),
-		riscv.MULHU(10, 11, 12), riscv.DIV(13, 14, 15), riscv.DIVU(16, 17, 18),
-		riscv.REM(19, 20, 21), riscv.REMU(22, 23, 24))
+	// The RV32M encodings (funct7 0x01), which must decode as illegal.
+	for f3 := uint32(0); f3 < 8; f3++ {
+		add(riscv.EncodeR(riscv.OpReg, 1+3*f3, f3, 2+3*f3, 3+3*f3, 0x01))
+	}
 	add(riscv.FENCE(), riscv.ECALL(), riscv.EBREAK(), riscv.WFI(), riscv.MRET())
 	add(riscv.CSRRW(1, riscv.CSRMScratch, 2), riscv.CSRRS(3, riscv.CSRMStatus, 4),
 		riscv.CSRRC(5, riscv.CSRMTvec, 6), riscv.CSRRWI(7, riscv.CSRMScratch, 31),
@@ -348,21 +337,12 @@ func catalogWords() []uint32 {
 	return w
 }
 
-// CheckAll verifies the clean configuration plus every single-fault
-// configuration E0–E9, for both extension sets, and returns the reports
-// in that order. It covers the original microrv32 DUT; CheckAllFor runs
-// the same grid for any supported core.
-func CheckAll() []*Report { return CheckAllFor(CoreMicroRV32) }
-
-// CheckAllFor verifies the full configuration grid (clean + E0–E9, with
-// and without M) for the given core.
+// CheckAllFor verifies the clean configuration plus every single-fault
+// configuration for the given core, and returns the reports in that order.
 func CheckAllFor(core CoreKind) []*Report {
-	var reps []*Report
-	for _, enableM := range []bool{false, true} {
-		reps = append(reps, Check(Config{Core: core, Faults: faults.None, EnableM: enableM}))
-		for _, f := range faults.All() {
-			reps = append(reps, Check(Config{Core: core, Faults: faults.Only(f), EnableM: enableM}))
-		}
+	reps := []*Report{Check(Config{Core: core, Faults: faults.None})}
+	for _, f := range faults.All() {
+		reps = append(reps, Check(Config{Core: core, Faults: faults.Only(f)}))
 	}
 	return reps
 }

@@ -13,19 +13,17 @@ import (
 )
 
 // TestCleanTable proves the shipped table is well-formed, overlap-free and
-// complete against the reference decoder, with and without M.
+// complete against the reference decoder.
 func TestCleanTable(t *testing.T) {
-	for _, enableM := range []bool{false, true} {
-		rep := Check(Config{Faults: faults.None, EnableM: enableM})
-		if !rep.OK() {
-			t.Errorf("clean table (enableM=%v) not OK:\n%s", enableM, rep.Format())
-		}
-		if len(rep.Deviation) != 0 {
-			t.Errorf("clean table (enableM=%v) reported deviations:\n%s", enableM, rep.Format())
-		}
-		if rep.Checked < 7000 {
-			t.Errorf("sweep too small: %d words", rep.Checked)
-		}
+	rep := Check(Config{Faults: faults.None})
+	if !rep.OK() {
+		t.Errorf("clean table not OK:\n%s", rep.Format())
+	}
+	if len(rep.Deviation) != 0 {
+		t.Errorf("clean table reported deviations:\n%s", rep.Format())
+	}
+	if rep.Checked < 7000 {
+		t.Errorf("sweep too small: %d words", rep.Checked)
 	}
 }
 
@@ -36,7 +34,7 @@ func TestCleanTable(t *testing.T) {
 func TestFaultConfigs(t *testing.T) {
 	decodeFaults := map[faults.Fault]string{faults.E0: "slli", faults.E1: "srli", faults.E2: "srai"}
 	for _, f := range faults.All() {
-		rep := Check(Config{Faults: faults.Only(f), EnableM: true})
+		rep := Check(Config{Faults: faults.Only(f)})
 		if !rep.OK() {
 			t.Errorf("fault %s: table not OK:\n%s", f, rep.Format())
 		}
@@ -72,8 +70,8 @@ func TestFaultConfigs(t *testing.T) {
 // under the *clean* configuration fails: the deviation exists but no
 // active fault explains it.
 func TestUnintentionalDeviation(t *testing.T) {
-	widened := microrv32.DecodeTable(faults.Only(faults.E0), true)
-	rep := CheckEntries(widened, Config{Faults: faults.None, EnableM: true})
+	widened := microrv32.DecodeTable(faults.Only(faults.E0))
+	rep := CheckEntries(widened, Config{Faults: faults.None})
 	if rep.OK() {
 		t.Fatalf("E0-widened table passed under clean config:\n%s", rep.Format())
 	}
@@ -86,13 +84,13 @@ func TestUnintentionalDeviation(t *testing.T) {
 // the verifier names the conflicting mask/match pair and produces a
 // concrete 32-bit counterexample that matches both rows.
 func TestInjectedOverlap(t *testing.T) {
-	entries := microrv32.DecodeTable(faults.None, true)
+	entries := microrv32.DecodeTable(faults.None)
 	// Same mask/match as ADDI (opcode 0x13, funct3 0) but a different op:
 	// every ADDI encoding now matches two semantically different rows.
 	bogus := rtl.Row{Mask: 0x0000707f, Match: 0x00000013, Op: rtl.OpXORI}
 	entries = append(entries, bogus)
 
-	rep := CheckEntries(entries, Config{Faults: faults.None, EnableM: true})
+	rep := CheckEntries(entries, Config{Faults: faults.None})
 	if rep.OK() {
 		t.Fatalf("verifier accepted a table with an injected overlap")
 	}
@@ -136,17 +134,17 @@ func TestInjectedOverlap(t *testing.T) {
 // TestMalformedRow checks the well-formedness screen.
 func TestMalformedRow(t *testing.T) {
 	entries := []rtl.Row{{Mask: 0x7f, Match: 0xff, Op: rtl.OpADDI}}
-	rep := CheckEntries(entries, Config{Faults: faults.None, EnableM: true})
+	rep := CheckEntries(entries, Config{Faults: faults.None})
 	if rep.OK() || len(rep.Malformed) != 1 || rep.Malformed[0] != 0 {
 		t.Fatalf("malformed row not flagged: %+v", rep.Malformed)
 	}
 }
 
-// TestCheckAll exercises the symv lint-table entry point.
+// TestCheckAll exercises the symv lint-table entry point on microrv32.
 func TestCheckAll(t *testing.T) {
-	reps := CheckAll()
-	if len(reps) != 2*(1+int(faults.NumFaults)) {
-		t.Fatalf("CheckAll returned %d reports", len(reps))
+	reps := CheckAllFor(CoreMicroRV32)
+	if len(reps) != 1+int(faults.NumFaults) {
+		t.Fatalf("CheckAllFor returned %d reports", len(reps))
 	}
 	for _, rep := range reps {
 		if !rep.OK() {
@@ -159,17 +157,15 @@ func TestCheckAll(t *testing.T) {
 // reference decoder restricted to pipecore's implemented subset (no Zicsr,
 // no MRET).
 func TestPipecoreCleanTable(t *testing.T) {
-	for _, enableM := range []bool{false, true} {
-		rep := Check(Config{Core: CorePipecore, Faults: faults.None, EnableM: enableM})
-		if !rep.OK() {
-			t.Errorf("pipecore clean table (enableM=%v) not OK:\n%s", enableM, rep.Format())
-		}
-		if len(rep.Deviation) != 0 {
-			t.Errorf("pipecore clean table (enableM=%v) reported deviations:\n%s", enableM, rep.Format())
-		}
-		if rep.Checked < 7000 {
-			t.Errorf("sweep too small: %d words", rep.Checked)
-		}
+	rep := Check(Config{Core: CorePipecore, Faults: faults.None})
+	if !rep.OK() {
+		t.Errorf("pipecore clean table not OK:\n%s", rep.Format())
+	}
+	if len(rep.Deviation) != 0 {
+		t.Errorf("pipecore clean table reported deviations:\n%s", rep.Format())
+	}
+	if rep.Checked < 7000 {
+		t.Errorf("sweep too small: %d words", rep.Checked)
 	}
 }
 
@@ -178,7 +174,7 @@ func TestPipecoreCleanTable(t *testing.T) {
 // shift rows, exactly as for microrv32.
 func TestPipecoreFaultGrid(t *testing.T) {
 	reps := CheckAllFor(CorePipecore)
-	if len(reps) != 2*(1+int(faults.NumFaults)) {
+	if len(reps) != 1+int(faults.NumFaults) {
 		t.Fatalf("CheckAllFor returned %d reports", len(reps))
 	}
 	sawDecodeFault := 0
@@ -195,9 +191,9 @@ func TestPipecoreFaultGrid(t *testing.T) {
 			}
 		}
 	}
-	// E0, E1, E2 for both M settings.
-	if sawDecodeFault != 6 {
-		t.Errorf("expected 6 configurations with decode deviations, got %d", sawDecodeFault)
+	// E0, E1, E2.
+	if sawDecodeFault != 3 {
+		t.Errorf("expected 3 configurations with decode deviations, got %d", sawDecodeFault)
 	}
 }
 
@@ -205,9 +201,9 @@ func TestPipecoreFaultGrid(t *testing.T) {
 // both ways: a pipecore table that *did* accept CSR instructions would be
 // flagged against the restricted reference.
 func TestPipecoreCSRGap(t *testing.T) {
-	entries := entriesFor(Config{Core: CorePipecore, EnableM: true})
+	entries := entriesFor(Config{Core: CorePipecore})
 	entries = append(entries, rtl.Row{Mask: 0x707f, Match: 0x1073, Op: rtl.OpCSRRW})
-	rep := CheckEntries(entries, Config{Core: CorePipecore, Faults: faults.None, EnableM: true})
+	rep := CheckEntries(entries, Config{Core: CorePipecore, Faults: faults.None})
 	if rep.OK() {
 		t.Fatalf("pipecore table with a csrrw row passed the restricted reference")
 	}

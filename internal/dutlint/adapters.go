@@ -43,7 +43,7 @@ func MicroRV32(cfg microrv32.Config, numRegs int) DUT {
 func (d *mrvDUT) Name() string { return "microrv32" }
 
 func (d *mrvDUT) DecodeArms() []rtl.Row {
-	return microrv32.DecodeTable(d.cfg.Faults, d.cfg.EnableM)
+	return microrv32.DecodeTable(d.cfg.Faults)
 }
 
 // mrvCSRs are the CSRs given free symbolic initial storage. mscratch is
@@ -126,7 +126,7 @@ func Pipecore(cfg pipecore.Config, numRegs int) DUT {
 func (d *pipeDUT) Name() string { return "pipecore" }
 
 func (d *pipeDUT) DecodeArms() []rtl.Row {
-	return pipecore.DecodeTable(d.cfg.Faults, d.cfg.EnableM)
+	return pipecore.DecodeTable(d.cfg.Faults)
 }
 
 func (d *pipeDUT) Run(eng *core.Engine) (*CycleResult, error) {

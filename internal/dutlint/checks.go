@@ -165,7 +165,7 @@ func auditDAG(col *collector) int {
 	for id := col.baseline + 1; id <= col.ctx.NumTerms(); id++ {
 		t := col.ctx.TermByID(uint32(id))
 		switch t.Kind() {
-		case smt.KAdd, smt.KSub, smt.KMul, smt.KUDiv, smt.KURem,
+		case smt.KAdd, smt.KSub,
 			smt.KAnd, smt.KOr, smt.KXor, smt.KShl, smt.KLshr, smt.KAshr:
 			if t.Arg(0).Width() != t.Width() || t.Arg(1).Width() != t.Width() || t.Width() == 0 {
 				bad++

@@ -16,7 +16,7 @@ import (
 )
 
 // fixtureDUT seeds exactly one defect of each acceptance class: a dead
-// multiply, an ignored free input, an illegal store strobe, and a decode
+// shift, an ignored free input, an illegal store strobe, and a decode
 // arm fully shadowed by an earlier row. Everything else is clean, so the
 // expected finding set is exact.
 type fixtureDUT struct{}
@@ -36,7 +36,7 @@ func (fixtureDUT) Run(eng *core.Engine) (*CycleResult, error) {
 	a := eng.MakeSymbolic("in_a", 32)
 	b := eng.MakeSymbolic("in_b", 32)
 	eng.MakeSymbolic("in_unused", 32) // seeded: unconstrained input
-	ctx.Mul(a, b)                     // seeded: dead logic (never used)
+	ctx.Shl(a, b)                     // seeded: dead logic (never used)
 
 	res := &CycleResult{}
 	res.AddRoot(ClassState, "out", ctx.Add(a, ctx.BV(32, 4)))
@@ -76,7 +76,7 @@ func TestFixtureSeededDefects(t *testing.T) {
 	if f := byClass[FindStrobe]; f.Name != "dbus#0" || !strings.Contains(f.Detail, "0101") {
 		t.Errorf("strobe finding = %+v", f)
 	}
-	if f := byClass[FindDeadLogic]; !strings.HasPrefix(f.Name, "hash:") || !strings.Contains(f.Detail, "bvmul") {
+	if f := byClass[FindDeadLogic]; !strings.HasPrefix(f.Name, "hash:") || !strings.Contains(f.Detail, "bvshl") {
 		t.Errorf("dead-logic finding = %+v", f)
 	}
 }

@@ -228,22 +228,6 @@ func rowRank(rc RowClass) int {
 	return len(paperRowOrder)
 }
 
-// ExpectedRowKeys returns the row identities this reproduction is expected
-// to regenerate (the paper's Table I minus the "SHU" typo row — see
-// DESIGN.md).
-func ExpectedRowKeys() []string {
-	out := make([]string, 0, len(paperRowOrder))
-	for _, k := range paperRowOrder {
-		switch k {
-		case "SB|Missing alignment check", "mimpid|Missing trap at write":
-			// SB cannot be misaligned; mimpid is not listed in the paper.
-			continue
-		}
-		out = append(out, k)
-	}
-	return out
-}
-
 // Format renders the regenerated table in the paper's column layout.
 func (r *Table1Result) Format() string {
 	var b strings.Builder

@@ -68,9 +68,6 @@ func (s *ISS) csrRead(addr uint16) (v *smt.Term, ok bool) {
 			return nil, false
 		}
 	case riscv.CSRMIsa:
-		if s.cfg.EnableM {
-			return s.bv(riscv.MisaRV32IM), true
-		}
 		return s.bv(riscv.MisaRV32I), true
 	case riscv.CSRMCycle, riscv.CSRCycle, riscv.CSRTime, riscv.CSRMInstret, riscv.CSRInstret:
 		if w, stored := s.csr[addr]; stored {

@@ -42,9 +42,6 @@ type Config struct {
 	MidelegReadTrap bool
 	// MedelegReadTrap reproduces the VP bug of trapping on medeleg reads.
 	MedelegReadTrap bool
-	// EnableM adds the RV32M multiply/divide extension (off by default: the
-	// paper's case study targets RV32I+Zicsr).
-	EnableM bool
 }
 
 // VPConfig returns the as-shipped RISC-V VP behaviour, including its two
@@ -85,13 +82,6 @@ type ISS struct {
 // IrqSource supplies the (symbolic) machine-external-interrupt line, one
 // 1-bit term per instruction slot (the canonical contract lives in rvfi).
 type IrqSource = rvfi.IrqSource
-
-// New returns an ISS with all registers zero and PC 0.
-func New(eng *core.Engine, imem InstrFetcher, dmem DataMemory, cfg Config) *ISS {
-	s := new(ISS)
-	s.Reset(eng, imem, dmem, cfg)
-	return s
-}
 
 // Reset puts the ISS into its reset state (registers zero, PC 0) for a path
 // of eng over the given memories, reusing its storage.
@@ -493,22 +483,6 @@ func (s *ISS) opReg(r *Result, insn *smt.Term) {
 		s.setRd(r, rd, ctx.Or(a, b))
 	case s.match(insn, 0xfe00707f, riscv.F3AND<<12|riscv.OpReg):
 		s.setRd(r, rd, ctx.And(a, b))
-	case s.cfg.EnableM && s.match(insn, 0xfe00707f, riscv.F7MulDiv<<25|riscv.F3MUL<<12|riscv.OpReg):
-		s.setRd(r, rd, riscv.SymMul(ctx, a, b))
-	case s.cfg.EnableM && s.match(insn, 0xfe00707f, riscv.F7MulDiv<<25|riscv.F3MULH<<12|riscv.OpReg):
-		s.setRd(r, rd, riscv.SymMulH(ctx, a, b))
-	case s.cfg.EnableM && s.match(insn, 0xfe00707f, riscv.F7MulDiv<<25|riscv.F3MULHSU<<12|riscv.OpReg):
-		s.setRd(r, rd, riscv.SymMulHSU(ctx, a, b))
-	case s.cfg.EnableM && s.match(insn, 0xfe00707f, riscv.F7MulDiv<<25|riscv.F3MULHU<<12|riscv.OpReg):
-		s.setRd(r, rd, riscv.SymMulHU(ctx, a, b))
-	case s.cfg.EnableM && s.match(insn, 0xfe00707f, riscv.F7MulDiv<<25|riscv.F3DIV<<12|riscv.OpReg):
-		s.setRd(r, rd, riscv.SymDiv(ctx, a, b))
-	case s.cfg.EnableM && s.match(insn, 0xfe00707f, riscv.F7MulDiv<<25|riscv.F3DIVU<<12|riscv.OpReg):
-		s.setRd(r, rd, riscv.SymDivU(ctx, a, b))
-	case s.cfg.EnableM && s.match(insn, 0xfe00707f, riscv.F7MulDiv<<25|riscv.F3REM<<12|riscv.OpReg):
-		s.setRd(r, rd, riscv.SymRem(ctx, a, b))
-	case s.cfg.EnableM && s.match(insn, 0xfe00707f, riscv.F7MulDiv<<25|riscv.F3REMU<<12|riscv.OpReg):
-		s.setRd(r, rd, riscv.SymRemU(ctx, a, b))
 	default:
 		s.trap(r, riscv.ExcIllegalInstruction, insn)
 	}

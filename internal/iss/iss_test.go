@@ -73,7 +73,8 @@ func run(t *testing.T, cfg iss.Config, words []uint32, regs map[int]uint32, step
 		for a, v := range preMem {
 			bm.bytes[a] = v
 		}
-		s := iss.New(e, pm, bm, cfg)
+		s := new(iss.ISS)
+		s.Reset(e, pm, bm, cfg)
 		for i, v := range regs {
 			s.SetReg(i, ctx.BV(32, uint64(v)))
 		}
@@ -452,44 +453,5 @@ func TestImplementsCSR(t *testing.T) {
 		if iss.ImplementsCSR(addr) {
 			t.Errorf("ISS should not implement %#x", addr)
 		}
-	}
-}
-
-func TestMExtensionISS(t *testing.T) {
-	cfg := iss.FixedConfig()
-	cfg.EnableM = true
-	regs := map[int]uint32{1: 0xfffffff6, 2: 7}
-	cases := []struct {
-		word uint32
-		want uint32
-	}{
-		{riscv.MUL(3, 1, 2), 0xffffffba},
-		{riscv.MULH(3, 1, 2), 0xffffffff},
-		{riscv.MULHU(3, 1, 2), 6},
-		{riscv.MULHSU(3, 1, 2), 0xffffffff},
-		{riscv.DIV(3, 1, 2), 0xffffffff},
-		{riscv.DIVU(3, 1, 2), 0x24924923},
-		{riscv.REM(3, 1, 2), 0xfffffffd},
-		{riscv.REMU(3, 1, 2), 0xfffffff6 % 7},
-	}
-	for _, tc := range cases {
-		fx := run(t, cfg, []uint32{tc.word}, regs, 1, nil)
-		if fx.results[0].Trap {
-			t.Errorf("%s trapped", riscv.Disasm(tc.word))
-			continue
-		}
-		if got := cval(t, fx.results[0].RdValue); got != tc.want {
-			t.Errorf("%s: got %#x, want %#x", riscv.Disasm(tc.word), got, tc.want)
-		}
-	}
-	// misa advertises M.
-	fx := run(t, cfg, []uint32{riscv.CSRRS(1, riscv.CSRMIsa, 0)}, nil, 1, nil)
-	if got := cval(t, fx.results[0].RdValue); got != riscv.MisaRV32IM {
-		t.Errorf("misa = %#x, want %#x", got, riscv.MisaRV32IM)
-	}
-	// Disabled M traps.
-	fx = run(t, iss.FixedConfig(), []uint32{riscv.MUL(3, 1, 2)}, regs, 1, nil)
-	if !fx.results[0].Trap {
-		t.Error("MUL must trap without EnableM")
 	}
 }

@@ -45,10 +45,6 @@ type Config struct {
 	// minstreth raise a trap (shipped bug).
 	TrapOnCounterWrite bool
 
-	// EnableM adds the RV32M multiply/divide extension (off by default: the
-	// paper's case study targets RV32I+Zicsr).
-	EnableM bool
-
 	// IgnoreMIEBug injects an interrupt-logic fault: the core takes machine
 	// external interrupts even when mstatus.MIE is clear (extension study).
 	IgnoreMIEBug bool
@@ -137,18 +133,16 @@ func New(eng *core.Engine, cfg Config) *Core {
 	return c
 }
 
-// DecodeTable returns the core's decode table for the given fault set and
-// M-extension switch, in walk order: the RV32I, Zicsr and MRET rows of
-// rtl.DecodeTable.
-func DecodeTable(f faults.Set, enableM bool) []rtl.Row { return rtl.DecodeTable(f, enableM, true) }
+// DecodeTable returns the core's decode table for the given fault set, in
+// walk order: the RV32I, Zicsr and MRET rows of rtl.DecodeTable.
+func DecodeTable(f faults.Set) []rtl.Row { return rtl.DecodeTable(f, true) }
 
 // Reset puts the core into its reset state for a path of eng, reusing its
-// storage (the decode table is rebuilt only for a new fault set or M
-// switch).
+// storage (the decode table is rebuilt only for a new fault set).
 func (c *Core) Reset(eng *core.Engine, cfg Config) {
 	ctx := eng.Context()
 	dec, rf, csr := c.dec, c.rf, c.csr
-	dec.Reset(ctx, cfg.Faults, cfg.EnableM, true)
+	dec.Reset(ctx, cfg.Faults, true)
 	if csr == nil {
 		csr = make(map[uint16]*smt.Term)
 	}
@@ -347,8 +341,7 @@ func (c *Core) execute() (dbReq rtl.DBusRequest) {
 		rs1 := c.chooseReg(riscv.FieldRs1(ctx, insn))
 		c.retireALU(rd, rtl.ALUImm(ctx, f, op, insn, c.rf.X[rs1]), pcPlus4)
 
-	case rtl.OpADD, rtl.OpSUB, rtl.OpSLL, rtl.OpSLT, rtl.OpSLTU, rtl.OpXOR, rtl.OpSRL, rtl.OpSRA, rtl.OpOR, rtl.OpAND,
-		rtl.OpMUL, rtl.OpMULH, rtl.OpMULHSU, rtl.OpMULHU, rtl.OpDIV, rtl.OpDIVU, rtl.OpREM, rtl.OpREMU:
+	case rtl.OpADD, rtl.OpSUB, rtl.OpSLL, rtl.OpSLT, rtl.OpSLTU, rtl.OpXOR, rtl.OpSRL, rtl.OpSRA, rtl.OpOR, rtl.OpAND:
 		rd := c.chooseReg(riscv.FieldRd(ctx, insn))
 		rs1 := c.chooseReg(riscv.FieldRs1(ctx, insn))
 		rs2 := c.chooseReg(riscv.FieldRs2(ctx, insn))

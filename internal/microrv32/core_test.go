@@ -388,65 +388,3 @@ func TestImplementsCSR(t *testing.T) {
 		}
 	}
 }
-
-func TestMExtensionSemantics(t *testing.T) {
-	cfg := microrv32.FixedConfig()
-	cfg.EnableM = true
-	regs := map[int]uint32{1: 0xfffffff6, 2: 7} // x1 = -10, x2 = 7
-	cases := []struct {
-		word uint32
-		want uint32
-	}{
-		{riscv.MUL(3, 1, 2), 0xffffffba},    // -70
-		{riscv.MULH(3, 1, 2), 0xffffffff},   // high of -70
-		{riscv.MULHU(3, 1, 2), 6},           // high of 0xfffffff6 * 7
-		{riscv.MULHSU(3, 1, 2), 0xffffffff}, // signed * unsigned
-		{riscv.DIV(3, 1, 2), 0xffffffff},    // -10 / 7 = -1
-		{riscv.DIVU(3, 1, 2), 0x24924923},   // 0xfffffff6 / 7
-		{riscv.REM(3, 1, 2), 0xfffffffd},    // -10 % 7 = -3
-		{riscv.REMU(3, 1, 2), 0xfffffff6 % 7},
-	}
-	for _, tc := range cases {
-		fx := run(t, cfg, []uint32{tc.word}, regs, 1, nil)
-		if fx.rets[0].Trap {
-			t.Errorf("%s trapped", riscv.Disasm(tc.word))
-			continue
-		}
-		if got := cval(t, fx.rets[0].RdWData); got != tc.want {
-			t.Errorf("%s: got %#x, want %#x", riscv.Disasm(tc.word), got, tc.want)
-		}
-	}
-}
-
-func TestMExtensionEdgeCases(t *testing.T) {
-	cfg := microrv32.FixedConfig()
-	cfg.EnableM = true
-	intMin := uint32(0x80000000)
-	cases := []struct {
-		word uint32
-		x1   uint32
-		x2   uint32
-		want uint32
-	}{
-		{riscv.DIV(3, 1, 2), 100, 0, 0xffffffff},         // div by zero -> -1
-		{riscv.DIVU(3, 1, 2), 100, 0, 0xffffffff},        // divu by zero -> 2^32-1
-		{riscv.REM(3, 1, 2), 100, 0, 100},                // rem by zero -> dividend
-		{riscv.REMU(3, 1, 2), 100, 0, 100},               // remu by zero -> dividend
-		{riscv.DIV(3, 1, 2), intMin, 0xffffffff, intMin}, // overflow -> INT_MIN
-		{riscv.REM(3, 1, 2), intMin, 0xffffffff, 0},      // overflow -> 0
-		{riscv.DIV(3, 1, 2), 0xfffffff6, 0xfffffffe, 5},  // -10 / -2 = 5
-		{riscv.REM(3, 1, 2), 7, 0xfffffffe, 1},           // 7 % -2 = 1
-	}
-	for _, tc := range cases {
-		fx := run(t, cfg, []uint32{tc.word}, map[int]uint32{1: tc.x1, 2: tc.x2}, 1, nil)
-		if got := cval(t, fx.rets[0].RdWData); got != tc.want {
-			t.Errorf("%s x1=%#x x2=%#x: got %#x, want %#x",
-				riscv.Disasm(tc.word), tc.x1, tc.x2, got, tc.want)
-		}
-	}
-	// Without EnableM, the same encodings trap.
-	fx := run(t, microrv32.FixedConfig(), []uint32{riscv.MUL(3, 1, 2)}, map[int]uint32{1: 2, 2: 3}, 1, nil)
-	if !fx.rets[0].Trap {
-		t.Error("M encoding must trap when the extension is disabled")
-	}
-}

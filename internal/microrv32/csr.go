@@ -49,9 +49,6 @@ func (c *Core) csrRead(addr uint16) *smt.Term {
 	}
 	switch addr {
 	case riscv.CSRMIsa:
-		if c.cfg.EnableM {
-			return c.bv(riscv.MisaRV32IM)
-		}
 		return c.bv(riscv.MisaRV32I)
 	case riscv.CSRMCycle:
 		return c.bv(uint32(c.cycle))

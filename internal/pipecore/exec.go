@@ -65,8 +65,7 @@ func (c *Core) execute() (dbReq rtl.DBusRequest) {
 		rs1 := c.chooseReg(riscv.FieldRs1(ctx, insn))
 		done(rd, rtl.ALUImm(ctx, f, op, insn, c.srcReg(rs1, faults.E10)), pcPlus4)
 
-	case rtl.OpADD, rtl.OpSUB, rtl.OpSLL, rtl.OpSLT, rtl.OpSLTU, rtl.OpXOR, rtl.OpSRL, rtl.OpSRA, rtl.OpOR, rtl.OpAND,
-		rtl.OpMUL, rtl.OpMULH, rtl.OpMULHSU, rtl.OpMULHU, rtl.OpDIV, rtl.OpDIVU, rtl.OpREM, rtl.OpREMU:
+	case rtl.OpADD, rtl.OpSUB, rtl.OpSLL, rtl.OpSLT, rtl.OpSLTU, rtl.OpXOR, rtl.OpSRL, rtl.OpSRA, rtl.OpOR, rtl.OpAND:
 		rd := c.chooseReg(riscv.FieldRd(ctx, insn))
 		rs1 := c.chooseReg(riscv.FieldRs1(ctx, insn))
 		rs2 := c.chooseReg(riscv.FieldRs2(ctx, insn))

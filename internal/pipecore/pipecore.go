@@ -8,7 +8,7 @@
 // the fetch stage, and instructions retire at execute completion with a
 // write-through register file.
 //
-// Scope: RV32I (+ optional RV32M) + ECALL/EBREAK/WFI/FENCE. Zicsr and MRET are not implemented
+// Scope: RV32I + ECALL/EBREAK/WFI/FENCE. Zicsr and MRET are not implemented
 // (they raise illegal-instruction); co-simulation scenarios against the
 // full-featured reference ISS must block the SYSTEM opcode, as the Table II
 // configuration does anyway.
@@ -37,8 +37,6 @@ import (
 
 // Config selects the core variant.
 type Config struct {
-	// EnableM adds the RV32M multiply/divide extension.
-	EnableM bool
 	// Faults is the set of injected errors (E0–E14; E10–E14 are the
 	// pipeline-specific hazard/forwarding/control series).
 	Faults faults.Set
@@ -122,18 +120,16 @@ func New(eng *core.Engine, cfg Config) *Core {
 	return c
 }
 
-// DecodeTable returns the core's decode table for the given fault set and
-// M-extension switch, in walk order: rtl.DecodeTable without the Zicsr and
-// MRET rows.
-func DecodeTable(f faults.Set, enableM bool) []rtl.Row { return rtl.DecodeTable(f, enableM, false) }
+// DecodeTable returns the core's decode table for the given fault set, in
+// walk order: rtl.DecodeTable without the Zicsr and MRET rows.
+func DecodeTable(f faults.Set) []rtl.Row { return rtl.DecodeTable(f, false) }
 
 // Reset puts the core into its reset state for a path of eng, reusing its
-// storage (the decode table is rebuilt only for a new fault set or M
-// switch).
+// storage (the decode table is rebuilt only for a new fault set).
 func (c *Core) Reset(eng *core.Engine, cfg Config) {
 	ctx := eng.Context()
 	dec, rf := c.dec, c.rf
-	dec.Reset(ctx, cfg.Faults, cfg.EnableM, false)
+	dec.Reset(ctx, cfg.Faults, false)
 	*c = Core{cfg: cfg, eng: eng, ctx: ctx, dec: dec, rf: rf}
 	c.rf.Reset(ctx.BV(32, 0))
 }

@@ -454,24 +454,3 @@ func TestPipelineInterruptsMatched(t *testing.T) {
 			rep.Stats.Completed, baseRep.Stats.Completed)
 	}
 }
-
-// TestPipelineRV32MMatched sweeps the M-extension decode subtree on the
-// pipelined core against the M-enabled ISS.
-func TestPipelineRV32MMatched(t *testing.T) {
-	cfg := cosim.Config{
-		ISS: iss.Config{TrapOnMisaligned: true, EnableM: true},
-		Filter: cosim.Filters(cosim.BlockSystemInstructions,
-			cosim.OnlyMasked(0xfe00007f, uint32(riscv.F7MulDiv)<<25|riscv.OpReg)),
-		NewDUT: func(eng *core.Engine) cosim.DUT {
-			return pipecore.New(eng, pipecore.Config{EnableM: true})
-		},
-	}
-	x := core.NewExplorer(cosim.RunFunc(cfg))
-	rep := x.Explore(core.Options{MaxTime: 60 * time.Second})
-	if len(rep.Findings) != 0 {
-		t.Fatalf("pipeline M mismatch: %v", rep.Findings[0].Err)
-	}
-	if !rep.Exhausted || rep.Stats.Completed == 0 {
-		t.Fatalf("M sweep incomplete: %v", rep.Stats)
-	}
-}

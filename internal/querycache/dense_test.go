@@ -2,6 +2,7 @@ package querycache
 
 import (
 	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -124,7 +125,7 @@ func TestTablesGrowWithContext(t *testing.T) {
 	for round := 0; round < 40; round++ {
 		// New variables and constraints, some over old variables.
 		for i := 0; i < 2; i++ {
-			vars = append(vars, ctx.FreshVar("g", 8))
+			vars = append(vars, ctx.Var(fmt.Sprintf("g!%d", len(vars)+1), 8))
 		}
 		for i := 0; i < 3; i++ {
 			a := vars[rng.Intn(len(vars))]

@@ -45,9 +45,6 @@ const (
 // MisaRV32I is the misa value of an RV32 core with only the I extension.
 const MisaRV32I = 0x40000100
 
-// MisaRV32IM is the misa value of an RV32 core with the I and M extensions.
-const MisaRV32IM = MisaRV32I | 1<<12
-
 // CSRReadOnly reports whether the CSR address is architecturally read-only
 // (top two address bits both set).
 func CSRReadOnly(addr uint16) bool { return addr>>10&3 == 3 }
@@ -81,36 +78,4 @@ func CSRName(addr uint16) string {
 		return fmt.Sprintf("hpmcounter%dh", addr-CSRCycleH)
 	}
 	return fmt.Sprintf("0x%03x", addr)
-}
-
-// csrAddrs is the reverse of csrNames; a precomputed map keeps the lookup
-// independent of map iteration order (the names are unique, so the reverse
-// mapping is well defined).
-var csrAddrs = func() map[string]uint16 {
-	rev := make(map[string]uint16, len(csrNames))
-	for addr, n := range csrNames {
-		rev[n] = addr
-	}
-	return rev
-}()
-
-// CSRByName resolves an architectural CSR name to its address.
-func CSRByName(name string) (uint16, bool) {
-	if addr, ok := csrAddrs[name]; ok {
-		return addr, true
-	}
-	var idx int
-	if _, err := fmt.Sscanf(name, "mhpmcounter%dh", &idx); err == nil && name == fmt.Sprintf("mhpmcounter%dh", idx) {
-		if idx >= 3 && idx <= 31 {
-			return uint16(CSRMHpmCounterHBase + idx), true
-		}
-		return 0, false
-	}
-	if _, err := fmt.Sscanf(name, "mhpmcounter%d", &idx); err == nil && idx >= 3 && idx <= 31 {
-		return uint16(CSRMHpmCounterBase + idx), true
-	}
-	if _, err := fmt.Sscanf(name, "mhpmevent%d", &idx); err == nil && idx >= 3 && idx <= 31 {
-		return uint16(CSRMHpmEventBase + idx), true
-	}
-	return 0, false
 }

@@ -151,12 +151,10 @@ func Decode(w uint32) Inst {
 			case F3SRL:
 				in.Mn = InsSRA
 			}
-		case f7 == F7MulDiv:
-			in.Mn = [8]Mnemonic{InsMUL, InsMULH, InsMULHSU, InsMULHU, InsDIV, InsDIVU, InsREM, InsREMU}[f3]
 		}
 	case OpMisc:
 		if f3 == 0 {
-			in.Mn = InsFENCE
+			in.Mn, in.Imm = InsFENCE, ImmI(w)
 		}
 	case OpSystem:
 		in.CSR = uint16(w >> 20)

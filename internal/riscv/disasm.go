@@ -25,7 +25,7 @@ func Disasm(w uint32) string {
 		return fmt.Sprintf("%s x%d, x%d, %d", in.Mn, in.Rd, in.Rs1, in.Imm)
 	case in.Mn >= InsADDI && in.Mn <= InsANDI:
 		return fmt.Sprintf("%s x%d, x%d, %d", in.Mn, in.Rd, in.Rs1, in.Imm)
-	case in.Mn >= InsADD && in.Mn <= InsAND, in.Mn.IsMExt():
+	case in.Mn >= InsADD && in.Mn <= InsAND:
 		return fmt.Sprintf("%s x%d, x%d, x%d", in.Mn, in.Rd, in.Rs1, in.Rs2)
 	case in.Mn == InsCSRRW || in.Mn == InsCSRRS || in.Mn == InsCSRRC:
 		return fmt.Sprintf("%s x%d, %s, x%d", in.Mn, in.Rd, CSRName(in.CSR), in.Rs1)

@@ -154,30 +154,6 @@ func OR(rd, rs1, rs2 uint32) uint32 { return EncodeR(OpReg, rd, F3OR, rs1, rs2, 
 // AND encodes and rd, rs1, rs2.
 func AND(rd, rs1, rs2 uint32) uint32 { return EncodeR(OpReg, rd, F3AND, rs1, rs2, 0) }
 
-// MUL encodes mul rd, rs1, rs2.
-func MUL(rd, rs1, rs2 uint32) uint32 { return EncodeR(OpReg, rd, F3MUL, rs1, rs2, F7MulDiv) }
-
-// MULH encodes mulh rd, rs1, rs2.
-func MULH(rd, rs1, rs2 uint32) uint32 { return EncodeR(OpReg, rd, F3MULH, rs1, rs2, F7MulDiv) }
-
-// MULHSU encodes mulhsu rd, rs1, rs2.
-func MULHSU(rd, rs1, rs2 uint32) uint32 { return EncodeR(OpReg, rd, F3MULHSU, rs1, rs2, F7MulDiv) }
-
-// MULHU encodes mulhu rd, rs1, rs2.
-func MULHU(rd, rs1, rs2 uint32) uint32 { return EncodeR(OpReg, rd, F3MULHU, rs1, rs2, F7MulDiv) }
-
-// DIV encodes div rd, rs1, rs2.
-func DIV(rd, rs1, rs2 uint32) uint32 { return EncodeR(OpReg, rd, F3DIV, rs1, rs2, F7MulDiv) }
-
-// DIVU encodes divu rd, rs1, rs2.
-func DIVU(rd, rs1, rs2 uint32) uint32 { return EncodeR(OpReg, rd, F3DIVU, rs1, rs2, F7MulDiv) }
-
-// REM encodes rem rd, rs1, rs2.
-func REM(rd, rs1, rs2 uint32) uint32 { return EncodeR(OpReg, rd, F3REM, rs1, rs2, F7MulDiv) }
-
-// REMU encodes remu rd, rs1, rs2.
-func REMU(rd, rs1, rs2 uint32) uint32 { return EncodeR(OpReg, rd, F3REMU, rs1, rs2, F7MulDiv) }
-
 // FENCE encodes fence (pred/succ all).
 func FENCE() uint32 { return EncodeI(OpMisc, 0, 0, 0, 0x0ff) }
 

@@ -6,20 +6,6 @@ import (
 	"symriscv/internal/riscv"
 )
 
-// ExampleAssemble round-trips an instruction through the assembler and
-// disassembler.
-func ExampleAssemble() {
-	word, err := riscv.Assemble("addi a0, sp, -16")
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("0x%08x\n", word)
-	fmt.Println(riscv.Disasm(word))
-	// Output:
-	// 0xff010513
-	// addi x10, x2, -16
-}
-
 // ExampleDecode inspects the fields of an instruction word.
 func ExampleDecode() {
 	in := riscv.Decode(riscv.BNE(1, 2, -3022))

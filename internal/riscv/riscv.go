@@ -1,5 +1,5 @@
 // Package riscv holds the RV32I + Zicsr instruction-set tables shared by the
-// reference ISS, the RTL core model, the assembler helpers, and the
+// reference ISS, the RTL core models, the instruction encoders, and the
 // disassembler that renders counterexamples: opcodes, instruction formats,
 // immediate codecs, and the CSR catalogue.
 package riscv
@@ -70,21 +70,6 @@ const (
 	F3CSRRCI = 7
 )
 
-// funct7 value selecting the M extension within the OP opcode.
-const F7MulDiv = 0x01
-
-// funct3 values for OP when funct7 == F7MulDiv.
-const (
-	F3MUL    = 0
-	F3MULH   = 1
-	F3MULHSU = 2
-	F3MULHU  = 3
-	F3DIV    = 4
-	F3DIVU   = 5
-	F3REM    = 6
-	F3REMU   = 7
-)
-
 // SYSTEM funct12 values (bits 31..20) for the privileged instructions.
 const (
 	F12ECALL  = 0x000
@@ -136,14 +121,6 @@ const (
 	InsSRA
 	InsOR
 	InsAND
-	InsMUL
-	InsMULH
-	InsMULHSU
-	InsMULHU
-	InsDIV
-	InsDIVU
-	InsREM
-	InsREMU
 	InsFENCE
 	InsECALL
 	InsEBREAK
@@ -168,8 +145,6 @@ var mnemonicNames = [numMnemonics]string{
 	InsSLLI: "slli", InsSRLI: "srli", InsSRAI: "srai",
 	InsADD: "add", InsSUB: "sub", InsSLL: "sll", InsSLT: "slt", InsSLTU: "sltu",
 	InsXOR: "xor", InsSRL: "srl", InsSRA: "sra", InsOR: "or", InsAND: "and",
-	InsMUL: "mul", InsMULH: "mulh", InsMULHSU: "mulhsu", InsMULHU: "mulhu",
-	InsDIV: "div", InsDIVU: "divu", InsREM: "rem", InsREMU: "remu",
 	InsFENCE: "fence", InsECALL: "ecall", InsEBREAK: "ebreak", InsWFI: "wfi", InsMRET: "mret",
 	InsCSRRW: "csrrw", InsCSRRS: "csrrs", InsCSRRC: "csrrc",
 	InsCSRRWI: "csrrwi", InsCSRRSI: "csrrsi", InsCSRRCI: "csrrci",
@@ -193,12 +168,6 @@ func (m Mnemonic) IsBranch() bool { return m >= InsBEQ && m <= InsBGEU }
 
 // IsCSR reports whether the mnemonic is a Zicsr instruction.
 func (m Mnemonic) IsCSR() bool { return m >= InsCSRRW && m <= InsCSRRCI }
-
-// IsMExt reports whether the mnemonic belongs to the M extension.
-func (m Mnemonic) IsMExt() bool { return m >= InsMUL && m <= InsREMU }
-
-// RegName returns the xN name of an architectural register index.
-func RegName(r int) string { return fmt.Sprintf("x%d", r) }
 
 // Exception cause codes (mcause values) used by both models.
 const (

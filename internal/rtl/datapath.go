@@ -121,9 +121,8 @@ func ALUImm(ctx *smt.Context, f faults.Set, op Op, insn, a *smt.Term) *smt.Term 
 	}
 }
 
-// ALUReg returns the result of a register-register ALU micro-op, RV32M
-// included, on the operands a (rs1) and b (rs2). E4: SUB's result bit 31
-// is stuck at 0.
+// ALUReg returns the result of a register-register ALU micro-op on the
+// operands a (rs1) and b (rs2). E4: SUB's result bit 31 is stuck at 0.
 func ALUReg(ctx *smt.Context, f faults.Set, op Op, a, b *smt.Term) *smt.Term {
 	shamt := ctx.And(b, ctx.BV(32, 31))
 	switch op {
@@ -149,24 +148,8 @@ func ALUReg(ctx *smt.Context, f faults.Set, op Op, a, b *smt.Term) *smt.Term {
 		return ctx.Ashr(a, shamt)
 	case OpOR:
 		return ctx.Or(a, b)
-	case OpAND:
+	default: // OpAND
 		return ctx.And(a, b)
-	case OpMUL:
-		return riscv.SymMul(ctx, a, b)
-	case OpMULH:
-		return riscv.SymMulH(ctx, a, b)
-	case OpMULHSU:
-		return riscv.SymMulHSU(ctx, a, b)
-	case OpMULHU:
-		return riscv.SymMulHU(ctx, a, b)
-	case OpDIV:
-		return riscv.SymDiv(ctx, a, b)
-	case OpDIVU:
-		return riscv.SymDivU(ctx, a, b)
-	case OpREM:
-		return riscv.SymRem(ctx, a, b)
-	default:
-		return riscv.SymRemU(ctx, a, b)
 	}
 }
 

@@ -50,14 +50,6 @@ const (
 	OpSRA
 	OpOR
 	OpAND
-	OpMUL
-	OpMULH
-	OpMULHSU
-	OpMULHU
-	OpDIV
-	OpDIVU
-	OpREM
-	OpREMU
 	OpFENCE
 	OpECALL
 	OpEBREAK
@@ -85,8 +77,6 @@ var opNames = [...]string{
 	OpSLLI: "slli", OpSRLI: "srli", OpSRAI: "srai",
 	OpADD: "add", OpSUB: "sub", OpSLL: "sll", OpSLT: "slt", OpSLTU: "sltu",
 	OpXOR: "xor", OpSRL: "srl", OpSRA: "sra", OpOR: "or", OpAND: "and",
-	OpMUL: "mul", OpMULH: "mulh", OpMULHSU: "mulhsu", OpMULHU: "mulhu",
-	OpDIV: "div", OpDIVU: "divu", OpREM: "rem", OpREMU: "remu",
 	OpFENCE: "fence", OpECALL: "ecall", OpEBREAK: "ebreak",
 	OpWFI: "wfi", OpMRET: "mret",
 	OpCSRRW: "csrrw", OpCSRRS: "csrrs", OpCSRRC: "csrrc",
@@ -119,10 +109,9 @@ type Row struct {
 const bit25 = uint32(1) << 25
 
 // DecodeTable builds the decode table in walk order. The decode-stage
-// faults E0–E2 clear mask bits (don't-cares); enableM appends the RV32M
-// rows and zicsr includes the MRET and Zicsr rows (without them those
-// words decode as illegal).
-func DecodeTable(f faults.Set, enableM, zicsr bool) []Row {
+// faults E0–E2 clear mask bits (don't-cares); zicsr includes the MRET and
+// Zicsr rows (without them those words decode as illegal).
+func DecodeTable(f faults.Set, zicsr bool) []Row {
 	slliMask := uint32(0xfe00707f)
 	srliMask := uint32(0xfe00707f)
 	sraiMask := uint32(0xfe00707f)
@@ -197,43 +186,27 @@ func DecodeTable(f faults.Set, enableM, zicsr bool) []Row {
 			Row{0x707f, uint32(riscv.F3CSRRCI)<<12 | riscv.OpSystem, OpCSRRCI},
 		)
 	}
-	if enableM {
-		// Fixed order: the decode walk must be identical on every path of an
-		// exploration (replay determinism).
-		mRows := []struct {
-			f3 uint32
-			op Op
-		}{
-			{riscv.F3MUL, OpMUL}, {riscv.F3MULH, OpMULH},
-			{riscv.F3MULHSU, OpMULHSU}, {riscv.F3MULHU, OpMULHU},
-			{riscv.F3DIV, OpDIV}, {riscv.F3DIVU, OpDIVU},
-			{riscv.F3REM, OpREM}, {riscv.F3REMU, OpREMU},
-		}
-		for _, r := range mRows {
-			table = append(table, Row{0xfe00707f, riscv.F7MulDiv<<25 | r.f3<<12 | riscv.OpReg, r.op})
-		}
-	}
 	return table
 }
 
 // Decoder is a core's decode stage: its table and the table's mask and
 // match terms, memoised per term context.
 type Decoder struct {
-	rows           []Row
-	consts         []*smt.Term // row i's mask and match terms at 2i, 2i+1; nil until first use
-	ctx            *smt.Context
-	f              faults.Set
-	enableM, zicsr bool
+	rows   []Row
+	consts []*smt.Term // row i's mask and match terms at 2i, 2i+1; nil until first use
+	ctx    *smt.Context
+	f      faults.Set
+	zicsr  bool
 }
 
 // Reset readies the decoder for a path in ctx. It rebuilds the table only
 // for a new configuration, and drops the memoised terms when ctx is not
 // theirs.
-func (d *Decoder) Reset(ctx *smt.Context, f faults.Set, enableM, zicsr bool) {
-	if d.rows == nil || f != d.f || enableM != d.enableM || zicsr != d.zicsr {
-		d.rows = DecodeTable(f, enableM, zicsr)
+func (d *Decoder) Reset(ctx *smt.Context, f faults.Set, zicsr bool) {
+	if d.rows == nil || f != d.f || zicsr != d.zicsr {
+		d.rows = DecodeTable(f, zicsr)
 		d.consts = make([]*smt.Term, 2*len(d.rows))
-		d.f, d.enableM, d.zicsr = f, enableM, zicsr
+		d.f, d.zicsr = f, zicsr
 	} else if ctx != d.ctx {
 		clear(d.consts)
 	}

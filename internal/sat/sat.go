@@ -202,9 +202,6 @@ func (s *Solver) Stats() Stats { return s.stats }
 // NumVars returns the number of variables created.
 func (s *Solver) NumVars() int { return len(s.assigns) }
 
-// NumClauses returns the number of problem clauses currently stored.
-func (s *Solver) NumClauses() int { return len(s.clauses) }
-
 // NewVar creates a fresh input variable. It joins a Solve call's cone only
 // through an assumption, an AddClause clause or a gate that reads it.
 func (s *Solver) NewVar() Var { return s.newVar(true) }

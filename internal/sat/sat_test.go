@@ -72,7 +72,7 @@ func TestTautologyIgnored(t *testing.T) {
 	if !s.AddClause(MkLit(v, false), MkLit(v, true)) {
 		t.Fatal("tautology rejected")
 	}
-	if s.NumClauses() != 0 {
+	if len(s.clauses) != 0 {
 		t.Fatal("tautology stored")
 	}
 	if s.Solve() != Sat {

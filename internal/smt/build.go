@@ -1,7 +1,5 @@
 package smt
 
-import "fmt"
-
 // BV returns the bit-vector constant v of the given width. Bits of v above
 // the width are masked off.
 func (c *Context) BV(width int, v uint64) *Term {
@@ -29,13 +27,6 @@ func (c *Context) Var(name string, width int) *Term {
 // LookupVar returns the variable named name, or nil when the context has
 // not created it. Unlike Var it never interns a term.
 func (c *Context) LookupVar(name string) *Term { return c.varsByName[name] }
-
-// FreshVar returns a variable with a unique generated name carrying the
-// given prefix.
-func (c *Context) FreshVar(prefix string, width int) *Term {
-	c.fresh++
-	return c.Var(fmt.Sprintf("%s!%d", prefix, c.fresh), width)
-}
 
 // True returns the Boolean constant true.
 func (c *Context) True() *Term { return c.tTrue }
@@ -118,75 +109,6 @@ func (c *Context) Sub(a, b *Term) *Term {
 		return c.Add(a, c.BV(w, -b.val))
 	}
 	return c.mk2(KSub, w, a, b)
-}
-
-// Mul returns a * b (modular).
-func (c *Context) Mul(a, b *Term) *Term {
-	checkSameBV("bvmul", a, b)
-	w := a.Width()
-	if a.IsConst() && b.IsConst() {
-		return c.BV(w, a.val*b.val)
-	}
-	if a.IsConst() {
-		switch a.val {
-		case 0:
-			return c.BV(w, 0)
-		case 1:
-			return b
-		}
-	}
-	if b.IsConst() {
-		switch b.val {
-		case 0:
-			return c.BV(w, 0)
-		case 1:
-			return a
-		}
-	}
-	a, b = orderComm(a, b)
-	return c.mk2(KMul, w, a, b)
-}
-
-// udivVals computes SMT-LIB bvudiv on width-w values.
-func udivVals(a, b uint64, w int) uint64 {
-	if b == 0 {
-		return mask(w)
-	}
-	return a / b
-}
-
-// uremVals computes SMT-LIB bvurem on width-w values.
-func uremVals(a, b uint64) uint64 {
-	if b == 0 {
-		return a
-	}
-	return a % b
-}
-
-// UDiv returns the unsigned quotient a / b, with a/0 = all-ones (SMT-LIB).
-func (c *Context) UDiv(a, b *Term) *Term {
-	checkSameBV("bvudiv", a, b)
-	w := a.Width()
-	if a.IsConst() && b.IsConst() {
-		return c.BV(w, udivVals(a.val, b.val, w))
-	}
-	if b.IsConst() && b.val == 1 {
-		return a
-	}
-	return c.mk2(KUDiv, w, a, b)
-}
-
-// URem returns the unsigned remainder a % b, with a%0 = a (SMT-LIB).
-func (c *Context) URem(a, b *Term) *Term {
-	checkSameBV("bvurem", a, b)
-	w := a.Width()
-	if a.IsConst() && b.IsConst() {
-		return c.BV(w, uremVals(a.val, b.val))
-	}
-	if b.IsConst() && b.val == 1 {
-		return c.BV(w, 0)
-	}
-	return c.mk2(KURem, w, a, b)
 }
 
 // Neg returns -a (two's complement).
@@ -570,9 +492,6 @@ func (c *Context) Ule(a, b *Term) *Term {
 	return c.mk2(KUle, 0, a, b)
 }
 
-// Ugt returns the Boolean unsigned a > b.
-func (c *Context) Ugt(a, b *Term) *Term { return c.Ult(b, a) }
-
 // Uge returns the Boolean unsigned a >= b.
 func (c *Context) Uge(a, b *Term) *Term { return c.Ule(b, a) }
 
@@ -682,12 +601,6 @@ func (c *Context) BNot(a *Term) *Term {
 	}
 	return c.mk1(KBNot, 0, 0, a)
 }
-
-// Implies returns a -> b.
-func (c *Context) Implies(a, b *Term) *Term { return c.BOr(c.BNot(a), b) }
-
-// Iff returns a <-> b.
-func (c *Context) Iff(a, b *Term) *Term { return c.BNot(c.BXor(a, b)) }
 
 // BoolToBV returns a width-1 bit-vector that is 1 when cond holds.
 func (c *Context) BoolToBV(cond *Term) *Term {

@@ -65,14 +65,8 @@ func apply(t *Term, args *[3]uint64, env Env) (uint64, error) {
 		v = (args[0] + args[1]) & mask(w)
 	case KSub:
 		v = (args[0] - args[1]) & mask(w)
-	case KMul:
-		v = (args[0] * args[1]) & mask(w)
 	case KNeg:
 		v = (-args[0]) & mask(w)
-	case KUDiv:
-		v = udivVals(args[0], args[1], w)
-	case KURem:
-		v = uremVals(args[0], args[1])
 	case KAnd:
 		v = args[0] & args[1]
 	case KOr:

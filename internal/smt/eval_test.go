@@ -26,9 +26,9 @@ func evalTerm(c *Context, vars []*Term, next func() byte, d int, pool *[]*Term) 
 	case 0:
 		t = c.Add(a, b)
 	case 1:
-		t = c.Mul(c.Sub(a, b), b)
+		t = c.Xor(c.Sub(a, b), b)
 	case 2:
-		t = c.URem(c.UDiv(a, b), b)
+		t = c.Lshr(c.Add(a, b), b)
 	case 3:
 		t = c.Xor(c.And(a, b), c.Or(c.Not(a), c.Neg(b)))
 	case 4:

@@ -26,10 +26,10 @@ const (
 	// Bit-vector arithmetic.
 	KAdd
 	KSub
-	KMul
+	_ // bvmul, removed: blank slots keep later kinds' numbers, which StructuralHash mixes in
 	KNeg
-	KUDiv // SMT-LIB semantics: x / 0 = all-ones
-	KURem // SMT-LIB semantics: x % 0 = x
+	_ // bvudiv, removed
+	_ // bvurem, removed
 
 	// Bit-vector bitwise.
 	KAnd
@@ -70,8 +70,7 @@ const (
 var kindNames = [...]string{
 	KInvalid: "invalid",
 	KConst:   "const", KVar: "var",
-	KAdd: "bvadd", KSub: "bvsub", KMul: "bvmul", KNeg: "bvneg",
-	KUDiv: "bvudiv", KURem: "bvurem",
+	KAdd: "bvadd", KSub: "bvsub", KNeg: "bvneg",
 	KAnd: "bvand", KOr: "bvor", KXor: "bvxor", KNot: "bvnot",
 	KShl: "bvshl", KLshr: "bvlshr", KAshr: "bvashr",
 	KConcat: "concat", KExtract: "extract", KZExt: "zext", KSExt: "sext",
@@ -185,7 +184,6 @@ type Context struct {
 	terms      []*Term // index = id-1
 	tTrue      *Term
 	tFalse     *Term
-	fresh      uint64 // counter for FreshVar names
 	vars       []*Term
 	varsByName map[string]*Term
 
