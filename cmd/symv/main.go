@@ -110,11 +110,14 @@ func checkLimits(stderr io.Writer, name string, limits ...int) error {
 	return nil
 }
 
-// checkRegs rejects a symbolic register count outside lo..31: x0 is
-// hardwired to zero, so x1..x31 are all the registers there are.
+// checkRegs rejects a symbolic register count the co-simulation cannot run
+// (cosim.Config.Check); lo 0 admits the zero that selects a default.
 func checkRegs(stderr io.Writer, n, lo int) error {
-	if n < lo || n > 31 {
-		return badUsage(stderr, "-regs %d: want %d..31", n, lo)
+	if n == 0 && lo == 0 {
+		return nil
+	}
+	if err := (cosim.Config{NumSymbolicRegs: n}).Check(); err != nil {
+		return badUsage(stderr, "-regs %d: want %d..%d", n, lo, cosim.MaxSymbolicRegs)
 	}
 	return nil
 }

@@ -448,8 +448,6 @@ func (b *Blaster) encodeBool(t *smt.Term) sat.Lit {
 		return b.mkAnd(b.LitFor(t.Arg(0)), b.LitFor(t.Arg(1)))
 	case smt.KBOr:
 		return b.mkOr(b.LitFor(t.Arg(0)), b.LitFor(t.Arg(1)))
-	case smt.KBXor:
-		return b.mkXor(b.LitFor(t.Arg(0)), b.LitFor(t.Arg(1)))
 	case smt.KBNot:
 		return b.LitFor(t.Arg(0)).Neg()
 	case smt.KIte:

@@ -193,7 +193,6 @@ func TestPropagationComplete(t *testing.T) {
 		{smt.KSExt, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.SExt(ctx.Add(x, y), 2*w) }},
 		{smt.KBAnd, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.BAnd(ctx.Ult(x, y), ctx.Slt(y, x)) }},
 		{smt.KBOr, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.BOr(ctx.Ult(x, y), ctx.Slt(y, x)) }},
-		{smt.KBXor, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.BXor(ctx.Ult(x, y), ctx.Slt(y, x)) }},
 		{smt.KBNot, func(ctx *smt.Context, x, y *smt.Term) *smt.Term { return ctx.BNot(ctx.Eq(ctx.Add(x, y), x)) }},
 	}
 	rng := rand.New(rand.NewSource(13))

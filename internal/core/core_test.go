@@ -121,7 +121,7 @@ func TestAssumeFalseAbortsPath(t *testing.T) {
 	x := NewExplorer(func(e *Engine) error {
 		ctx := e.Context()
 		ran++
-		e.Assume(ctx.False())
+		e.Assume(ctx.Bool(false))
 		return errors.New("must not reach")
 	})
 	rep := x.Explore(Options{})
@@ -182,7 +182,7 @@ func TestConcretizeThenBranchReplays(t *testing.T) {
 func TestConstantBranchRecordsNothing(t *testing.T) {
 	x := NewExplorer(func(e *Engine) error {
 		ctx := e.Context()
-		if !e.Branch(ctx.True()) || e.Branch(ctx.False()) {
+		if !e.Branch(ctx.True()) || e.Branch(ctx.Bool(false)) {
 			return errors.New("constant branch misrouted")
 		}
 		return nil
@@ -512,33 +512,6 @@ func TestExploreAllocs(t *testing.T) {
 	}
 }
 
-// TestNoBranchOptimizationsEquivalence: the ablation mode must explore the
-// same path tree, just less efficiently (infeasible siblings get scheduled
-// and rejected at replay instead of being pruned eagerly).
-func TestNoBranchOptimizationsEquivalence(t *testing.T) {
-	prog := func(e *Engine) error {
-		ctx := e.Context()
-		v := e.MakeSymbolic("v", 8)
-		e.Assume(ctx.Ult(v, ctx.BV(8, 64)))
-		if e.Branch(ctx.Ult(v, ctx.BV(8, 32))) {
-			e.Branch(ctx.Ult(v, ctx.BV(8, 16)))
-		}
-		e.Branch(ctx.Ult(v, ctx.BV(8, 128))) // implied by the assume
-		return nil
-	}
-	opt := NewExplorer(prog).Explore(Options{})
-	abl := NewExplorer(prog).Explore(Options{NoBranchOptimizations: true})
-	if opt.Stats.Completed != abl.Stats.Completed {
-		t.Fatalf("completed paths differ: %d vs %d", opt.Stats.Completed, abl.Stats.Completed)
-	}
-	if abl.Stats.Infeasible == 0 {
-		t.Error("ablation mode should schedule (and reject) infeasible siblings")
-	}
-	if opt.Stats.Infeasible != 0 {
-		t.Error("optimized mode should prune infeasible siblings eagerly")
-	}
-}
-
 // TestAddPCDeduplicates pins the assumption-dedup satellite: assuming the
 // same term twice adds one path constraint and one cache observation, leaving
 // the conjunction unchanged.
@@ -560,9 +533,10 @@ func TestAddPCDeduplicates(t *testing.T) {
 	}
 }
 
-// TestPathMarksResetPerPath: the dense path-membership table an Explorer
-// reuses across paths starts every path empty — also after the epoch wraps
-// around — and covers terms interned after it last grew.
+// TestPathMarksResetPerPath: the dense path-membership and known-bit
+// tables an Explorer reuses across paths start every path empty — also
+// after the epoch wraps around — and the membership table covers terms
+// interned after it last grew.
 func TestPathMarksResetPerPath(t *testing.T) {
 	x := NewExplorer(nil)
 	var st Stats
@@ -571,11 +545,16 @@ func TestPathMarksResetPerPath(t *testing.T) {
 	ctx := eng.Context()
 	v := eng.MakeSymbolic("v", 8)
 	c := ctx.Ult(v, ctx.BV(8, 100))
-	e := ctx.Ne(v, ctx.BV(8, 7)) // assumed on path 1 only
+	e := ctx.Ne(v, ctx.BV(8, 7))                    // assumed on path 1 only
+	k := ctx.Eq(ctx.Extract(v, 3, 0), ctx.BV(4, 5)) // fixes bits of v on path 1
 	eng.Assume(c)
 	eng.Assume(e)
+	eng.Assume(k)
 	if !marks.has(c) || !marks.has(e) {
 		t.Fatal("assumed term not on path 1")
+	}
+	if v, ok := marks.decide(k); !v || !ok {
+		t.Fatal("path 1's known bits do not decide its own fact")
 	}
 
 	// Path 2 shares the table: c is not on it until assumed again.
@@ -610,6 +589,9 @@ func TestPathMarksResetPerPath(t *testing.T) {
 	}
 	if marks.has(c) || marks.has(d) || marks.has(e) {
 		t.Fatal("a term stamped before the wrap is on path after it")
+	}
+	if _, ok := marks.decide(k); ok {
+		t.Fatal("bits known before the wrap decide a branch after it")
 	}
 	eng.Assume(e)
 	if len(eng.onPath.terms) != 1 {

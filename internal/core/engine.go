@@ -105,8 +105,9 @@ type Engine struct {
 	instrRetired uint64
 	cycles       uint64
 
-	// noOpt disables the implication shortcut and eager sibling checks
-	// (Options.NoBranchOptimizations — the engine ablation).
+	// noOpt disables the entailment shortcuts (a branch condition or
+	// concretized term the path constraints already decide) and eager
+	// sibling checks (Options.NoBranchOptimizations — the engine ablation).
 	noOpt bool
 
 	// qc, when non-nil, is the query-elimination layer all feasibility
@@ -122,21 +123,31 @@ type Engine struct {
 }
 
 // pathMarks holds one path's constraints: terms in order, and the same
-// terms as a set, an epoch stamp per term ID-1 (the implication shortcut and
-// dedup lookups). It also holds the path's symbolic inputs, the variables
-// created via MakeSymbolic, in first-use order, and its fresh events, those
-// recorded beyond the replayed prefix. An Explorer reuses one for
-// every path; begin empties it, keeping the tables' storage, so whatever
-// outlives the path (the walker's scheduled siblings) must be copied out.
+// terms as a set, an epoch stamp per term ID-1 (the entailment shortcut's
+// and dedup lookups). Beside the set it keeps the bits the constraints fix,
+// per term ID-1 under the same epoch (the shortcut's known bits). It also holds
+// the path's symbolic inputs, the variables created via MakeSymbolic, in
+// first-use order, and its fresh events, those recorded beyond the replayed
+// prefix. An Explorer reuses one for every path; begin empties it, keeping
+// the tables' storage, so whatever outlives the path (the walker's
+// scheduled siblings) must be copied out.
 type pathMarks struct {
 	terms    []*smt.Term
 	symbolic []*smt.Term
 	fresh    []event
 	mark     []uint32
+	known    []knownBits
 	epoch    uint32
 }
 
-// begin empties the set, clearing the table when the epoch wraps around.
+// knownBits is what a path's constraints fix of one term: the bits set in
+// mask read as in val. It is valid only while epoch is the path's.
+type knownBits struct {
+	epoch     uint32
+	mask, val uint64
+}
+
+// begin empties the set, clearing the tables when the epoch wraps around.
 func (m *pathMarks) begin() {
 	m.terms = m.terms[:0]
 	m.symbolic = m.symbolic[:0]
@@ -144,6 +155,7 @@ func (m *pathMarks) begin() {
 	m.epoch++
 	if m.epoch == 0 {
 		clear(m.mark)
+		clear(m.known)
 		m.epoch = 1
 	}
 }
@@ -153,14 +165,113 @@ func (m *pathMarks) has(t *smt.Term) bool {
 	return int(t.ID()) <= len(m.mark) && m.mark[t.ID()-1] == m.epoch
 }
 
-// add appends t to the path, growing the table geometrically.
+// add appends t to the path, growing the table geometrically, and records
+// the bits t fixes when it is a bit fact. A conflicting fact cannot occur:
+// the path constraints are always satisfiable.
 func (m *pathMarks) add(t *smt.Term) {
 	m.terms = append(m.terms, t)
 	if n := int(t.ID()); n > len(m.mark) {
 		m.mark = append(m.mark, make([]uint32, n-len(m.mark))...)
 	}
 	m.mark[t.ID()-1] = m.epoch
+
+	x, mask, val, ok := bitFact(t)
+	if !ok || val&^mask != 0 {
+		return
+	}
+	if n := int(x.ID()); n > len(m.known) {
+		m.known = append(m.known, make([]knownBits, n-len(m.known))...)
+	}
+	k := &m.known[x.ID()-1]
+	if k.epoch != m.epoch {
+		*k = knownBits{epoch: m.epoch}
+	}
+	k.mask |= mask
+	k.val |= val
 }
+
+// bits returns the bits of x the path fixes (none for IDs beyond the table).
+func (m *pathMarks) bits(x *smt.Term) knownBits {
+	if int(x.ID()) > len(m.known) || m.known[x.ID()-1].epoch != m.epoch {
+		return knownBits{}
+	}
+	return m.known[x.ID()-1]
+}
+
+// decide answers a Boolean condition from the known bits when they entail
+// it or its negation: a bit fact is false when a bit it compares differs
+// from a known one (or lies outside its mask), true when every bit it
+// compares is known and agrees. ok is false when the bits leave it open.
+func (m *pathMarks) decide(cond *smt.Term) (v, ok bool) {
+	want := true
+	if cond.Kind() == smt.KBNot {
+		cond, want = cond.Arg(0), false
+	}
+	x, mask, val, fact := bitFact(cond)
+	if !fact {
+		return false, false
+	}
+	k := m.bits(x)
+	switch {
+	case val&^mask != 0 || (k.val^val)&mask&k.mask != 0:
+		return !want, true
+	case mask&^k.mask == 0:
+		return want, true
+	}
+	return false, false
+}
+
+// value returns the value of t when t is x or x[h:l] and the path fixes
+// every bit of x it reads.
+func (m *pathMarks) value(t *smt.Term) (uint64, bool) {
+	x, lo := t, 0
+	if t.Kind() == smt.KExtract {
+		_, lo = t.ExtractBounds()
+		x = t.Arg(0)
+	}
+	mask := widthMask(t.Width()) << lo
+	k := m.bits(x)
+	if mask&^k.mask != 0 {
+		return 0, false
+	}
+	return (k.val & mask) >> lo, true
+}
+
+// bitFact recognises a constraint that fixes bits of one term x: x == c,
+// (x & m) == c or x[h:l] == c, the constant on either side. It returns x
+// and the compared bits and their values in x's bit positions. (x & m) == c
+// with bits of c outside m is a fact that never holds: val has bits outside
+// mask.
+func bitFact(t *smt.Term) (x *smt.Term, mask, val uint64, ok bool) {
+	if t.Kind() != smt.KEq {
+		return nil, 0, 0, false
+	}
+	x, c := t.Arg(0), t.Arg(1)
+	if x.IsConst() {
+		x, c = c, x
+	}
+	if !c.IsConst() || x.IsConst() {
+		return nil, 0, 0, false
+	}
+	val = c.ConstVal()
+	switch x.Kind() {
+	case smt.KAnd:
+		a, b := x.Arg(0), x.Arg(1)
+		if a.IsConst() {
+			a, b = b, a
+		}
+		if b.IsConst() {
+			return a, b.ConstVal(), val, true
+		}
+	case smt.KExtract:
+		_, lo := x.ExtractBounds()
+		return x.Arg(0), widthMask(x.Width()) << lo, val << lo, true
+	}
+	return x, widthMask(x.Width()), val, true
+}
+
+// widthMask returns the mask of the low w bits, 1 <= w <= 64.
+func widthMask(w int) uint64 { return ^uint64(0) >> (64 - w) }
 
 // reset starts e on one path replaying prefix, clearing every field the
 // previous path set; an Explorer reuses one Engine for all its paths.
@@ -247,18 +358,26 @@ func (e *Engine) Branch(cond *smt.Term) bool {
 	if v, ok := cond.IsBoolConst(); ok {
 		return v // concrete control: no decision recorded
 	}
-	// Implication shortcut: conditions already entailed syntactically by a
-	// path constraint (typically the other model's identical decode
-	// condition) resolve without a decision, a solver query, or a fork.
-	// neg, the negated condition, is built once per branch, where the
-	// shortcut first needs it (or, without the shortcut, where a direction
-	// first does).
+	// Entailment shortcut: conditions the path constraints already decide
+	// resolve without a decision, a solver query, or a fork — the condition
+	// itself on the path (typically the other model's identical decode
+	// condition), a compare of instruction bits the path has fixed (a decode
+	// row, CSR address or register field the other model already chose), or
+	// the negation on the path. neg, the negated condition, is built once
+	// per branch, where the shortcut first needs it (or, without the
+	// shortcut, where a direction first does).
 	var neg *smt.Term
 	if !e.noOpt {
 		if e.onPath.has(cond) {
+			e.stats.Implied++
 			return true
 		}
+		if v, ok := e.onPath.decide(cond); ok {
+			e.stats.Implied++
+			return v
+		}
 		if neg = e.ctx.BNot(cond); e.onPath.has(neg) {
+			e.stats.Implied++
 			return false
 		}
 	}
@@ -331,7 +450,9 @@ func (e *Engine) BranchEq(a, b *smt.Term) bool { return e.Branch(e.ctx.Eq(a, b))
 
 // Concretize picks a concrete value for the term that is consistent with the
 // path constraints, records it as a constraint (t == value), and returns it.
-// Constants short-circuit without a solver call.
+// Constants short-circuit without a solver call, and so do terms whose
+// every bit the path constraints fix (a register field the other model
+// already chose): their one value needs no model.
 func (e *Engine) Concretize(t *smt.Term) uint64 {
 	if t.IsBool() {
 		panic("core: Concretize on Boolean term")
@@ -352,11 +473,19 @@ func (e *Engine) Concretize(t *smt.Term) uint64 {
 	}
 
 	e.stats.Concretizations++
-	if e.checkModel(nil, false) == solver.Unsat {
-		// Unreachable if the invariant holds; treat defensively.
-		panic(abortError{AbortInfeasible, "concretize: path constraints unsatisfiable"})
+	v, known := uint64(0), false
+	if !e.noOpt {
+		v, known = e.onPath.value(t)
 	}
-	v := e.sol.ModelValue(t)
+	if known {
+		e.stats.Implied++
+	} else {
+		if e.checkModel(nil, false) == solver.Unsat {
+			// Unreachable if the invariant holds; treat defensively.
+			panic(abortError{AbortInfeasible, "concretize: path constraints unsatisfiable"})
+		}
+		v = e.sol.ModelValue(t)
+	}
 	e.onPath.fresh = append(e.onPath.fresh, event{kind: evConcretize, val: v, term: t})
 	e.n++
 	e.addPC(e.ctx.Eq(t, e.ctx.BV(t.Width(), v)), false)

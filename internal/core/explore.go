@@ -123,6 +123,10 @@ type Stats struct {
 
 	Branches        uint64
 	Concretizations uint64
+	// Implied counts branches and concretizations the path's own
+	// constraints decided (the engine's entailment shortcuts): no decision,
+	// no query. Zero under NoBranchOptimizations.
+	Implied uint64
 	// SolverQueries counts engine-issued queries. It is independent of the
 	// query-elimination layer (a cache hit still counts), so it is part of
 	// the deterministic report contract.
@@ -208,6 +212,7 @@ func (r *Report) Add(rec PathRecord) {
 	st.Cycles += rec.Cycles
 	st.Branches += rec.Branches
 	st.Concretizations += rec.Concretizations
+	st.Implied += rec.Implied
 	st.SolverQueries += rec.SolverQueries
 	switch rec.Kind {
 	case PathCompleted, PathStopped:

@@ -19,6 +19,7 @@ const (
 	CtrCycles          = "explore.cycles"
 	CtrBranches        = "explore.branches"
 	CtrConcretizations = "explore.concretizations"
+	CtrImplied         = "explore.implied"
 	CtrQueries         = "explore.queries"
 
 	CtrSolverChecks = "solver.checks"
@@ -58,6 +59,7 @@ func PublishExploreObs(h *obs.Handle, st Stats) {
 	h.Add(CtrCycles, st.Cycles)
 	h.Add(CtrBranches, st.Branches)
 	h.Add(CtrConcretizations, st.Concretizations)
+	h.Add(CtrImplied, st.Implied)
 	h.Add(CtrQueries, st.SolverQueries)
 }
 

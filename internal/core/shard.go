@@ -39,6 +39,7 @@ type PathRecord struct {
 	Cycles          uint64
 	Branches        uint64
 	Concretizations uint64
+	Implied         uint64
 	SolverQueries   uint64
 }
 
@@ -160,6 +161,7 @@ func (x *Explorer) Step(order SearchStrategy) (PathRecord, bool) {
 	// model queries count towards their path.
 	rec.Branches = x.st.Branches
 	rec.Concretizations = x.st.Concretizations
+	rec.Implied = x.st.Implied
 	rec.SolverQueries = x.st.SolverQueries
 
 	if schedule {

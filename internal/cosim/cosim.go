@@ -138,6 +138,20 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
+// MaxSymbolicRegs is the largest symbolic register slice: x0 is hardwired
+// to zero, so x1..x31 are all the registers there are.
+const MaxSymbolicRegs = 31
+
+// Check reports a configuration the co-simulation cannot run, as given:
+// RunFunc checks c after WithDefaults, so there a zero NumSymbolicRegs
+// means the default.
+func (c Config) Check() error {
+	if n := c.NumSymbolicRegs; n < 1 || n > MaxSymbolicRegs {
+		return fmt.Errorf("cosim: %d symbolic registers, want 1..%d", n, MaxSymbolicRegs)
+	}
+	return nil
+}
+
 // WithFaults returns c with the injected fault set placed on the
 // configuration of the core DUTCore selects: Pipe for the pipelined core,
 // Core otherwise.
@@ -314,9 +328,13 @@ func termStr(t *smt.Term) string {
 
 // RunFunc binds a Config into the explorer's RunFunc shape. Its paths draw
 // testbenches from a pool and reset them in place, so explorations running
-// concurrently may share one RunFunc.
+// concurrently may share one RunFunc. A configuration that fails Check
+// (after defaults) runs no testbench: every path returns the check's error.
 func RunFunc(cfg Config) core.RunFunc {
 	cfg = cfg.WithDefaults()
+	if err := cfg.Check(); err != nil {
+		return func(*core.Engine) error { return err }
+	}
 	pool := &sync.Pool{New: func() any { return new(runState) }}
 	return func(eng *core.Engine) error {
 		rs := pool.Get().(*runState)

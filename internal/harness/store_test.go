@@ -37,18 +37,18 @@ func deterministicKey(t *testing.T, r *core.Report) string {
 		r.Stats.Paths, r.Stats.Completed, r.Stats.Partial, r.Stats.Infeasible,
 		r.Stats.SolverQueries, r.Exhausted)
 	for _, f := range r.Findings {
-		fmt.Fprintf(&b, "finding path=%d class=%s\n", f.Path, findingClass(f.Err))
+		fmt.Fprintf(&b, "finding path=%d class=%s\n", f.Path, findingClass(cosim.CoreMicroRV32, f.Err))
 	}
 	return b.String()
 }
 
 // findingClass maps a finding to its deterministic comparison key: the
-// mismatch classification for co-simulation voter findings, the rendered
-// error otherwise.
-func findingClass(err error) string {
+// mismatch classification on the given core for co-simulation voter
+// findings, the rendered error otherwise.
+func findingClass(kind cosim.CoreKind, err error) string {
 	var m *rvfi.Mismatch
 	if errors.As(err, &m) {
-		return ClassifyFor(cosim.CoreMicroRV32, m).Key()
+		return ClassifyFor(kind, m).Key()
 	}
 	return err.Error()
 }

@@ -110,9 +110,6 @@ func (s *ISS) SetIrqSource(src IrqSource) { s.irq = src }
 // machine state).
 func (s *ISS) SetCSR(addr uint16, v *smt.Term) { s.csr[addr] = v }
 
-// PC returns the current program counter term.
-func (s *ISS) PC() *smt.Term { return s.pc }
-
 // SetReg initialises register i (used by the testbench to install the sliced
 // symbolic registers). Writing x0 is ignored.
 func (s *ISS) SetReg(i int, v *smt.Term) {

@@ -177,9 +177,6 @@ func (c *Core) Reg(i int) *smt.Term { return c.rf.X[i] }
 // through csrStored, which substitutes the architectural reset value.
 func (c *Core) CSR(addr uint16) *smt.Term { return c.csr[addr] }
 
-// Cycles returns the clock-cycle count since reset.
-func (c *Core) Cycles() uint64 { return c.cycle }
-
 // Retirement returns the RVFI record; Valid is set only during the Step in
 // which an instruction retired.
 func (c *Core) Retirement() *rvfi.Retirement { return &c.ret }

@@ -50,6 +50,7 @@ func run(t *testing.T, cfg microrv32.Config, words []uint32, regs map[int]uint32
 				return nil
 			}
 			ibReq, dbReq := c.Step(ib, db)
+			fx.cycles++
 			ib, db = rtl.IBusResponse{}, rtl.DBusResponse{}
 			if ibReq.FetchEnable {
 				addr := uint32(ibReq.Address.ConstVal())
@@ -82,7 +83,6 @@ func run(t *testing.T, cfg microrv32.Config, words []uint32, regs map[int]uint32
 				fx.rets = append(fx.rets, *ret)
 			}
 		}
-		fx.cycles = c.Cycles()
 		return nil
 	})
 	rep := x.Explore(core.Options{})

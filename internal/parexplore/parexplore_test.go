@@ -55,7 +55,7 @@ func sameStats(a, b core.Stats) bool {
 		a.Partial == b.Partial && a.Infeasible == b.Infeasible &&
 		a.Instructions == b.Instructions && a.Cycles == b.Cycles &&
 		a.Branches == b.Branches && a.Concretizations == b.Concretizations &&
-		a.SolverQueries == b.SolverQueries
+		a.Implied == b.Implied && a.SolverQueries == b.SolverQueries
 }
 
 // TestEquivalenceSweep checks the tentpole property over the synthetic tree:
@@ -551,6 +551,9 @@ func TestObsEquivalence(t *testing.T) {
 		}
 		if got := snap.Counters[core.CtrQueries]; got != rep.Stats.SolverQueries {
 			t.Errorf("%d workers: counter %s = %d, want %d", workers, core.CtrQueries, got, rep.Stats.SolverQueries)
+		}
+		if got := snap.Counters[core.CtrImplied]; got != rep.Stats.Implied {
+			t.Errorf("%d workers: counter %s = %d, want %d", workers, core.CtrImplied, got, rep.Stats.Implied)
 		}
 		if want := uint64(rep.Stats.Paths); snap.Phases[obs.PhasePath].Count != want {
 			t.Errorf("%d workers: phase %s count = %d, want %d",

@@ -169,9 +169,6 @@ func (c *Core) SetReg(i int, v *smt.Term) { c.rf.Write(i, v) }
 // Reg returns register i.
 func (c *Core) Reg(i int) *smt.Term { return c.rf.X[i] }
 
-// Cycles returns the clock cycle count.
-func (c *Core) Cycles() uint64 { return c.cycle }
-
 // Retirement returns the RVFI record (Valid only in the retiring cycle).
 func (c *Core) Retirement() *rvfi.Retirement { return &c.ret }
 

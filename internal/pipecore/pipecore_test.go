@@ -46,6 +46,7 @@ func run(t *testing.T, cfg pipecore.Config, words []uint32, regs map[int]uint32,
 				return nil
 			}
 			ibReq, dbReq := c.Step(ib, db)
+			fx.cycles++
 			ib, db = rtl.IBusResponse{}, rtl.DBusResponse{}
 			if ibReq.FetchEnable {
 				addr := uint32(ibReq.Address.ConstVal())
@@ -76,7 +77,6 @@ func run(t *testing.T, cfg pipecore.Config, words []uint32, regs map[int]uint32,
 				fx.rets = append(fx.rets, *ret)
 			}
 		}
-		fx.cycles = c.Cycles()
 		return nil
 	})
 	rep := x.Explore(core.Options{})

@@ -31,9 +31,6 @@ func (c *Context) LookupVar(name string) *Term { return c.varsByName[name] }
 // True returns the Boolean constant true.
 func (c *Context) True() *Term { return c.tTrue }
 
-// False returns the Boolean constant false.
-func (c *Context) False() *Term { return c.tFalse }
-
 // Bool returns the Boolean constant for b.
 func (c *Context) Bool(b bool) *Term {
 	if b {
@@ -568,26 +565,6 @@ func (c *Context) BOr(a, b *Term) *Term {
 	}
 	a, b = orderComm(a, b)
 	return c.mk2(KBOr, 0, a, b)
-}
-
-// BXor returns the Boolean exclusive-or of a and b.
-func (c *Context) BXor(a, b *Term) *Term {
-	checkBool("xor", a)
-	checkBool("xor", b)
-	if a == b {
-		return c.tFalse
-	}
-	for _, pair := range [2][2]*Term{{a, b}, {b, a}} {
-		x, y := pair[0], pair[1]
-		if v, ok := x.IsBoolConst(); ok {
-			if v {
-				return c.BNot(y)
-			}
-			return y
-		}
-	}
-	a, b = orderComm(a, b)
-	return c.mk2(KBXor, 0, a, b)
 }
 
 // BNot returns the Boolean negation of a.

@@ -133,8 +133,6 @@ func apply(t *Term, args *[3]uint64, env Env) (uint64, error) {
 		v = args[0] & args[1]
 	case KBOr:
 		v = args[0] | args[1]
-	case KBXor:
-		v = args[0] ^ args[1]
 	case KBNot:
 		v = args[0] ^ 1
 	default:

@@ -36,7 +36,7 @@ func evalTerm(c *Context, vars []*Term, next func() byte, d int, pool *[]*Term) 
 	case 5:
 		t = c.Ashr(c.Lshr(a, b), a)
 	case 6:
-		cond := c.BXor(c.Slt(a, b), c.BNot(c.Sle(b, a)))
+		cond := c.Ne(c.BoolToBV(c.Slt(a, b)), c.BoolToBV(c.BNot(c.Sle(b, a))))
 		*pool = append(*pool, cond)
 		t = c.Ite(cond, a, b)
 	case 7:

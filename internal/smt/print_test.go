@@ -36,9 +36,8 @@ func TestStringAllKinds(t *testing.T) {
 		{c.Sle(x, y), "(bvsle x y)"},
 		{c.BAnd(p, q), "(and (bvult x y) (bvslt x y))"},
 		{c.BOr(p, q), "(or (bvult x y) (bvslt x y))"},
-		{c.BXor(p, q), "(xor (bvult x y) (bvslt x y))"},
 		{c.BNot(p), "(not (bvult x y))"},
-		{c.False(), "false"},
+		{c.Bool(false), "false"},
 		{c.BV(4, 0xa), "#xa"},
 		{c.BV(12, 0xabc), "#xabc"},
 	}

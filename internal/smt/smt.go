@@ -63,7 +63,7 @@ const (
 	// Boolean connectives.
 	KBAnd
 	KBOr
-	KBXor
+	_ // Boolean xor, removed
 	KBNot
 )
 
@@ -77,7 +77,7 @@ var kindNames = [...]string{
 	KIte:  "ite",
 	KTrue: "true", KFalse: "false",
 	KEq: "=", KUlt: "bvult", KUle: "bvule", KSlt: "bvslt", KSle: "bvsle",
-	KBAnd: "and", KBOr: "or", KBXor: "xor", KBNot: "not",
+	KBAnd: "and", KBOr: "or", KBNot: "not",
 }
 
 func (k Kind) String() string {

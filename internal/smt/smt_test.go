@@ -127,16 +127,16 @@ func TestBoolFolding(t *testing.T) {
 	if c.Eq(x, x) != c.True() {
 		t.Error("Eq(x,x) != true")
 	}
-	if c.Ult(x, x) != c.False() {
+	if c.Ult(x, x) != c.Bool(false) {
 		t.Error("Ult(x,x) != false")
 	}
-	if c.Ult(x, c.BV(32, 0)) != c.False() {
+	if c.Ult(x, c.BV(32, 0)) != c.Bool(false) {
 		t.Error("Ult(x,0) != false")
 	}
 	if c.Ule(c.BV(32, 0), x) != c.True() {
 		t.Error("Ule(0,x) != true")
 	}
-	if c.BAnd(p, c.BNot(p)) != c.False() {
+	if c.BAnd(p, c.BNot(p)) != c.Bool(false) {
 		t.Error("p && !p != false")
 	}
 	if c.BOr(p, c.BNot(p)) != c.True() {
@@ -145,16 +145,16 @@ func TestBoolFolding(t *testing.T) {
 	if c.BNot(c.BNot(p)) != p {
 		t.Error("double negation not removed")
 	}
-	if c.Ite(c.True(), x, y) != x || c.Ite(c.False(), x, y) != y {
+	if c.Ite(c.True(), x, y) != x || c.Ite(c.Bool(false), x, y) != y {
 		t.Error("ite on constant condition not folded")
 	}
 	if c.Ite(p, x, x) != x {
 		t.Error("ite with equal branches not folded")
 	}
-	if c.Ite(p, c.True(), c.False()) != p {
+	if c.Ite(p, c.True(), c.Bool(false)) != p {
 		t.Error("boolean ite(p,true,false) != p")
 	}
-	if c.Ite(p, c.False(), c.True()) != c.BNot(p) {
+	if c.Ite(p, c.Bool(false), c.True()) != c.BNot(p) {
 		t.Error("boolean ite(p,false,true) != !p")
 	}
 }

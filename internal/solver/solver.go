@@ -1,8 +1,8 @@
 // Package solver provides a QF_BV satisfiability solver on top of the
 // bit-blaster and the CDCL SAT core.
 //
-// A Solver owns one growing SAT instance. Permanent facts are added with
-// Assert; Check answers satisfiability of the asserted set conjoined with
+// A Solver owns one growing SAT instance, holding only the encodings of the
+// terms it has met; Check answers satisfiability of a conjunction of
 // per-call assumption terms. Because the CNF encoding of every term is cached
 // and assumptions map to SAT assumption literals, a long series of Check
 // calls over overlapping path constraints — the access pattern of the
@@ -75,24 +75,7 @@ func (s *Solver) Context() *smt.Context { return s.ctx }
 // CheckCore then runs under a solver-check span. A nil handle detaches.
 func (s *Solver) SetObs(h *obs.Handle) { s.h = h }
 
-// Assert permanently adds the Boolean term t to the solver. Constant terms
-// (the usual result of the term constructors folding a path condition) are handled
-// without touching the bit-blaster or allocating a clause: true is a no-op,
-// false marks the instance trivially unsatisfiable. After asserting false,
-// every Check answers Unsat with an empty failed-assumption set (nil core
-// from CheckCore), the documented clause-set-level-conflict contract.
-func (s *Solver) Assert(t *smt.Term) {
-	switch t.Kind() {
-	case smt.KTrue:
-		return
-	case smt.KFalse:
-		s.sat.AddClause() // empty clause: trivially unsat
-		return
-	}
-	s.sat.AddClause(s.bb.LitFor(t))
-}
-
-// Check reports satisfiability of the asserted facts plus the given
+// Check reports satisfiability of the conjunction of the given
 // assumptions. After Sat, Model and ModelValue read the witness.
 func (s *Solver) Check(assumptions ...*smt.Term) Result {
 	defer s.h.Start(obs.PhaseSolverCheck).End()

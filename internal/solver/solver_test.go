@@ -32,32 +32,11 @@ func TestSimpleUnsat(t *testing.T) {
 	}
 }
 
-func TestAssertPersists(t *testing.T) {
-	ctx := smt.NewContext()
-	s := New(ctx)
-	x := ctx.Var("x", 16)
-	s.Assert(ctx.Eq(x, ctx.BV(16, 0xbeef)))
-	if got := s.Check(); got != Sat {
-		t.Fatalf("Check = %v, want Sat", got)
-	}
-	if v := s.ModelValue(x); v != 0xbeef {
-		t.Fatalf("x = %#x, want 0xbeef", v)
-	}
-	if got := s.Check(ctx.Ne(x, ctx.BV(16, 0xbeef))); got != Unsat {
-		t.Fatalf("contradicting assert: got %v, want Unsat", got)
-	}
-	// Solver stays usable.
-	if got := s.Check(); got != Sat {
-		t.Fatalf("Check after Unsat = %v, want Sat", got)
-	}
-}
-
 func TestModelValueOfUnencodedTerm(t *testing.T) {
 	ctx := smt.NewContext()
 	s := New(ctx)
 	x := ctx.Var("x", 32)
-	s.Assert(ctx.Eq(x, ctx.BV(32, 7)))
-	if s.Check() != Sat {
+	if s.Check(ctx.Eq(x, ctx.BV(32, 7))) != Sat {
 		t.Fatal("want Sat")
 	}
 	// y and (x+y)^(y<<3) were never part of a query.
@@ -248,8 +227,8 @@ func TestBoolConnectives(t *testing.T) {
 	if s.Check(ctx.BAnd(pa, ctx.BNot(pa))) != Unsat {
 		t.Fatal("a && !a must be unsat")
 	}
-	// xor <-> (or and not and)
-	if got := s.Check(ctx.BXor(ctx.BXor(pa, pb), ctx.BAnd(ctx.BOr(pa, pb), ctx.BNot(ctx.BAnd(pa, pb))))); got != Unsat {
+	// xor <-> (or and not and), xor as a compare of 1-bit ites
+	if got := s.Check(boolXor(ctx, boolXor(ctx, pa, pb), ctx.BAnd(ctx.BOr(pa, pb), ctx.BNot(ctx.BAnd(pa, pb))))); got != Unsat {
 		t.Fatalf("xor/iff tautology: got %v, want Unsat", got)
 	}
 	// not (a and b -> a)
@@ -303,7 +282,7 @@ func TestWidthOneTerms(t *testing.T) {
 	a := ctx.Var("w1a", 1)
 	b := ctx.Var("w1b", 1)
 	// a + b at width 1 is XOR.
-	if got := s.Check(ctx.BXor(
+	if got := s.Check(boolXor(ctx,
 		ctx.Eq(ctx.Add(a, b), ctx.BV(1, 1)),
 		ctx.Eq(ctx.Xor(a, b), ctx.BV(1, 1)),
 	)); got != Unsat {
@@ -376,4 +355,10 @@ func TestWarmCheckAllocs(t *testing.T) {
 	if res, core := s.CheckCore(unsat...); res != Unsat || len(core) == 0 {
 		t.Fatalf("CheckCore = %v with core %v, want Unsat with a core", res, core)
 	}
+}
+
+// boolXor is the exclusive-or of two Boolean terms, built as a compare of
+// their 1-bit encodings.
+func boolXor(ctx *smt.Context, a, b *smt.Term) *smt.Term {
+	return ctx.Ne(ctx.BoolToBV(a), ctx.BoolToBV(b))
 }
