@@ -19,6 +19,7 @@ import (
 	"symriscv/internal/microrv32"
 	"symriscv/internal/qstore"
 	"symriscv/internal/querycache"
+	"symriscv/internal/rvfi"
 )
 
 // TestRunUsageErrors pins the unified bad-input contract across every
@@ -195,6 +196,39 @@ func TestTraceRoundTrip(t *testing.T) {
 		if !regexp.MustCompile(`(?m)^` + phase + `\s`).Match(out) {
 			t.Errorf("trace digest names no %q phase:\n%s", phase, out)
 		}
+	}
+}
+
+// TestMetricsShowCheckerCounters: -metrics lists the checker's per-field
+// counters, settled by pointer equality and sent to the solver. Pipecore's
+// limit-1 tree has no finding, so every comparison reaches both PCs: each
+// PC's two counters sum to the voter-compare span count.
+func TestMetricsShowCheckerCounters(t *testing.T) {
+	_, code, stderr := runCapture(t, []string{"longrun", "-core", "pipecore", "-budget", "0", "-workers", "1", "-metrics"})
+	if code != 0 {
+		t.Fatalf("longrun -metrics = exit %d; stderr:\n%s", code, stderr)
+	}
+	read := func(re string) uint64 {
+		m := regexp.MustCompile(`(?m)^\s*` + re + `\s+(\d+)`).FindStringSubmatch(stderr)
+		if m == nil {
+			return 0
+		}
+		var n uint64
+		fmt.Sscan(m[1], &n)
+		return n
+	}
+	compares := read(`voter-compare`)
+	if compares == 0 {
+		t.Fatalf("no voter-compare phase in -metrics:\n%s", stderr)
+	}
+	for _, f := range []string{"pc", "next_pc"} {
+		eq, q := read(regexp.QuoteMeta(rvfi.CtrEqualPrefix+f)), read(regexp.QuoteMeta(rvfi.CtrQueryPrefix+f))
+		if eq+q != compares {
+			t.Errorf("%s: %d settled by pointer equality + %d sent to the solver, want %d compares", f, eq, q, compares)
+		}
+	}
+	if read(regexp.QuoteMeta(rvfi.CtrQueryPrefix+"rd")) == 0 {
+		t.Errorf("-metrics shows no rd comparison sent to the solver:\n%s", stderr)
 	}
 }
 

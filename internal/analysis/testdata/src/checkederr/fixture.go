@@ -2,22 +2,18 @@
 // symriscv APIs must be checked or explicitly dropped.
 package fixture
 
-import (
-	"io"
+import "symriscv/internal/qstore"
 
-	"symriscv/internal/sat"
-)
-
-func dropped(s *sat.Solver) {
-	s.WriteDIMACS(io.Discard) // want `result of sat\.WriteDIMACS discarded`
+func dropped(s *qstore.Session) {
+	s.Close() // want `result of qstore\.Close discarded`
 }
 
 // checked propagates the error: allowed.
-func checked(s *sat.Solver) error {
-	return s.WriteDIMACS(io.Discard)
+func checked(s *qstore.Session) error {
+	return s.Close()
 }
 
 // explicitDiscard documents intent with a blank assignment: allowed.
-func explicitDiscard() {
-	_ = sat.New().WriteDIMACS(io.Discard)
+func explicitDiscard(s *qstore.Session) {
+	_ = s.Close()
 }

@@ -29,7 +29,6 @@ const (
 	CtrCacheQueries       = "cache.queries"
 	CtrCacheStackHits     = "cache.stack_hits"
 	CtrCacheExactHits     = "cache.exact_hits"
-	CtrCacheSupersetUnsat = "cache.superset_unsat"
 	CtrCacheCDCL          = "cache.cdcl"
 	CtrCacheModelQueries  = "cache.model_queries"
 	CtrCacheSliced        = "cache.sliced"
@@ -77,7 +76,6 @@ func publishBackendObs(h *obs.Handle, ss solver.Stats, cs querycache.Stats, term
 	h.Add(CtrCacheQueries, cs.Queries)
 	h.Add(CtrCacheStackHits, cs.StackHits)
 	h.Add(CtrCacheExactHits, cs.ExactHits)
-	h.Add(CtrCacheSupersetUnsat, cs.SupersetUnsat)
 	h.Add(CtrCacheCDCL, cs.CDCL)
 	h.Add(CtrCacheModelQueries, cs.ModelQueries)
 	h.Add(CtrCacheSliced, cs.SlicedQueries)

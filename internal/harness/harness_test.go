@@ -328,11 +328,11 @@ func TestTable1CSRMismatchesAreInherent(t *testing.T) {
 // longRunGolden is the SHA-256 of the microrv32 limit-1 longrun report at workers 1
 // (see TestLongRunAnswersGolden). A change that deliberately changes an
 // answer, a witness value or a work counter updates it, and says why. It
-// last changed when the engine began deciding branches and concretizations
-// from the path's known instruction bits: the shape hash stayed, the query,
-// branch and SAT counters fell, Stats gained Implied, and 428 of the 1,227
-// finding witnesses and 425 of the 2,420 test vectors took other values.
-const longRunGolden = "5959061d64fdbf1acc6b7b4679ad0cf89812b2250c0d886c1d1cbad98ae91583"
+// last changed when the query cache lost its superset-of-unsat rule: the
+// findings, test vectors and shape hash stayed, and only the cache and SAT
+// work counters moved (CDCLQueries, Cache.CDCL, Cache.CDCLUnsat,
+// SAT.Propagations; SupersetUnsat reads zero).
+const longRunGolden = "b68c368bf0428257d19e8088141fedfd25569acb46786bac4202f8738f00bc63"
 
 // TestLongRunAnswersGolden anchors every answer of three explorations: the
 // exhaustive limit-1 tree of each core and the first 3000 DFS paths of the
@@ -356,8 +356,8 @@ func TestLongRunAnswersGolden(t *testing.T) {
 		golden string
 	}{
 		{"microrv32-limit1", cosim.CoreMicroRV32, 1, 0, "aa0efa0fe0445902a2560beaf358308c0a88139e746185eb39f3152d5c6050e2", longRunGolden},
-		{"pipecore-limit1", cosim.CorePipecore, 1, 0, "4746e18066636a5274fa67c42cd4a9f61de19b3b0307a2d0141c3ec597b07bfd", "f1956d99e68f311b8ba85fc17304d96d46130ee32edd7189bcc0a37fcae27fb8"},
-		{"pipecore-limit2-3000", cosim.CorePipecore, 2, 3000, "93839ca41ce591022cd1418feaefd99e8c054090f8421e9548abb0bc1fec3a88", "2b9406e9fc9e3c070e48980fe48d4d10f50a43d09741a457c78eb6c790349b44"},
+		{"pipecore-limit1", cosim.CorePipecore, 1, 0, "4746e18066636a5274fa67c42cd4a9f61de19b3b0307a2d0141c3ec597b07bfd", "08d57e365da87733b48116a1b152f40d9af51da048709503a1f1a400abf50816"},
+		{"pipecore-limit2-3000", cosim.CorePipecore, 2, 3000, "93839ca41ce591022cd1418feaefd99e8c054090f8421e9548abb0bc1fec3a88", "2bdd9dbd29a80759c9f51e8ac608e468997ca5555997d1a36428f7b0297da55d"},
 	}
 	hash := func(t *testing.T, doc any) string {
 		b, err := json.Marshal(doc)

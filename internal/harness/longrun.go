@@ -82,8 +82,8 @@ func (r *LongRunResult) Format() string {
 	fmt.Fprintf(&b, "  findings           %d\n", len(r.Report.Findings))
 	fmt.Fprintf(&b, "  solver queries     %d\n", s.SolverQueries)
 	fmt.Fprintf(&b, "  SAT-core queries   %d\n", s.CDCLQueries)
-	fmt.Fprintf(&b, "  cache eliminated   %d (stack %d, exact %d, superset %d)\n",
-		s.Cache.Eliminated(), s.Cache.StackHits, s.Cache.ExactHits, s.Cache.SupersetUnsat)
+	fmt.Fprintf(&b, "  cache eliminated   %d (stack %d, exact %d)\n",
+		s.Cache.Eliminated(), s.Cache.StackHits, s.Cache.ExactHits)
 	fmt.Fprintf(&b, "  sliced queries     %d (%d constraints dropped)\n", s.Cache.SlicedQueries, s.Cache.SlicedDropped)
 	fmt.Fprintf(&b, "  exhausted          %v\n", r.Report.Exhausted)
 	return b.String()

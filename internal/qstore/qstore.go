@@ -1,6 +1,6 @@
 // Package qstore is the persistent cross-campaign witness store: it
 // promotes the query-elimination layer's cache entries (sat models
-// restricted to their slice's support, unsat cores, structural-hash
+// restricted to their slice's support, unsat answers, structural-hash
 // fingerprints — context-independent by design, see internal/querycache) to
 // a disk-backed, content-addressed store shared across processes and
 // campaigns.
@@ -65,9 +65,6 @@ func Open(dir string) (*Store, error) {
 	}
 	return &Store{dir: dir}, nil
 }
-
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
 
 // LoadStats describes one Load's outcome, including the damage it skipped.
 type LoadStats struct {

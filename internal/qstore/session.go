@@ -68,12 +68,6 @@ func OpenSession(dir, key string) (*Session, error) {
 // explorations in-process and to disk at checkpoints.
 func (s *Session) Shared() *querycache.Shared { return s.shared }
 
-// Key returns the session's version key.
-func (s *Session) Key() string { return s.key }
-
-// Dir returns the underlying store directory.
-func (s *Session) Dir() string { return s.store.Dir() }
-
 // Checkpoint persists every entry the campaign has created since the last
 // checkpoint as one new segment. Called at exploration hand-off boundaries
 // (after each exploration merges, alongside the final Explorer.Flush). Failures

@@ -267,8 +267,8 @@ func TestStackModelsNeverLeak(t *testing.T) {
 // BenchmarkCacheProbe replays a fixed probe sequence through one Local: a
 // decode-style chain of feasibility queries over instruction words, path
 // after path, the way replayed exploration re-probes the same prefixes.
-// After the first paths every probe is answered by the stack, an exact hit
-// or the superset rule, so ns/op and allocs/op measure the layer itself.
+// After the first paths every probe is answered by the stack or an exact
+// hit, so ns/op and allocs/op measure the layer itself.
 // Sub-benchmarks: n18 is the original 18-constraint path (one word plus an
 // independent rs1 pair); n54 is one 54-constraint component, the mean slice
 // size of the exhaustive limit-1 tree; n216 is n54 extended to 216
@@ -367,8 +367,8 @@ func benchProbe(b *testing.B, build func(*smt.Context) []*smt.Term) {
 }
 
 // TestWarmProbeAllocs pins the two warm probe answers at zero allocations:
-// a stack hit (the stacked model satisfies the pivot) and a superset-unsat
-// answer (a known unsat core is a subset of the probe's set).
+// a stack hit (the stacked model satisfies the pivot) and an exact unsat hit
+// (the probe's set is a recorded unsat entry).
 func TestWarmProbeAllocs(t *testing.T) {
 	l, ctx, _ := newLocal(t, nil)
 	a := ctx.Var("a", 8)
@@ -391,7 +391,7 @@ func TestWarmProbeAllocs(t *testing.T) {
 		count func(Stats) uint64
 	}{
 		{"stack hit", hit, solver.Sat, func(s Stats) uint64 { return s.StackHits }},
-		{"superset unsat", hi, solver.Unsat, func(s Stats) uint64 { return s.SupersetUnsat }},
+		{"exact unsat", hi, solver.Unsat, func(s Stats) uint64 { return s.ExactHits }},
 	} {
 		before := c.count(l.Stats())
 		n := testing.AllocsPerRun(100, func() {

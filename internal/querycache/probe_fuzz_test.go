@@ -15,13 +15,12 @@ import (
 // written from scratch: after every Observe and probe, each component's
 // slot count and set hash and each hash's path count (checkAggregates); at
 // every probe, sliced or not, the fixed-point slice (terms, order and
-// dropped count), the probe's set (its size, set hash and slot membership
-// against the sorted hashes of the slice), and the superset entry an
-// ascending scan over smallest-hash buckets finds. The
-// entry arena is checked against a map-based reference kept beside it: the
-// entry an exact lookup finds for the probe's set, the superset entry, the
-// stage that answered and whether StoreHits counted it, and every sat
-// entry's model, which must satisfy its constraint set. Every answer is also
+// dropped count) and the probe's set (its size, set hash and slot membership
+// against the sorted hashes of the slice). The entry arena is checked
+// against a map-based reference kept beside it: the entry an exact lookup
+// finds for the probe's set, the stage that answered and whether StoreHits
+// counted it, that every new entry is for the probe's whole set, and every
+// sat entry's model, which must satisfy its constraint set. Every answer is also
 // checked against a fresh solver on the unsliced set. The same operations
 // run twice: on a cold cache, then on a fresh context whose Shared store
 // holds the first run's entries round-tripped through Snapshot and Import,
@@ -59,9 +58,7 @@ type refEntry struct {
 }
 
 // viewOf reads arena entry i in the reference's terms, its hashes sorted.
-// An unsat entry's slots must already ascend by hash: the superset rule
-// reads the first as the smallest.
-func viewOf(t *testing.T, l *Local, i uint32) *refEntry {
+func viewOf(l *Local, i uint32) *refEntry {
 	e := l.entries[i]
 	re := &refEntry{sat: e.sat, store: e.store}
 	for _, s := range l.slotsOf(&e) {
@@ -69,10 +66,8 @@ func viewOf(t *testing.T, l *Local, i uint32) *refEntry {
 	}
 	if e.sat {
 		re.model = l.entryModel(i).Names(l.ctx)
-		slices.Sort(re.hs)
-	} else if !slices.IsSorted(re.hs) {
-		t.Fatalf("unsat entry %d hashes %x not ascending", i, re.hs)
 	}
+	slices.Sort(re.hs)
 	return re
 }
 
@@ -128,7 +123,7 @@ func checkAggregates(t *testing.T, l *Local, path []*smt.Term) {
 func checkPublished(t *testing.T, l *Local, snap []PortableEntry) {
 	want := map[string]*refEntry{}
 	for i := range l.entries {
-		re := viewOf(t, l, uint32(i))
+		re := viewOf(l, uint32(i))
 		if k := KeyOf(re.hs); want[k] == nil {
 			want[k] = re
 		}
@@ -171,7 +166,7 @@ func runProbeOps(t *testing.T, data []byte, shared *Shared) *Local {
 		vars[i] = ctx.Var(string(rune('a'+i)), w)
 	}
 	// A small pool of conditions, so the same pivots recur under different
-	// paths: that is what exact hits and the superset rule feed on.
+	// paths: that is what exact hits feed on.
 	pool := make([]*smt.Term, 4+next()%9)
 	for i := range pool {
 		k := next()
@@ -206,14 +201,13 @@ func runProbeOps(t *testing.T, data []byte, shared *Shared) *Local {
 	termOf := map[uint64]*smt.Term{}
 
 	// The reference cache, mirrored from the arena after every probe: the
-	// entry exact lookup must find per key, and the unsat entries in the
-	// order the superset index holds them.
+	// entry exact lookup must find per key.
 	refExact := map[string]*refEntry{}
-	var byIndex, indexed []*refEntry
+	var byIndex []*refEntry
 	mirror := func(want []uint64, adopted *sharedEntry) {
 		wantKey := KeyOf(want)
 		for i := len(byIndex); i < len(l.entries); i++ {
-			re := viewOf(t, l, uint32(i))
+			re := viewOf(l, uint32(i))
 			k := KeyOf(re.hs)
 			if adopted != nil {
 				// Adopted: the shared entry for the probe's own set, its
@@ -222,7 +216,7 @@ func runProbeOps(t *testing.T, data []byte, shared *Shared) *Local {
 				if k != wantKey || !re.equal(want) {
 					t.Fatalf("adopted entry %+v, want %+v", re, want)
 				}
-			} else if !re.sat && !isSubset(re.hs, want) || re.sat && k != wantKey || re.store {
+			} else if k != wantKey || re.store {
 				t.Fatalf("new entry %+v is not for the probe's set %x", re, wantKey)
 			}
 			for _, h := range re.hs {
@@ -234,9 +228,6 @@ func runProbeOps(t *testing.T, data []byte, shared *Shared) *Local {
 			}
 			byIndex = append(byIndex, re)
 			refExact[k] = re
-			if !re.sat {
-				indexed = append(indexed, re)
-			}
 		}
 	}
 	l.BeginPath(nil, nil)
@@ -261,8 +252,7 @@ func runProbeOps(t *testing.T, data []byte, shared *Shared) *Local {
 		wantKey := KeyOf(hs)
 
 		dropped := l.markSlice(pivot)
-		ps := l.slotOfTerm(pivot)
-		l.probeSet(ps, query != nil, dropped)
+		l.probeSet(l.slotOfTerm(pivot), query != nil, dropped)
 		var sum uint64
 		for _, h := range hs {
 			sum += h
@@ -278,10 +268,6 @@ func runProbeOps(t *testing.T, data []byte, shared *Shared) *Local {
 		wantExact := refExact[wantKey]
 		if i, ok := l.localLookup(); ok != (wantExact != nil) || ok && byIndex[i] != wantExact {
 			t.Fatalf("exact lookup of %x: arena entry %v (found %v), reference %+v", wantKey, i, ok, wantExact)
-		}
-		wantSup := refSuperset(indexed, hs)
-		if i, ok := l.supersetUnsat(ps); ok != (wantSup != nil) || ok && byIndex[i] != wantSup {
-			t.Fatalf("superset entry of %x: arena entry %v (found %v), reference %+v", wantKey, i, ok, wantSup)
 		}
 		adopt := shared.m[wantKey]
 		if got := shared.get(l.psum, l.keyInProbe); got != adopt {
@@ -308,14 +294,9 @@ func runProbeOps(t *testing.T, data []byte, shared *Shared) *Local {
 				}
 				answeredBy = &refEntry{store: adopt.store}
 			}
-		case after.SupersetUnsat > before.SupersetUnsat:
-			answeredBy = wantSup
-			if wantExact != nil || adopt != nil || wantSup == nil {
-				t.Fatalf("superset hit on %x: exact %+v, shared %+v, superset %+v", wantKey, wantExact, adopt, wantSup)
-			}
 		case after.CDCL > before.CDCL:
-			if wantExact != nil || adopt != nil || wantSup != nil {
-				t.Fatalf("%x reached the solver past exact %+v, shared %+v, superset %+v", wantKey, wantExact, adopt, wantSup)
+			if wantExact != nil || adopt != nil {
+				t.Fatalf("%x reached the solver past exact %+v, shared %+v", wantKey, wantExact, adopt)
 			}
 		}
 		if got, want := after.StoreHits-before.StoreHits, answeredBy != nil && answeredBy.store; (got == 1) != want || got > 1 {
@@ -383,45 +364,4 @@ func runProbeOps(t *testing.T, data []byte, shared *Shared) *Local {
 	}
 	l.Flush()
 	return l
-}
-
-// refSuperset is the superset rule as an ascending scan of hs over unsat
-// entries bucketed by their smallest hash, in index order: the first known
-// unsat subset of hs, or nil.
-func refSuperset(indexed []*refEntry, hs []uint64) *refEntry {
-	byMin := map[uint64][]*refEntry{}
-	for _, e := range indexed {
-		byMin[e.hs[0]] = append(byMin[e.hs[0]], e)
-	}
-	in := map[uint64]bool{}
-	for _, h := range hs {
-		in[h] = true
-	}
-	for _, h := range hs {
-	scan:
-		for _, e := range byMin[h] {
-			for _, eh := range e.hs {
-				if !in[eh] {
-					continue scan
-				}
-			}
-			return e
-		}
-	}
-	return nil
-}
-
-// isSubset reports whether sorted slice sub is a subset of sorted slice sup.
-func isSubset(sub, sup []uint64) bool {
-	i := 0
-	for _, h := range sub {
-		for i < len(sup) && sup[i] < h {
-			i++
-		}
-		if i >= len(sup) || sup[i] != h {
-			return false
-		}
-		i++
-	}
-	return true
 }

@@ -1,8 +1,8 @@
 // Package querycache is the query-elimination layer between the symbolic
 // execution engine (internal/core) and the QF_BV solver (internal/solver).
 // It answers as many path-feasibility queries as possible without touching
-// the SAT core, using per-path model stacking plus two classic KLEE
-// techniques, constraint independence and counterexample caching:
+// the SAT core, in three tiers: per-path model stacking plus two classic
+// KLEE techniques, constraint independence and counterexample caching:
 //
 //  1. Stack caching: every satisfying assignment discovered on the current
 //     path is kept (and eagerly revalidated as constraints are added, via
@@ -19,22 +19,18 @@
 //     the sliced answer equals the full answer. Observe grows a union-find
 //     over the path's variables, so a probe only finds the pivot's roots.
 //
-//  3. Counterexample caching: answers are cached under a canonical
-//     fingerprint of the sliced constraint set (sorted context-independent
-//     structural hashes, so entries are valid across solver contexts and
-//     parexplore workers). An exact fingerprint match returns the cached
-//     answer; a superset of a known-unsat set is unsat. Unsat answers are
-//     recorded as the solver's unsat core when it is smaller than the
-//     slice, so the superset rule covers every later query containing the
-//     core. Entries are found by a set hash, the wrapping sum of the
-//     members' structural hashes, which each union-find component keeps as
-//     Observe grows it; unsat entries are also indexed under each of their
-//     hashes, and a probe tests only its pivot's bucket. Membership in the
+//  3. Counterexample caching: every solver answer is cached under the set
+//     of context-independent structural hashes of its sliced constraint
+//     set (so entries are valid across solver contexts and parexplore
+//     workers), and a probe whose set matches an entry exactly returns the
+//     cached answer, Sat or Unsat. Entries are found by a set hash, the
+//     wrapping sum of the members' structural hashes, which each
+//     union-find component keeps as Observe grows it. Membership in the
 //     probe's set is a slot test, so a probe never walks the path.
 //
 // Determinism: the layer never changes a Sat/Unsat answer — hits are either
 // witnessed by a concrete model (checked with smt.Eval, the ground truth) or
-// follow from the sound slicing and superset arguments above. Model-bearing
+// follow from the sound slicing argument above. Model-bearing
 // queries (concretization, witness extraction, test vectors) always pass
 // through to the solver unsliced so the values the engine reads never depend
 // on cache state.
@@ -48,6 +44,7 @@ import (
 	"encoding/binary"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"symriscv/internal/obs"
@@ -139,8 +136,13 @@ type Stats struct {
 	// stays because the benchmark module (perfbench/metrics.go,
 	// perfbench/gate.go) still reads it; drop it together with perfbench's
 	// qc.subset_sat metric in a declared benchmark change.
-	SubsetSat     uint64
-	SupersetUnsat uint64 // answered unsat as superset of a known-unsat set
+	SubsetSat uint64
+	// SupersetUnsat is always zero: the superset-of-unsat rule was removed,
+	// and unsat entries answer exact fingerprint matches only. The field
+	// stays because the benchmark module (perfbench/metrics.go) still reads
+	// it; drop it together with perfbench's qc.superset_unsat metric in a
+	// declared benchmark change.
+	SupersetUnsat uint64
 	CDCL          uint64 // feasibility queries that reached the SAT core
 	CDCLSat       uint64 // ... of which answered Sat
 	CDCLUnsat     uint64 // ... of which answered Unsat
@@ -157,7 +159,7 @@ type Stats struct {
 // Eliminated returns the number of feasibility queries answered without the
 // SAT core.
 func (s Stats) Eliminated() uint64 {
-	return s.StackHits + s.ExactHits + s.SupersetUnsat
+	return s.StackHits + s.ExactHits
 }
 
 // Add accumulates o into s.
@@ -165,7 +167,6 @@ func (s *Stats) Add(o Stats) {
 	s.Queries += o.Queries
 	s.StackHits += o.StackHits
 	s.ExactHits += o.ExactHits
-	s.SupersetUnsat += o.SupersetUnsat
 	s.CDCL += o.CDCL
 	s.CDCLSat += o.CDCLSat
 	s.CDCLUnsat += o.CDCLUnsat
@@ -178,9 +179,9 @@ func (s *Stats) Add(o Stats) {
 // entry is one cached feasibility answer in a Local's entry list, named by
 // its index. The constraint set the answer is for is a deduplicated set of
 // structural hashes, stored as the hashes' slots (see Local), n of them at
-// block sb, offset so of the slots arena: ascending by hash in an unsat
-// entry, whose smallest hash the superset rule reads, and in slice order in
-// a sat entry, which only exact lookups and Flush read. A sat
+// block sb, offset so of the slots arena, in slice order for an entry the
+// solver answered and ascending by hash for one adopted from the Shared
+// store; exact lookups do not depend on the order. A sat
 // entry's model, mn bindings at block mb, offset mo of the models arena, is
 // a witness restricted to — and total over — the set's support variables,
 // with explicit zeros for variables the solver left unconstrained. Totality
@@ -220,11 +221,6 @@ func (a *arena[T]) add(xs []T) (uint32, uint32) {
 
 // run returns the n elements at block k, offset off.
 func (a *arena[T]) run(k, off, n uint32) []T { return a.blocks[k][off : off+n : off+n] }
-
-// link is one cell of a slot's chain, the list of the unsat entries holding
-// the slot's hash: an entry index and the next cell, cells named by index+1
-// (0 = none). A chain is ordered by its entries' smallest hash, then index.
-type link struct{ entry, next uint32 }
 
 // sharedEntry is one entry of the cross-worker store, in the
 // context-independent form: the key, KeyOf of the sorted hashes, which it
@@ -297,14 +293,6 @@ func (s *Shared) put(batch []*sharedEntry) {
 	s.mu.Unlock()
 }
 
-// Len returns the number of stored entries (for telemetry).
-func (s *Shared) Len() int {
-	s.mu.RLock()
-	n := len(s.m)
-	s.mu.RUnlock()
-	return n
-}
-
 // PortableEntry is the context-free, serialisable view of one cache entry:
 // the sorted, deduplicated structural-hash fingerprint of the constraint
 // set, the answer, and (sat entries only) the witnessing model restricted
@@ -320,13 +308,29 @@ type PortableEntry struct {
 
 // KeyOf returns the canonical map key of a sorted, deduplicated hash set:
 // each hash serialised big-endian, concatenated. It is the exported twin of
-// Local.key.
+// Local.key, and allocates only the string.
 func KeyOf(hs []uint64) string {
-	buf := make([]byte, 8*len(hs))
-	for i, h := range hs {
-		binary.BigEndian.PutUint64(buf[i*8:], h)
+	var b strings.Builder
+	b.Grow(8 * len(hs))
+	var buf [8]byte
+	for _, h := range hs {
+		binary.BigEndian.PutUint64(buf[:], h)
+		b.Write(buf[:])
 	}
-	return string(buf)
+	return b.String()
+}
+
+// isKeyOf reports whether key is KeyOf(hs), without building it.
+func isKeyOf(key string, hs []uint64) bool {
+	if len(key) != 8*len(hs) {
+		return false
+	}
+	for i, h := range hs {
+		if keyHash(key, i) != h {
+			return false
+		}
+	}
+	return true
 }
 
 // hashesOf inverts KeyOf.
@@ -406,7 +410,11 @@ func (s *Shared) Import(es []PortableEntry) int {
 		for _, h := range pe.Hashes {
 			sum += h
 		}
-		if s.insert(&sharedEntry{key: KeyOf(pe.Hashes), sat: pe.Sat, model: pe.Model, store: true}, sum) {
+		key := pe.Key
+		if !isKeyOf(key, pe.Hashes) {
+			key = KeyOf(pe.Hashes)
+		}
+		if s.insert(&sharedEntry{key: key, sat: pe.Sat, model: pe.Model, store: true}, sum) {
 			n++
 		}
 	}
@@ -460,9 +468,8 @@ const chunkSize = 1024
 // new terms. Not safe for concurrent use.
 //
 // Every structural hash the Local meets gets a dense slot (slotOf, hashes),
-// so entries, the exact-lookup map and the superset index hold 32-bit slots:
-// their tables hold no pointers, and whether a probe's set holds a hash is a
-// test on its slot (inProbe).
+// so entries hold 32-bit slots: their tables hold no pointers, and whether a
+// probe's set holds a hash is a test on its slot (inProbe).
 type Local struct {
 	ctx    *smt.Context
 	sol    *solver.Solver
@@ -472,8 +479,6 @@ type Local struct {
 	slots   arena[uint32]     // entries' hash slots
 	models  arena[binding]    // sat entries' models
 	exact   map[uint64]uint32 // set hash of an entry's slots -> newest such entry's index+1
-	chains  []uint32          // slot-1 -> first cell of the chain of the slot's hash
-	links   []link            // chain cells
 	pending []uint32          // entries created here and not yet flushed
 
 	slotOf   map[uint64]uint32 // structural hash -> slot (1-based)
@@ -513,7 +518,7 @@ type Local struct {
 	epoch   uint32
 	hmark   []uint32 // slot-1 -> hepoch of the slotSet call that met it
 	hepoch  uint32
-	ssBuf   []uint32 // a probe's, core's or published entry's slots
+	ssBuf   []uint32 // a probe's, slice's or published entry's slots
 	keyBuf  []byte
 	idBuf   []uint32 // captureModel's support variables
 	mBuf    VarModel // captureModel's and mergeWithStack's result, until kept
@@ -641,18 +646,16 @@ func (l *Local) Observe(t *smt.Term, trusted bool) {
 }
 
 // Flush publishes locally created cache entries to the Shared store,
-// converting them to the context-free form. Called at work handoff points
-// by the parallel orchestrator; a no-op without an attached store.
+// converting them to the context-free form, keyed by their hashes in
+// ascending order. Called at work handoff points by the parallel
+// orchestrator; a no-op without an attached store.
 func (l *Local) Flush() {
 	if l.shared != nil && len(l.pending) > 0 {
 		batch := make([]*sharedEntry, len(l.pending))
 		for k, i := range l.pending {
 			e := &l.entries[i]
-			ss := l.slotsOf(e)
-			if e.sat {
-				ss = l.sortByHash(append(l.ssBuf[:0], ss...))
-				l.ssBuf = ss
-			}
+			ss := l.sortByHash(append(l.ssBuf[:0], l.slotsOf(e)...))
+			l.ssBuf = ss
 			se := &sharedEntry{key: string(l.key(ss)), sat: e.sat}
 			if e.sat {
 				se.model = l.entryModel(i).Names(l.ctx)
@@ -775,8 +778,7 @@ func (l *Local) check(query *smt.Term, push bool) (solver.Result, VarModel, bool
 
 	// Stage 2: independence slicing.
 	dropped := l.markSlice(pivot)
-	pslot := l.slotOfTerm(pivot)
-	l.probeSet(pslot, query != nil, dropped)
+	l.probeSet(l.slotOfTerm(pivot), query != nil, dropped)
 
 	// Stage 3: exact fingerprint lookup (local arena, then shared store).
 	if i, ok := l.lookup(); ok {
@@ -787,42 +789,21 @@ func (l *Local) check(query *smt.Term, push bool) (solver.Result, VarModel, bool
 		return l.hitResult(i, dropped, push)
 	}
 
-	// Stage 4: superset-of-unsat. Any known-unsat subset proves this set
-	// unsat.
-	if i, ok := l.supersetUnsat(pslot); ok {
-		l.stats.SupersetUnsat++
-		if l.entries[i].store {
-			l.stats.StoreHits++
-		}
-		return solver.Unsat, nil, false
-	}
-
-	// Stage 5: the SAT core, on the slice only.
+	// Stage 4: the SAT core, on the slice only.
 	l.stats.CDCL++
 	if dropped > 0 {
 		l.stats.SlicedQueries++
 		l.stats.SlicedDropped += uint64(dropped)
 	}
 	slice := l.sliceTerms(query, dropped)
-	res, core := l.sol.CheckCore(slice...)
-	switch res {
-	case solver.Sat:
-		l.stats.CDCLSat++
-		ss := l.slotSet(slice)
-		i := l.record(ss, true, l.captureModel(slice))
-		return l.hitResult(i, dropped, push)
-	default:
+	if l.sol.Check(slice...) == solver.Unsat {
 		l.stats.CDCLUnsat++
-		if len(core) > 0 && len(core) < len(slice) {
-			// Record the unsat core rather than the whole set: every future
-			// superset of the core — the same forced branch under different
-			// unrelated constraints — is answered by the superset rule.
-			l.record(l.fingerprint(core), false, nil)
-		} else {
-			l.record(l.fingerprint(slice), false, nil)
-		}
+		l.record(l.slotSet(slice), false, nil)
 		return solver.Unsat, nil, false
 	}
+	l.stats.CDCLSat++
+	i := l.record(l.slotSet(slice), true, l.captureModel(slice))
+	return l.hitResult(i, dropped, push)
 }
 
 // hitResult converts a cache entry into a pipeline answer, merging sat
@@ -955,9 +936,7 @@ func (l *Local) record(ss []uint32, sat bool, model VarModel) uint32 {
 }
 
 // add appends an entry to the arena, under the set hash of ss. It shadows an
-// older entry for the same set in exact lookups; unsat entries, whose slots
-// must ascend by hash, join the superset index under each of their hashes,
-// sat entries are reached by exact lookup only.
+// older entry for the same set in exact lookups.
 func (l *Local) add(ss []uint32, sat bool, model VarModel, store bool) uint32 {
 	var sh uint64
 	for _, s := range ss {
@@ -972,26 +951,13 @@ func (l *Local) add(ss []uint32, sat bool, model VarModel, store bool) uint32 {
 	}
 	l.entries = append(l.entries, e)
 	l.exact[sh] = i + 1
-	if !sat {
-		lo := l.hashes[ss[0]-1]
-		for _, s := range ss {
-			l.links = append(l.links, link{entry: i})
-			k := uint32(len(l.links))
-			p := &l.chains[s-1]
-			for *p != 0 && l.smallest(l.links[*p-1].entry) <= lo {
-				p = &l.links[*p-1].next
-			}
-			l.links[k-1].next, *p = *p, k
-		}
-	}
 	return i
 }
 
 // lookup finds the entry for the probe's set in the arena, falling back to
-// the shared store; shared finds are adopted into the arena (and indexed, so
-// shared unsat entries join the local superset reasoning). Entries are found
-// by the probe's set hash: one of pn slots, all in the probe's set, is the
-// set itself.
+// the shared store; shared finds are adopted into the arena. Entries are
+// found by the probe's set hash: one of pn slots, all in the probe's set, is
+// the set itself.
 func (l *Local) lookup() (uint32, bool) {
 	if i, ok := l.localLookup(); ok || l.shared == nil {
 		return i, ok
@@ -1036,27 +1002,6 @@ func (l *Local) keyInProbe(key string) bool {
 	return true
 }
 
-// supersetUnsat returns a known-unsat subset entry of the probe's set. Only
-// entries holding the pivot's hash (slot pslot) are candidates, which is
-// exact: the engine keeps the path satisfiable, so every unsat subset of
-// path ∪ {pivot} contains the pivot (were that broken, a pivot-free subset
-// would cost a hit, never an answer). It returns the subset with the least
-// smallest hash, earliest indexed on ties — the one an ascending scan over
-// smallest-hash buckets finds — so StoreHits does not depend on the index.
-// Chains are kept in that order, so this is the first subset on the chain.
-func (l *Local) supersetUnsat(pslot uint32) (uint32, bool) {
-	for k := l.chains[pslot-1]; k != 0; k = l.links[k-1].next {
-		i := l.links[k-1].entry
-		if e := &l.entries[i]; e.n <= l.pn && l.allInProbe(l.slotsOf(e)) {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-// smallest returns unsat entry i's smallest hash.
-func (l *Local) smallest(i uint32) uint64 { return l.hashes[l.slotsOf(&l.entries[i])[0]-1] }
-
 // allInProbe reports whether every slot of es is in the probe's set.
 func (l *Local) allInProbe(es []uint32) bool {
 	for _, s := range es {
@@ -1093,7 +1038,6 @@ func (l *Local) slotFor(h uint64) uint32 {
 		return s
 	}
 	l.hashes = append(l.hashes, h)
-	l.chains = append(l.chains, 0)
 	l.slotN = append(l.slotN, 0)
 	l.slotKey = append(l.slotKey, 0)
 	s := uint32(len(l.hashes))
@@ -1233,18 +1177,6 @@ func (l *Local) slotSet(ts []*smt.Term) []uint32 {
 func (l *Local) sortByHash(ss []uint32) []uint32 {
 	slices.SortFunc(ss, func(a, b uint32) int { return cmp.Compare(l.hashes[a-1], l.hashes[b-1]) })
 	return ss
-}
-
-// fingerprint returns the canonical fingerprint of a constraint set: the
-// slots of its members' context-independent structural hashes, ascending by
-// hash, deduplicated so a twice-asserted condition keys the same set as a
-// once-asserted one (collisions between distinct terms are astronomically
-// unlikely and harmless to keep once). Identical sets built in different
-// contexts (or discovered in different orders) have the same hashes, hence
-// the same KeyOf. It sorts, so the pipeline uses it only to record unsat
-// entries. The result aliases a reused buffer.
-func (l *Local) fingerprint(ts []*smt.Term) []uint32 {
-	return l.sortByHash(l.slotSet(ts))
 }
 
 // key writes KeyOf of ss's hashes into the reused key buffer.

@@ -130,10 +130,10 @@ func TestFingerprintStableAcrossContexts(t *testing.T) {
 	}
 }
 
-// fp returns a copy of l's fingerprint key for ts (fingerprint itself
-// returns a buffer the next call overwrites).
+// fp returns a copy of l's fingerprint key for ts: KeyOf of the set's
+// distinct structural hashes, ascending, as Flush keys an entry.
 func fp(l *Local, ts ...*smt.Term) string {
-	return string(l.key(l.fingerprint(ts)))
+	return string(l.key(l.sortByHash(l.slotSet(ts))))
 }
 
 // TestExactHit: repeating a query answers from the entry map without a
@@ -154,40 +154,43 @@ func TestExactHit(t *testing.T) {
 	if sol.Stats().Checks != checks {
 		t.Fatal("repeat query reached the solver")
 	}
-	st := l.Stats()
-	if st.ExactHits+st.SupersetUnsat != 1 {
+	if st := l.Stats(); st.ExactHits != 1 {
 		t.Fatalf("stats = %+v, want the repeat answered by the cache", st)
 	}
 }
 
-// TestSupersetUnsat: once a set is known unsat, any superset is answered
-// unsat without the solver — including across unrelated extra constraints,
-// via the unsat core.
-func TestSupersetUnsat(t *testing.T) {
+// TestUnsatRecordsWholeSlice: an Unsat solver answer is recorded for the
+// whole slice it was asked about, so the same slice probed again is an exact
+// unsat hit; a strictly larger set is not answered by that entry.
+func TestUnsatRecordsWholeSlice(t *testing.T) {
 	l, ctx, sol := newLocal(t, nil)
-	a := ctx.Var("a", 8)
-	b := ctx.Var("b", 8)
+	a, b, c := ctx.Var("a", 8), ctx.Var("b", 8), ctx.Var("c", 8)
 	l.BeginPath(nil, nil)
-
-	lo := ctx.Ult(a, ctx.BV(8, 10))
+	lo, ab := ctx.Ult(a, ctx.BV(8, 10)), ctx.Ult(a, b)
+	observe(l, lo, ab, ctx.Ult(c, ctx.BV(8, 3))) // the c constraint is sliced away
 	hi := ctx.Ult(ctx.BV(8, 20), a)
-	observe(l, lo)
 	if res := l.CheckFeasible(hi); res != solver.Unsat {
-		t.Fatalf("core query = %v, want Unsat", res)
+		t.Fatalf("first = %v, want Unsat", res)
+	}
+	if len(l.entries) != 1 || l.entries[0].sat {
+		t.Fatalf("entries = %+v, want one unsat entry", l.entries)
+	}
+	if got, want := string(l.key(l.sortByHash(append([]uint32(nil), l.slotsOf(&l.entries[0])...)))), fp(l, lo, ab, hi); got != want {
+		t.Fatalf("unsat entry keyed %x, want the whole slice %x", got, want)
 	}
 	checks := sol.Stats().Checks
-
-	// Superset with an extra constraint over the same variable (so slicing
-	// cannot remove it): still answered by the unsat subset.
-	observe(l, ctx.Ult(a, b))
 	if res := l.CheckFeasible(hi); res != solver.Unsat {
-		t.Fatalf("superset query = %v, want Unsat", res)
+		t.Fatalf("repeat = %v, want Unsat", res)
 	}
-	if sol.Stats().Checks != checks {
-		t.Fatal("superset query reached the solver")
+	if st := l.Stats(); sol.Stats().Checks != checks || st.ExactHits != 1 || st.CDCLUnsat != 1 {
+		t.Fatalf("repeat reached the solver or missed the entry: stats %+v", st)
 	}
-	if l.Stats().SupersetUnsat != 1 {
-		t.Fatalf("stats = %+v, want one superset hit", l.Stats())
+	observe(l, ctx.Ult(b, ctx.BV(8, 200)))
+	if res := l.CheckFeasible(hi); res != solver.Unsat {
+		t.Fatalf("superset = %v, want Unsat", res)
+	}
+	if st := l.Stats(); st.ExactHits != 1 || st.CDCLUnsat != 2 {
+		t.Fatalf("superset answered by the cache: stats %+v", st)
 	}
 }
 
@@ -202,11 +205,11 @@ func TestSharedFlushAndAdopt(t *testing.T) {
 	if res := l1.CheckFeasible(ctx1.Ult(ctx1.BV(8, 20), a1)); res != solver.Unsat {
 		t.Fatalf("worker 1 = %v, want Unsat", res)
 	}
-	if store.Len() != 0 {
+	if len(store.Snapshot(nil)) != 0 {
 		t.Fatal("entry published before Flush")
 	}
 	l1.Flush()
-	if store.Len() == 0 {
+	if len(store.Snapshot(nil)) == 0 {
 		t.Fatal("Flush published nothing")
 	}
 
@@ -449,9 +452,18 @@ func TestImportRejectsMalformed(t *testing.T) {
 	if n := s.Import(bad); n != 0 {
 		t.Fatalf("Import accepted %d malformed entries", n)
 	}
-	good := []PortableEntry{{Hashes: []uint64{1, 2}, Sat: true, Model: Model{"x": 1}}}
-	if n := s.Import(good); n != 1 {
-		t.Fatalf("Import rejected a valid entry")
+	// An entry's Key is not trusted: a missing or wrong one is rebuilt from
+	// the hashes.
+	good := []PortableEntry{
+		{Hashes: []uint64{1, 2}, Sat: true, Model: Model{"x": 1}},
+		{Key: KeyOf([]uint64{7}), Hashes: []uint64{3, 4}},
+	}
+	if n := s.Import(good); n != 2 {
+		t.Fatalf("Import accepted %d of 2 valid entries", n)
+	}
+	snap := s.Snapshot(nil)
+	if len(snap) != 2 || snap[0].Key != KeyOf([]uint64{1, 2}) || snap[1].Key != KeyOf([]uint64{3, 4}) {
+		t.Fatalf("imported entries keyed %+v, want the KeyOf of their hashes", snap)
 	}
 }
 
@@ -501,7 +513,7 @@ func TestSharedConcurrentAccess(t *testing.T) {
 	for i := 0; i < workers+2; i++ {
 		<-done
 	}
-	if s.Len() == 0 {
+	if len(s.Snapshot(nil)) == 0 {
 		t.Fatal("store empty after concurrent traffic")
 	}
 }

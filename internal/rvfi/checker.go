@@ -88,8 +88,8 @@ func NewChecker(eng *core.Engine) *Checker {
 // instruction slot. A nil return means no observable difference is
 // satisfiable on this path.
 func (v *Checker) Compare(ret *Retirement, ref Reference) *Mismatch {
-	defer v.eng.Obs().Start(obs.PhaseVoterCompare).End()
-	ctx := v.ctx
+	h := v.eng.Obs()
+	defer h.Start(obs.PhaseVoterCompare).End()
 
 	// Trap behaviour is concrete on each path.
 	if ret.Trap != ref.Trap {
@@ -106,28 +106,22 @@ func (v *Checker) Compare(ret *Retirement, ref Reference) *Mismatch {
 		// Both trapped identically: compare the trap target PC below.
 	}
 
-	// Old and next PC: hash-consing makes identical expressions
-	// pointer-equal, so the solver is only consulted for syntactically
-	// distinct values. The old-PC comparison catches control-flow divergence
-	// that happened *between* retirements (e.g. one side taking an
-	// interrupt, or a pipeline retiring a wrong-path instruction).
-	if ret.PCRData != ref.PC {
-		if env, ok := v.eng.FindWitness(ctx.Ne(ret.PCRData, ref.PC)); ok {
-			return v.finish(ret, ref, PCMismatch, "executed-instruction PCs can differ", env)
-		}
+	// Old and next PC. The old-PC comparison catches control-flow
+	// divergence that happened *between* retirements (e.g. one side taking
+	// an interrupt, or a pipeline retiring a wrong-path instruction).
+	if env, ok := v.differ(h, fieldPC, ret.PCRData, ref.PC); ok {
+		return v.finish(ret, ref, PCMismatch, "executed-instruction PCs can differ", env)
 	}
-	if ret.PCWData != ref.NextPC {
-		if env, ok := v.eng.FindWitness(ctx.Ne(ret.PCWData, ref.NextPC)); ok {
-			return v.finish(ret, ref, PCMismatch, "next-PC values can differ", env)
-		}
+	if env, ok := v.differ(h, fieldNextPC, ret.PCWData, ref.NextPC); ok {
+		return v.finish(ret, ref, PCMismatch, "next-PC values can differ", env)
 	}
 
 	if ret.RdAddr != ref.RdAddr {
 		return v.finish(ret, ref, RdMismatch,
 			fmt.Sprintf("RTL writes x%d, ISS writes x%d", ret.RdAddr, ref.RdAddr), nil)
 	}
-	if ret.RdAddr != 0 && ret.RdWData != ref.RdValue {
-		if env, ok := v.eng.FindWitness(ctx.Ne(ret.RdWData, ref.RdValue)); ok {
+	if ret.RdAddr != 0 {
+		if env, ok := v.differ(h, fieldRd, ret.RdWData, ref.RdValue); ok {
 			return v.finish(ret, ref, RdMismatch,
 				fmt.Sprintf("x%d values can differ", ret.RdAddr), env)
 		}
@@ -145,19 +139,54 @@ func (v *Checker) Compare(ret *Retirement, ref Reference) *Mismatch {
 				return v.finish(ret, ref, MemMismatch,
 					fmt.Sprintf("store width %d bytes vs %d bytes", got, want), nil)
 			}
-			if ret.MemAddr != ref.MemAddr {
-				if env, ok := v.eng.FindWitness(ctx.Ne(ret.MemAddr, ref.MemAddr)); ok {
-					return v.finish(ret, ref, MemMismatch, "store addresses can differ", env)
-				}
+			if env, ok := v.differ(h, fieldMemAddr, ret.MemAddr, ref.MemAddr); ok {
+				return v.finish(ret, ref, MemMismatch, "store addresses can differ", env)
 			}
-			if ret.MemWData != nil && ref.MemWData != nil && ret.MemWData != ref.MemWData {
-				if env, ok := v.eng.FindWitness(ctx.Ne(ret.MemWData, ref.MemWData)); ok {
+			if ret.MemWData != nil && ref.MemWData != nil {
+				if env, ok := v.differ(h, fieldMemData, ret.MemWData, ref.MemWData); ok {
 					return v.finish(ret, ref, MemMismatch, "store data can differ", env)
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// The checker's two counter families on the engine's observability handle,
+// one counter per compared field (pc, next_pc, rd, mem_addr, mem_data):
+// comparisons settled by pointer equality, and comparisons sent to
+// FindWitness.
+const (
+	CtrEqualPrefix = "rvfi.ptr_equal."
+	CtrQueryPrefix = "rvfi.find_witness."
+)
+
+// field is one compared retirement field's pair of counter names.
+type field struct{ equal, query string }
+
+func newField(name string) field {
+	return field{CtrEqualPrefix + name, CtrQueryPrefix + name}
+}
+
+var (
+	fieldPC      = newField("pc")
+	fieldNextPC  = newField("next_pc")
+	fieldRd      = newField("rd")
+	fieldMemAddr = newField("mem_addr")
+	fieldMemData = newField("mem_data")
+)
+
+// differ reports whether a and b can differ on the path, with the witness
+// when they can, and counts the comparison under f. Hash-consing makes
+// identical expressions pointer-equal, so the solver is only consulted for
+// syntactically distinct values.
+func (v *Checker) differ(h *obs.Handle, f field, a, b *smt.Term) (smt.MapEnv, bool) {
+	if a == b {
+		h.Add(f.equal, 1)
+		return nil, false
+	}
+	h.Add(f.query, 1)
+	return v.eng.FindWitness(v.ctx.Ne(a, b))
 }
 
 func causeStr(ret *Retirement) string {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"symriscv/internal/core"
+	"symriscv/internal/obs"
 	"symriscv/internal/rtl"
 	"symriscv/internal/smt"
 )
@@ -188,4 +189,67 @@ func TestVoterWitnessEvaluation(t *testing.T) {
 			t.Error("concrete replay values should differ")
 		}
 	})
+}
+
+// TestCompareCounters: each field comparison Compare reaches is counted
+// once, as settled by pointer equality or as sent to FindWitness, so the
+// two counters of a field sum to the comparisons of it that were reached.
+func TestCompareCounters(t *testing.T) {
+	rec := obs.New(obs.Options{})
+	reached := map[string]uint64{}
+	x := core.NewExplorer(func(e *core.Engine) error {
+		ctx, v := e.Context(), NewChecker(e)
+		val := e.MakeSymbolic("cv", 32)
+		addr := ctx.BV(32, 100)
+		compare := func(ret *Retirement, ref Reference, fields ...string) *Mismatch {
+			for _, f := range fields {
+				reached[f]++
+			}
+			return v.Compare(ret, ref)
+		}
+		base := func() (*Retirement, Reference) {
+			return &Retirement{Insn: ctx.BV(32, 0x13), PCRData: ctx.BV(32, 0), PCWData: ctx.BV(32, 4)},
+				Reference{PC: ctx.BV(32, 0), NextPC: ctx.BV(32, 4), Insn: ctx.BV(32, 0x13)}
+		}
+
+		// Every field pointer-equal: all five reached.
+		ret, ref := base()
+		ret.RdAddr, ret.RdWData, ref.RdAddr, ref.RdValue = 1, val, 1, val
+		ret.MemAddr, ret.MemWMask, ret.MemWData = addr, uint8(rtl.StrobeWord), val
+		ref.MemAddr, ref.MemWrite, ref.MemWBytes, ref.MemWData = addr, true, 4, val
+		if m := compare(ret, ref, "pc", "next_pc", "rd", "mem_addr", "mem_data"); m != nil {
+			t.Errorf("agreeing retirement flagged: %v", m)
+		}
+		// A distinct but equal rd value goes to the solver; no rd write and
+		// no store reach neither rd nor memory.
+		ret, ref = base()
+		ret.RdAddr, ret.RdWData = 1, ctx.Add(val, val)
+		ref.RdAddr, ref.RdValue = 1, ctx.Shl(val, ctx.BV(32, 1))
+		if m := compare(ret, ref, "pc", "next_pc", "rd"); m != nil {
+			t.Errorf("equal rd values flagged: %v", m)
+		}
+		ret, ref = base()
+		if m := compare(ret, ref, "pc", "next_pc"); m != nil {
+			t.Errorf("agreeing retirement flagged: %v", m)
+		}
+		// A PC difference stops the comparison at the first field.
+		ret, ref = base()
+		ret.PCRData = val
+		if m := compare(ret, ref, "pc"); m == nil || m.Kind != PCMismatch {
+			t.Errorf("pc difference: got %v", m)
+		}
+		return nil
+	})
+	x.Explore(core.Options{MaxPaths: 1, Obs: rec})
+	rec.Close()
+	got := rec.Snapshot().Counters
+	for _, f := range []string{"pc", "next_pc", "rd", "mem_addr", "mem_data"} {
+		if sum := got[CtrEqualPrefix+f] + got[CtrQueryPrefix+f]; sum != reached[f] {
+			t.Errorf("%s: %d settled by pointer equality + %d sent to the solver, want %d reached",
+				f, got[CtrEqualPrefix+f], got[CtrQueryPrefix+f], reached[f])
+		}
+	}
+	if got[CtrQueryPrefix+"rd"] != 1 || got[CtrQueryPrefix+"pc"] != 1 || got[CtrQueryPrefix+"next_pc"] != 0 {
+		t.Errorf("solver-bound comparisons %v, want one rd and one pc", got)
+	}
 }

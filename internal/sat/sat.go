@@ -23,7 +23,6 @@ package sat
 
 import (
 	"fmt"
-	"io"
 	"slices"
 )
 
@@ -162,8 +161,6 @@ type Solver struct {
 	noModelReuse bool // tests: search again instead
 
 	ok bool // false once the clause set is unsat at level 0
-
-	conflictAssumps []Lit // failed assumptions after an Unsat answer
 
 	// Gate structure and the current call's cone (see cone.go).
 	vflags    []uint8  // per var: gate op, rooted and in-cone bits
@@ -646,36 +643,6 @@ func (s *Solver) analyze(confl cref) (learnt []Lit, btLevel int32) {
 	return learnt, btLevel
 }
 
-// analyzeFinal collects the subset of assumptions responsible for forcing
-// the complement of p, storing them in conflictAssumps.
-func (s *Solver) analyzeFinal(p Lit) {
-	s.conflictAssumps = s.conflictAssumps[:0]
-	s.conflictAssumps = append(s.conflictAssumps, p)
-	if s.decisionLevel() == 0 {
-		return
-	}
-	s.seen[p.Var()] = true
-	for i := len(s.trail) - 1; i >= int(s.trailLim[0]); i-- {
-		v := s.trail[i].Var()
-		if !s.seen[v] {
-			continue
-		}
-		if s.reason[v] == noReason {
-			if s.level[v] > 0 {
-				s.conflictAssumps = append(s.conflictAssumps, s.trail[i].Neg())
-			}
-		} else {
-			for _, q := range s.lits(s.reason[v])[1:] {
-				if s.level[q.Var()] > 0 {
-					s.seen[q.Var()] = true
-				}
-			}
-		}
-		s.seen[v] = false
-	}
-	s.seen[p.Var()] = false
-}
-
 // pickBranchLit pops the most active unassigned heap variable and returns it
 // in its saved phase, or -1 when the heap is empty.
 func (s *Solver) pickBranchLit() Lit {
@@ -694,10 +661,8 @@ func (s *Solver) pickBranchLit() Lit {
 // Solve determines satisfiability of the clause set conjoined with the given
 // assumption literals. It assigns only the call's cone (cone.go); on Sat,
 // ValueOf/LitValue read a model of every clause, with variables outside the
-// cone computed from their gate definitions. On Unsat, FailedAssumptions
-// reports an inconsistent assumption subset.
+// cone computed from their gate definitions.
 func (s *Solver) Solve(assumptions ...Lit) Status {
-	s.conflictAssumps = s.conflictAssumps[:0]
 	if !s.ok {
 		return Unsat
 	}
@@ -768,7 +733,6 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				// Dummy level so indices line up.
 				s.trailLim = append(s.trailLim, int32(len(s.trail)))
 			case lFalse:
-				s.analyzeFinal(p.Neg())
 				s.cancelUntil(0)
 				return Unsat
 			default:
@@ -813,15 +777,6 @@ func (s *Solver) ValueOf(v Var) bool {
 // LitValue returns the model value of literal l after a Sat answer.
 func (s *Solver) LitValue(l Lit) bool {
 	return s.ValueOf(l.Var()) != l.Sign()
-}
-
-// FailedAssumptions returns the negations of (a subset of) the assumptions
-// that made the last Solve call Unsat — the conflict clause, in MiniSat
-// convention. Empty when the clause set itself is unsatisfiable.
-func (s *Solver) FailedAssumptions() []Lit {
-	out := make([]Lit, len(s.conflictAssumps))
-	copy(out, s.conflictAssumps)
-	return out
 }
 
 // varHeap is an indexed max-heap ordered by variable activity. The activity
@@ -911,43 +866,4 @@ func (h *varHeap) down(i int, act []float64) {
 	}
 	h.heap[i] = v
 	h.indices[v] = int32(i + 1)
-}
-
-// WriteDIMACS dumps the problem clauses (not learnt clauses) plus the
-// current level-0 unit assignments in DIMACS CNF format, for interoperating
-// with external SAT tooling.
-func (s *Solver) WriteDIMACS(w io.Writer) error {
-	s.cancelUntil(0)
-	units := len(s.trail)
-	if !s.ok {
-		// Canonical unsatisfiable instance.
-		_, err := fmt.Fprintf(w, "p cnf 1 2\n1 0\n-1 0\n")
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "p cnf %d %d\n", len(s.assigns), len(s.clauses)+units); err != nil {
-		return err
-	}
-	dimacs := func(l Lit) int {
-		v := int(l.Var()) + 1
-		if l.Sign() {
-			return -v
-		}
-		return v
-	}
-	for _, l := range s.trail {
-		if _, err := fmt.Fprintf(w, "%d 0\n", dimacs(l)); err != nil {
-			return err
-		}
-	}
-	for _, c := range s.clauses {
-		for _, l := range s.lits(c) {
-			if _, err := fmt.Fprintf(w, "%d ", dimacs(l)); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(w, "0"); err != nil {
-			return err
-		}
-	}
-	return nil
 }

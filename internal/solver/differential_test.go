@@ -54,8 +54,8 @@ func satisfiableByEval(t *testing.T, cs []*smt.Term) bool {
 // assumption queries. The
 // inputs are two 4-bit variables zero-extended to 32 bits, so enumerating
 // all 256 assignments with smt.Eval decides every query independently of
-// the solver. Answers must agree with it; Sat models are re-checked by the
-// term evaluator; Unsat cores are re-verified by a fresh solver.
+// the solver. Answers must agree with it, and Sat models are re-checked by
+// the term evaluator.
 func TestIncrementalDifferentialQFBV(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 20; iter++ {
@@ -73,13 +73,12 @@ func TestIncrementalDifferentialQFBV(t *testing.T) {
 				assumps[i] = randConstraint(rng, ctx, vars)
 			}
 			all := append(append([]*smt.Term{}, asserted...), assumps...)
-			got, core := s.CheckCore(all...)
+			got := s.Check(all...)
 			if want := satisfiableByEval(t, all); (got == Sat) != want {
 				t.Fatalf("iter %d round %d: solver=%v, enumeration sat=%v (asserted %v assumps %v)",
 					iter, round, got, want, asserted, assumps)
 			}
-			switch got {
-			case Sat:
+			if got == Sat {
 				env := s.Model()
 				for _, c := range all {
 					v, err := smt.Eval(c, env)
@@ -89,12 +88,6 @@ func TestIncrementalDifferentialQFBV(t *testing.T) {
 					if v != 1 {
 						t.Fatalf("iter %d round %d: model violates %v", iter, round, c)
 					}
-				}
-			case Unsat:
-				// Re-verify the core on a fresh solver.
-				if got := New(ctx).Check(core...); got != Unsat {
-					t.Fatalf("iter %d round %d: core %v not actually unsat (%v)",
-						iter, round, core, got)
 				}
 			}
 		}

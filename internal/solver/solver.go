@@ -49,7 +49,7 @@ type Solver struct {
 	sat *sat.Solver
 	bb  *bitblast.Blaster
 
-	lits []sat.Lit // assumption buffer of the current Check / CheckCore
+	lits []sat.Lit // assumption buffer of the current Check
 
 	checks   uint64
 	satAns   uint64
@@ -71,8 +71,8 @@ func New(ctx *smt.Context) *Solver {
 // Context returns the term context this solver works over.
 func (s *Solver) Context() *smt.Context { return s.ctx }
 
-// SetObs attaches the owning worker's observability handle; every Check /
-// CheckCore then runs under a solver-check span. A nil handle detaches.
+// SetObs attaches the owning worker's observability handle; every Check
+// then runs under a solver-check span. A nil handle detaches.
 func (s *Solver) SetObs(h *obs.Handle) { s.h = h }
 
 // Check reports satisfiability of the conjunction of the given
@@ -88,42 +88,6 @@ func (s *Solver) Check(assumptions ...*smt.Term) Result {
 	default:
 		s.unsatAns++
 		return Unsat
-	}
-}
-
-// CheckCore is Check plus, on Unsat, the subset of assumption terms the
-// refutation actually used (an unsat core over the assumptions, from the
-// SAT solver's failed-assumption analysis). The core is nil when it is
-// unavailable (clause-set-level conflict) — callers must then fall back to
-// the full assumption set. The query cache records cores instead of full
-// constraint sets, which is what makes its superset-of-unsat rule fire
-// across related queries.
-func (s *Solver) CheckCore(assumptions ...*smt.Term) (Result, []*smt.Term) {
-	defer s.h.Start(obs.PhaseSolverCheck).End()
-	lits := s.assumptionLits(assumptions)
-	s.checks++
-	switch s.sat.Solve(lits...) {
-	case sat.Sat:
-		s.satAns++
-		return Sat, nil
-	default:
-		s.unsatAns++
-		failed := s.sat.FailedAssumptions()
-		if len(failed) == 0 {
-			return Unsat, nil
-		}
-		// FailedAssumptions holds the negations of the responsible
-		// assumption literals, a handful, so a scan beats a set.
-		core := make([]*smt.Term, 0, len(failed))
-		for i, t := range assumptions {
-			for _, l := range failed {
-				if l == lits[i].Neg() {
-					core = append(core, t)
-					break
-				}
-			}
-		}
-		return Unsat, core
 	}
 }
 
